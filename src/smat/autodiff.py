@@ -6,6 +6,17 @@ graph once in reverse topological order. Gradients are themselves
 tensors built from the same primitives, so a second backward pass (used
 for exact Hessian-vector products) works when ``create_graph=True``.
 
+Every tensor, leaf or op output, is checked to hold only finite values,
+and the first op that produces NaN or Inf raises :class:`NonFiniteError`
+naming it (in the backward pass, naming the op being differentiated).
+The check costs one sum per tensor: a finite sum proves every element
+finite. Only a non-finite sum, which finite values can also give by
+overflowing, falls back to an elementwise test, so such tensors are
+still accepted (numpy may warn about the overflow).
+
+A vector-Jacobian closure returns one gradient per parent, or ``None``
+for a parent that does not require grad; :func:`backward` skips those.
+
 Storage is 32-bit by default. Finite-difference oracles in the test
 suite instantiate the same operations in 64-bit, which the engine
 supports via an explicit dtype.
@@ -14,6 +25,7 @@ supports via an explicit dtype.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -72,7 +84,7 @@ class enable_grad:
 
 
 def _ensure_finite(arr: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by '{where}'")
 
 
@@ -201,14 +213,16 @@ def _from_op(
     out.data = arr
     out.name = None
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
     return out
 
 
@@ -232,37 +246,42 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _from_op(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_sum_to(g, a.shape), _sum_to(g, b.shape)),
-        "add",
-    )
+    def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
+        return (
+            _sum_to(g, a.shape) if a.requires_grad else None,
+            _sum_to(g, b.shape) if b.requires_grad else None,
+        )
+
+    return _from_op(a.data + b.data, (a, b), vjp, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _from_op(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_sum_to(g, a.shape), _sum_to(neg(g), b.shape)),
-        "sub",
-    )
+    def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
+        return (
+            _sum_to(g, a.shape) if a.requires_grad else None,
+            _sum_to(neg(g), b.shape) if b.requires_grad else None,
+        )
+
+    return _from_op(a.data - b.data, (a, b), vjp, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _from_op(
-        a.data * b.data,
-        (a, b),
-        lambda g: (_sum_to(mul(g, b), a.shape), _sum_to(mul(g, a), b.shape)),
-        "mul",
-    )
+    def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
+        return (
+            _sum_to(mul(g, b), a.shape) if a.requires_grad else None,
+            _sum_to(mul(g, a), b.shape) if b.requires_grad else None,
+        )
+
+    return _from_op(a.data * b.data, (a, b), vjp, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g: Tensor) -> tuple[Tensor, Tensor]:
-        da = div(g, b)
-        db = neg(div(mul(g, a), mul(b, b)))
-        return _sum_to(da, a.shape), _sum_to(db, b.shape)
+    def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
+        da = _sum_to(div(g, b), a.shape) if a.requires_grad else None
+        db = None
+        if b.requires_grad:
+            db = _sum_to(neg(div(mul(g, a), mul(b, b))), b.shape)
+        return da, db
 
     return _from_op(a.data / b.data, (a, b), vjp, "div")
 
@@ -321,8 +340,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
 
-    def vjp(g: Tensor) -> tuple[Tensor, Tensor]:
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+    def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
+        return (
+            matmul(g, transpose(b)) if a.requires_grad else None,
+            matmul(transpose(a), g) if b.requires_grad else None,
+        )
 
     return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
 

@@ -169,6 +169,7 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
 
 def _load_teacher(path: str) -> tuple[MiniTransformer, dict, dict]:
     teacher, echo = dio.load_model(path)
+    teacher.freeze()
     vocab = echo.get("vocab")
     if not isinstance(vocab, dict):
         raise dio.CheckpointError(f"{path}: teacher sidecar has no vocabulary")
@@ -348,6 +349,7 @@ def _teacher_saliencies(
 
 def cmd_explain(args: argparse.Namespace) -> int:
     model, echo = dio.load_model(args.model)
+    model.freeze()
     dataset = dio.load_tsv(args.data)
     vocab = echo.get("vocab")
     if not isinstance(vocab, dict):

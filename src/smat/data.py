@@ -18,9 +18,8 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .model import MiniTransformer, ModelConfig
+from .model import PAD_ID, MiniTransformer, ModelConfig
 
-PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -325,16 +324,22 @@ def save_checkpoint(
 
     Layout: magic "SMAT", u32 version, u32 tensor count, then per tensor
     a u16 name length, UTF-8 name, u8 rank, u64 extents, and raw
-    little-endian float32 values in row-major order. An optional config
-    echo goes to a deterministic JSON sidecar at ``path + ".json"``.
+    little-endian float32 values in row-major order. A tensor that
+    float32 cannot hold exactly raises :class:`CheckpointError` rather
+    than being rounded. An optional config echo goes to a deterministic
+    JSON sidecar at ``path + ".json"``.
     """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
     blob += struct.pack("<I", len(tensors))
     for name, value in tensors.items():
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        arr = arr.astype("<f4", copy=False)  # ascontiguousarray would promote 0-d to 1-d
+        given = value.data if isinstance(value, Tensor) else np.asarray(value)
+        arr = given.astype("<f4", copy=False)  # ascontiguousarray would promote 0-d to 1-d
+        if arr is not given and not np.array_equal(arr, given, equal_nan=True):
+            raise CheckpointError(
+                f"tensor {name!r} of dtype {given.dtype} does not fit float32 without loss"
+            )
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         encoded = name.encode("utf-8")

@@ -322,11 +322,6 @@ def head_saliency_logits(internals: AttentionInternals) -> list[Tensor]:
     return out
 
 
-def predict_label(model: MiniTransformer, token_ids: Sequence[int]):
-    """Module-level alias for :meth:`MiniTransformer.predict`."""
-    return model.predict(token_ids)
-
-
 def task_loss(model: MiniTransformer, token_ids: Sequence[int], target, params: dict[str, Tensor] | None = None) -> Tensor:
     """Supervised loss for one example: cross-entropy or squared error."""
     out = model.forward(token_ids, params=params)

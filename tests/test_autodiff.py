@@ -399,6 +399,58 @@ def test_non_finite_gradient_names_op():
         ad.backward(loss, [x])
 
 
+def test_finite_values_whose_sum_overflows_are_accepted():
+    big = np.full(4, 3e38, dtype=np.float32)  # every element finite, the sum is not
+    with np.errstate(over="ignore"):
+        leaf = ad.Tensor(big, name="big")
+        out = ad.mul(leaf, ad.constant(np.ones(4, dtype=np.float32)))
+    assert np.array_equal(out.data, big)
+
+
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_non_finite_leaf_names_it(values):
+    with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError, match="'weights'"):
+        ad.Tensor(np.array([1.0] + values), name="weights")
+
+
+@pytest.mark.parametrize("numerators", [[0.0], [1.0], [-1.0], [1.0, -1.0]])
+def test_non_finite_op_output_names_op(numerators):
+    # 0/0 is NaN, +1/0 is +inf, -1/0 is -inf; the last case holds both infinities.
+    num = ad.Tensor(np.array([2.0] + numerators), dtype=np.float64)
+    den = ad.Tensor(np.array([1.0] + [0.0] * len(numerators)), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ad.NonFiniteError, match="'div'"):
+        ad.div(num, den)
+
+
+@pytest.mark.parametrize("op, recorded", [(ad.mul, 3), (ad.matmul, 4)])
+def test_constant_parent_gets_no_gradient_node(monkeypatch, op, recorded):
+    rng = np.random.default_rng(3)
+    c = ad.constant(rng.normal(size=(3, 3)), dtype=np.float64)
+    x = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
+    loss = ad.tsum(op(x, c))
+
+    calls = []
+    real = ad._from_op
+
+    def counting(data, parents, vjp, name):
+        calls.append(parents)
+        return real(data, parents, vjp, name)
+
+    monkeypatch.setattr(ad, "_from_op", counting)
+    ad.backward(loss, [x])
+    monkeypatch.undo()
+    # The constant's gradient is the only one that would read x
+    # (mul(g, x) or transpose(x)); the sum's backward costs two nodes.
+    assert not any(p is x for parents in calls for p in parents)
+    assert len(calls) == recorded
+
+    def build(rng):
+        return [rng.normal(size=(3, 3))], lambda ts: ad.tsum(op(ts[0], c))
+
+    check_op_gradients(build)
+
+
 def test_create_graph_enables_second_derivatives():
     x = ad.Tensor(2.0, requires_grad=True, dtype=np.float64)
     loss = ad.mul(ad.mul(x, x), x)  # x^3

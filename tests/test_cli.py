@@ -10,7 +10,8 @@ import os
 import pytest
 
 from smat.cli import main
-from smat.data import load_tsv
+from smat.data import Dataset, attach_token_ids, export_explanations, load_model, load_tsv, save_tsv
+from smat.explainers import compute_static_saliency
 
 
 BASE_CONFIG = {
@@ -180,6 +181,35 @@ def test_explain_jsonl(pipeline, tmp_path):
         assert rec["prediction"] in (0, 1)
         assert abs(sum(rec["scores"]) - 1.0) < 1e-5
         assert "gold_mask" in rec
+
+
+def test_explain_integrated_gradients_matches_unfrozen_library_run(pipeline, tmp_path):
+    data = tmp_path / "few.tsv"
+    save_tsv(Dataset(load_tsv(str(pipeline["corpus"])).examples[:4]), str(data))
+    out = tmp_path / "ig.jsonl"
+    assert main([
+        "explain", "--model", str(pipeline["teacher"]),
+        "--explainer", "integrated_gradients", "--data", str(data),
+        "--format", "jsonl", "--out", str(out),
+    ]) == 0
+
+    model, echo = load_model(str(pipeline["teacher"]))
+    assert all(t.requires_grad for t in model.params.values())
+    dataset = load_tsv(str(data))
+    attach_token_ids(dataset, echo["vocab"])
+    records = []
+    for ex in dataset.examples:
+        sal = compute_static_saliency(model, ex.token_ids, "integrated_gradients")
+        records.append({
+            "tokens": ex.tokens[: len(ex.token_ids)],
+            "scores": [float(s) for s in sal.scores],
+            "prediction": model.predict(ex.token_ids),
+            "gold_label": ex.label,
+            "gold_mask": list(ex.rationale),
+        })
+    want = tmp_path / "library.jsonl"
+    export_explanations(records, str(want))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_explain_parameterized_requires_phi(pipeline, tmp_path, capsys):

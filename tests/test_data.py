@@ -218,6 +218,28 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(back[name], np.asarray(arr, dtype=np.float32))
 
 
+def test_checkpoint_saves_exact_casts(tmp_path):
+    tensors = {"ids": np.arange(6, dtype=np.int64).reshape(2, 3), "half": np.full(3, 0.5)}
+    path = str(tmp_path / "exact.smat")
+    save_checkpoint(tensors, path)
+    back = load_checkpoint(path)
+    for name, arr in tensors.items():
+        assert back[name].dtype == np.float32
+        assert np.array_equal(back[name], arr)
+
+
+def test_checkpoint_refuses_lossy_cast(tmp_path):
+    path = tmp_path / "lossy.smat"
+    tensors = {"ok": np.ones(2, dtype=np.float32), "w": np.array([1.0, 1.0 + 1e-12])}
+    with pytest.raises(CheckpointError, match="'w'.*float64"):
+        save_checkpoint(tensors, str(path))
+    assert not path.exists()
+    with pytest.raises(CheckpointError, match="'big'.*int64"):
+        save_checkpoint({"big": np.array([2**24 + 1], dtype=np.int64)}, str(path))
+    with pytest.raises(CheckpointError, match="float64"):
+        save_model(tiny_model(seed=11, dtype=np.float64), str(path))
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     path = str(tmp_path / "model.smat")
     save_checkpoint({"w": np.ones((2, 2), dtype=np.float32)}, path)
