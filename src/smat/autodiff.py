@@ -16,6 +16,13 @@ still accepted (numpy may warn about the overflow).
 
 A vector-Jacobian closure returns one gradient per parent, or ``None``
 for a parent that does not require grad; :func:`backward` skips those.
+A closure that needs its own op's output (``exp``, ``sqrt``, ``softmax``)
+holds it by weak reference, so a graph has no reference cycles and is
+freed as soon as its last tensor is dropped, not by the cyclic collector.
+
+``matmul`` broadcasts over leading axes, ``transpose`` permutes any axes
+and ``narrow``/``concat`` work along any axis, so a model can run a whole
+padded batch as one graph.
 
 Storage is 32-bit by default. Finite-difference oracles in the test
 suite instantiate the same operations in 64-bit, which the engine
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -91,7 +99,7 @@ def _ensure_finite(arr: np.ndarray, where: str) -> None:
 class Tensor:
     """Dense float array plus an optional handle into the recorded graph."""
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_op", "__weakref__")
 
     def __init__(
         self,
@@ -231,8 +239,10 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     if g.shape == shape:
         return g
     out = g
+    # Innermost leading axis first: a (B, L, D) gradient sums each example's
+    # rows, then the examples in order, as separate per-example graphs would.
     while out.ndim > len(shape):
-        out = tsum(out, axis=0)
+        out = tsum(out, axis=out.ndim - len(shape) - 1)
     for ax, (have, want) in enumerate(zip(out.shape, shape)):
         if want == 1 and have != 1:
             out = tsum(out, axis=ax, keepdims=True)
@@ -298,7 +308,8 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _from_op(np.exp(a.data), (a,), lambda g: (mul(g, out),), "exp")
+    out = _from_op(np.exp(a.data), (a,), lambda g: (mul(g, ref()),), "exp")
+    ref = weakref.ref(out)
     return out
 
 
@@ -310,9 +321,10 @@ def sqrt(a: Tensor) -> Tensor:
     out = _from_op(
         np.sqrt(a.data),
         (a,),
-        lambda g: (div(g, mul(constant(np.asarray(2.0, dtype=a.dtype)), out)),),
+        lambda g: (div(g, mul(constant(np.asarray(2.0, dtype=a.dtype)), ref())),),
         "sqrt",
     )
+    ref = weakref.ref(out)
     return out
 
 
@@ -337,22 +349,33 @@ def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    """Matrix product over the last two axes; leading axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul expects operands with at least 2 axes, got {a.shape} @ {b.shape}")
 
     def vjp(g: Tensor) -> tuple[Tensor | None, Tensor | None]:
         return (
-            matmul(g, transpose(b)) if a.requires_grad else None,
-            matmul(transpose(a), g) if b.requires_grad else None,
+            _sum_to(matmul(g, transpose(b)), a.shape) if a.requires_grad else None,
+            _sum_to(matmul(transpose(a), g), b.shape) if b.requires_grad else None,
         )
 
     return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return _from_op(np.ascontiguousarray(a.data.T), (a,), lambda g: (transpose(g),), "transpose")
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Swap the last two axes, or permute the axes in the order ``axes`` lists."""
+    if axes is None:
+        if a.ndim < 2:
+            raise ValueError(f"transpose expects at least 2 axes, got {a.shape}")
+        axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
+    axes = tuple(axes)
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _from_op(
+        np.ascontiguousarray(a.data.transpose(axes)),
+        (a,),
+        lambda g: (transpose(g, inverse),),
+        "transpose",
+    )
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -360,15 +383,16 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _from_op(a.data.reshape(shape), (a,), lambda g: (reshape(g, old),), "reshape")
 
 
+def _slice_along(ndim: int, axis: int, start: int, length: int) -> tuple[slice, ...]:
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"axis {axis} out of range for {ndim} axes")
+    return (slice(None),) * (axis % ndim) + (slice(start, start + length),)
+
+
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    if axis not in (0, 1):
-        raise ValueError("narrow supports axis 0 or 1")
-    idx: tuple[slice, ...] = (slice(start, start + length),)
-    if axis == 1:
-        idx = (slice(None), slice(start, start + length))
     return _from_op(
-        np.ascontiguousarray(a.data[idx]),
+        np.ascontiguousarray(a.data[_slice_along(a.ndim, axis, start, length)]),
         (a,),
         lambda g: (_embed(g, a.shape, axis, start),),
         "narrow",
@@ -377,12 +401,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def _embed(g: Tensor, shape: tuple[int, ...], axis: int, start: int) -> Tensor:
     """Place a slice gradient into a zero tensor of the original shape."""
-    data = np.zeros(shape, dtype=g.dtype)
-    idx: tuple[slice, ...] = (slice(start, start + g.shape[axis]),)
-    if axis == 1:
-        idx = (slice(None), slice(start, start + g.shape[axis]))
-    data[idx] = g.data
     length = g.shape[axis]
+    data = np.zeros(shape, dtype=g.dtype)
+    data[_slice_along(len(shape), axis, start, length)] = g.data
     return _from_op(data, (g,), lambda gg: (narrow(gg, axis, start, length),), "embed")
 
 
@@ -408,8 +429,49 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return concat(rows, axis=0)
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray) -> np.ndarray:
+    """Sum over ``axis`` (keepdims) of each row's first ``lengths`` entries.
+
+    numpy orders a float sum's additions by the row length, so a row padded
+    with zeros can round differently from the same row alone. Summing only
+    the valid prefix rounds a padded batch row exactly like the row alone.
+    """
+    x = np.moveaxis(x, axis, -1)
+    width = x.shape[-1]
+    flat = np.broadcast_to(np.asarray(lengths, dtype=np.int64), x.shape[:-1]).reshape(-1)
+    rows = x.reshape(-1, width)
+    if (flat == width).all():
+        out = rows.sum(axis=-1)
+    else:
+        # rows grouped by length, one sum per group
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=width + 1)
+        ordered = rows[order]
+        sums = np.empty(flat.size, dtype=x.dtype)
+        start = 0
+        for n in np.flatnonzero(counts):
+            stop = start + counts[n]
+            sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
+            start = stop
+        out = np.empty_like(sums)
+        out[order] = sums
+    return np.moveaxis(out.reshape(x.shape[:-1] + (1,)), -1, axis)
+
+
+def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
+         lengths: np.ndarray | None = None) -> Tensor:
+    """Sum over ``axis`` (all axes for None).
+
+    ``lengths`` (one axis, keepdims only) holds each row's valid prefix,
+    broadcast over the other axes; entries past it must be zero, and are
+    left out of the sum so they cannot change its rounding.
+    """
+    if lengths is None:
+        data = a.data.sum(axis=axis, keepdims=keepdims)
+    elif axis is None or not keepdims:
+        raise ValueError("a prefix sum needs one axis and keepdims=True")
+    else:
+        data = _prefix_sum(a.data, axis, lengths)
 
     def vjp(g: Tensor) -> tuple[Tensor]:
         gg = g
@@ -437,7 +499,7 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
-    """Select rows of a 2-D table by integer index."""
+    """Select rows of a 2-D table by an integer index array of any shape."""
     idx = np.asarray(ids, dtype=np.int64)
     num_rows = table.shape[0]
     return _from_op(
@@ -449,10 +511,27 @@ def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 
 
 def scatter_rows(g: Tensor, ids: np.ndarray, num_rows: int) -> Tensor:
-    """Add rows of ``g`` into a zero table at the given indices."""
+    """Add rows of ``g`` into a zero table at the given indices.
+
+    For an index array with leading axes, each last-axis slice (one
+    sequence of a batch) is summed on its own first, and the slices are
+    then added in order, which rounds as separate per-sequence graphs do.
+    """
     idx = np.asarray(ids, dtype=np.int64)
-    data = np.zeros((num_rows,) + g.shape[1:], dtype=g.dtype)
-    np.add.at(data, idx, g.data)
+    data = np.zeros((num_rows,) + g.shape[idx.ndim:], dtype=g.dtype)
+    if idx.ndim < 2:
+        np.add.at(data, idx, g.data)
+    else:
+        # number the distinct (sequence, row) pairs in sequence order
+        seq = np.repeat(np.arange(idx.size // idx.shape[-1]), idx.shape[-1])
+        key = seq * num_rows + idx.reshape(-1)
+        order = np.argsort(key, kind="stable")
+        first = np.concatenate([[True], key[order][1:] != key[order][:-1]])
+        which = np.empty_like(order)
+        which[order] = np.cumsum(first) - 1
+        partial = np.zeros((int(first.sum()),) + data.shape[1:], dtype=g.dtype)
+        np.add.at(partial, which, g.data.reshape((idx.size,) + data.shape[1:]))
+        np.add.at(data, key[order][first] % num_rows, partial)
     return _from_op(data, (g,), lambda gg: (gather_rows(gg, idx),), "scatter_rows")
 
 
@@ -460,42 +539,55 @@ def scatter_rows(g: Tensor, ids: np.ndarray, num_rows: int) -> Tensor:
 # softmax family and losses
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, lengths: np.ndarray | None = None) -> Tensor:
+    """Softmax along ``axis``.
+
+    ``lengths`` gives each row's valid prefix (broadcast over the other
+    axes) when the entries past it are masked to exactly zero weight; the
+    sums here and in the gradient then skip them, so a padded row rounds
+    exactly like the row alone.
+    """
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / (e.sum(axis=axis, keepdims=True) if lengths is None else _prefix_sum(e, axis, lengths))
 
     def vjp(g: Tensor) -> tuple[Tensor]:
-        inner = tsum(mul(g, out), axis=axis if axis >= 0 else out.ndim + axis, keepdims=True)
+        out = ref()
+        inner = tsum(mul(g, out), axis=axis if axis >= 0 else out.ndim + axis, keepdims=True,
+                     lengths=lengths)
         return (mul(sub(g, inner), out),)
 
     out = _from_op(y, (a,), vjp, "softmax")
+    ref = weakref.ref(out)
     return out
 
 
 def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(a))) for a vector, computed against a constant shift."""
-    m = float(a.data.max())
-    shift = constant(np.asarray(m, dtype=a.dtype))
-    return add(log(tsum(exp(sub(a, shift)))), shift)
+    """log(sum(exp(a))) over the last axis, computed against a constant shift."""
+    shift = a.data.max(axis=-1, keepdims=True)
+    total = tsum(exp(sub(a, constant(shift))), axis=-1)
+    return add(log(total), constant(shift[..., 0]))
 
 
-def cross_entropy(logits: Tensor, target: int | Tensor) -> Tensor:
-    """Negative log-likelihood of ``target`` under softmax(logits).
+def cross_entropy(logits: Tensor, target: int | Sequence[int] | np.ndarray | Tensor) -> Tensor:
+    """Negative log-likelihood of ``target`` under a softmax over the last axis.
 
-    An integer target selects one class; a tensor target is a probability
-    vector (soft labels).
+    ``logits`` is one logit vector (C,) or a batch of them (B, C), and the
+    result is one loss per vector: () or (B,). Integer targets select one
+    class per vector; a tensor target holds probability vectors (soft
+    labels) of the logits' shape.
     """
-    if logits.ndim != 1:
-        raise ValueError(f"cross_entropy expects a logit vector, got shape {logits.shape}")
-    lse = logsumexp(logits)
-    if isinstance(target, Tensor):
-        return sub(lse, tsum(mul(target, logits)))
-    idx = int(target)
-    if not 0 <= idx < logits.shape[0]:
-        raise ValueError(f"target {idx} out of range for {logits.shape[0]} classes")
-    picked = reshape(narrow(logits, 0, idx, 1), ())
-    return sub(lse, picked)
+    if logits.ndim not in (1, 2):
+        raise ValueError(f"cross_entropy expects (C,) or (B, C) logits, got shape {logits.shape}")
+    if not isinstance(target, Tensor):
+        idx = np.asarray(target, dtype=np.int64)
+        classes = logits.shape[-1]
+        if idx.shape != logits.shape[:-1]:
+            raise ValueError(f"{idx.size} targets for logits of shape {logits.shape}")
+        if ((idx < 0) | (idx >= classes)).any():
+            raise ValueError(f"target {idx.tolist()} out of range for {classes} classes")
+        target = constant(np.eye(classes, dtype=logits.dtype)[idx])
+    return sub(logsumexp(logits), tsum(mul(target, logits), axis=-1))
 
 
 def kl_divergence(p: Tensor, q: Tensor, eps: float = KL_EPS) -> Tensor:
@@ -535,15 +627,22 @@ def sparsemax_project(z: np.ndarray) -> np.ndarray:
 
 
 def sparsemax(z: Tensor) -> Tensor:
-    p = sparsemax_project(z.data)
+    """Sparsemax of a vector, or of each row (last axis) of a stack."""
+    if z.ndim == 1:
+        p = sparsemax_project(z.data)
+    else:
+        # Rows are often copies of one vector (one per batch example).
+        rows = [r.tobytes() for r in z.data.reshape(-1, z.shape[-1])]
+        done = {key: sparsemax_project(np.frombuffer(key, dtype=z.dtype)) for key in set(rows)}
+        p = np.stack([done[key] for key in rows]).reshape(z.shape)
     support = constant((p > 0).astype(z.dtype.type))
-    size = float((p > 0).sum())
+    inv_size = constant((1.0 / (p > 0).sum(axis=-1, keepdims=True)).astype(z.dtype))
 
     def vjp(g: Tensor) -> tuple[Tensor]:
-        # J = Diag(m) - m m^T / |S| on the support indicator m.
+        # J = Diag(m) - m m^T / |S| on the support indicator m, per row.
         masked = mul(g, support)
-        total = tsum(masked)
-        correction = mul(support, mul(total, constant(np.asarray(1.0 / size, dtype=z.dtype))))
+        total = tsum(masked, axis=-1, keepdims=True)
+        correction = mul(support, mul(total, inv_size))
         return (sub(masked, correction),)
 
     return _from_op(p, (z,), vjp, "sparsemax")

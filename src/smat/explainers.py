@@ -1,7 +1,8 @@
 """Token saliency explainers for the mini transformer.
 
 Two families share one output contract, a simplex vector over the
-non-pad tokens of one input:
+non-pad tokens of one input (a batch gives one such row per input, with
+pad positions exactly 0):
 
 * attention-based: per-head mean score rows, combined either uniformly
   (static attention mean) or through learned head coefficients that are
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import AttentionInternals, MiniTransformer, head_saliency_logits
+from .model import AttentionInternals, MiniTransformer, head_saliency_logits, pad_bias
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -78,9 +79,6 @@ class ExplainerParams:
         if self.phi.ndim != 1:
             raise ValueError("phi must be a vector with one entry per in-scope head")
 
-    def coefficients(self) -> Tensor:
-        return normalize_coefficients(self.phi, self.normalize)
-
 
 def normalize_coefficients(phi: Tensor, kind: str) -> Tensor:
     """Map raw head parameters to combination coefficients."""
@@ -114,32 +112,47 @@ def scope_head_indices(model: MiniTransformer, scope: str) -> list[int]:
     raise ValueError(f"unknown scope {scope!r}")
 
 
-def combine_head_logits(logit_stack: Tensor, coefficients: Tensor) -> Tensor:
-    """softmax(coefficients . logit_stack) for a (heads, L) stack."""
-    if logit_stack.ndim != 2:
-        raise ValueError("logit stack must be (heads, length)")
-    heads = logit_stack.shape[0]
-    if coefficients.shape != (heads,):
+def combine_head_logits(
+    logit_stack: Tensor, coefficients: Tensor, valid: np.ndarray | None = None
+) -> Tensor:
+    """softmax(coefficients . logit_stack) for a (heads, L) or (B, heads, L) stack.
+
+    ``coefficients`` is (heads,), or (B, heads) with one row per example.
+    ``valid`` is the (B, L) mask of non-pad positions; pads get exactly 0.
+    """
+    if logit_stack.ndim not in (2, 3):
+        raise ValueError("logit stack must be (heads, length) or (batch, heads, length)")
+    heads, length = logit_stack.shape[-2:]
+    if coefficients.shape[-1:] != (heads,) or coefficients.ndim > logit_stack.ndim - 1:
         raise ValueError(
             f"coefficient length {coefficients.shape} does not match {heads} heads"
         )
-    mixed = ad.matmul(ad.reshape(coefficients, (1, heads)), logit_stack)
-    return ad.softmax(ad.reshape(mixed, (logit_stack.shape[1],)), axis=-1)
+    mixed = ad.matmul(ad.reshape(coefficients, coefficients.shape[:-1] + (1, heads)), logit_stack)
+    mixed = ad.reshape(mixed, logit_stack.shape[:-2] + (length,))
+    if valid is not None:
+        mixed = ad.add(mixed, ad.constant(pad_bias(valid, mixed.dtype)))
+    return ad.softmax(mixed, axis=-1, lengths=None if valid is None else valid.sum(axis=-1))
 
 
-def saliency_from_internals(
-    internals: AttentionInternals,
-    params: ExplainerParams,
-    head_indices: Sequence[int],
-) -> Tensor:
-    """Differentiable saliency from recorded internals and coefficients."""
-    logits = head_saliency_logits(internals)
-    picked = [logits[i] for i in head_indices]
-    if len(picked) != params.phi.shape[0]:
+def example_coefficients(phi: Tensor, kind: str, lead: tuple[int, ...]) -> Tensor:
+    """Normalized coefficients, one row per example of a ``lead``-shaped batch.
+
+    Each example gets its own normalization node, so phi's gradient sums
+    per-example terms in order, as when each sequence is explained alone.
+    """
+    return normalize_coefficients(ad.broadcast_to(phi, lead + phi.shape), kind)
+
+
+def saliency_from_internals(internals: AttentionInternals, params: ExplainerParams) -> Tensor:
+    """Differentiable saliency, (L,) or (B, L), from recorded internals and coefficients."""
+    first = len(internals.scores) - 1 if params.scope == "last" else 0
+    logits = head_saliency_logits(internals, first)
+    if logits.shape[-2] != params.phi.shape[0]:
         raise ValueError(
-            f"phi has {params.phi.shape[0]} entries but scope selects {len(picked)} heads"
+            f"phi has {params.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
         )
-    return combine_head_logits(ad.stack(picked), params.coefficients())
+    lam = example_coefficients(params.phi, params.normalize, logits.shape[:-2])
+    return combine_head_logits(logits, lam, internals.valid)
 
 
 def head_logit_matrix(
@@ -148,11 +161,10 @@ def head_logit_matrix(
     scope: str = "all",
 ) -> np.ndarray:
     """(in-scope heads, L) matrix of mean attention-score rows."""
+    first = scope_head_indices(model, scope)[0] // model.config.heads_per_layer
     with ad.no_grad():
         _, internals = model.forward(token_ids, record=True)
-        logits = head_saliency_logits(internals)
-    idx = scope_head_indices(model, scope)
-    return np.stack([logits[i].data for i in idx], axis=0)
+        return head_saliency_logits(internals, first).data
 
 
 def explain_parameterized(
@@ -165,10 +177,9 @@ def explain_parameterized(
     The differentiable form is :func:`saliency_from_internals`; this
     wrapper runs a recorded forward pass and extracts values.
     """
-    _, internals = model.forward(token_ids, record=True)
-    idx = scope_head_indices(model, params.scope)
-    sal = saliency_from_internals(internals, params, idx)
-    return Saliency(scores=sal.data)
+    with ad.no_grad():
+        _, internals = model.forward(token_ids, record=True)
+        return Saliency(scores=saliency_from_internals(internals, params).data)
 
 
 def explain_attention_mean(
@@ -180,9 +191,9 @@ def explain_attention_mean(
     idx = scope_head_indices(model, scope)
     phi = Tensor(np.zeros(len(idx), dtype=model.dtype))
     params = ExplainerParams(phi=phi, normalize="sparsemax", scope=scope)
-    _, internals = model.forward(token_ids, record=True)
-    sal = saliency_from_internals(internals, params, idx)
-    return Saliency(scores=sal.data)
+    with ad.no_grad():
+        _, internals = model.forward(token_ids, record=True)
+        return Saliency(scores=saliency_from_internals(internals, params).data)
 
 
 # ---------------------------------------------------------------------------

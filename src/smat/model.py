@@ -3,21 +3,28 @@
 The encoder is deliberately tiny: token plus learned positional
 embeddings, pre-norm blocks with ReLU feed-forwards, and a softmax
 scalar mix over mean-pooled per-layer outputs feeding the task head.
-Forward passes can record per-head attention internals (post-projection
-query/key rows, pre-softmax score matrices, attention weights), which
+Forward passes can record per-layer attention internals (post-projection
+queries and keys, pre-softmax scores, attention weights), which
 downstream saliency code consumes.
 
-Sequences are right-padded with id 0. Pad positions receive no
-attention mass and are excluded from pooling, which makes the padded
-and pad-stripped computations identical; the forward pass therefore
-validates the padding and strips it. A pad id in the interior of a
-sequence is rejected as malformed input.
+A forward pass takes one sequence or a batch, and builds one graph over
+(B, L, model_dim) tensors with the heads split by reshape to
+(B, H, L, head_dim); one sequence runs the same ops without the batch
+axis. Sequences are right-padded with id 0, and a batch is padded to its
+longest sequence. Padding is masked, not stripped: pad keys get a large
+finite negative added to their scores, so they receive exactly zero
+attention, and pooling and the per-head saliency rows average over
+valid positions only. A valid position's outputs therefore match the
+unpadded sequence's; the attention softmax sums only the valid keys, so
+they round alike too (see ``autodiff.softmax``). Trailing pads shared by every
+sequence are dropped first, so one sequence runs with no mask at all.
+A pad id in the interior of a sequence is rejected as malformed input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -28,6 +35,13 @@ from .autodiff import Tensor
 PAD_ID = 0
 
 LAYER_NORM_EPS = 1e-5
+
+# Added to the scores of pad keys: finite (the engine rejects inf), and far
+# enough below any real score that softmax gives them exactly zero weight.
+MASK_BIAS = -1e9
+
+# Largest batch one no-grad prediction forward takes.
+PREDICT_CHUNK = 256
 
 TASKS = ("classification", "regression")
 
@@ -68,17 +82,7 @@ class ModelConfig:
         return self.num_classes if self.task == "classification" else 1
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "num_layers": self.num_layers,
-            "heads_per_layer": self.heads_per_layer,
-            "model_dim": self.model_dim,
-            "head_dim": self.head_dim,
-            "ffn_dim": self.ffn_dim,
-            "task": self.task,
-            "num_classes": self.num_classes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -86,26 +90,48 @@ class ModelConfig:
 
 
 @dataclass
-class HeadRecord:
-    """Recorded internals of one attention head on one input."""
-
-    layer: int
-    head: int
-    queries: Tensor  # (L, head_dim), post-projection
-    keys: Tensor  # (L, head_dim), post-projection
-    scores: Tensor  # (L, L), pre-softmax logits
-    attention: Tensor  # (L, L), rows on the simplex
-
-
-@dataclass
 class AttentionInternals:
-    """Per-head records for one forward pass, layer-major order."""
+    """Recorded attention internals of one forward pass, one entry per layer.
 
-    seq_len: int
-    heads: list[HeadRecord] = field(default_factory=list)
+    Shapes are (..., H, L, .), where ``...`` is empty for one sequence and
+    (B,) for a batch. ``valid`` is the (B, L) mask of non-pad positions, or
+    None when no position is padding.
+    """
 
-    def __len__(self) -> int:
-        return len(self.heads)
+    valid: np.ndarray | None = None
+    queries: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
+    keys: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
+    scores: list[Tensor] = field(default_factory=list)  # (..., H, L, L), pre-softmax, unmasked
+    attention: list[Tensor] = field(default_factory=list)  # (..., H, L, L), rows on the simplex
+
+    @property
+    def seq_len(self) -> int:
+        return self.scores[0].shape[-1]
+
+
+def is_batch(token_ids: object) -> bool:
+    """True for a batch of sequences (a 2-D array or a list of sequences)."""
+    if isinstance(token_ids, np.ndarray):
+        return token_ids.ndim == 2
+    return len(token_ids) > 0 and hasattr(token_ids[0], "__len__")
+
+
+def pad_bias(valid: np.ndarray, dtype) -> np.ndarray:
+    """0 at valid positions and MASK_BIAS at pads, to add before a softmax."""
+    return np.where(valid, 0.0, MASK_BIAS).astype(dtype)
+
+
+def _mean_weights(valid: np.ndarray | None, lead: tuple[int, ...], length: int, dtype) -> np.ndarray:
+    """(..., 1, L) row weights of a mean over the valid positions."""
+    if valid is None:
+        return np.full(lead + (1, length), 1.0 / length, dtype=dtype)
+    return (valid / valid.sum(axis=-1, keepdims=True)).astype(dtype)[:, None, :]
+
+
+def _swap_heads(x: Tensor) -> Tensor:
+    """(..., L, H, d) <-> (..., H, L, d)."""
+    n = x.ndim
+    return ad.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -184,149 +210,173 @@ class MiniTransformer:
 
     # -- forward -----------------------------------------------------------
 
-    def _strip_padding(self, token_ids: Sequence[int]) -> list[int]:
-        ids = [int(i) for i in token_ids]
-        while ids and ids[-1] == PAD_ID:
-            ids.pop()
-        if not ids:
+    def _batch_ids(self, token_ids: Sequence[int] | Sequence[Sequence[int]] | np.ndarray):
+        """Validated ids, (L,) for one sequence or (B, L) for a batch, and the
+        (B,) sequence lengths when some are shorter than L (else None)."""
+        if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
+            rows = np.full((len(token_ids), max(len(s) for s in token_ids)), PAD_ID, dtype=np.int64)
+            for row, seq in zip(rows, token_ids):
+                row[: len(seq)] = seq
+        else:
+            rows = np.asarray(token_ids, dtype=np.int64)
+        one = rows.ndim == 1
+        rows = rows.reshape(1, -1) if one else rows
+        if rows.ndim != 2:
+            raise ValueError(f"token ids must be one sequence or a batch, got shape {rows.shape}")
+        real = rows != PAD_ID
+        if rows.size == 0 or not real.any(axis=1).all():
             raise ValueError("empty sequence (no non-pad tokens)")
-        if len(ids) > self.config.max_len:
-            raise ValueError(f"sequence length {len(ids)} exceeds max_len {self.config.max_len}")
-        for i in ids:
-            if i == PAD_ID:
-                raise ValueError("pad id found in the interior of a sequence")
-            if not 0 <= i < self.config.vocab_size:
-                raise ValueError(f"token id {i} out of range for vocab size {self.config.vocab_size}")
-        return ids
+        lengths = rows.shape[1] - np.argmax(real[:, ::-1], axis=1)
+        width = int(lengths.max())
+        if width > self.config.max_len:
+            raise ValueError(f"sequence length {width} exceeds max_len {self.config.max_len}")
+        rows = rows[:, :width]
+        if (~real[:, :width] & (np.arange(width) < lengths[:, None])).any():
+            raise ValueError("pad id found in the interior of a sequence")
+        bad = (rows < 0) | (rows >= self.config.vocab_size)
+        if bad.any():
+            raise ValueError(
+                f"token id {int(rows[bad][0])} out of range for vocab size {self.config.vocab_size}"
+            )
+        if one:
+            return rows[0], None
+        return rows, None if (lengths == width).all() else lengths
 
-    def input_embeddings(self, token_ids: Sequence[int], params: dict[str, Tensor] | None = None) -> Tensor:
-        """Combined token + position embeddings for the non-pad prefix."""
+    def _embed(self, ids: np.ndarray, params: dict[str, Tensor] | None) -> Tensor:
         p = params if params is not None else self.params
-        ids = self._strip_padding(token_ids)
-        tok = ad.gather_rows(p["embed.tok"], ids)
-        pos = ad.narrow(p["embed.pos"], 0, 0, len(ids))
-        return ad.add(tok, pos)
+        return ad.add(ad.gather_rows(p["embed.tok"], ids), ad.narrow(p["embed.pos"], 0, 0, ids.shape[-1]))
 
-    def forward(
-        self,
-        token_ids: Sequence[int],
-        record: bool = False,
-        params: dict[str, Tensor] | None = None,
-    ):
-        """Task output for one sequence; optionally also attention internals.
+    def input_embeddings(self, token_ids, params: dict[str, Tensor] | None = None) -> Tensor:
+        """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch."""
+        return self._embed(self._batch_ids(token_ids)[0], params)
 
-        Returns a logit vector (classification) or scalar (regression),
-        or a ``(output, AttentionInternals)`` pair when ``record`` is set.
+    def forward(self, token_ids, record: bool = False, params: dict[str, Tensor] | None = None):
+        """Task output for one sequence or a batch; optionally also attention internals.
+
+        ``token_ids`` is one sequence, a list of sequences or a 2-D id array.
+        Returns logits (classification) or a score (regression), shaped
+        (C,) or () for one sequence and (B, C) or (B,) for a batch, or an
+        ``(output, AttentionInternals)`` pair when ``record`` is set.
         """
-        x = self.input_embeddings(token_ids, params=params)
-        return self.forward_from_embeddings(x, record=record, params=params)
+        ids, lengths = self._batch_ids(token_ids)
+        return self.forward_from_embeddings(
+            self._embed(ids, params), record=record, params=params, lengths=lengths
+        )
 
     def forward_from_embeddings(
         self,
         embeddings: Tensor,
         record: bool = False,
         params: dict[str, Tensor] | None = None,
+        lengths: np.ndarray | None = None,
     ):
-        """Run the encoder on a prepared (L, model_dim) embedding matrix."""
+        """Run the encoder on (L, model_dim) or (B, L, model_dim) embeddings.
+
+        ``lengths`` gives each batch row's valid prefix; None means no padding.
+        """
         p = params if params is not None else self.params
         c = self.config
-        length = embeddings.shape[0]
+        if embeddings.ndim not in (2, 3):
+            raise ValueError(f"embeddings must be (L, D) or (B, L, D), got {embeddings.shape}")
+        lead, length = embeddings.shape[:-2], embeddings.shape[-2]
         if length < 1 or length > c.max_len:
             raise ValueError(f"embedding rows {length} outside [1, {c.max_len}]")
-        internals = AttentionInternals(seq_len=length) if record else None
-        scale = 1.0 / math.sqrt(c.head_dim)
+        dt = embeddings.dtype
+        valid = None if lengths is None else np.arange(length) < np.asarray(lengths)[:, None]
+        key_bias = None if valid is None else ad.constant(pad_bias(valid, dt)[:, None, None, :])
+        key_lengths = None if valid is None else np.asarray(lengths)[:, None, None]
+        internals = AttentionInternals(valid=valid) if record else None
+        scale = ad.constant(np.asarray(1.0 / math.sqrt(c.head_dim), dtype=dt))
+        pool = ad.constant(_mean_weights(valid, lead, length, dt))
+        split = lead + (length, c.heads_per_layer, c.head_dim)
 
         h = embeddings
         layer_pools: list[Tensor] = []
-        pool_row = ad.constant(
-            np.full((1, length), 1.0 / length, dtype=h.dtype), dtype=h.dtype
-        )
         for layer in range(c.num_layers):
             prefix = f"layers.{layer}"
             u = _layer_norm(h, p[f"{prefix}.attn.norm.gain"], p[f"{prefix}.attn.norm.bias"])
-            q_all = ad.matmul(u, p[f"{prefix}.attn.wq"])
-            k_all = ad.matmul(u, p[f"{prefix}.attn.wk"])
-            v_all = ad.matmul(u, p[f"{prefix}.attn.wv"])
-            contexts: list[Tensor] = []
-            for head in range(c.heads_per_layer):
-                start = head * c.head_dim
-                q = ad.narrow(q_all, 1, start, c.head_dim)
-                k = ad.narrow(k_all, 1, start, c.head_dim)
-                v = ad.narrow(v_all, 1, start, c.head_dim)
-                scores = ad.mul(
-                    ad.matmul(q, ad.transpose(k)),
-                    ad.constant(np.asarray(scale, dtype=h.dtype)),
-                )
-                attn = ad.softmax(scores, axis=-1)
-                contexts.append(ad.matmul(attn, v))
-                if internals is not None:
-                    internals.heads.append(
-                        HeadRecord(layer=layer, head=head, queries=q, keys=k, scores=scores, attention=attn)
-                    )
-            ctx = ad.concat(contexts, axis=1)
+            q, k, v = (
+                _swap_heads(ad.reshape(ad.matmul(u, p[f"{prefix}.attn.{w}"]), split))
+                for w in ("wq", "wk", "wv")
+            )
+            scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
+            attn = ad.softmax(scores if key_bias is None else ad.add(scores, key_bias), axis=-1,
+                              lengths=key_lengths)
+            ctx = ad.reshape(_swap_heads(ad.matmul(attn, v)), lead + (length, c.model_dim))
             h = ad.add(h, ad.matmul(ctx, p[f"{prefix}.attn.wo"]))
             u2 = _layer_norm(h, p[f"{prefix}.ffn.norm.gain"], p[f"{prefix}.ffn.norm.bias"])
             f = ad.add(ad.matmul(u2, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"])
             f = ad.add(ad.matmul(ad.relu(f), p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
             h = ad.add(h, f)
-            layer_pools.append(ad.matmul(pool_row, h))
+            layer_pools.append(ad.matmul(pool, h))  # (..., 1, D)
+            if internals is not None:
+                internals.queries.append(q)
+                internals.keys.append(k)
+                internals.scores.append(scores)
+                internals.attention.append(attn)
 
-        mix = ad.softmax(p["mix.scalars"], axis=-1)
-        stacked = ad.concat(layer_pools, axis=0)  # (num_layers, model_dim)
-        pooled = ad.matmul(ad.reshape(mix, (1, c.num_layers)), stacked)
+        # One softmax per example, so the scalars' gradient sums per-example
+        # terms in order, as for a sequence forwarded alone.
+        mix = ad.softmax(ad.broadcast_to(p["mix.scalars"], lead + (c.num_layers,)), axis=-1)
+        mix = ad.reshape(mix, lead + (1, c.num_layers))
+        pooled = ad.matmul(mix, ad.concat(layer_pools, axis=-2))  # (..., 1, D)
         out = ad.add(ad.matmul(pooled, p["head.weight"]), p["head.bias"])
-        out = ad.reshape(out, (c.output_dim,))
-        if c.task == "regression":
-            out = ad.reshape(out, ())
+        out = ad.reshape(out, lead + ((c.output_dim,) if c.task == "classification" else ()))
         if internals is not None:
             return out, internals
         return out
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, token_ids: Sequence[int]):
+    def predict(self, token_ids):
         """Predicted class index (classification) or score (regression).
 
-        Argmax ties break toward the lowest index.
+        One sequence gives one value, a batch a list of them, computed in
+        no-grad forwards of at most PREDICT_CHUNK sequences. Argmax ties
+        break toward the lowest index.
         """
         with ad.no_grad():
-            out = self.forward(token_ids)
+            if is_batch(token_ids):
+                out = np.concatenate([
+                    self.forward(token_ids[i : i + PREDICT_CHUNK]).data
+                    for i in range(0, len(token_ids), PREDICT_CHUNK)
+                ])
+            else:
+                out = self.forward(token_ids).data
         if self.config.task == "classification":
-            return int(np.argmax(out.data))
-        return float(out.data)
+            out = np.argmax(out, axis=-1)
+        return out.tolist()
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = ad.tmean(x, axis=1, keepdims=True)
+    mu = ad.tmean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=1, keepdims=True)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
     denom = ad.sqrt(ad.add(var, ad.constant(np.asarray(LAYER_NORM_EPS, dtype=x.dtype))))
     return ad.add(ad.mul(ad.div(centered, denom), gain), bias)
 
 
-def head_saliency_logits(internals: AttentionInternals) -> list[Tensor]:
-    """Mean unnormalized attention logit row per head.
+def head_saliency_logits(internals: AttentionInternals, first_layer: int = 0) -> Tensor:
+    """Mean unnormalized attention logit row per head, (..., heads, L).
 
-    For each recorded head, averages the pre-softmax score rows over all
-    (non-pad) query positions, yielding one length-L vector per head.
+    For each recorded head from ``first_layer`` on, in layer-major order,
+    averages the pre-softmax score rows over the valid query positions.
+    Columns of pad keys hold unmasked scores; combine them under a mask.
     """
-    if not internals.heads:
+    scores = internals.scores[first_layer:]
+    if not scores:
         raise ValueError("internals contain no recorded heads")
-    length = internals.seq_len
-    out: list[Tensor] = []
-    for rec in internals.heads:
-        row = ad.constant(
-            np.full((1, length), 1.0 / length, dtype=rec.scores.dtype)
-        )
-        out.append(ad.reshape(ad.matmul(row, rec.scores), (length,)))
-    return out
+    stacked = scores[0] if len(scores) == 1 else ad.concat(scores, axis=-3)  # (..., heads, L, L)
+    lead, length = stacked.shape[:-3], stacked.shape[-1]
+    rows = _mean_weights(internals.valid, lead, length, stacked.dtype)[..., None, :, :]
+    mean = ad.matmul(ad.constant(rows), stacked)  # (..., heads, 1, L)
+    return ad.reshape(mean, stacked.shape[:-2] + (length,))
 
 
-def task_loss(model: MiniTransformer, token_ids: Sequence[int], target, params: dict[str, Tensor] | None = None) -> Tensor:
-    """Supervised loss for one example: cross-entropy or squared error."""
+def task_loss(model: MiniTransformer, token_ids, target, params: dict[str, Tensor] | None = None) -> Tensor:
+    """Supervised loss, averaged over a batch: cross-entropy or squared error."""
     out = model.forward(token_ids, params=params)
     if model.config.task == "classification":
-        return ad.cross_entropy(out, int(target))
-    target_t = ad.constant(np.asarray(target, dtype=out.dtype))
-    diff = ad.sub(out, target_t)
-    return ad.mul(diff, diff)
+        loss = ad.cross_entropy(out, target)
+        return ad.tmean(loss) if loss.ndim else loss
+    return ad.mse(out, ad.constant(np.asarray(target, dtype=out.dtype)))

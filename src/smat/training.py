@@ -30,7 +30,7 @@ when the teacher-side explainer is the last-layer attention mean.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,13 +44,14 @@ from .explainers import (
     combine_head_logits,
     compute_static_saliency,
     default_beta,
+    example_coefficients,
     head_logit_matrix,
     normalize_coefficients,
     saliency_from_internals,
     scope_head_indices,
 )
 from .metrics import simulability_accuracy, simulability_pearson
-from .model import MiniTransformer, ModelConfig
+from .model import MiniTransformer, ModelConfig, is_batch, task_loss
 
 logger = logging.getLogger(__name__)
 
@@ -138,22 +139,7 @@ class TrainConfig:
         return "last" if self.static_name() == "attn_last" else "all"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "beta": self.beta,
-            "eta_inner": self.eta_inner,
-            "eta_outer": self.eta_outer,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "normalize": self.normalize,
-            "sim_loss": self.sim_loss,
-            "kl_direction": self.kl_direction,
-            "hypergrad": self.hypergrad,
-            "ig_steps": self.ig_steps,
-            "soft_targets": self.soft_targets,
-            "eval_every": self.eval_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -213,16 +199,27 @@ class TeacherContext:
             self._static[key] = sal.scores
         return self._static[key]
 
-    def teacher_saliency(self, token_ids: Sequence[int], phi_t: Tensor) -> Tensor:
-        """E_T for one example: learned combination or static constant."""
+    def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:
+        """E_T for one sequence (L,) or a batch (B, L): learned combination or
+        static constant, exactly 0 at pad positions."""
         kind = self.config.mode_kind()
-        if kind == "smat":
-            stack = ad.constant(self.head_logits(token_ids), dtype=phi_t.dtype)
-            lam = normalize_coefficients(phi_t, self.config.normalize)
-            return combine_head_logits(stack, lam)
+        if kind == "none":
+            raise ValueError("mode 'none' has no teacher explainer")
+        one = not is_batch(token_ids)
+        lookup = self.head_logits if kind == "smat" else self.static_saliency
+        rows = [lookup(ids) for ids in ([token_ids] if one else token_ids)]
+        lengths = np.array([r.shape[-1] for r in rows])
+        width = int(lengths.max())
+        padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
+        for out, r in zip(padded, rows):
+            out[..., : r.shape[-1]] = r
+        valid = None if (lengths == width).all() else np.arange(width) < lengths[:, None]
+        if one:
+            padded = padded[0]
         if kind == "static":
-            return ad.constant(self.static_saliency(token_ids))
-        raise ValueError("mode 'none' has no teacher explainer")
+            return ad.constant(padded)
+        lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
+        return combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, valid)
 
 
 @dataclass
@@ -244,12 +241,7 @@ class TrainRecord:
     active_heads: int
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "train_loss": self.train_loss,
-            "dev_simulability": self.dev_simulability,
-            "active_heads": self.active_heads,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -260,41 +252,33 @@ class TrainResult:
     log: list[TrainRecord] = field(default_factory=list)
 
 
-def _sim_term(student: MiniTransformer, tctx: TeacherContext, example: Example,
-              config: TrainConfig, params: dict[str, Tensor] | None = None,
-              output: Tensor | None = None) -> Tensor:
-    ids = example.token_ids
+def _scaled(total: Tensor, factor: float) -> Tensor:
+    return ad.mul(total, ad.constant(np.asarray(factor, dtype=total.dtype)))
+
+
+def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: list, config: TrainConfig,
+             params: dict[str, Tensor] | None = None, output: Tensor | None = None) -> Tensor:
+    """Simulation loss summed over a batch of sequences."""
     out = output if output is not None else student.forward(ids, params=params)
     if config.sim_loss == "cross_entropy":
         if student.config.task != "classification":
             raise ValueError("cross_entropy sim loss needs a classification student")
-        if config.soft_targets:
-            target = ad.constant(tctx.probs(ids), dtype=out.dtype)
-            return ad.cross_entropy(out, target)
-        return ad.cross_entropy(out, int(tctx.target(ids)))
-    target = ad.constant(np.asarray(tctx.target(ids), dtype=out.dtype))
-    diff = ad.sub(out, target)
-    return ad.mul(diff, diff)
+        target = (ad.constant(np.stack([tctx.probs(i) for i in ids]), dtype=out.dtype)
+                  if config.soft_targets else [tctx.target(i) for i in ids])
+        return ad.tsum(ad.cross_entropy(out, target))
+    diff = ad.sub(out, ad.constant(np.asarray([tctx.target(i) for i in ids], dtype=out.dtype)))
+    return ad.tsum(ad.mul(diff, diff))
 
 
-def _explanation_term(
-    student: MiniTransformer,
-    tctx: TeacherContext,
-    example: Example,
-    phi_s: Tensor,
-    phi_t: Tensor,
-    config: TrainConfig,
-    internals,
-) -> Tensor:
-    scope = config.explainer_scope()
-    idx = scope_head_indices(student, scope)
-    e_s = saliency_from_internals(
-        internals, ExplainerParams(phi=phi_s, normalize=config.normalize, scope=scope), idx
-    )
-    e_t = tctx.teacher_saliency(example.token_ids, phi_t)
+def _kl_sum(e_t: Tensor, e_s: Tensor, config: TrainConfig) -> Tensor:
+    """Explanation KL summed over a batch; pad positions add exactly 0."""
     if config.kl_direction == "teacher_to_student":
         return ad.kl_divergence(e_t, e_s)
     return ad.kl_divergence(e_s, e_t)
+
+
+def _student_explainer(phi_s: Tensor, config: TrainConfig) -> ExplainerParams:
+    return ExplainerParams(phi=phi_s, normalize=config.normalize, scope=config.explainer_scope())
 
 
 def student_loss(
@@ -309,20 +293,15 @@ def student_loss(
     if not batch:
         raise ValueError("empty batch")
     beta = config.effective_beta()
-    terms: list[Tensor] = []
-    for example in batch:
-        if beta > 0.0:
-            out, internals = student.forward(example.token_ids, record=True)
-            term = _sim_term(student, tctx, example, config, output=out)
-            expl = _explanation_term(student, tctx, example, phi_s, phi_t, config, internals)
-            term = ad.add(term, ad.mul(ad.constant(np.asarray(beta, dtype=term.dtype)), expl))
-        else:
-            term = _sim_term(student, tctx, example, config)
-        terms.append(ad.reshape(term, ()))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, ad.constant(np.asarray(1.0 / len(terms), dtype=total.dtype)))
+    ids = [ex.token_ids for ex in batch]
+    if beta == 0.0:
+        return _scaled(_sim_sum(student, tctx, ids, config), 1.0 / len(ids))
+    out, internals = student.forward(ids, record=True)
+    e_s = saliency_from_internals(internals, _student_explainer(phi_s, config))
+    expl = _kl_sum(tctx.teacher_saliency(ids, phi_t), e_s, config)
+    total = ad.add(_sim_sum(student, tctx, ids, config, output=out),
+                   ad.mul(ad.constant(np.asarray(beta, dtype=expl.dtype)), expl))
+    return _scaled(total, 1.0 / len(ids))
 
 
 def inner_step(
@@ -356,14 +335,8 @@ def _sim_only_loss(
     config: TrainConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    terms = [
-        ad.reshape(_sim_term(student, tctx, ex, config, params=params), ())
-        for ex in batch
-    ]
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, ad.constant(np.asarray(1.0 / len(terms), dtype=total.dtype)))
+    ids = [ex.token_ids for ex in batch]
+    return _scaled(_sim_sum(student, tctx, ids, config, params=params), 1.0 / len(ids))
 
 
 def _phi_t_gradient(
@@ -379,28 +352,13 @@ def _phi_t_gradient(
     is dropped; the student-side saliency is evaluated at the probe
     weights and treated as a constant.
     """
-    beta = config.effective_beta()
-    scope = config.explainer_scope()
-    idx = scope_head_indices(state.student, scope)
+    ids = [ex.token_ids for ex in batch]
     phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
-    s_params = ExplainerParams(phi=state.phi_s, normalize=config.normalize, scope=scope)
-    terms: list[Tensor] = []
-    for example in batch:
-        with ad.no_grad():
-            _, internals = state.student.forward(
-                example.token_ids, record=True, params=probe_params
-            )
-            e_s_const = saliency_from_internals(internals, s_params, idx)
-        e_t = tctx.teacher_saliency(example.token_ids, phi_leaf)
-        if config.kl_direction == "teacher_to_student":
-            terms.append(ad.kl_divergence(e_t, ad.constant(e_s_const.data)))
-        else:
-            terms.append(ad.kl_divergence(ad.constant(e_s_const.data), e_t))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    scale = beta / len(terms)
-    loss = ad.mul(total, ad.constant(np.asarray(scale, dtype=total.dtype)))
+    with ad.no_grad():
+        _, internals = state.student.forward(ids, record=True, params=probe_params)
+        e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
+    expl = _kl_sum(tctx.teacher_saliency(ids, phi_leaf), e_s, config)
+    loss = _scaled(expl, config.effective_beta() / len(ids))
     return ad.backward(loss, [phi_leaf])[0].data
 
 
@@ -477,7 +435,7 @@ def simulate_predictions(
     tctx: TeacherContext,
     examples: Sequence[Example],
 ) -> tuple[list, list]:
-    preds = [student.predict(ex.token_ids) for ex in examples]
+    preds = student.predict([ex.token_ids for ex in examples])
     targets = [tctx.target(ex.token_ids) for ex in examples]
     return preds, targets
 
@@ -588,24 +546,14 @@ def train_supervised(
         if ex.token_ids is None:
             raise ValueError("examples must carry token ids")
     rng = np.random.default_rng([seed, 2])
+    classify = model.config.task == "classification"
     names = model.param_names()
     velocity = {name: np.zeros_like(model.params[name].data) for name in names}
     losses: list[float] = []
     for _ in range(steps):
         batch = _sample_batch(rng, examples, batch_size)
-        terms = []
-        for ex in batch:
-            out = model.forward(ex.token_ids)
-            if model.config.task == "classification":
-                terms.append(ad.cross_entropy(out, int(ex.label)))
-            else:
-                target = ad.constant(np.asarray(ex.score, dtype=out.dtype))
-                diff = ad.sub(out, target)
-                terms.append(ad.mul(diff, diff))
-        total = terms[0]
-        for term in terms[1:]:
-            total = ad.add(total, term)
-        loss = ad.mul(total, ad.constant(np.asarray(1.0 / len(terms), dtype=total.dtype)))
+        targets = [ex.label if classify else ex.score for ex in batch]
+        loss = task_loss(model, [ex.token_ids for ex in batch], targets)
         grads = ad.backward(loss, model.param_list())
         for name, p, g in zip(names, model.param_list(), grads):
             velocity[name] = momentum * velocity[name] + g.data
@@ -615,6 +563,6 @@ def train_supervised(
 
 
 def gold_accuracy(model: MiniTransformer, examples: Sequence[Example]) -> float:
-    preds = [model.predict(ex.token_ids) for ex in examples]
+    preds = model.predict([ex.token_ids for ex in examples])
     golds = [ex.label for ex in examples]
     return simulability_accuracy(preds, golds)

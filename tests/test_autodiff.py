@@ -4,14 +4,17 @@ Every op goes through the same oracle: per-coordinate central finite
 differences in float64 at 10 seeded random points, relative error < 1e-4.
 """
 
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from smat import autodiff as ad
-from conftest import check_op_gradients, fd_gradients, rel_err, weighted_sum
+from smat.model import task_loss
+from conftest import check_op_gradients, fd_gradients, rel_err, tiny_model, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +454,23 @@ def test_constant_parent_gets_no_gradient_node(monkeypatch, op, recorded):
     check_op_gradients(build)
 
 
+def test_a_dropped_training_graph_is_freed_without_the_cyclic_collector():
+    model = tiny_model(seed=1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        loss = task_loss(model, [[2, 3, 4], [5, 6]], [0, 1])  # softmax, exp, sqrt inside
+        ad.backward(loss, model.param_list())
+        probe = weakref.ref(loss)
+        del loss
+        assert probe() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_create_graph_enables_second_derivatives():
     x = ad.Tensor(2.0, requires_grad=True, dtype=np.float64)
     loss = ad.mul(ad.mul(x, x), x)  # x^3
@@ -552,3 +572,174 @@ def test_hvp_random_function_modes_agree():
     (central,) = ad.hvp(f, [p], v, mode="central")
     (exact,) = ad.hvp(f, [p], v, mode="exact")
     assert rel_err(central, exact) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched (N-D) forms of the shape, softmax and loss ops
+
+
+def test_matmul_broadcasts_over_leading_axes():
+    def build(rng):
+        x = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(4, 5))
+        a = rng.normal(size=(2, 1, 3, 4))
+        b = rng.normal(size=(1, 3, 4, 2))
+
+        def f(ts):
+            left = weighted_sum(ad.matmul(ts[0], ts[1]), np.random.default_rng(5))  # 3-D @ 2-D
+            right = weighted_sum(ad.matmul(ts[2], ts[3]), np.random.default_rng(6))  # 4-D @ 4-D
+            return ad.add(left, right)
+
+        return [x, w, a, b], f
+
+    check_op_gradients(build)
+    got = ad.matmul(ad.constant(np.ones((2, 1, 3, 4))), ad.constant(np.ones((1, 3, 4, 2))))
+    assert got.shape == (2, 3, 3, 2)
+
+
+def test_transpose_with_axes_gradients():
+    def build(rng):
+        def f(ts):
+            moved = ad.transpose(ts[0], (1, 2, 0))  # (3, 4, 2)
+            swapped = ad.transpose(moved)  # last two axes: (3, 2, 4)
+            return ad.add(weighted_sum(ad.mul(moved, moved), np.random.default_rng(9)),
+                          weighted_sum(swapped, np.random.default_rng(10)))
+
+        return [rng.normal(size=(2, 3, 4))], f
+
+    check_op_gradients(build)
+    x = ad.constant(np.arange(24.0).reshape(2, 3, 4))
+    assert np.array_equal(ad.transpose(x, (1, 2, 0)).data, x.data.transpose(1, 2, 0))
+    assert np.array_equal(ad.transpose(x).data, np.swapaxes(x.data, -1, -2))
+
+
+def test_narrow_and_concat_on_any_axis_gradients():
+    def build(rng):
+        def f(ts):
+            last = ad.narrow(ts[0], -1, 1, 2)  # (2, 3, 2)
+            middle = ad.narrow(ts[0], 1, 0, 2)  # (2, 2, 4)
+            joined = ad.concat([ts[1], last], axis=-1)  # (2, 3, 3)
+            return ad.add(weighted_sum(ad.mul(joined, joined), np.random.default_rng(2)),
+                          weighted_sum(middle, np.random.default_rng(3)))
+
+        return [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 1))], f
+
+    check_op_gradients(build)
+
+
+def test_masked_softmax_gradients_and_exact_zeros():
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    bias = ad.constant(np.where(mask, 0.0, -1e9))
+
+    def build(rng):
+        return [rng.normal(size=(3, 4))], lambda ts: weighted_sum(
+            ad.softmax(ad.add(ts[0], bias), axis=-1), np.random.default_rng(4))
+
+    check_op_gradients(build)
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True,
+                  dtype=np.float64)
+    out = ad.softmax(ad.add(x, bias), axis=-1)
+    assert np.all(out.data[~mask] == 0.0)
+    (g,) = ad.backward(weighted_sum(out, np.random.default_rng(1)), [x])
+    assert np.all(g.data[~mask] == 0.0)
+
+
+def test_softmax_lengths_round_padded_rows_like_rows_alone():
+    rng = np.random.default_rng(12)
+    width = 10
+    for n in range(1, width + 1):
+        row = rng.normal(size=n).astype(np.float32)
+        weights = rng.normal(size=n).astype(np.float32)
+        x = ad.Tensor(np.concatenate([row, np.full(width - n, -1e9, np.float32)])[None],
+                      requires_grad=True)
+        y = ad.softmax(x, axis=-1, lengths=np.array([n]))
+        w = np.zeros((1, width), np.float32)
+        w[0, :n] = weights
+        (g,) = ad.backward(ad.tsum(ad.mul(y, ad.constant(w))), [x])
+        alone = ad.Tensor(row, requires_grad=True)
+        y1 = ad.softmax(alone, axis=-1)
+        (g1,) = ad.backward(ad.tsum(ad.mul(y1, ad.constant(weights))), [alone])
+        assert np.array_equal(y.data[0, :n], y1.data) and np.all(y.data[0, n:] == 0.0), n
+        assert np.array_equal(g.data[0, :n], g1.data) and np.all(g.data[0, n:] == 0.0), n
+
+
+def test_tsum_lengths_sums_each_row_prefix():
+    x = np.arange(12.0).reshape(3, 4)
+    got = ad.tsum(ad.constant(x, dtype=np.float64), axis=1, keepdims=True,
+                  lengths=np.array([4, 2, 1])).data
+    assert np.array_equal(got, [[6.0], [9.0], [8.0]])
+    with pytest.raises(ValueError):
+        ad.tsum(ad.constant(x), axis=1, lengths=np.array([4, 2, 1]))  # keepdims needed
+    with pytest.raises(ValueError):
+        ad.tsum(ad.constant(x), keepdims=True, lengths=np.array([4, 2, 1]))  # one axis
+
+
+def test_broadcast_gradient_sums_each_example_then_examples_in_order():
+    rng = np.random.default_rng(13)
+    g = rng.normal(size=(7, 9, 5)).astype(np.float32)
+    bias = ad.Tensor(np.zeros(5, np.float32), requires_grad=True)
+    out = ad.add(ad.constant(np.zeros((7, 9, 5), np.float32)), bias)
+    (got,) = ad.backward(ad.tsum(ad.mul(out, ad.constant(g))), [bias])
+    want = np.zeros(5, np.float32)
+    for example in g:
+        want = want + example.sum(axis=0)
+    assert np.array_equal(got.data, want)
+
+
+def test_scatter_rows_sums_each_sequence_then_sequences_in_order():
+    rng = np.random.default_rng(14)
+    ids = rng.integers(0, 4, size=(6, 9))
+    g = rng.normal(size=(6, 9, 3)).astype(np.float32)
+    got = ad.scatter_rows(ad.constant(g), ids, 4).data
+    want = np.zeros((4, 3), np.float32)
+    for seq, rows in zip(ids, g):
+        want = want + ad.scatter_rows(ad.constant(rows), seq, 4).data
+    assert np.array_equal(got, want)
+
+
+def test_batched_cross_entropy_gradients_and_rows():
+    targets = np.array([2, 0, 1])
+
+    def hard(rng):
+        return [rng.normal(size=(3, 4))], lambda ts: weighted_sum(
+            ad.cross_entropy(ts[0], targets), np.random.default_rng(3))
+
+    def soft(rng):
+        probs = rng.uniform(0.1, 1.0, size=(3, 4))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return [rng.normal(size=(3, 4))], lambda ts: ad.tsum(
+            ad.cross_entropy(ts[0], ad.constant(probs, dtype=np.float64)))
+
+    check_op_gradients(hard)
+    check_op_gradients(soft)
+    logits = np.random.default_rng(8).normal(size=(3, 4))
+    rows = ad.cross_entropy(ad.constant(logits, dtype=np.float64), targets).data
+    for row, t, got in zip(logits, targets, rows):
+        assert got == ad.cross_entropy(ad.constant(row, dtype=np.float64), int(t)).item()
+    with pytest.raises(ValueError):
+        ad.cross_entropy(ad.constant(logits), [0, 1])  # one target short
+    with pytest.raises(ValueError):
+        ad.cross_entropy(ad.constant(logits), [0, 1, 4])  # class out of range
+
+
+def test_hvp_exact_matches_central_on_batched_graph():
+    rng = np.random.default_rng(12)
+    x = ad.constant(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    bias = ad.constant(np.where(np.arange(3) < 2, 0.0, -1e9), dtype=np.float64)
+
+    def f(params):
+        w, u = params
+        heads = ad.transpose(ad.reshape(ad.matmul(x, w), (2, 3, 2, 2)), (0, 2, 1, 3))
+        scores = ad.add(ad.matmul(heads, ad.transpose(heads)), bias)
+        mixed = ad.matmul(ad.softmax(scores, axis=-1), heads)  # (2, 2, 3, 2)
+        logits = ad.reshape(ad.matmul(ad.reshape(mixed, (2, 12)), u), (2, 2))
+        return ad.tmean(ad.cross_entropy(logits, [0, 1]))
+
+    params = [ad.Tensor(rng.normal(size=(4, 4)) * 0.5, requires_grad=True, dtype=np.float64),
+              ad.Tensor(rng.normal(size=(12, 2)) * 0.5, requires_grad=True, dtype=np.float64)]
+    v = [rng.normal(size=(4, 4)), rng.normal(size=(12, 2))]
+    # a small step keeps the central difference's O(eps^2) error below the bar
+    central = ad.hvp(f, params, v, mode="central", eps0=1e-4)
+    exact = ad.hvp(f, params, v, mode="exact")
+    for c, e in zip(central, exact):
+        assert rel_err(c, e) < 1e-6

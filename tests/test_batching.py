@@ -1,0 +1,357 @@
+"""The batched, padded forward and backward path against per-example oracles.
+
+Every model and training function runs one graph over a padded batch. The
+oracles below run the same examples one at a time through the
+single-sequence path (no batch axis, no mask) and combine them by hand, as
+the per-example implementation did. In float64 the bar is 1e-10 relative.
+In float32 every gradient must be bit-identical to the oracle's, on
+batches whose lengths straddle 8, where numpy's float sum changes its
+order: the batched path rounds as the per-example one did.
+"""
+
+import numpy as np
+import pytest
+
+from smat import autodiff as ad
+from smat import training
+from smat.autodiff import Tensor
+from smat.data import Example
+from smat.explainers import ExplainerParams, saliency_from_internals, scope_head_indices
+from smat.model import PAD_ID, MiniTransformer, head_saliency_logits
+from smat.training import (
+    TeacherContext,
+    TrainConfig,
+    TrainState,
+    inner_step,
+    outer_step,
+    student_loss,
+    train_supervised,
+)
+from conftest import rel_err, tiny_config
+
+TOL = 1e-10
+VOCAB = 12
+MAX_LEN = 6
+
+
+def random_ids(rng, count, min_len=1):
+    return [rng.integers(1, VOCAB, size=int(rng.integers(min_len, MAX_LEN + 1))).tolist()
+            for _ in range(count)]
+
+
+def padded(seqs, width=MAX_LEN):
+    out = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+    for row, seq in zip(out, seqs):
+        row[: len(seq)] = seq
+    return out
+
+
+def examples(rng, count):
+    return [Example(tokens=[f"t{i}" for i in ids], label=int(rng.integers(0, 2)), token_ids=ids)
+            for ids in random_ids(rng, count)]
+
+
+def model(seed, dtype=np.float64, **overrides):
+    config = tiny_config(**{"vocab_size": VOCAB, "max_len": MAX_LEN, **overrides})
+    return MiniTransformer(config, seed=seed, dtype=dtype)
+
+
+# ---------------------------------------------------------------------------
+# forward pass
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_batched_outputs_match_one_at_a_time(task):
+    rng = np.random.default_rng(1)
+    net = model(2, task=task, num_classes=2 if task == "classification" else 1)
+    for _ in range(3):
+        seqs = random_ids(rng, 7)
+        single = np.stack([net.forward(s).data for s in seqs])
+        assert rel_err(net.forward(seqs).data, single) < TOL
+        assert rel_err(net.forward(padded(seqs)).data, single) < TOL
+
+
+def test_batched_head_saliency_logits_match_one_at_a_time():
+    rng = np.random.default_rng(3)
+    net = model(4)
+    seqs = random_ids(rng, 6)
+    _, internals = net.forward(seqs, record=True)
+    batched = head_saliency_logits(internals).data
+    assert batched.shape == (6, net.config.total_heads, max(map(len, seqs)))
+    for row, seq in zip(batched, seqs):
+        _, one = net.forward(seq, record=True)
+        assert rel_err(row[:, : len(seq)], head_saliency_logits(one).data) < TOL
+
+
+def test_pad_keys_get_exactly_zero_attention():
+    rng = np.random.default_rng(5)
+    seqs = random_ids(rng, 6)
+    _, internals = model(6).forward(seqs, record=True)
+    for att in internals.attention:
+        for row, seq in zip(att.data, seqs):
+            assert np.all(row[:, :, len(seq):] == 0.0)
+            assert np.allclose(row.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_appending_pad_columns_moves_no_valid_output():
+    rng = np.random.default_rng(7)
+    net = model(8, max_len=MAX_LEN + 2)
+    seqs = random_ids(rng, 5, min_len=2)
+    # through ids: shared trailing pads are dropped before the forward pass
+    ids = padded(seqs, width=max(map(len, seqs)))
+    assert np.array_equal(net.forward(ids).data, net.forward(padded(seqs)).data)
+    # through embeddings: extra pad rows with arbitrary values stay masked
+    lengths = np.array([len(s) for s in seqs])
+    with ad.no_grad():
+        x = net.input_embeddings(ids)
+        wide = np.concatenate([x.data, rng.normal(size=(5, 2, 8))], axis=1)
+        want, short = net.forward_from_embeddings(x, record=True, lengths=lengths)
+        got, long = net.forward_from_embeddings(Tensor(wide, dtype=np.float64), record=True,
+                                                lengths=lengths)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12
+    width = ids.shape[1]
+    for a, b in zip(short.attention, long.attention):
+        assert np.max(np.abs(b.data[..., :width, :width] - a.data)) <= 1e-12
+
+
+def test_batched_task_loss_gradients_match_one_at_a_time():
+    rng = np.random.default_rng(9)
+    net = model(10)
+    batch = examples(rng, 6)
+    params = net.param_list()
+    got = ad.backward(training.task_loss(net, [ex.token_ids for ex in batch],
+                                         [ex.label for ex in batch]), params)
+    total = None
+    for ex in batch:
+        term = ad.cross_entropy(net.forward(ex.token_ids), ex.label)
+        total = term if total is None else ad.add(total, term)
+    want = ad.backward(ad.mul(total, ad.constant(np.asarray(1.0 / len(batch)))), params)
+    for name, g, w in zip(net.param_names(), got, want):
+        assert rel_err(g.data, w.data) < TOL, name
+
+
+def test_batched_predict_matches_one_at_a_time():
+    rng = np.random.default_rng(11)
+    net = model(12)
+    seqs = random_ids(rng, 9)
+    single = [net.predict(s) for s in seqs]
+    assert all(isinstance(p, int) for p in single)
+    assert net.predict(seqs) == single
+    assert net.predict(padded(seqs)) == single
+    with ad.no_grad():
+        net.params["head.weight"].data[:] = 0.0
+        net.params["head.bias"].data[:] = 0.5
+    assert net.predict(seqs) == [0] * len(seqs)  # ties go to the lowest class index
+
+
+@pytest.mark.parametrize("bad", [
+    [[2, 3], [4, PAD_ID, 5]],  # interior pad in one row
+    [[2, 3], [PAD_ID, PAD_ID]],  # a row with no tokens
+    [[2, 3], [4, VOCAB]],  # id out of range
+    [[2, 3], [1] * (MAX_LEN + 1)],  # longer than max_len
+])
+def test_batch_validation_rejects_each_bad_row(bad):
+    with pytest.raises(ValueError):
+        model(0).forward(bad)
+    with pytest.raises(ValueError):
+        model(0).forward(padded(bad, width=MAX_LEN + 1))
+
+
+# ---------------------------------------------------------------------------
+# per-example oracles of the training losses
+
+
+def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
+    beta = config.effective_beta()
+    total = None
+    for ex in batch:
+        out, internals = student.forward(ex.token_ids, record=True)
+        term = ad.cross_entropy(out, tctx.target(ex.token_ids))
+        if beta > 0.0:
+            params = ExplainerParams(phi=phi_s, normalize=config.normalize,
+                                     scope=config.explainer_scope())
+            e_s = saliency_from_internals(internals, params)
+            e_t = tctx.teacher_saliency(ex.token_ids, phi_t)
+            pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
+            term = ad.add(term, ad.mul(ad.constant(np.asarray(beta, dtype=term.dtype)),
+                                       ad.kl_divergence(*pair)))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, ad.constant(np.asarray(1.0 / len(batch), dtype=total.dtype)))
+
+
+def oracle_sim_only_loss(student, tctx, batch, config, params):
+    total = None
+    for ex in batch:
+        term = ad.cross_entropy(student.forward(ex.token_ids, params=params),
+                                tctx.target(ex.token_ids))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, ad.constant(np.asarray(1.0 / len(batch), dtype=total.dtype)))
+
+
+def oracle_phi_t_gradient(state, batch, config, tctx, probe_params):
+    phi = Tensor(state.phi_t.data.copy(), requires_grad=True, dtype=state.phi_t.dtype)
+    params = ExplainerParams(phi=state.phi_s, normalize=config.normalize,
+                             scope=config.explainer_scope())
+    total = None
+    for ex in batch:
+        with ad.no_grad():
+            _, internals = state.student.forward(ex.token_ids, record=True, params=probe_params)
+            e_s = ad.constant(saliency_from_internals(internals, params).data)
+        e_t = tctx.teacher_saliency(ex.token_ids, phi)
+        pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
+        term = ad.kl_divergence(*pair)
+        total = term if total is None else ad.add(total, term)
+    scale = config.effective_beta() / len(batch)
+    return ad.backward(ad.mul(total, ad.constant(np.asarray(scale, dtype=total.dtype))),
+                       [phi])[0].data
+
+
+def student_state(config, seed=0, dtype=np.float64, max_len=MAX_LEN, teacher_shape=None):
+    teacher = model(seed + 1, dtype, max_len=max_len, **(teacher_shape or {}))
+    tctx = TeacherContext(teacher, config)
+    student = model(seed, dtype, num_layers=1, max_len=max_len)
+    scope = config.explainer_scope()
+    rng = np.random.default_rng(seed)
+    phi_s = Tensor(rng.normal(size=len(scope_head_indices(student, scope))),
+                   requires_grad=True, dtype=dtype)
+    phi_t = Tensor(rng.normal(size=len(scope_head_indices(teacher, scope))),
+                   requires_grad=True, dtype=dtype)
+    return TrainState(student=student, phi_s=phi_s, phi_t=phi_t), tctx
+
+
+@pytest.mark.parametrize("mode, options", [
+    ("smat", {}),
+    ("smat", {"normalize": "softmax", "kl_direction": "student_to_teacher"}),
+    ("static:attn_last", {}),
+    ("none", {}),
+])
+def test_student_loss_and_gradients_match_per_example(mode, options):
+    config = TrainConfig(mode=mode, steps=1, batch_size=6, **options)
+    state, tctx = student_state(config)
+    batch = examples(np.random.default_rng(13), 6)
+    wrt = state.student.param_list() + [state.phi_s, state.phi_t]
+    losses = []
+    grads = []
+    for fn in (student_loss, oracle_student_loss):
+        loss = fn(state.student, tctx, state.phi_s, state.phi_t, batch, config)
+        losses.append(loss.item())
+        grads.append(ad.backward(loss, wrt))
+    assert rel_err(losses[0], losses[1]) < TOL
+    for g, w in zip(*grads):
+        assert rel_err(g.data, w.data) < TOL
+
+
+@pytest.mark.parametrize("hypergrad", ["central", "exact"])
+def test_phi_t_hypergradient_matches_per_example(hypergrad, monkeypatch):
+    config = TrainConfig(mode="smat", steps=1, batch_size=6, hypergrad=hypergrad, eta_outer=1.0)
+    rng = np.random.default_rng(17)
+    train_batch, outer_batch = examples(rng, 6), examples(rng, 6)
+    updates = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(training, "student_loss", oracle_student_loss)
+            monkeypatch.setattr(training, "_sim_only_loss", oracle_sim_only_loss)
+            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient)
+        state, tctx = student_state(config, seed=3)
+        inner_step(state, train_batch, config, tctx)
+        before = state.phi_t.data.copy()
+        outer_step(state, train_batch, outer_batch, config, tctx)
+        updates.append(before - state.phi_t.data)
+    assert np.any(updates[0] != 0.0)
+    assert rel_err(updates[0], updates[1]) < TOL
+
+
+def test_train_supervised_step_matches_per_example():
+    rng = np.random.default_rng(19)
+    pool = examples(rng, 12)
+    batched, reference = model(20), model(20)
+    train_supervised(batched, pool, lr=0.05, momentum=0.9, steps=1, batch_size=6, seed=1)
+    idx = np.random.default_rng([1, 2]).integers(0, len(pool), size=6)
+    total = None
+    for i in idx:
+        term = ad.cross_entropy(reference.forward(pool[int(i)].token_ids), pool[int(i)].label)
+        total = term if total is None else ad.add(total, term)
+    loss = ad.mul(total, ad.constant(np.asarray(1.0 / len(idx))))
+    for name, p, g in zip(reference.param_names(), reference.param_list(),
+                          ad.backward(loss, reference.param_list())):
+        assert rel_err(batched.params[name].data, p.data - 0.05 * g.data) < TOL, name
+
+
+# ---------------------------------------------------------------------------
+# float32: bit-identical to the per-example path
+#
+# At the acceptance experiment's shapes the batched path rounds exactly as
+# the per-example one, so that experiment's trained models do not depend
+# on how a batch is laid out. Matrix products run per example slice
+# through BLAS; OpenBLAS rounds some row-vector products differently
+# when their width changes (a 4-long row vector, for one), so bit
+# identity is asserted at those shapes only.
+
+LONG_LEN = 10
+# Lengths on both sides of 8: numpy sums fewer than 8 floats one by one and
+# more in eight interleaved partial sums, so padding a short row to the
+# batch width would reorder its additions if pads were summed.
+LONG_LENGTHS = (10, 5, 7, 9, 6, 8)
+# The acceptance experiment's teacher; its student is tiny_config's shape
+# with one layer.
+EXPERIMENT_TEACHER = dict(num_layers=2, heads_per_layer=4, model_dim=32, head_dim=8, ffn_dim=64)
+
+
+def long_examples(rng):
+    return [Example(tokens=["t"] * int(n), label=int(rng.integers(0, 2)),
+                    token_ids=rng.integers(1, VOCAB, size=int(n)).tolist())
+            for n in LONG_LENGTHS]
+
+
+def test_float32_task_loss_gradients_are_bit_identical_to_per_example():
+    net = model(10, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    batch = long_examples(np.random.default_rng(23))
+    params = net.param_list()
+    got = ad.backward(training.task_loss(net, [ex.token_ids for ex in batch],
+                                         [ex.label for ex in batch]), params)
+    total = None
+    for ex in batch:
+        term = ad.cross_entropy(net.forward(ex.token_ids), ex.label)
+        total = term if total is None else ad.add(total, term)
+    scale = ad.constant(np.asarray(1.0 / len(batch), dtype=np.float32))
+    want = ad.backward(ad.mul(total, scale), params)
+    for name, g, w in zip(net.param_names(), got, want):
+        assert g.dtype == np.float32 and np.array_equal(g.data, w.data), name
+
+
+@pytest.mark.parametrize("options", [
+    {},
+    {"normalize": "softmax", "kl_direction": "student_to_teacher"},
+])
+def test_float32_student_loss_gradients_are_bit_identical_to_per_example(options):
+    config = TrainConfig(mode="smat", steps=1, batch_size=6, **options)
+    state, tctx = student_state(config, seed=2, dtype=np.float32, max_len=LONG_LEN,
+                                teacher_shape=EXPERIMENT_TEACHER)
+    batch = long_examples(np.random.default_rng(29))
+    wrt = state.student.param_list() + [state.phi_s, state.phi_t]
+    grads = [ad.backward(fn(state.student, tctx, state.phi_s, state.phi_t, batch, config), wrt)
+             for fn in (student_loss, oracle_student_loss)]
+    for g, w in zip(*grads):
+        assert g.dtype == np.float32 and np.array_equal(g.data, w.data)
+
+
+def test_float32_phi_t_hypergradient_is_bit_identical_to_per_example(monkeypatch):
+    config = TrainConfig(mode="smat", steps=1, batch_size=6, eta_outer=1.0)
+    rng = np.random.default_rng(31)
+    train_batch, outer_batch = long_examples(rng), long_examples(rng)
+    updates = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(training, "student_loss", oracle_student_loss)
+            monkeypatch.setattr(training, "_sim_only_loss", oracle_sim_only_loss)
+            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient)
+        state, tctx = student_state(config, seed=3, dtype=np.float32, max_len=LONG_LEN,
+                                    teacher_shape=EXPERIMENT_TEACHER)
+        # near zero, sparsemax keeps several heads, so the update is nonzero
+        state.phi_t.data = state.phi_t.data * np.float32(0.1)
+        inner_step(state, train_batch, config, tctx)
+        before = state.phi_t.data.copy()
+        outer_step(state, train_batch, outer_batch, config, tctx)
+        updates.append(before - state.phi_t.data)
+    assert np.any(updates[0] != 0.0)
+    assert np.array_equal(updates[0], updates[1])

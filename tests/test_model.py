@@ -7,13 +7,21 @@ from smat import autodiff as ad
 from smat.model import (
     PAD_ID,
     AttentionInternals,
-    HeadRecord,
     MiniTransformer,
     ModelConfig,
     head_saliency_logits,
     task_loss,
 )
 from conftest import fd_gradients, rel_err, tiny_config, tiny_model
+
+
+def heads(internals):
+    """(layer, head, queries, keys, scores, attention) of each recorded head of
+    one sequence, layer-major, as numpy arrays."""
+    for layer, (q, k, s, a) in enumerate(zip(internals.queries, internals.keys,
+                                             internals.scores, internals.attention)):
+        for head in range(s.shape[-3]):
+            yield layer, head, q.data[head], k.data[head], s.data[head], a.data[head]
 
 
 def test_config_validates_dimensions():
@@ -49,7 +57,7 @@ def test_record_flag_does_not_change_output():
     recorded, internals = model.forward([2, 3, 4], record=True)
     assert np.array_equal(plain, recorded.data)
     assert internals.seq_len == 3
-    assert len(internals.heads) == model.config.total_heads
+    assert len(list(heads(internals))) == model.config.total_heads
 
 
 def test_trailing_padding_is_ignored():
@@ -76,8 +84,7 @@ def test_input_validation():
 def test_attention_rows_are_distributions():
     model = tiny_model(seed=3)
     _, internals = model.forward([2, 3, 4, 5], record=True)
-    for head in internals.heads:
-        att = head.attention.data
+    for *_, att in heads(internals):
         assert att.shape == (4, 4)
         assert np.all(att >= 0)
         assert np.allclose(att.sum(axis=1), 1.0, atol=1e-6)
@@ -91,25 +98,27 @@ def test_equal_embeddings_give_uniform_attention():
         tok[:] = tok[2]  # every token now shares one embedding row
         model.params["embed.pos"].data[:] = 0.0
     _, internals = model.forward([2, 3, 4], record=True)
-    att = internals.heads[0].attention.data
+    att = internals.attention[0].data[0]
     assert np.allclose(att, 1.0 / 3.0, atol=1e-6)
 
 
 def test_head_count_and_order():
     model = tiny_model()
     _, internals = model.forward([2, 3], record=True)
-    layout = [(h.layer, h.head) for h in internals.heads]
+    layout = [(layer, head) for layer, head, *_ in heads(internals)]
     assert layout == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # head_saliency_logits keeps that order
+    logits = head_saliency_logits(internals).data
+    for i, (*_, scores, _) in enumerate(heads(internals)):
+        assert np.allclose(logits[i], scores.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # head saliency logits
 
 
-def brute_force_head_logits(head: HeadRecord) -> np.ndarray:
+def brute_force_head_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Double loop over (query, key) positions; the oracle for s^h."""
-    q = head.queries.data
-    k = head.keys.data
     length, dim = q.shape
     scores = np.zeros((length, length))
     for i in range(length):
@@ -122,22 +131,21 @@ def test_head_saliency_matches_brute_force():
     model = tiny_model(seed=9, num_layers=2, heads_per_layer=4, model_dim=16, head_dim=4)
     _, internals = model.forward([2, 3, 4, 5, 6], record=True)
     logits = head_saliency_logits(internals)
-    assert len(logits) == 8
-    for head, got in zip(internals.heads, logits):
-        want = brute_force_head_logits(head)
-        assert rel_err(got.data, want) < 1e-5
+    assert len(logits.data) == 8
+    for (_, _, q, k, _, _), got in zip(heads(internals), logits.data):
+        want = brute_force_head_logits(q, k)
+        assert rel_err(got, want) < 1e-5
 
 
 def test_head_saliency_single_token():
     model = tiny_model(seed=1)
     _, internals = model.forward([4], record=True)
     logits = head_saliency_logits(internals)
-    for head, got in zip(internals.heads, logits):
-        q = head.queries.data[0]
-        k = head.keys.data[0]
+    for (_, _, q, k, _, _), got in zip(heads(internals), logits.data):
+        q, k = q[0], k[0]
         want = float(q @ k) / np.sqrt(q.size)
         assert got.shape == (1,)
-        assert abs(float(got.data[0]) - want) < 1e-6
+        assert abs(float(got[0]) - want) < 1e-6
 
 
 def test_head_saliency_identical_queries():
@@ -150,11 +158,12 @@ def test_head_saliency_identical_queries():
     scores = ad.mul(ad.matmul(q, ad.transpose(k)),
                     ad.constant(np.asarray(1.0 / np.sqrt(dim))))
     att = ad.softmax(scores, axis=-1)
-    head = HeadRecord(layer=0, head=0, queries=q, keys=k, scores=scores, attention=att)
-    internals = AttentionInternals(seq_len=length, heads=[head])
-    (got,) = head_saliency_logits(internals)
+    one_head = lambda t: ad.reshape(t, (1,) + t.shape)  # noqa: E731
+    internals = AttentionInternals(queries=[one_head(q)], keys=[one_head(k)],
+                                   scores=[one_head(scores)], attention=[one_head(att)])
+    (got,) = head_saliency_logits(internals).data
     want = (np.tile(q_row, (length, 1)) @ k.data.T)[0] / np.sqrt(dim)
-    assert np.allclose(got.data, want, atol=1e-12)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -156,3 +156,18 @@ def test_gradient_flows_through_graph():
     (g,) = ad.backward(loss, [z])
     assert g.data.shape == (3,)
     assert not np.allclose(g.data, 0.0)
+
+
+def test_rows_match_the_vector_op_exactly():
+    rng = np.random.default_rng(15)
+    phi = rng.normal(size=5).astype(np.float32) * np.float32(0.3)
+    z = np.stack([phi, rng.normal(size=5).astype(np.float32), phi])
+    g = rng.normal(size=(3, 5)).astype(np.float32)
+    rows = ad.Tensor(z, requires_grad=True)
+    (got,) = ad.backward(ad.tsum(ad.mul(ad.sparsemax(rows), ad.constant(g))), [rows])
+    for i in range(3):
+        one = ad.Tensor(z[i], requires_grad=True)
+        p = ad.sparsemax(one)
+        (want,) = ad.backward(ad.tsum(ad.mul(p, ad.constant(g[i]))), [one])
+        assert np.array_equal(ad.sparsemax(rows).data[i], p.data)
+        assert np.array_equal(got.data[i], want.data)

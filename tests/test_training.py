@@ -9,7 +9,7 @@ from smat import autodiff as ad
 from smat.autodiff import Tensor
 from smat.data import SyntheticSpec, attach_token_ids, build_vocab, generate_synthetic, split_dataset
 from smat.explainers import ExplainerParams, explain_attention_mean, scope_head_indices
-from smat.model import MiniTransformer, ModelConfig
+from smat.model import MiniTransformer, ModelConfig, task_loss
 from smat.training import (
     TeacherContext,
     TrainConfig,
@@ -501,14 +501,7 @@ def test_train_supervised_single_step_arithmetic():
     rng = np.random.default_rng([5, 2])
     idx = rng.integers(0, len(splits.train), size=4)
     batch = [splits.train[int(i)] for i in idx]
-    terms = []
-    for ex in batch:
-        out = reference.forward(ex.token_ids)
-        terms.append(ad.cross_entropy(out, int(ex.label)))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    loss = ad.mul(total, ad.constant(np.asarray(0.25)))
+    loss = task_loss(reference, [ex.token_ids for ex in batch], [ex.label for ex in batch])
     grads = ad.backward(loss, reference.param_list())
     for name, p, g in zip(reference.param_names(), reference.param_list(), grads):
         want = p.data - 0.05 * g.data
