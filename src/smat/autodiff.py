@@ -724,8 +724,31 @@ def backward(
     return out
 
 
-def _flat_norm(vs: Sequence[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((v.astype(np.float64) ** 2).sum()) for v in vs)))
+def central_difference(
+    grad_at: Callable[[list[Tensor]], Sequence[np.ndarray]],
+    params: Sequence[Tensor],
+    v: Sequence[np.ndarray],
+    eps0: float = HVP_EPS0,
+    delta: float = HVP_DELTA,
+) -> list[np.ndarray]:
+    """Derivative of ``grad_at`` at ``params`` along ``v``, by central differences.
+
+    The one step rule for every finite-difference hypergradient. The step
+    is eps = eps0 / max(||v||, delta), the norm taken in float64. Each shift
+    +-eps * v is taken in float64 and rounded once to its parameter's dtype.
+    ``grad_at`` gets both probes, params +- shift, as fresh leaves and
+    returns a list of gradient arrays, which may be taken with respect to
+    other tensors. The quotient (g+ - g-) / (2 eps) is taken and returned
+    in float64.
+    """
+    vs = [np.asarray(x, dtype=np.float64) for x in v]
+    eps = eps0 / max(float(np.sqrt(sum(float((x**2).sum()) for x in vs))), delta)
+    sides = []
+    for sign in (1.0, -1.0):
+        probes = [Tensor(p.data + (sign * eps * x).astype(p.dtype), requires_grad=True, name=p.name)
+                  for p, x in zip(params, vs)]
+        sides.append([np.asarray(g, dtype=np.float64) for g in grad_at(probes)])
+    return [(gp - gm) / (2.0 * eps) for gp, gm in zip(*sides)]
 
 
 def hvp(
@@ -738,9 +761,9 @@ def hvp(
 ) -> list[np.ndarray]:
     """Hessian-vector product of ``loss_fn`` at ``params`` with vector ``v``.
 
-    ``central`` evaluates the gradient at symmetric perturbations along v
-    with step eps0 / max(||v||, delta); ``exact`` differentiates through
-    a backward pass built with ``create_graph=True``.
+    ``central`` differentiates the gradient along v with
+    :func:`central_difference`; ``exact`` differentiates through a
+    backward pass built with ``create_graph=True``.
     """
     params = list(params)
     vs = [np.asarray(x, dtype=p.dtype) for x, p in zip(v, params)]
@@ -751,19 +774,10 @@ def hvp(
             raise ValueError(f"direction shape {x.shape} does not match parameter {p.shape}")
 
     if mode == "central":
-        eps = eps0 / max(_flat_norm(vs), delta)
-        sides = []
-        for sign in (1.0, -1.0):
-            shifted = [
-                Tensor(p.data + sign * eps * x, requires_grad=True, name=p.name, dtype=p.dtype)
-                for p, x in zip(params, vs)
-            ]
-            grads = backward(loss_fn(shifted), shifted)
-            sides.append([g.data.astype(np.float64) for g in grads])
-        return [
-            ((gp - gm) / (2.0 * eps)).astype(params[i].dtype)
-            for i, (gp, gm) in enumerate(zip(sides[0], sides[1]))
-        ]
+        diffs = central_difference(
+            lambda probes: [g.data for g in backward(loss_fn(probes), probes)],
+            params, vs, eps0, delta)
+        return [d.astype(p.dtype) for d, p in zip(diffs, params)]
 
     if mode == "exact":
         loss = loss_fn(params)

@@ -167,19 +167,26 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_teacher(path: str) -> tuple[MiniTransformer, dict, dict]:
+def _load_teacher(path: str) -> tuple[MiniTransformer, dict]:
     teacher, echo = dio.load_model(path)
     teacher.freeze()
     vocab = echo.get("vocab")
     if not isinstance(vocab, dict):
         raise dio.CheckpointError(f"{path}: teacher sidecar has no vocabulary")
-    return teacher, echo, vocab
+    return teacher, vocab
+
+
+def _load_phi(path: str) -> ExplainerParams:
+    """A learned phi_T with the normalization and scope from its sidecar."""
+    echo = dio.load_config_echo(path)
+    phi = Tensor(dio.load_checkpoint(path)["phi_t"])
+    return ExplainerParams(phi, echo.get("normalize", "sparsemax"), echo.get("scope", "all"))
 
 
 def cmd_train_student(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     config_dir = os.path.dirname(os.path.abspath(args.config))
-    teacher, _, vocab = _load_teacher(args.teacher)
+    teacher, vocab = _load_teacher(args.teacher)
 
     dataset = _resolve_dataset(cfg, config_dir)
     dio.attach_token_ids(dataset, vocab)
@@ -190,6 +197,9 @@ def cmd_train_student(args: argparse.Namespace) -> int:
 
     base = _train_config(_section(cfg, "train", required=False), mode=args.mode)
     student_cfg = _model_config(_section(cfg, "student_model"), len(vocab), "student_model")
+    if student_cfg.task != teacher.config.task:
+        raise ConfigurationError(f"student_model task {student_cfg.task!r} does not match "
+                                 f"teacher task {teacher.config.task!r}")
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
 
@@ -287,7 +297,7 @@ def _load_summary(students_dir: str) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    teacher, _, vocab = _load_teacher(args.teacher)
+    teacher, vocab = _load_teacher(args.teacher)
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
     summary = _load_summary(args.students)
@@ -334,12 +344,7 @@ def _teacher_saliencies(
 ) -> list[Saliency]:
     mode = summary["mode"]
     if mode == "smat":
-        phi_values = dio.load_checkpoint(os.path.join(students_dir, run["phi_t"]))["phi_t"]
-        params = ExplainerParams(
-            phi=Tensor(phi_values),
-            normalize=summary.get("normalize", "sparsemax"),
-            scope=summary.get("scope", "all"),
-        )
+        params = _load_phi(os.path.join(students_dir, run["phi_t"]))
         return [explain_parameterized(teacher, ex.token_ids, params) for ex in examples]
     if mode.startswith("static:"):
         name = mode.split(":", 1)[1]
@@ -348,25 +353,15 @@ def _teacher_saliencies(
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    model, echo = dio.load_model(args.model)
-    model.freeze()
+    model, vocab = _load_teacher(args.model)
     dataset = dio.load_tsv(args.data)
-    vocab = echo.get("vocab")
-    if not isinstance(vocab, dict):
-        raise dio.CheckpointError(f"{args.model}: sidecar has no vocabulary")
     dio.attach_token_ids(dataset, vocab)
 
     params = None
     if args.explainer == "parameterized":
         if not args.phi:
             raise ConfigurationError("--explainer parameterized requires --phi")
-        phi_echo = dio.load_config_echo(args.phi)
-        phi_values = dio.load_checkpoint(args.phi)["phi_t"]
-        params = ExplainerParams(
-            phi=Tensor(phi_values),
-            normalize=phi_echo.get("normalize", "sparsemax"),
-            scope=phi_echo.get("scope", "all"),
-        )
+        params = _load_phi(args.phi)
 
     records = []
     for ex in dataset.examples:

@@ -140,16 +140,6 @@ class SyntheticSpec:
         width = len(str(self.num_noise_words - 1))
         return [f"w{idx:0{width}d}" for idx in range(self.num_noise_words)]
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "cue_lexicon": dict(self.cue_lexicon),
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "noise_ratio": self.noise_ratio,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         return cls(**d)

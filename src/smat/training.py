@@ -39,6 +39,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Example, Splits
 from .explainers import (
+    IG_STEPS_TRAINING,
     STATIC_EXPLAINERS,
     ExplainerParams,
     combine_head_logits,
@@ -61,7 +62,7 @@ HYPERGRAD_MODES = ("central", "exact")
 
 KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
 
-SIM_LOSSES = ("cross_entropy", "mse")
+SIM_LOSS_TASKS = {"cross_entropy": "classification", "mse": "regression"}
 
 
 @dataclass
@@ -85,7 +86,7 @@ class TrainConfig:
     sim_loss: str = "cross_entropy"
     kl_direction: str = "teacher_to_student"
     hypergrad: str = "central"
-    ig_steps: int = 10
+    ig_steps: int = IG_STEPS_TRAINING
     soft_targets: bool = False
     eval_every: int = 100
 
@@ -97,7 +98,7 @@ class TrainConfig:
             raise ValueError(f"unknown static explainer in mode {self.mode!r}")
         if self.normalize not in ("sparsemax", "softmax", "none"):
             raise ValueError(f"unknown normalization {self.normalize!r}")
-        if self.sim_loss not in SIM_LOSSES:
+        if self.sim_loss not in SIM_LOSS_TASKS:
             raise ValueError(f"unknown sim_loss {self.sim_loss!r}")
         if self.kl_direction not in KL_DIRECTIONS:
             raise ValueError(f"unknown kl_direction {self.kl_direction!r}")
@@ -256,13 +257,18 @@ def _scaled(total: Tensor, factor: float) -> Tensor:
     return ad.mul(total, ad.constant(np.asarray(factor, dtype=total.dtype)))
 
 
+def _check_sim_loss(sim_loss: str, student_task: str) -> None:
+    need = SIM_LOSS_TASKS[sim_loss]
+    if student_task != need:
+        raise ValueError(f"{sim_loss} sim loss needs a {need} student, got a {student_task} student")
+
+
 def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: list, config: TrainConfig,
              params: dict[str, Tensor] | None = None, output: Tensor | None = None) -> Tensor:
     """Simulation loss summed over a batch of sequences."""
+    _check_sim_loss(config.sim_loss, student.config.task)
     out = output if output is not None else student.forward(ids, params=params)
     if config.sim_loss == "cross_entropy":
-        if student.config.task != "classification":
-            raise ValueError("cross_entropy sim loss needs a classification student")
         target = (ad.constant(np.stack([tctx.probs(i) for i in ids]), dtype=out.dtype)
                   if config.soft_targets else [tctx.target(i) for i in ids])
         return ad.tsum(ad.cross_entropy(out, target))
@@ -374,8 +380,9 @@ def outer_step(
     The lookahead weights theta - eta_inner * grad(L_student) exist only
     inside this call. The hypergradient is -eta_inner * M v, with v the
     simulation-loss gradient at the lookahead weights on the outer batch
-    and M v the mixed second derivative realized by central differences
-    around the committed weights (or exactly through the graph).
+    and M v the mixed second derivative realized around the committed
+    weights by ``autodiff.central_difference``, whose docstring states the
+    step rule (or exactly through the graph).
     """
     if config.mode_kind() != "smat":
         return state
@@ -386,10 +393,11 @@ def outer_step(
     student = state.student
     names = student.param_names()
     theta = student.param_list()
+    exact = config.hypergrad == "exact"
+    loss_train = student_loss(student, tctx, state.phi_s, state.phi_t, train_batch, config)
+    g_theta = ad.backward(loss_train, theta, create_graph=exact)
 
-    if config.hypergrad == "exact":
-        loss_train = student_loss(student, tctx, state.phi_s, state.phi_t, train_batch, config)
-        g_theta = ad.backward(loss_train, theta, create_graph=True)
+    if exact:
         eta = ad.constant(np.asarray(config.eta_inner, dtype=theta[0].dtype))
         pilot = {
             name: ad.sub(t, ad.mul(eta, g))
@@ -398,28 +406,15 @@ def outer_step(
         sim = _sim_only_loss(student, tctx, outer_batch, config, pilot)
         hyper = ad.backward(sim, [state.phi_t])[0].data
     else:
-        loss_train = student_loss(student, tctx, state.phi_s, state.phi_t, train_batch, config)
-        g_theta = [g.data for g in ad.backward(loss_train, theta)]
         pilot = {
-            name: Tensor(t.data - config.eta_inner * g, requires_grad=True, name=name)
+            name: Tensor(t.data - config.eta_inner * g.data, requires_grad=True, name=name)
             for name, t, g in zip(names, theta, g_theta)
         }
         sim = _sim_only_loss(student, tctx, outer_batch, config, pilot)
-        v = [g.data.astype(np.float64) for g in ad.backward(sim, list(pilot.values()))]
-        v_norm = float(np.sqrt(sum(float((x**2).sum()) for x in v)))
-        eps = ad.HVP_EPS0 / max(v_norm, ad.HVP_DELTA)
-        sides = []
-        for sign in (1.0, -1.0):
-            probe = {
-                name: Tensor(
-                    t.data + (sign * eps * x).astype(t.dtype),
-                    requires_grad=False,
-                    name=name,
-                )
-                for name, t, x in zip(names, theta, v)
-            }
-            sides.append(_phi_t_gradient(state, train_batch, config, tctx, probe).astype(np.float64))
-        mv = (sides[0] - sides[1]) / (2.0 * eps)
+        v = [g.data for g in ad.backward(sim, list(pilot.values()))]
+        (mv,) = ad.central_difference(
+            lambda probe: [_phi_t_gradient(state, train_batch, config, tctx, dict(zip(names, probe)))],
+            theta, v)
         hyper = (-config.eta_inner * mv).astype(state.phi_t.dtype)
 
     state.phi_t.data = state.phi_t.data - config.eta_outer * hyper
@@ -483,6 +478,10 @@ def train(
         for ex in part:
             if ex.token_ids is None:
                 raise ValueError(f"{name} split has examples without token ids")
+    if student_config.task != teacher.config.task:
+        raise ValueError(f"student task {student_config.task!r} does not match "
+                         f"teacher task {teacher.config.task!r}")
+    _check_sim_loss(config.sim_loss, student_config.task)
 
     tctx = TeacherContext(teacher, config)
     student = MiniTransformer(student_config, seed=config.seed, dtype=teacher.dtype)

@@ -314,3 +314,18 @@ def test_config_task_mismatch_exits_2(pipeline, tmp_path, capsys):
     code = main(["train-teacher", "--config", str(bad), "--out", str(tmp_path / "t.smat")])
     assert code == 2
     assert "task" in capsys.readouterr().err
+
+
+def test_student_task_mismatch_exits_2(pipeline, tmp_path, capsys):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["student_model"]["task"] = "regression"
+    del cfg["student_model"]["num_classes"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    code = main(["train-student", "--config", str(bad), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "none", "--out", str(tmp_path / "students")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "regression" in err and "classification" in err
+    assert not (tmp_path / "students").exists()

@@ -434,6 +434,24 @@ def test_train_rejects_missing_token_ids():
         train(config, teacher, stripped, student_config)
 
 
+def test_mse_sim_loss_on_a_classification_student_is_rejected():
+    teacher, splits, student_config, config = make_setup(mode="none", sim_loss="mse")
+    with pytest.raises(ValueError, match="regression.*classification"):
+        train(config, teacher, splits, student_config)
+    state, tctx = make_state(teacher, splits, student_config, config)
+    # a batch of two would broadcast (2, 2) logits against (2,) targets
+    with pytest.raises(ValueError, match="regression.*classification"):
+        student_loss(state.student, tctx, state.phi_s, state.phi_t, splits.train[:2], config)
+
+
+def test_student_task_unlike_the_teacher_task_is_rejected():
+    _, splits, student_config, config = make_setup(mode="none")
+    teacher = MiniTransformer(tiny_config(vocab_size=student_config.vocab_size, max_len=10,
+                                          task="regression"), seed=1, dtype=np.float64)
+    with pytest.raises(ValueError, match="'classification'.*'regression'"):
+        train(config, teacher, splits, student_config)
+
+
 def Example_without_ids(ex):
     from dataclasses import replace
     return replace(ex, token_ids=None)
