@@ -765,10 +765,10 @@ def hvp(
     :func:`central_difference`; ``exact`` differentiates through a
     backward pass built with ``create_graph=True``.
     """
-    params = list(params)
-    vs = [np.asarray(x, dtype=p.dtype) for x, p in zip(v, params)]
-    if len(vs) != len(params):
+    params, v = list(params), list(v)
+    if len(v) != len(params):
         raise ValueError("direction does not match parameter structure")
+    vs = [np.asarray(x, dtype=p.dtype) for x, p in zip(v, params)]
     for p, x in zip(params, vs):
         if p.shape != x.shape:
             raise ValueError(f"direction shape {x.shape} does not match parameter {p.shape}")

@@ -204,6 +204,8 @@ def cmd_train_student(args: argparse.Namespace) -> int:
         raise ConfigurationError("--seeds must be >= 1")
 
     os.makedirs(args.out, exist_ok=True)
+    # every seed shares the mode, scope, normalization and ig_steps
+    tctx = training.TeacherContext(teacher, base)
     runs = []
     sims: list[float] = []
     for i in range(args.seeds):
@@ -231,7 +233,6 @@ def cmd_train_student(args: argparse.Namespace) -> int:
                     "scope": run_cfg.explainer_scope(),
                 },
             )
-        tctx = training.TeacherContext(teacher, run_cfg)
         test_sim = training.simulability(result.student, tctx, splits.test)
         dev_sim = training.simulability(result.student, tctx, splits.dev)
         active = training.count_active_heads(result.phi_t, run_cfg.normalize)

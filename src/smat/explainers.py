@@ -188,12 +188,10 @@ def explain_attention_mean(
     scope: str = "all",
 ) -> Saliency:
     """Uniform mean over in-scope heads' saliency logits, then softmax."""
-    idx = scope_head_indices(model, scope)
-    phi = Tensor(np.zeros(len(idx), dtype=model.dtype))
-    params = ExplainerParams(phi=phi, normalize="sparsemax", scope=scope)
+    logits = head_logit_matrix(model, token_ids, scope)
+    uniform = np.ones(logits.shape[0], dtype=logits.dtype) / logits.shape[0]
     with ad.no_grad():
-        _, internals = model.forward(token_ids, record=True)
-        return Saliency(scores=saliency_from_internals(internals, params).data)
+        return Saliency(scores=combine_head_logits(ad.constant(logits), ad.constant(uniform)).data)
 
 
 # ---------------------------------------------------------------------------

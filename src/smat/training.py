@@ -148,11 +148,12 @@ class TrainConfig:
 
 
 class TeacherContext:
-    """Frozen teacher plus per-example caches.
+    """Frozen teacher plus one cache of its per-sequence values.
 
-    The teacher's predictions, head-logit matrices, and static saliency
-    maps are deterministic once the teacher is frozen, so they are
-    computed once per distinct token sequence.
+    The teacher's predictions, probabilities, head-logit matrices and static
+    saliency maps are fixed once it is frozen, so each is computed once per
+    distinct sequence. A lookup takes one sequence or a list, and computes the
+    unseen ones in one teacher call.
     """
 
     def __init__(self, teacher: MiniTransformer, config: TrainConfig) -> None:
@@ -160,45 +161,43 @@ class TeacherContext:
         self.teacher = teacher
         self.config = config
         self.scope = config.explainer_scope()
-        self._targets: dict[tuple[int, ...], int | float] = {}
-        self._probs: dict[tuple[int, ...], np.ndarray] = {}
-        self._head_logits: dict[tuple[int, ...], np.ndarray] = {}
-        self._static: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: dict[tuple[str, tuple[int, ...]], object] = {}
 
-    @staticmethod
-    def _key(token_ids: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(i) for i in token_ids)
+    def _lookup(self, kind: str, token_ids, compute):
+        """Cached ``kind`` values: one for one sequence, a list for a list.
 
-    def target(self, token_ids: Sequence[int]) -> int | float:
-        key = self._key(token_ids)
-        if key not in self._targets:
-            self._targets[key] = self.teacher.predict(token_ids)
-        return self._targets[key]
+        ``compute`` maps the unseen sequences, each once and in first-seen
+        order, to the list of their values.
+        """
+        one = not is_batch(token_ids)
+        keys = [(kind, tuple(int(i) for i in ids)) for ids in ([token_ids] if one else token_ids)]
+        unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        if unseen:
+            self._cache.update(zip(unseen, compute([ids for _, ids in unseen])))
+        values = [self._cache[k] for k in keys]
+        return values[0] if one else values
 
-    def probs(self, token_ids: Sequence[int]) -> np.ndarray:
-        key = self._key(token_ids)
-        if key not in self._probs:
+    def target(self, token_ids):
+        return self._lookup("target", token_ids, self.teacher.predict)
+
+    def probs(self, token_ids):
+        def compute(batch):
             with ad.no_grad():
-                logits = self.teacher.forward(token_ids)
-                self._probs[key] = ad.softmax(logits, axis=-1).data
-        return self._probs[key]
+                return list(ad.softmax(self.teacher.forward(batch), axis=-1).data)
+        return self._lookup("probs", token_ids, compute)
 
-    def head_logits(self, token_ids: Sequence[int]) -> np.ndarray:
-        """(in-scope teacher heads, L) saliency-logit matrix."""
-        key = self._key(token_ids)
-        if key not in self._head_logits:
-            self._head_logits[key] = head_logit_matrix(self.teacher, token_ids, self.scope)
-        return self._head_logits[key]
+    def head_logits(self, token_ids):
+        """(in-scope teacher heads, L) saliency-logit matrix of each sequence."""
+        def compute(batch):
+            stack = head_logit_matrix(self.teacher, batch, self.scope)
+            return [m[:, : len(ids)] for m, ids in zip(stack, batch)]
+        return self._lookup("head_logits", token_ids, compute)
 
-    def static_saliency(self, token_ids: Sequence[int]) -> np.ndarray:
-        key = self._key(token_ids)
-        if key not in self._static:
-            name = self.config.static_name()
-            sal = compute_static_saliency(
-                self.teacher, token_ids, name, ig_steps=self.config.ig_steps
-            )
-            self._static[key] = sal.scores
-        return self._static[key]
+    def static_saliency(self, token_ids):
+        def compute(batch):  # gradient explainers take one example at a time
+            return [compute_static_saliency(self.teacher, ids, self.config.static_name(),
+                                            ig_steps=self.config.ig_steps).scores for ids in batch]
+        return self._lookup("static", token_ids, compute)
 
     def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:
         """E_T for one sequence (L,) or a batch (B, L): learned combination or
@@ -208,7 +207,7 @@ class TeacherContext:
             raise ValueError("mode 'none' has no teacher explainer")
         one = not is_batch(token_ids)
         lookup = self.head_logits if kind == "smat" else self.static_saliency
-        rows = [lookup(ids) for ids in ([token_ids] if one else token_ids)]
+        rows = lookup([token_ids] if one else token_ids)
         lengths = np.array([r.shape[-1] for r in rows])
         width = int(lengths.max())
         padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
@@ -269,10 +268,10 @@ def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: list, config: 
     _check_sim_loss(config.sim_loss, student.config.task)
     out = output if output is not None else student.forward(ids, params=params)
     if config.sim_loss == "cross_entropy":
-        target = (ad.constant(np.stack([tctx.probs(i) for i in ids]), dtype=out.dtype)
-                  if config.soft_targets else [tctx.target(i) for i in ids])
+        target = (ad.constant(np.stack(tctx.probs(ids)), dtype=out.dtype)
+                  if config.soft_targets else tctx.target(ids))
         return ad.tsum(ad.cross_entropy(out, target))
-    diff = ad.sub(out, ad.constant(np.asarray([tctx.target(i) for i in ids], dtype=out.dtype)))
+    diff = ad.sub(out, ad.constant(np.asarray(tctx.target(ids), dtype=out.dtype)))
     return ad.tsum(ad.mul(diff, diff))
 
 
@@ -430,9 +429,8 @@ def simulate_predictions(
     tctx: TeacherContext,
     examples: Sequence[Example],
 ) -> tuple[list, list]:
-    preds = student.predict([ex.token_ids for ex in examples])
-    targets = [tctx.target(ex.token_ids) for ex in examples]
-    return preds, targets
+    ids = [ex.token_ids for ex in examples]
+    return student.predict(ids), tctx.target(ids)
 
 
 def simulability(

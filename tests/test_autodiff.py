@@ -555,6 +555,9 @@ def test_hvp_rejects_mismatched_direction():
     p = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with pytest.raises(ValueError):
         ad.hvp(f, [p], [np.ones(2)], mode="central")
+    for mode in ("central", "exact"):  # an extra array is not dropped
+        with pytest.raises(ValueError, match="parameter structure"):
+            ad.hvp(f, [p], [np.ones(3), np.ones(5)], mode=mode)
 
 
 def test_hvp_random_function_modes_agree():

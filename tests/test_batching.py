@@ -426,3 +426,55 @@ def test_float32_central_hypergradient_follows_the_step_rule_bit_for_bit(monkeyp
             assert got[name].dtype == np.float32, name
             assert np.array_equal(got[name], probe[name].data), name
     assert state.phi_t.dtype == np.float32 and np.array_equal(state.phi_t.data, want)
+
+
+# ---------------------------------------------------------------------------
+# teacher cache: a batch lookup equals the per-sequence teacher calls
+
+
+def test_float32_batched_teacher_lookups_are_bit_identical_to_per_sequence():
+    teacher = model(41, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    rng = np.random.default_rng(43)
+    pool = [rng.integers(1, VOCAB, size=int(n)).tolist()
+            for n in rng.integers(5, LONG_LEN + 1, size=30)]
+    batches = [pool]  # every sequence once
+    for _ in range(12):  # random batches, each with at least one duplicate
+        batch = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(2, 17)))]
+        batches.append(batch + [batch[0]])
+    batches += [[seq] for seq in pool[:5]]
+    for mode in ("smat", "static:attn_last"):
+        config = TrainConfig(mode=mode)
+        for batch in batches:
+            tctx = TeacherContext(teacher, config)
+            logits, targets, probs = tctx.head_logits(batch), tctx.target(batch), tctx.probs(batch)
+            for seq, m, t, p in zip(batch, logits, targets, probs):
+                want = training.head_logit_matrix(teacher, seq, tctx.scope)
+                assert m.dtype == np.float32 and np.array_equal(m, want)
+                assert t == teacher.predict(seq)
+                with ad.no_grad():
+                    assert np.array_equal(p, ad.softmax(teacher.forward(seq), axis=-1).data)
+
+
+def test_a_batch_lookup_computes_only_its_unseen_sequences_in_one_call(monkeypatch):
+    teacher = model(45)
+    tctx = TeacherContext(teacher, TrainConfig(mode="smat"))
+    calls = []
+    head_logit_matrix = training.head_logit_matrix
+
+    def counting(model_, token_ids, scope="all"):
+        calls.append([list(seq) for seq in token_ids])
+        return head_logit_matrix(model_, token_ids, scope)
+
+    monkeypatch.setattr(training, "head_logit_matrix", counting)
+    a, b, c, d = [2, 3, 4], [5, 6], [7, 8, 9, 10], [11, 2]
+    rows = tctx.head_logits([a, b, a, b])
+    assert calls == [[a, b]]
+    assert [r.shape[-1] for r in rows] == [3, 2, 3, 2] and rows[0] is rows[2]
+    assert tctx.head_logits([c, a, np.array(c)])[1] is rows[0]
+    assert calls == [[a, b], [c]]
+    tctx.head_logits([b, c, a])  # fully cached
+    assert tctx.head_logits(np.array(b)) is rows[1]
+    assert len(calls) == 2
+    one = tctx.head_logits(d)
+    assert calls[2:] == [[d]]
+    assert np.array_equal(one, head_logit_matrix(teacher, d))
