@@ -334,14 +334,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    """Clamp values; gradient passes only where the input was untouched."""
-    passthrough = np.ones(a.shape, dtype=bool)
-    if lo is not None:
-        passthrough &= a.data >= lo
-    if hi is not None:
-        passthrough &= a.data <= hi
-    mask = constant(passthrough.astype(a.dtype.type))
-    return _from_op(np.clip(a.data, lo, hi), (a,), lambda g: (mul(g, mask),), "clip")
+    """Clamp values; gradient passes only where the input was untouched.
+
+    The pass-through mask is built only when a gradient is taken.
+    """
+    x = a.data
+    out = np.clip(x, lo, hi)
+    return _from_op(out, (a,), lambda g: (mul(g, constant((out == x).astype(x.dtype.type))),), "clip")
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ import numpy as np
 from . import data as dio
 from . import metrics, training
 from .explainers import (
+    NORMALIZATIONS,
+    SCOPES,
     STATIC_EXPLAINERS,
     ExplainerParams,
-    Saliency,
     compute_static_saliency,
     explain_parameterized,
 )
@@ -179,8 +180,16 @@ def _load_teacher(path: str) -> tuple[MiniTransformer, dict]:
 def _load_phi(path: str) -> ExplainerParams:
     """A learned phi_T with the normalization and scope from its sidecar."""
     echo = dio.load_config_echo(path)
-    phi = Tensor(dio.load_checkpoint(path)["phi_t"])
-    return ExplainerParams(phi, echo.get("normalize", "sparsemax"), echo.get("scope", "all"))
+    if echo.get("kind") != "phi":
+        raise dio.CheckpointError(f"{path}: sidecar kind {echo.get('kind')!r} is not 'phi'")
+    normalize, scope = echo.get("normalize", "sparsemax"), echo.get("scope", "all")
+    for field, value, allowed in (("normalize", normalize, NORMALIZATIONS), ("scope", scope, SCOPES)):
+        if value not in allowed:
+            raise dio.CheckpointError(f"{path}: sidecar {field} {value!r} is not one of {allowed}")
+    tensors = dio.load_checkpoint(path)
+    if "phi_t" not in tensors:
+        raise dio.CheckpointError(f"{path}: no 'phi_t' tensor")
+    return ExplainerParams(Tensor(tensors["phi_t"]), normalize, scope)
 
 
 def cmd_train_student(args: argparse.Namespace) -> int:
@@ -324,9 +333,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "(third TSV column of 0/1 flags)"
         )
     with_masks = [ex for ex in dataset.examples if ex.rationale is not None]
+    ids = [ex.token_ids for ex in with_masks]
+    static = None  # a static teacher explanation is the same for every seed
+    if mode.startswith("static:"):
+        static = compute_static_saliency(teacher, ids, mode.split(":", 1)[1])
+    elif mode != "smat":
+        raise ValueError(f"mode {mode!r} trains without a teacher explainer; nothing to score")
     values = []
     for run in summary["runs"]:
-        saliencies = _teacher_saliencies(teacher, summary, run, args.students, with_masks)
+        saliencies = static if static is not None else explain_parameterized(
+            teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"])))
         pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]
         auc, used, skipped = metrics.corpus_auc(pairs)
         values.append(auc)
@@ -336,45 +352,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _teacher_saliencies(
-    teacher: MiniTransformer,
-    summary: dict,
-    run: dict,
-    students_dir: str,
-    examples: Sequence[dio.Example],
-) -> list[Saliency]:
-    mode = summary["mode"]
-    if mode == "smat":
-        params = _load_phi(os.path.join(students_dir, run["phi_t"]))
-        return [explain_parameterized(teacher, ex.token_ids, params) for ex in examples]
-    if mode.startswith("static:"):
-        name = mode.split(":", 1)[1]
-        return [compute_static_saliency(teacher, ex.token_ids, name) for ex in examples]
-    raise ValueError(f"mode {mode!r} trains without a teacher explainer; nothing to score")
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     model, vocab = _load_teacher(args.model)
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
 
-    params = None
+    ids = [ex.token_ids for ex in dataset.examples]
     if args.explainer == "parameterized":
         if not args.phi:
             raise ConfigurationError("--explainer parameterized requires --phi")
-        params = _load_phi(args.phi)
-
+        saliencies = explain_parameterized(model, ids, _load_phi(args.phi))
+    else:
+        saliencies = compute_static_saliency(model, ids, args.explainer)
     records = []
-    for ex in dataset.examples:
-        n = len(ex.token_ids)
-        if params is not None:
-            sal = explain_parameterized(model, ex.token_ids, params)
-        else:
-            sal = compute_static_saliency(model, ex.token_ids, args.explainer)
+    for ex, sal, prediction in zip(dataset.examples, saliencies, model.predict(ids)):
         record = {
-            "tokens": ex.tokens[:n],
+            "tokens": ex.tokens[: len(ex.token_ids)],
             "scores": [float(s) for s in sal.scores],
-            "prediction": model.predict(ex.token_ids),
+            "prediction": prediction,
         }
         if ex.label is not None:
             record["gold_label"] = ex.label

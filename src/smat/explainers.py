@@ -1,8 +1,9 @@
 """Token saliency explainers for the mini transformer.
 
 Two families share one output contract, a simplex vector over the
-non-pad tokens of one input (a batch gives one such row per input, with
-pad positions exactly 0):
+non-pad tokens of one input. Each takes one sequence (one ``Saliency``) or
+a list (a list of them); the differentiable attention form gives a batch
+one row per input, with pad positions exactly 0:
 
 * attention-based: per-head mean score rows, combined either uniformly
   (static attention mean) or through learned head coefficients that are
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import AttentionInternals, MiniTransformer, head_saliency_logits, pad_bias
+from .model import AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -160,7 +162,7 @@ def head_logit_matrix(
     token_ids: Sequence[int],
     scope: str = "all",
 ) -> np.ndarray:
-    """(in-scope heads, L) matrix of mean attention-score rows."""
+    """(in-scope heads, L) matrix of mean attention-score rows; (B, heads, L) for a batch."""
     first = scope_head_indices(model, scope)[0] // model.config.heads_per_layer
     with ad.no_grad():
         _, internals = model.forward(token_ids, record=True)
@@ -171,27 +173,28 @@ def explain_parameterized(
     model: MiniTransformer,
     token_ids: Sequence[int],
     params: ExplainerParams,
-) -> Saliency:
+) -> Saliency | list[Saliency]:
     """Learned head-combination explanation (value form).
 
-    The differentiable form is :func:`saliency_from_internals`; this
-    wrapper runs a recorded forward pass and extracts values.
+    One sequence gives one Saliency, a list a list of them. A list runs one
+    recorded no-grad forward per sequence length, unpadded: a padded row's
+    head mix (a 1 x heads by heads x L BLAS product) can round one ulp away
+    from the sequence's own, so this keeps each one's bits. The
+    differentiable form is :func:`saliency_from_internals`.
     """
     with ad.no_grad():
-        _, internals = model.forward(token_ids, record=True)
-        return Saliency(scores=saliency_from_internals(internals, params).data)
-
-
-def explain_attention_mean(
-    model: MiniTransformer,
-    token_ids: Sequence[int],
-    scope: str = "all",
-) -> Saliency:
-    """Uniform mean over in-scope heads' saliency logits, then softmax."""
-    logits = head_logit_matrix(model, token_ids, scope)
-    uniform = np.ones(logits.shape[0], dtype=logits.dtype) / logits.shape[0]
-    with ad.no_grad():
-        return Saliency(scores=combine_head_logits(ad.constant(logits), ad.constant(uniform)).data)
+        if not is_batch(token_ids):
+            _, internals = model.forward(token_ids, record=True)
+            return Saliency(scores=saliency_from_internals(internals, params).data)
+        out = [None] * len(token_ids)
+        for length in dict.fromkeys(len(ids) for ids in token_ids):
+            idx = [i for i, ids in enumerate(token_ids) if len(ids) == length]
+            _, internals = model.forward([token_ids[i] for i in idx], record=True)
+            scores = saliency_from_internals(internals, params).data
+            valid = np.ones(scores.shape, dtype=bool) if internals.valid is None else internals.valid
+            for i, row, keep in zip(idx, scores, valid):
+                out[i] = Saliency(scores=row[keep])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def explain_attention_mean(
 
 def _output_loss(model, output: Tensor, target: int | None) -> Tensor:
     if model.config.task == "classification":
-        return ad.cross_entropy(output, int(target))
+        return ad.cross_entropy(output, np.full(output.shape[:-1], target))
     return output
 
 
@@ -212,31 +215,37 @@ def _prediction_target(model, token_ids: Sequence[int]) -> int | None:
     return int(np.argmax(out.data))
 
 
-def embedding_gradient(
+def _path_gradients(
     model,
     token_ids: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, embeddings) of the predicted-label loss at the input."""
+    alphas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Predicted-label loss gradients at alpha * x for each alpha, in one graph.
+
+    Returns the (K, L, D) gradients, the (L, D) input embeddings x and the
+    predicted label. Each scaled copy is one row of a (K, L, D) batch with
+    its own loss, so its gradient is the one it has alone.
+    """
     target = _prediction_target(model, token_ids)
     with ad.no_grad():
         base = model.input_embeddings(token_ids).data
-    x = Tensor(base, requires_grad=True, name="input_embeddings", dtype=base.dtype)
-    loss = _output_loss(model, model.forward_from_embeddings(x), target)
-    grad = ad.backward(loss, [x])[0]
-    return grad.data, base
+    points = np.asarray(alphas, dtype=base.dtype)[:, None, None] * base
+    x = Tensor(points, requires_grad=True, dtype=base.dtype)
+    loss = ad.tsum(_output_loss(model, model.forward_from_embeddings(x), target))
+    return ad.backward(loss, [x])[0].data, base, target
 
 
 def explain_grad_l2(model, token_ids: Sequence[int]) -> Saliency:
     """Softmax over per-token L2 norms of the embedding gradient."""
-    grad, _ = embedding_gradient(model, token_ids)
-    raw = np.sqrt((grad.astype(np.float64) ** 2).sum(axis=1)).astype(grad.dtype)
+    grads, _, _ = _path_gradients(model, token_ids, [1.0])
+    raw = np.sqrt((grads[0].astype(np.float64) ** 2).sum(axis=1)).astype(grads.dtype)
     return Saliency(scores=_simplex(raw), raw=raw)
 
 
 def explain_grad_x_input(model, token_ids: Sequence[int]) -> Saliency:
     """Softmax over the per-token gradient-input dot products."""
-    grad, base = embedding_gradient(model, token_ids)
-    raw = (grad * base).sum(axis=1)
+    grads, base, _ = _path_gradients(model, token_ids, [1.0])
+    raw = (grads[0] * base).sum(axis=1)
     return Saliency(scores=_simplex(raw), raw=raw)
 
 
@@ -247,33 +256,21 @@ def integrated_gradients_raw(
 ) -> tuple[np.ndarray, float, float]:
     """Right-endpoint integrated gradients from a zero embedding baseline.
 
-    Returns per-token raw attributions plus the predicted-label losses at
-    the input and at the baseline, so completeness (sum of attributions
-    vs. their difference) can be checked directly.
+    The gradients at the ``steps`` points k/steps * x (k = 1..steps) come
+    from one graph. Returns per-token raw attributions plus the
+    predicted-label losses at the input and at the baseline, so
+    completeness (sum of attributions vs. their difference) can be checked
+    directly.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    target = _prediction_target(model, token_ids)
-    with ad.no_grad():
-        base = model.input_embeddings(token_ids).data
-    total = np.zeros_like(base, dtype=np.float64)
-    for k in range(1, steps + 1):
-        point = (k / steps) * base
-        x = Tensor(point, requires_grad=True, dtype=base.dtype)
-        loss = _output_loss(model, model.forward_from_embeddings(x), target)
-        total += ad.backward(loss, [x])[0].data.astype(np.float64)
-    avg = total / steps
+    grads, base, target = _path_gradients(model, token_ids, np.arange(1, steps + 1) / steps)
+    avg = grads.astype(np.float64).sum(axis=0) / steps
     raw = (base.astype(np.float64) * avg).sum(axis=1)
 
     with ad.no_grad():
-        at_input = _output_loss(
-            model, model.forward_from_embeddings(Tensor(base, dtype=base.dtype)), target
-        ).item()
-        at_baseline = _output_loss(
-            model,
-            model.forward_from_embeddings(Tensor(np.zeros_like(base), dtype=base.dtype)),
-            target,
-        ).item()
+        at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
+            Tensor(x, dtype=base.dtype)), target).item() for x in (base, np.zeros_like(base)))
     return raw.astype(base.dtype), at_input, at_baseline
 
 
@@ -297,19 +294,26 @@ def compute_static_saliency(
     token_ids: Sequence[int],
     name: str,
     ig_steps: int = IG_STEPS_EVAL,
-) -> Saliency:
-    """Dispatch to one of the named static explainers."""
-    if name == "grad_l2":
-        return explain_grad_l2(model, token_ids)
-    if name == "grad_x_input":
-        return explain_grad_x_input(model, token_ids)
-    if name == "integrated_gradients":
-        return explain_integrated_gradients(model, token_ids, steps=ig_steps)
-    if name == "attn_all":
-        return explain_attention_mean(model, token_ids, scope="all")
-    if name == "attn_last":
-        return explain_attention_mean(model, token_ids, scope="last")
-    raise ValueError(f"unknown static explainer {name!r}")
+) -> Saliency | list[Saliency]:
+    """One of the named static explainers: one sequence gives one Saliency,
+    a list a list of them.
+
+    The attention means are :func:`explain_parameterized` with uniform
+    coefficients (1/heads, not normalized), so a list runs as one forward
+    per length. A gradient explainer runs each sequence as its own graph.
+    """
+    if name in ("attn_all", "attn_last"):
+        scope = name.removeprefix("attn_")
+        heads = len(scope_head_indices(model, scope))
+        uniform = ad.constant(np.ones(heads, dtype=model.dtype) / heads)
+        return explain_parameterized(model, token_ids, ExplainerParams(uniform, "none", scope))
+    explain = {"grad_l2": explain_grad_l2, "grad_x_input": explain_grad_x_input,
+               "integrated_gradients": partial(explain_integrated_gradients, steps=ig_steps)}.get(name)
+    if explain is None:
+        raise ValueError(f"unknown static explainer {name!r}")
+    if is_batch(token_ids):
+        return [explain(model, ids) for ids in token_ids]
+    return explain(model, token_ids)
 
 
 def wordpiece_to_word(

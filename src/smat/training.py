@@ -194,9 +194,9 @@ class TeacherContext:
         return self._lookup("head_logits", token_ids, compute)
 
     def static_saliency(self, token_ids):
-        def compute(batch):  # gradient explainers take one example at a time
-            return [compute_static_saliency(self.teacher, ids, self.config.static_name(),
-                                            ig_steps=self.config.ig_steps).scores for ids in batch]
+        def compute(batch):
+            return [sal.scores for sal in compute_static_saliency(
+                self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
         return self._lookup("static", token_ids, compute)
 
     def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:

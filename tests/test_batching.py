@@ -16,7 +16,15 @@ from smat import autodiff as ad
 from smat import training
 from smat.autodiff import Tensor
 from smat.data import Example
-from smat.explainers import ExplainerParams, saliency_from_internals, scope_head_indices
+from smat import explainers
+from smat.explainers import (
+    ExplainerParams,
+    compute_static_saliency,
+    explain_parameterized,
+    integrated_gradients_raw,
+    saliency_from_internals,
+    scope_head_indices,
+)
 from smat.model import PAD_ID, MiniTransformer, head_saliency_logits
 from smat.training import (
     TeacherContext,
@@ -478,3 +486,78 @@ def test_a_batch_lookup_computes_only_its_unseen_sequences_in_one_call(monkeypat
     one = tctx.head_logits(d)
     assert calls[2:] == [[d]]
     assert np.array_equal(one, head_logit_matrix(teacher, d))
+
+
+# ---------------------------------------------------------------------------
+# explainers: a list equals the per-sequence calls
+
+
+def explainer_pool(seed, count=40):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(1, VOCAB, size=int(n)).tolist()
+            for n in rng.integers(5, LONG_LEN + 1, size=count)]
+
+
+ATTENTION_CASES = [("attn_all", None), ("attn_last", None), ("parameterized", "sparsemax"),
+                   ("parameterized", "softmax"), ("parameterized", "none")]
+
+
+def attention_explainer(name, normalize, heads, dtype):
+    if name != "parameterized":
+        return lambda net, ids: compute_static_saliency(net, ids, name)
+    phi = Tensor(np.array([0.3, -0.1, 0.25, 0.05, 0.2, -0.3, 0.1, 0.15][:heads], dtype=dtype))
+    params = ExplainerParams(phi, normalize, "all")
+    return lambda net, ids: explain_parameterized(net, ids, params)
+
+
+# The acceptance experiment's teacher (8 heads), and 4 heads, where a padded
+# row's head mix (a 1x4 by 4xL BLAS product) rounds apart from the unpadded one.
+@pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, {}], ids=["experiment", "four_heads"])
+@pytest.mark.parametrize("name,normalize", ATTENTION_CASES)
+def test_float32_attention_explainer_list_is_bit_identical_to_per_sequence(name, normalize, shape):
+    teacher = model(47, np.float32, max_len=LONG_LEN, **shape)
+    explain = attention_explainer(name, normalize, teacher.config.total_heads, np.float32)
+    pool = explainer_pool(49)
+    listed = explain(teacher, pool)
+    assert len(listed) == len(pool)
+    for seq, sal in zip(pool, listed):
+        want = explain(teacher, seq)
+        assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, want.scores)
+
+
+def test_gradient_explainer_list_is_the_per_sequence_list():
+    teacher = model(51, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    pool = explainer_pool(53, count=6)
+    for name in ("grad_l2", "grad_x_input", "integrated_gradients"):
+        for seq, sal in zip(pool, compute_static_saliency(teacher, pool, name, ig_steps=5)):
+            want = compute_static_saliency(teacher, seq, name, ig_steps=5)
+            assert np.array_equal(sal.scores, want.scores) and np.array_equal(sal.raw, want.raw)
+
+
+def oracle_integrated_gradients(net, token_ids, steps):
+    """Per-point loop: one graph per interpolation point k/steps * x."""
+    with ad.no_grad():
+        target = int(np.argmax(net.forward(token_ids).data))
+        base = net.input_embeddings(token_ids).data
+    grads, total = [], np.zeros(base.shape)
+    for k in range(1, steps + 1):
+        x = Tensor((k / steps) * base, requires_grad=True, dtype=base.dtype)
+        grads.append(ad.backward(ad.cross_entropy(net.forward_from_embeddings(x), target), [x])[0].data)
+        total += grads[-1].astype(np.float64)
+    raw = (base.astype(np.float64) * (total / steps)).sum(axis=1)
+    return np.stack(grads), raw.astype(base.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_integrated_gradients_points_match_a_per_point_loop(dtype):
+    teacher = model(55, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    steps = explainers.IG_STEPS_EVAL
+    for seq in explainer_pool(57, count=6):
+        want_grads, want_raw = oracle_integrated_gradients(teacher, seq, steps)
+        grads = explainers._path_gradients(teacher, seq, np.arange(1, steps + 1) / steps)[0]
+        raw = integrated_gradients_raw(teacher, seq, steps)[0]
+        assert grads.dtype == dtype and raw.dtype == dtype
+        if dtype == np.float32:
+            assert np.array_equal(grads, want_grads) and np.array_equal(raw, want_raw)
+        else:
+            assert rel_err(grads, want_grads) < TOL and rel_err(raw, want_raw) < TOL

@@ -9,8 +9,18 @@ import os
 
 import pytest
 
+from smat import cli
 from smat.cli import main
-from smat.data import Dataset, attach_token_ids, export_explanations, load_model, load_tsv, save_tsv
+from smat.data import (
+    Dataset,
+    attach_token_ids,
+    export_explanations,
+    load_checkpoint,
+    load_model,
+    load_tsv,
+    save_checkpoint,
+    save_tsv,
+)
 from smat.explainers import compute_static_saliency
 
 
@@ -164,6 +174,64 @@ def test_evaluate_mode_none_has_no_explainer(pipeline, capsys):
     ])
     assert code == 1
     assert "explainer" in capsys.readouterr().err
+
+
+def test_evaluate_static_auc_explains_the_teacher_once(pipeline, capsys, monkeypatch):
+    """A static teacher explanation is the same for every seed, so one call serves all."""
+    calls = []
+    compute = cli.compute_static_saliency
+
+    def counting(model, token_ids, name, *args, **kwargs):
+        calls.append(len(token_ids))
+        return compute(model, token_ids, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_static_saliency", counting)
+    code = main([
+        "evaluate", "--students", str(pipeline["students"]["static:attn_all"]),
+        "--teacher", str(pipeline["teacher"]),
+        "--data", str(pipeline["corpus"]), "--metric", "auc",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert calls == [160]  # every example with a rationale mask, in one call
+    aucs = [line.split()[1] for line in out.splitlines() if line.startswith("seed=")]
+    assert len(aucs) == 2 and aucs[0] == aucs[1]
+
+
+def test_explain_rejects_a_student_checkpoint_as_phi(pipeline, tmp_path, capsys):
+    smat = pipeline["students"]["smat"]
+    student = smat / json.loads((smat / "summary.json").read_text())["runs"][0]["student"]
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "parameterized",
+        "--phi", str(student), "--data", str(pipeline["corpus"]),
+        "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(student) in err and "kind" in err.replace(str(student), "")
+
+
+@pytest.mark.parametrize("tensor,echo,field", [
+    ("phi_t", {"kind": "model"}, "kind"),
+    ("phi", {}, "phi_t"),
+    ("phi_t", {"normalize": "bogus"}, "normalize"),
+    ("phi_t", {"scope": "first"}, "scope"),
+])
+def test_explain_rejects_a_bad_phi_file_naming_it(pipeline, tmp_path, capsys, tensor, echo, field):
+    smat = pipeline["students"]["smat"]
+    good = smat / json.loads((smat / "summary.json").read_text())["runs"][0]["phi_t"]
+    phi = tmp_path / "bad.smat"
+    save_checkpoint({tensor: load_checkpoint(str(good))["phi_t"]}, str(phi),
+                    config_echo={"kind": "phi", "normalize": "sparsemax", "scope": "all", **echo})
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "parameterized",
+        "--phi", str(phi), "--data", str(pipeline["corpus"]),
+        "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(phi) in err and field in err.replace(str(phi), "")
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_explain_jsonl(pipeline, tmp_path):

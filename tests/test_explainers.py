@@ -14,7 +14,6 @@ from smat.explainers import (
     combine_head_logits,
     compute_static_saliency,
     default_beta,
-    explain_attention_mean,
     explain_grad_x_input,
     explain_integrated_gradients,
     explain_parameterized,
@@ -59,15 +58,15 @@ def test_zero_phi_equals_static_attention_mean_bitwise():
     phi = ad.Tensor(np.zeros(model.config.total_heads, dtype=model.dtype))
     learned = explain_parameterized(
         model, ids, ExplainerParams(phi=phi, normalize="sparsemax", scope="all"))
-    static = explain_attention_mean(model, ids, scope="all")
+    static = compute_static_saliency(model, ids, "attn_all")
     assert np.array_equal(learned.scores, static.scores)
 
 
 def test_single_head_model_scopes_coincide():
     model = tiny_model(num_layers=1, heads_per_layer=1, model_dim=4, head_dim=4, ffn_dim=8)
     ids = [2, 3, 4]
-    a = explain_attention_mean(model, ids, scope="all")
-    b = explain_attention_mean(model, ids, scope="last")
+    a = compute_static_saliency(model, ids, "attn_all")
+    b = compute_static_saliency(model, ids, "attn_last")
     assert np.array_equal(a.scores, b.scores)
 
 

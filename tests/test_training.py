@@ -8,7 +8,7 @@ import pytest
 from smat import autodiff as ad
 from smat.autodiff import Tensor
 from smat.data import SyntheticSpec, attach_token_ids, build_vocab, generate_synthetic, split_dataset
-from smat.explainers import ExplainerParams, explain_attention_mean, scope_head_indices
+from smat.explainers import ExplainerParams, compute_static_saliency, scope_head_indices
 from smat.model import MiniTransformer, ModelConfig, task_loss
 from smat.training import (
     TeacherContext,
@@ -474,7 +474,7 @@ def test_initial_teacher_explanation_is_static_attention():
     state, tctx = make_state(teacher, splits, student_config, config)
     ex = splits.train[0]
     learned = tctx.teacher_saliency(ex.token_ids, state.phi_t)
-    static = explain_attention_mean(teacher, ex.token_ids, scope="all")
+    static = compute_static_saliency(teacher, ex.token_ids, "attn_all")
     assert np.array_equal(learned.data, static.scores)
 
 
@@ -499,7 +499,7 @@ def test_static_mode_uses_cached_teacher_saliency():
     tctx = TeacherContext(teacher, config)
     ex = splits.train[0]
     sal = tctx.teacher_saliency(ex.token_ids, Tensor(np.zeros(1)))
-    want = explain_attention_mean(teacher, ex.token_ids, scope="all")
+    want = compute_static_saliency(teacher, ex.token_ids, "attn_all")
     assert np.array_equal(sal.data, want.scores)
     assert tctx.teacher_saliency(ex.token_ids, Tensor(np.zeros(1))).data is not None
 
