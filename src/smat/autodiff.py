@@ -31,6 +31,7 @@ supports via an explicit dtype.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import weakref
@@ -209,6 +210,14 @@ def constant(x: object, dtype: np.dtype | type | None = None) -> Tensor:
     return Tensor(x, requires_grad=False, dtype=dtype)
 
 
+@functools.cache
+def scalar(value: float, dtype: np.dtype | type) -> Tensor:
+    """A read-only 0-d constant, built once per (value, dtype) and shared."""
+    out = constant(np.asarray(value, dtype=dtype))
+    out.data.setflags(write=False)
+    return out
+
+
 def _from_op(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
@@ -302,7 +311,7 @@ def neg(a: Tensor) -> Tensor:
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     def vjp(g: Tensor) -> tuple[Tensor]:
-        return (mul(g, mul(constant(np.asarray(p, dtype=a.dtype)), pow_const(a, p - 1.0))),)
+        return (mul(g, mul(scalar(p, a.dtype), pow_const(a, p - 1.0))),)
 
     return _from_op(a.data**p, (a,), vjp, "pow")
 
@@ -321,7 +330,7 @@ def sqrt(a: Tensor) -> Tensor:
     out = _from_op(
         np.sqrt(a.data),
         (a,),
-        lambda g: (div(g, mul(constant(np.asarray(2.0, dtype=a.dtype)), ref())),),
+        lambda g: (div(g, mul(scalar(2.0, a.dtype), ref())),),
         "sqrt",
     )
     ref = weakref.ref(out)
@@ -368,7 +377,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
             raise ValueError(f"transpose expects at least 2 axes, got {a.shape}")
         axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
     axes = tuple(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
     return _from_op(
         np.ascontiguousarray(a.data.transpose(axes)),
         (a,),
@@ -428,7 +437,33 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return concat(rows, axis=0)
 
 
-def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray) -> np.ndarray:
+class LengthGroups:
+    """Rows of an array grouped by their valid prefix length, for prefix sums.
+
+    ``shape`` is the summed array's shape with the summed axis last, and
+    ``lengths`` broadcasts over its other axes. Built once, it serves every
+    prefix sum over rows of that shape and those lengths: a softmax forward,
+    its gradient, and every layer that reuses the mask.
+    """
+
+    __slots__ = ("shape", "order", "spans")
+
+    def __init__(self, lengths: np.ndarray, shape: tuple[int, ...]) -> None:
+        width = shape[-1]
+        flat = np.broadcast_to(np.asarray(lengths, dtype=np.int64), shape[:-1]).reshape(-1)
+        self.shape = tuple(shape)
+        if (flat == width).all():
+            self.order, self.spans = None, ()
+            return
+        # stable order by length; one (start, stop, length) span per length
+        self.order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=width + 1)
+        stops = np.cumsum(counts)
+        self.spans = tuple((int(stops[n] - counts[n]), int(stops[n]), int(n))
+                           for n in np.flatnonzero(counts))
+
+
+def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray | LengthGroups) -> np.ndarray:
     """Sum over ``axis`` (keepdims) of each row's first ``lengths`` entries.
 
     numpy orders a float sum's additions by the row length, so a row padded
@@ -436,34 +471,30 @@ def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray) -> np.ndarray:
     the valid prefix rounds a padded batch row exactly like the row alone.
     """
     x = np.moveaxis(x, axis, -1)
-    width = x.shape[-1]
-    flat = np.broadcast_to(np.asarray(lengths, dtype=np.int64), x.shape[:-1]).reshape(-1)
-    rows = x.reshape(-1, width)
-    if (flat == width).all():
+    groups = lengths if isinstance(lengths, LengthGroups) else LengthGroups(lengths, x.shape)
+    if groups.shape != x.shape:
+        raise ValueError(f"length groups for shape {groups.shape} used on {x.shape}")
+    rows = x.reshape(-1, x.shape[-1])
+    if groups.order is None:
         out = rows.sum(axis=-1)
     else:
-        # rows grouped by length, one sum per group
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=width + 1)
-        ordered = rows[order]
-        sums = np.empty(flat.size, dtype=x.dtype)
-        start = 0
-        for n in np.flatnonzero(counts):
-            stop = start + counts[n]
+        ordered = rows[groups.order]
+        sums = np.empty(len(rows), dtype=x.dtype)
+        for start, stop, n in groups.spans:
             sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
-            start = stop
         out = np.empty_like(sums)
-        out[order] = sums
+        out[groups.order] = sums
     return np.moveaxis(out.reshape(x.shape[:-1] + (1,)), -1, axis)
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
-         lengths: np.ndarray | None = None) -> Tensor:
+         lengths: np.ndarray | LengthGroups | None = None) -> Tensor:
     """Sum over ``axis`` (all axes for None).
 
     ``lengths`` (one axis, keepdims only) holds each row's valid prefix,
-    broadcast over the other axes; entries past it must be zero, and are
-    left out of the sum so they cannot change its rounding.
+    broadcast over the other axes, or its :class:`LengthGroups`; entries
+    past it must be zero, and are left out of the sum so they cannot change
+    its rounding.
     """
     if lengths is None:
         data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -487,7 +518,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), constant(np.asarray(1.0 / n, dtype=a.dtype)))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), scalar(1.0 / n, a.dtype))
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -538,17 +569,22 @@ def scatter_rows(g: Tensor, ids: np.ndarray, num_rows: int) -> Tensor:
 # softmax family and losses
 
 
-def softmax(a: Tensor, axis: int = -1, lengths: np.ndarray | None = None) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, lengths: np.ndarray | LengthGroups | None = None) -> Tensor:
     """Softmax along ``axis``.
 
     ``lengths`` gives each row's valid prefix (broadcast over the other
-    axes) when the entries past it are masked to exactly zero weight; the
-    sums here and in the gradient then skip them, so a padded row rounds
-    exactly like the row alone.
+    axes), or its :class:`LengthGroups`, when the entries past it are masked
+    to exactly zero weight; the sums here and in the gradient then skip
+    them, so a padded row rounds exactly like the row alone.
     """
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / (e.sum(axis=axis, keepdims=True) if lengths is None else _prefix_sum(e, axis, lengths))
+    if lengths is None:
+        y = e / e.sum(axis=axis, keepdims=True)
+    else:
+        if not isinstance(lengths, LengthGroups):  # one grouping for this sum and the gradient's
+            lengths = LengthGroups(lengths, np.moveaxis(e, axis, -1).shape)
+        y = e / _prefix_sum(e, axis, lengths)
 
     def vjp(g: Tensor) -> tuple[Tensor]:
         out = ref()

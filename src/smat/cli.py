@@ -225,6 +225,7 @@ def cmd_train_student(args: argparse.Namespace) -> int:
             teacher,
             dio.Splits(train=student_pool, dev=splits.dev, test=splits.test, task=splits.task),
             student_cfg,
+            tctx=tctx,
         )
         run_dir = os.path.join(args.out, f"seed_{seed}")
         os.makedirs(run_dir, exist_ok=True)

@@ -110,10 +110,11 @@ class AttentionInternals:
 
 
 def is_batch(token_ids: object) -> bool:
-    """True for a batch of sequences (a 2-D array or a list of sequences)."""
+    """True for a batch of sequences: a 2-D array, or a list of sequences,
+    which an empty list is (an empty batch, not one empty sequence)."""
     if isinstance(token_ids, np.ndarray):
         return token_ids.ndim == 2
-    return len(token_ids) > 0 and hasattr(token_ids[0], "__len__")
+    return len(token_ids) == 0 or hasattr(token_ids[0], "__len__")
 
 
 def pad_bias(valid: np.ndarray, dtype) -> np.ndarray:
@@ -214,6 +215,8 @@ class MiniTransformer:
         """Validated ids, (L,) for one sequence or (B, L) for a batch, and the
         (B,) sequence lengths when some are shorter than L (else None)."""
         if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
+            if not token_ids:
+                raise ValueError("empty batch (no sequences)")
             rows = np.full((len(token_ids), max(len(s) for s in token_ids)), PAD_ID, dtype=np.int64)
             for row, seq in zip(rows, token_ids):
                 row[: len(seq)] = seq
@@ -284,9 +287,12 @@ class MiniTransformer:
         dt = embeddings.dtype
         valid = None if lengths is None else np.arange(length) < np.asarray(lengths)[:, None]
         key_bias = None if valid is None else ad.constant(pad_bias(valid, dt)[:, None, None, :])
-        key_lengths = None if valid is None else np.asarray(lengths)[:, None, None]
+        # one grouping of the (..., H, L) score rows by key length, shared by
+        # every layer's attention softmax and its gradient
+        key_lengths = None if valid is None else ad.LengthGroups(
+            np.asarray(lengths)[:, None, None], lead + (c.heads_per_layer, length, length))
         internals = AttentionInternals(valid=valid) if record else None
-        scale = ad.constant(np.asarray(1.0 / math.sqrt(c.head_dim), dtype=dt))
+        scale = ad.scalar(1.0 / math.sqrt(c.head_dim), dt)
         pool = ad.constant(_mean_weights(valid, lead, length, dt))
         split = lead + (length, c.heads_per_layer, c.head_dim)
 
@@ -331,10 +337,12 @@ class MiniTransformer:
     def predict(self, token_ids):
         """Predicted class index (classification) or score (regression).
 
-        One sequence gives one value, a batch a list of them, computed in
-        no-grad forwards of at most PREDICT_CHUNK sequences. Argmax ties
-        break toward the lowest index.
+        One sequence gives one value, a batch a list of them (an empty
+        batch, an empty list), computed in no-grad forwards of at most
+        PREDICT_CHUNK sequences. Argmax ties break toward the lowest index.
         """
+        if is_batch(token_ids) and len(token_ids) == 0:
+            return []
         with ad.no_grad():
             if is_batch(token_ids):
                 out = np.concatenate([
@@ -352,7 +360,7 @@ def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = ad.tmean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
     var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    denom = ad.sqrt(ad.add(var, ad.constant(np.asarray(LAYER_NORM_EPS, dtype=x.dtype))))
+    denom = ad.sqrt(ad.add(var, ad.scalar(LAYER_NORM_EPS, x.dtype)))
     return ad.add(ad.mul(ad.div(centered, denom), gain), bias)
 
 

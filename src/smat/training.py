@@ -52,7 +52,7 @@ from .explainers import (
     scope_head_indices,
 )
 from .metrics import simulability_accuracy, simulability_pearson
-from .model import MiniTransformer, ModelConfig, is_batch, task_loss
+from .model import PREDICT_CHUNK, MiniTransformer, ModelConfig, is_batch, task_loss
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +153,10 @@ class TeacherContext:
     The teacher's predictions, probabilities, head-logit matrices and static
     saliency maps are fixed once it is frozen, so each is computed once per
     distinct sequence. A lookup takes one sequence or a list, and computes the
-    unseen ones in one teacher call.
+    unseen ones in one teacher call per PREDICT_CHUNK of them. One context
+    serves every run that shares its teacher, mode, normalization and
+    ``ig_steps`` (see :meth:`check_serves`); ``train`` fills it for its whole
+    batch schedule before its first step.
     """
 
     def __init__(self, teacher: MiniTransformer, config: TrainConfig) -> None:
@@ -163,17 +166,29 @@ class TeacherContext:
         self.scope = config.explainer_scope()
         self._cache: dict[tuple[str, tuple[int, ...]], object] = {}
 
+    def check_serves(self, teacher: MiniTransformer, config: TrainConfig) -> None:
+        """Raise ValueError, naming the field, unless this context's values
+        are the ones a run of ``config`` against ``teacher`` would compute."""
+        if teacher is not self.teacher:
+            raise ValueError("teacher context was built for another teacher")
+        for name in ("mode", "normalize", "ig_steps"):
+            have, want = getattr(self.config, name), getattr(config, name)
+            if have != want:
+                raise ValueError(f"teacher context was built for {name}={have!r}, "
+                                 f"the run has {name}={want!r}")
+
     def _lookup(self, kind: str, token_ids, compute):
         """Cached ``kind`` values: one for one sequence, a list for a list.
 
-        ``compute`` maps the unseen sequences, each once and in first-seen
-        order, to the list of their values.
+        ``compute`` maps unseen sequences, each once and in first-seen order,
+        to the list of their values; it gets at most PREDICT_CHUNK at a time.
         """
         one = not is_batch(token_ids)
-        keys = [(kind, tuple(int(i) for i in ids)) for ids in ([token_ids] if one else token_ids)]
+        keys = [(kind, tuple(map(int, ids))) for ids in ([token_ids] if one else token_ids)]
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
-        if unseen:
-            self._cache.update(zip(unseen, compute([ids for _, ids in unseen])))
+        for start in range(0, len(unseen), PREDICT_CHUNK):
+            chunk = unseen[start : start + PREDICT_CHUNK]
+            self._cache.update(zip(chunk, compute([ids for _, ids in chunk])))
         values = [self._cache[k] for k in keys]
         return values[0] if one else values
 
@@ -456,11 +471,42 @@ def _sample_batch(rng: np.random.Generator, pool: Sequence[Example], size: int) 
     return [pool[int(i)] for i in idx]
 
 
+def _token_ids(*batches: Sequence[Example]) -> list:
+    """Token ids of the distinct examples in ``batches``, in first-seen order."""
+    unique = {id(ex): ex for batch in batches for ex in batch}
+    return [ex.token_ids for ex in unique.values()]
+
+
+def _fill_teacher_cache(
+    tctx: TeacherContext,
+    config: TrainConfig,
+    inner: Sequence[Sequence[Example]],
+    outer: Sequence[Sequence[Example]],
+    dev: Sequence[Example],
+) -> None:
+    """One batch lookup per kind for every teacher value a run will read.
+
+    ``inner`` and ``outer`` are the run's batch schedule (``outer`` empty
+    when no outer step runs) and ``dev`` the eval split (empty for a run
+    with no step). After it no lookup of the run computes anything.
+    """
+    if config.soft_targets and config.sim_loss == "cross_entropy":
+        tctx.probs(_token_ids(*inner, *outer))
+        tctx.target(_token_ids(dev))
+    else:
+        tctx.target(_token_ids(*inner, *outer, dev))
+    if config.effective_beta() != 0.0:
+        lookup = tctx.head_logits if config.mode_kind() == "smat" else tctx.static_saliency
+        lookup(_token_ids(*inner))
+
+
 def train(
     config: TrainConfig,
     teacher: MiniTransformer,
     splits: Splits,
     student_config: ModelConfig,
+    *,
+    tctx: TeacherContext | None = None,
 ) -> TrainResult:
     """Full student training run; deterministic given the config seed.
 
@@ -469,6 +515,12 @@ def train(
     from the dev split. Logs train loss, dev simulability, and the
     number of active teacher-head coefficients at every ``eval_every``
     steps.
+
+    The whole batch schedule is drawn first, and the teacher context
+    ``tctx`` (a new one if None) is filled for exactly the sequences it
+    holds, so no step runs the teacher. Runs that share a teacher, mode,
+    normalization and ``ig_steps`` can share one context; any other raises
+    ValueError.
     """
     if not splits.train or not splits.dev:
         raise ValueError("train and dev splits must be non-empty")
@@ -481,7 +533,10 @@ def train(
                          f"teacher task {teacher.config.task!r}")
     _check_sim_loss(config.sim_loss, student_config.task)
 
-    tctx = TeacherContext(teacher, config)
+    if tctx is None:
+        tctx = TeacherContext(teacher, config)
+    else:
+        tctx.check_serves(teacher, config)
     student = MiniTransformer(student_config, seed=config.seed, dtype=teacher.dtype)
     scope = config.explainer_scope()
     phi_s = Tensor(
@@ -499,14 +554,18 @@ def train(
     rng_inner = np.random.default_rng([config.seed, 0])
     rng_outer = np.random.default_rng([config.seed, 1])
     smat = config.mode_kind() == "smat"
+    inner = [_sample_batch(rng_inner, splits.train, config.batch_size) for _ in range(config.steps)]
+    outer = [_sample_batch(rng_outer, splits.dev, config.batch_size)
+             for _ in range(config.steps if smat else 0)]
+    outer_runs = smat and config.effective_beta() != 0.0 and config.eta_outer != 0.0
+    _fill_teacher_cache(tctx, config, inner, outer if outer_runs else [],
+                        splits.dev if config.steps else [])
 
     log: list[TrainRecord] = []
-    for step in range(1, config.steps + 1):
-        batch = _sample_batch(rng_inner, splits.train, config.batch_size)
+    for step, batch in enumerate(inner, start=1):
         inner_step(state, batch, config, tctx)
         if smat:
-            outer_batch = _sample_batch(rng_outer, splits.dev, config.batch_size)
-            outer_step(state, batch, outer_batch, config, tctx)
+            outer_step(state, batch, outer[step - 1], config, tctx)
         if step % config.eval_every == 0 or step == config.steps:
             try:
                 dev_sim = simulability(student, tctx, splits.dev)

@@ -369,11 +369,12 @@ def experiment():
     sims = {}
     phis = []
     for mode in ("none", "static:attn_all", "smat"):
+        # one teacher context per mode, shared by its seeds and their test sims
+        tctx = TeacherContext(teacher, _train_config(mode, STUDENT_SEEDS[0]))
         values = []
         for seed in STUDENT_SEEDS:
             config = _train_config(mode, seed)
-            result = train(config, teacher, student_pool, scfg)
-            tctx = TeacherContext(teacher, config)
+            result = train(config, teacher, student_pool, scfg, tctx=tctx)
             values.append(simulability(result.student, tctx, student_pool.test))
             if mode == "smat":
                 phis.append(result.phi_t.data.copy())

@@ -436,6 +436,71 @@ def test_float32_central_hypergradient_follows_the_step_rule_bit_for_bit(monkeyp
     assert state.phi_t.dtype == np.float32 and np.array_equal(state.phi_t.data, want)
 
 
+def test_float32_length_groups_built_once_round_like_each_row_alone():
+    """One grouping of (B, H, L, L) score rows by key length, as one forward
+    builds it, serves the softmax of two layers and their gradients."""
+    rng = np.random.default_rng(59)
+    lengths = np.array(LONG_LENGTHS + (10, 5))
+    heads, width = EXPERIMENT_TEACHER["heads_per_layer"], LONG_LEN
+    shape = (len(lengths), heads, width, width)
+    groups = ad.LengthGroups(lengths[:, None, None], shape)
+    for _ in range(2):  # one pass per layer
+        pad = np.arange(width) >= lengths[:, None, None, None]
+        x = np.where(pad, -1e9, rng.normal(size=shape)).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        outs = []
+        for lens in (groups, lengths[:, None, None]):
+            a = Tensor(x, requires_grad=True)
+            y = ad.softmax(a, axis=-1, lengths=lens)
+            outs.append((y.data, ad.backward(ad.tsum(ad.mul(y, ad.constant(g))), [a])[0].data))
+        assert np.array_equal(outs[0][0], outs[1][0]) and np.array_equal(outs[0][1], outs[1][1])
+        sums = ad._prefix_sum(x, -1, groups)
+        for b, n in enumerate(lengths):
+            a = Tensor(x[b, :, :, :n], requires_grad=True)
+            y = ad.softmax(a, axis=-1)
+            grad = ad.backward(ad.tsum(ad.mul(y, ad.constant(g[b, :, :, :n]))), [a])[0].data
+            assert np.array_equal(outs[0][0][b, :, :, :n], y.data)
+            assert np.array_equal(outs[0][1][b, :, :, :n], grad)
+            assert np.array_equal(sums[b, :, :, 0], x[b, :, :, :n].sum(axis=-1))
+    with pytest.raises(ValueError, match="length groups"):
+        ad._prefix_sum(np.zeros(shape[:-1] + (width - 1,), dtype=np.float32), -1, groups)
+
+
+# ---------------------------------------------------------------------------
+# an empty list is an empty batch
+
+
+def test_predict_of_an_empty_batch_is_empty():
+    net = model(61)
+    assert net.predict([]) == []
+    with pytest.raises(ValueError, match="empty batch"):
+        net.forward([])
+
+
+@pytest.mark.parametrize("name", explainers.STATIC_EXPLAINERS)
+def test_static_saliency_of_an_empty_batch_is_empty(name):
+    assert compute_static_saliency(model(63), [], name) == []
+
+
+def test_parameterized_explanation_of_an_empty_batch_is_empty():
+    net = model(65)
+    phi = Tensor(np.zeros(net.config.total_heads))
+    assert explain_parameterized(net, [], ExplainerParams(phi)) == []
+
+
+@pytest.mark.parametrize("lookup", ["target", "probs", "head_logits", "static_saliency"])
+def test_a_teacher_lookup_of_an_empty_batch_calls_no_teacher(monkeypatch, lookup):
+    teacher = model(67)
+    tctx = TeacherContext(teacher, TrainConfig(mode="static:attn_all"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("teacher called")
+
+    for name in ("forward", "forward_from_embeddings", "predict"):
+        monkeypatch.setattr(teacher, name, refuse)
+    assert getattr(tctx, lookup)([]) == []
+
+
 # ---------------------------------------------------------------------------
 # teacher cache: a batch lookup equals the per-sequence teacher calls
 

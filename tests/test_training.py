@@ -1,11 +1,13 @@
 """Student loss, inner/outer steps, hypergradient fidelity, full runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smat import autodiff as ad
+from smat import training
 from smat.autodiff import Tensor
 from smat.data import SyntheticSpec, attach_token_ids, build_vocab, generate_synthetic, split_dataset
 from smat.explainers import ExplainerParams, compute_static_saliency, scope_head_indices
@@ -502,6 +504,152 @@ def test_static_mode_uses_cached_teacher_saliency():
     want = compute_static_saliency(teacher, ex.token_ids, "attn_all")
     assert np.array_equal(sal.data, want.scores)
     assert tctx.teacher_saliency(ex.token_ids, Tensor(np.zeros(1))).data is not None
+
+
+# ---------------------------------------------------------------------------
+# one teacher cache per run schedule, shared across runs
+
+
+def fixture_shaped_setup(mode, seed=0, **overrides):
+    """float32 teacher at the acceptance experiment's shapes, lengths 5-10."""
+    data = generate_synthetic(SyntheticSpec(seed=7, vocab_size=200, noise_ratio=0.75,
+                                            min_len=5, max_len=10), 120)
+    vocab = build_vocab(data.examples)
+    data = attach_token_ids(data, vocab)
+    splits = split_dataset(data, seed=0)
+    teacher = MiniTransformer(
+        ModelConfig(vocab_size=len(vocab), max_len=10, num_layers=2, heads_per_layer=4,
+                    model_dim=32, head_dim=8, ffn_dim=64), seed=1, dtype=np.float32)
+    student_config = ModelConfig(vocab_size=len(vocab), max_len=10, num_layers=1,
+                                 heads_per_layer=2, model_dim=8, head_dim=4, ffn_dim=16)
+    defaults = dict(mode=mode, steps=5, batch_size=8, seed=seed, eta_outer=0.2, eval_every=2)
+    defaults.update(overrides)
+    return teacher, splits, student_config, TrainConfig(**defaults)
+
+
+def lazy_train(config, teacher, splits, student_config):
+    """Oracle: the step loop with interleaved batch draws and a context that
+    computes each teacher value the first time a step asks for it."""
+    state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    rng_inner = np.random.default_rng([config.seed, 0])
+    rng_outer = np.random.default_rng([config.seed, 1])
+    log = []
+    for step in range(1, config.steps + 1):
+        batch = [splits.train[int(i)] for i in rng_inner.integers(
+            0, len(splits.train), size=min(config.batch_size, len(splits.train)))]
+        inner_step(state, batch, config, tctx)
+        if config.mode_kind() == "smat":
+            outer = [splits.dev[int(i)] for i in rng_outer.integers(
+                0, len(splits.dev), size=min(config.batch_size, len(splits.dev)))]
+            outer_step(state, batch, outer, config, tctx)
+        if step % config.eval_every == 0 or step == config.steps:
+            log.append((step, state.last_loss, simulability(state.student, tctx, splits.dev),
+                        count_active_heads(state.phi_t, config.normalize)))
+    return state, log
+
+
+def assert_same_run(result, state, log):
+    for name in state.student.param_names():
+        got, want = result.student.params[name].data, state.student.params[name].data
+        assert got.dtype == np.float32 and np.array_equal(got, want), name
+    assert np.array_equal(result.phi_t.data, state.phi_t.data)
+    assert np.array_equal(result.phi_s.data, state.phi_s.data)
+    assert [(r.step, r.train_loss, r.dev_simulability, r.active_heads) for r in result.log] == log
+
+
+@pytest.mark.parametrize("mode", ["smat", "static:attn_all", "none"])
+def test_float32_train_with_a_fresh_or_shared_filled_context_is_bit_identical(mode):
+    teacher, splits, student_config, config = fixture_shaped_setup(mode)
+    state, log = lazy_train(config, teacher, splits, student_config)
+    assert_same_run(train(config, teacher, splits, student_config), state, log)
+    shared = TeacherContext(teacher, config)
+    train(replace(config, seed=1), teacher, splits, student_config, tctx=shared)
+    for _ in range(2):  # partly filled by seed 1, then filled by this run
+        assert_same_run(train(config, teacher, splits, student_config, tctx=shared), state, log)
+
+
+def record_teacher_calls(monkeypatch, tctx):
+    """(kind, sequence count) of each teacher call the context makes."""
+    calls = []
+    lookup = tctx._lookup
+
+    def recording(kind, token_ids, compute):
+        def counted(batch):
+            calls.append((kind, len(batch)))
+            return compute(batch)
+        return lookup(kind, token_ids, counted)
+
+    monkeypatch.setattr(tctx, "_lookup", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode,overrides,kinds", [
+    ("smat", {}, ["target", "head_logits"]),
+    ("static:attn_all", {}, ["target", "static"]),
+    ("none", {}, ["target"]),
+    ("smat", {"soft_targets": True}, ["probs", "target", "head_logits"]),
+])
+def test_a_run_computes_each_teacher_kind_once_before_its_first_step(monkeypatch, mode, overrides,
+                                                                     kinds):
+    teacher, splits, student_config, config = fixture_shaped_setup(mode, steps=8, batch_size=4,
+                                                                   **overrides)
+    # small enough that the first run's schedule draws every sequence
+    splits = replace(splits, train=splits.train[:5], dev=splits.dev[:5])
+    tctx = TeacherContext(teacher, config)
+    calls = record_teacher_calls(monkeypatch, tctx)
+    in_step, forwards = [False], []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            forwards.append(in_step[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def stepping(fn):
+        def wrapper(*args, **kwargs):
+            in_step[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_step[0] = False
+        return wrapper
+
+    monkeypatch.setattr(teacher, "forward", counting(teacher.forward))
+    monkeypatch.setattr(teacher, "forward_from_embeddings", counting(teacher.forward_from_embeddings))
+    monkeypatch.setattr(training, "inner_step", stepping(training.inner_step))
+    monkeypatch.setattr(training, "outer_step", stepping(training.outer_step))
+    train(config, teacher, splits, student_config, tctx=tctx)
+    assert [kind for kind, _ in calls] == kinds
+    assert forwards and not any(forwards)  # teacher forwards ran, none inside a step
+    ran = len(forwards)
+    train(replace(config, seed=1), teacher, splits, student_config, tctx=tctx)
+    assert len(calls) == len(kinds) and len(forwards) == ran
+
+
+def test_a_short_run_fills_only_the_sequences_its_schedule_touches(monkeypatch):
+    teacher, splits, student_config, config = fixture_shaped_setup("smat", steps=1, batch_size=4)
+    tctx = TeacherContext(teacher, config)
+    calls = record_teacher_calls(monkeypatch, tctx)
+    train(config, teacher, splits, student_config, tctx=tctx)
+    sizes = dict(calls)
+    assert len(calls) == len(sizes) and len(splits.train) > 4
+    assert 1 <= sizes["head_logits"] <= 4  # one inner batch, not the train split
+    assert len(splits.dev) <= sizes["target"] <= len(splits.dev) + 4
+
+
+def test_train_rejects_a_context_for_another_run():
+    teacher, splits, student_config, config = make_setup(mode="smat", normalize="softmax")
+    other = MiniTransformer(teacher.config, seed=9, dtype=teacher.dtype)
+    with pytest.raises(ValueError, match="another teacher"):
+        train(config, teacher, splits, student_config, tctx=TeacherContext(other, config))
+    for field_, value in (("mode", "static:attn_all"), ("normalize", "sparsemax"),
+                          ("ig_steps", 3)):
+        tctx = TeacherContext(teacher, replace(config, **{field_: value}))
+        with pytest.raises(ValueError, match=field_):
+            train(config, teacher, splits, student_config, tctx=tctx)
+    # another seed, step count or rate is fine
+    train(config, teacher, splits, student_config,
+          tctx=TeacherContext(teacher, replace(config, seed=4, steps=1, eta_outer=0.0)))
 
 
 # ---------------------------------------------------------------------------
