@@ -162,11 +162,13 @@ def head_logit_matrix(
     token_ids: Sequence[int],
     scope: str = "all",
 ) -> np.ndarray:
-    """(in-scope heads, L) matrix of mean attention-score rows; (B, heads, L) for a batch."""
+    """(in-scope heads, L) matrix of mean attention-score rows; (B, heads, L) for a batch.
+
+    Runs only the no-grad ``attention_internals`` prefix of the forward.
+    """
     first = scope_head_indices(model, scope)[0] // model.config.heads_per_layer
     with ad.no_grad():
-        _, internals = model.forward(token_ids, record=True)
-        return head_saliency_logits(internals, first).data
+        return head_saliency_logits(model.attention_internals(token_ids), first).data
 
 
 def explain_parameterized(
@@ -176,20 +178,21 @@ def explain_parameterized(
 ) -> Saliency | list[Saliency]:
     """Learned head-combination explanation (value form).
 
-    One sequence gives one Saliency, a list a list of them. A list runs one
-    recorded no-grad forward per sequence length, unpadded: a padded row's
-    head mix (a 1 x heads by heads x L BLAS product) can round one ulp away
-    from the sequence's own, so this keeps each one's bits. The
-    differentiable form is :func:`saliency_from_internals`.
+    One sequence gives one Saliency, a list a list of them. Each runs only
+    the no-grad ``attention_internals`` prefix of the forward, one per
+    sequence length, unpadded: a padded row's head mix (a 1 x heads by
+    heads x L BLAS product) can round one ulp away from the sequence's own,
+    so this keeps each one's bits. The differentiable form is
+    :func:`saliency_from_internals`.
     """
     with ad.no_grad():
         if not is_batch(token_ids):
-            _, internals = model.forward(token_ids, record=True)
+            internals = model.attention_internals(token_ids)
             return Saliency(scores=saliency_from_internals(internals, params).data)
         out = [None] * len(token_ids)
         for length in dict.fromkeys(len(ids) for ids in token_ids):
             idx = [i for i, ids in enumerate(token_ids) if len(ids) == length]
-            _, internals = model.forward([token_ids[i] for i in idx], record=True)
+            internals = model.attention_internals([token_ids[i] for i in idx])
             scores = saliency_from_internals(internals, params).data
             valid = np.ones(scores.shape, dtype=bool) if internals.valid is None else internals.valid
             for i, row, keep in zip(idx, scores, valid):
@@ -262,16 +265,25 @@ def integrated_gradients_raw(
     completeness (sum of attributions vs. their difference) can be checked
     directly.
     """
+    raw, base, target = _integrated_gradients(model, token_ids, steps)
+    with ad.no_grad():
+        at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
+            Tensor(x, dtype=base.dtype)), target).item() for x in (base, np.zeros_like(base)))
+    return raw, at_input, at_baseline
+
+
+def _integrated_gradients(
+    model,
+    token_ids: Sequence[int],
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Per-token raw attributions, the input embeddings and the predicted label."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     grads, base, target = _path_gradients(model, token_ids, np.arange(1, steps + 1) / steps)
     avg = grads.astype(np.float64).sum(axis=0) / steps
     raw = (base.astype(np.float64) * avg).sum(axis=1)
-
-    with ad.no_grad():
-        at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
-            Tensor(x, dtype=base.dtype)), target).item() for x in (base, np.zeros_like(base)))
-    return raw.astype(base.dtype), at_input, at_baseline
+    return raw.astype(base.dtype), base, target
 
 
 def explain_integrated_gradients(
@@ -279,7 +291,9 @@ def explain_integrated_gradients(
     token_ids: Sequence[int],
     steps: int = IG_STEPS_EVAL,
 ) -> Saliency:
-    raw, _, _ = integrated_gradients_raw(model, token_ids, steps)
+    """Softmax over :func:`integrated_gradients_raw`'s attributions, without
+    its completeness losses: two forwards per sequence, not four."""
+    raw = _integrated_gradients(model, token_ids, steps)[0]
     return Saliency(scores=_simplex(raw), raw=raw)
 
 

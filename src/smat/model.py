@@ -5,7 +5,11 @@ embeddings, pre-norm blocks with ReLU feed-forwards, and a softmax
 scalar mix over mean-pooled per-layer outputs feeding the task head.
 Forward passes can record per-layer attention internals (post-projection
 queries and keys, pre-softmax scores, attention weights), which
-downstream saliency code consumes.
+downstream saliency code consumes. ``attention_internals`` records the
+same tensors from a prefix of the forward that stops at the last layer's
+attention; every caller that reads only the internals uses it (the
+attention explainers, the teacher head-logit cache and the phi_T probes),
+while the training losses keep the full forward.
 
 A forward pass takes one sequence or a batch, and builds one graph over
 (B, L, model_dim) tensors with the heads split by reshape to
@@ -92,6 +96,11 @@ class ModelConfig:
 @dataclass
 class AttentionInternals:
     """Recorded attention internals of one forward pass, one entry per layer.
+
+    ``MiniTransformer.forward(..., record=True)`` returns them beside the
+    output; ``MiniTransformer.attention_internals`` returns the same
+    tensors alone, from a forward that stops after the last layer's
+    attention.
 
     Shapes are (..., H, L, .), where ``...`` is empty for one sequence and
     (B,) for a batch. ``valid`` is the (B, L) mask of non-pad positions, or
@@ -266,16 +275,36 @@ class MiniTransformer:
             self._embed(ids, params), record=record, params=params, lengths=lengths
         )
 
+    def attention_internals(
+        self, token_ids, params: dict[str, Tensor] | None = None
+    ) -> AttentionInternals:
+        """The attention internals ``forward(token_ids, record=True)`` records.
+
+        Runs the same layer loop, stopping once the last layer's scores and
+        attention are recorded: no last-layer value projection, attention
+        output or feed-forward, and no pooling, layer mix or head, whose
+        parameters it never reads. Each recorded tensor comes from the same
+        ops on the same inputs, so it matches the full forward's bit for bit.
+        """
+        ids, lengths = self._batch_ids(token_ids)
+        return self.forward_from_embeddings(
+            self._embed(ids, params), params=params, lengths=lengths, _scores_only=True
+        )
+
     def forward_from_embeddings(
         self,
         embeddings: Tensor,
         record: bool = False,
         params: dict[str, Tensor] | None = None,
         lengths: np.ndarray | None = None,
+        *,
+        _scores_only: bool = False,
     ):
         """Run the encoder on (L, model_dim) or (B, L, model_dim) embeddings.
 
         ``lengths`` gives each batch row's valid prefix; None means no padding.
+        ``_scores_only`` (for :meth:`attention_internals`) returns the
+        internals as soon as the last layer has recorded its attention.
         """
         p = params if params is not None else self.params
         c = self.config
@@ -291,35 +320,39 @@ class MiniTransformer:
         # every layer's attention softmax and its gradient
         key_lengths = None if valid is None else ad.LengthGroups(
             np.asarray(lengths)[:, None, None], lead + (c.heads_per_layer, length, length))
-        internals = AttentionInternals(valid=valid) if record else None
+        internals = AttentionInternals(valid=valid) if record or _scores_only else None
         scale = ad.scalar(1.0 / math.sqrt(c.head_dim), dt)
-        pool = ad.constant(_mean_weights(valid, lead, length, dt))
+        pool = None if _scores_only else ad.constant(_mean_weights(valid, lead, length, dt))
         split = lead + (length, c.heads_per_layer, c.head_dim)
+
+        def heads(u: Tensor, weight: Tensor) -> Tensor:  # (..., L, D) -> (..., H, L, head_dim)
+            return _swap_heads(ad.reshape(ad.matmul(u, weight), split))
 
         h = embeddings
         layer_pools: list[Tensor] = []
         for layer in range(c.num_layers):
             prefix = f"layers.{layer}"
             u = _layer_norm(h, p[f"{prefix}.attn.norm.gain"], p[f"{prefix}.attn.norm.bias"])
-            q, k, v = (
-                _swap_heads(ad.reshape(ad.matmul(u, p[f"{prefix}.attn.{w}"]), split))
-                for w in ("wq", "wk", "wv")
-            )
+            q, k = heads(u, p[f"{prefix}.attn.wq"]), heads(u, p[f"{prefix}.attn.wk"])
             scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
             attn = ad.softmax(scores if key_bias is None else ad.add(scores, key_bias), axis=-1,
                               lengths=key_lengths)
+            if internals is not None:
+                internals.queries.append(q)
+                internals.keys.append(k)
+                internals.scores.append(scores)
+                internals.attention.append(attn)
+            if _scores_only and layer == c.num_layers - 1:
+                return internals
+            v = heads(u, p[f"{prefix}.attn.wv"])
             ctx = ad.reshape(_swap_heads(ad.matmul(attn, v)), lead + (length, c.model_dim))
             h = ad.add(h, ad.matmul(ctx, p[f"{prefix}.attn.wo"]))
             u2 = _layer_norm(h, p[f"{prefix}.ffn.norm.gain"], p[f"{prefix}.ffn.norm.bias"])
             f = ad.add(ad.matmul(u2, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"])
             f = ad.add(ad.matmul(ad.relu(f), p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
             h = ad.add(h, f)
-            layer_pools.append(ad.matmul(pool, h))  # (..., 1, D)
-            if internals is not None:
-                internals.queries.append(q)
-                internals.keys.append(k)
-                internals.scores.append(scores)
-                internals.attention.append(attn)
+            if pool is not None:
+                layer_pools.append(ad.matmul(pool, h))  # (..., 1, D)
 
         # One softmax per example, so the scalars' gradient sums per-example
         # terms in order, as for a sequence forwarded alone.

@@ -375,7 +375,7 @@ def _phi_t_gradient(
     ids = [ex.token_ids for ex in batch]
     phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
     with ad.no_grad():
-        _, internals = state.student.forward(ids, record=True, params=probe_params)
+        internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
     expl = _kl_sum(tctx.teacher_saliency(ids, phi_leaf), e_s, config)
     loss = _scaled(expl, config.effective_beta() / len(ids))

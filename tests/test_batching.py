@@ -626,3 +626,69 @@ def test_integrated_gradients_points_match_a_per_point_loop(dtype):
             assert np.array_equal(grads, want_grads) and np.array_equal(raw, want_raw)
         else:
             assert rel_err(grads, want_grads) < TOL and rel_err(raw, want_raw) < TOL
+
+
+def test_float32_explain_integrated_gradients_skips_the_completeness_forwards(monkeypatch):
+    teacher = model(59, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    pool = explainer_pool(61, count=4)
+    want = [explainers._simplex(integrated_gradients_raw(teacher, seq, 5)[0]) for seq in pool]
+    calls = []
+    run = teacher.forward_from_embeddings
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(teacher, "forward_from_embeddings", counting)
+    for seq, scores in zip(pool, want):
+        before = len(calls)
+        sal = explainers.explain_integrated_gradients(teacher, seq, steps=5)
+        assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, scores)
+        assert len(calls) - before == 2  # the predicted label and the path's gradients
+
+
+# ---------------------------------------------------------------------------
+# attention internals: the forward's prefix up to the last layer's scores
+
+STUDENT_SHAPE = dict(num_layers=1)  # tiny_config's 1 layer x 2 heads
+
+
+def assert_internals_equal(got, want):
+    assert (got.valid is None) == (want.valid is None)
+    if want.valid is not None:
+        assert np.array_equal(got.valid, want.valid)
+    for kind in ("queries", "keys", "scores", "attention"):
+        a, b = getattr(got, kind), getattr(want, kind)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.dtype == np.float32 and np.array_equal(x.data, y.data)
+
+
+@pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, STUDENT_SHAPE], ids=["teacher", "student"])
+def test_float32_attention_internals_are_bit_identical_to_a_recorded_forward(shape):
+    net = model(71, np.float32, max_len=LONG_LEN, **shape)
+    rng = np.random.default_rng(73)
+    seqs = [rng.integers(1, VOCAB, size=n).tolist() for n in LONG_LENGTHS]
+    probe = {name: Tensor(t.data + (1e-3 * rng.standard_normal(t.shape)).astype(np.float32),
+                          requires_grad=True, name=name)
+             for name, t in net.params.items()}
+    for params in (None, probe):
+        for ids in (seqs[0], seqs):
+            with ad.no_grad():
+                _, want = net.forward(ids, record=True, params=params)
+                got = net.attention_internals(ids, params=params)
+            assert_internals_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, STUDENT_SHAPE], ids=["teacher", "student"])
+def test_attention_internals_read_no_parameter_past_the_last_scores(shape):
+    net = model(75, np.float32, max_len=LONG_LEN, **shape)
+    last = f"layers.{net.config.num_layers - 1}"
+    unread = (f"{last}.attn.wv", f"{last}.attn.wo", f"{last}.ffn.", "head.", "mix.scalars")
+    prefix = {name: t for name, t in net.params.items() if not name.startswith(unread)}
+    assert f"{last}.ffn.norm.gain" not in prefix and "head.weight" not in prefix
+    seqs = random_ids(np.random.default_rng(77), 5)
+    _, want = net.forward(seqs, record=True)
+    assert_internals_equal(net.attention_internals(seqs, params=prefix), want)
+    with pytest.raises(KeyError):
+        net.forward(seqs, params=prefix)
