@@ -19,6 +19,10 @@ for a parent that does not require grad; :func:`backward` skips those.
 A closure that needs its own op's output (``exp``, ``sqrt``, ``softmax``)
 holds it by weak reference, so a graph has no reference cycles and is
 freed as soon as its last tensor is dropped, not by the cyclic collector.
+Constants that only a gradient reads (the pass-through masks of ``relu``
+and ``clip``, the support of ``sparsemax``) are built inside the closure,
+so a forward that records no graph never builds them.
+:func:`records_graph` is the one test of whether an op records a node.
 
 ``matmul`` broadcasts over leading axes, ``transpose`` permutes any axes
 and ``narrow``/``concat`` work along any axis, so a model can run a whole
@@ -92,9 +96,9 @@ class enable_grad:
         return False
 
 
-def _ensure_finite(arr: np.ndarray, where: str) -> None:
-    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values produced by '{where}'")
+def all_finite(arr: np.ndarray) -> bool:
+    """True when every element is finite: one sum, elementwise only if it overflows."""
+    return math.isfinite(np.add.reduce(arr, None)) or bool(np.isfinite(arr).all())
 
 
 class Tensor:
@@ -117,7 +121,8 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        _ensure_finite(arr, name or "leaf")
+        if not all_finite(arr):
+            raise NonFiniteError(f"non-finite values produced by '{name or 'leaf'}'")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -158,52 +163,6 @@ class Tensor:
         tag = self.name or self._op
         return f"Tensor({tag}, shape={self.shape}, dtype={self.data.dtype})"
 
-    # Operator sugar. Scalars and ndarrays lift to constant tensors.
-    def __add__(self, other: object) -> "Tensor":
-        return add(self, _lift(other, self.dtype))
-
-    def __radd__(self, other: object) -> "Tensor":
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other: object) -> "Tensor":
-        return sub(self, _lift(other, self.dtype))
-
-    def __rsub__(self, other: object) -> "Tensor":
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other: object) -> "Tensor":
-        return mul(self, _lift(other, self.dtype))
-
-    def __rmul__(self, other: object) -> "Tensor":
-        return mul(_lift(other, self.dtype), self)
-
-    def __truediv__(self, other: object) -> "Tensor":
-        return div(self, _lift(other, self.dtype))
-
-    def __rtruediv__(self, other: object) -> "Tensor":
-        return div(_lift(other, self.dtype), self)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return reshape(self, shape)
-
-
-def _lift(x: object, dtype: np.dtype | type) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
 
 def constant(x: object, dtype: np.dtype | type | None = None) -> Tensor:
     """Wrap a value as a non-differentiable tensor."""
@@ -218,25 +177,35 @@ def scalar(value: float, dtype: np.dtype | type) -> Tensor:
     return out
 
 
+def records_graph(parents: Sequence[Tensor]) -> bool:
+    """True when an op on ``parents`` records a graph node: grad is enabled
+    and some parent requires grad."""
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
+
+
 def _from_op(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
-    vjp: Callable[[Tensor], tuple[Tensor | None, ...]],
+    vjp: Callable[[Tensor], tuple[Tensor | None, ...]] | None,
     op: str,
 ) -> Tensor:
+    """An op's output node; ``vjp`` may be None only if it records no graph."""
     arr = np.asarray(data)
-    _ensure_finite(arr, op)
+    if not all_finite(arr):
+        raise NonFiniteError(f"non-finite values produced by '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.name = None
     out._op = op
-    if _grad_enabled:
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = parents
-                out._vjp = vjp
-                return out
+    if records_graph(parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._vjp = vjp
+        return out
     out.requires_grad = False
     out._parents = ()
     out._vjp = None
@@ -338,8 +307,10 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = constant((a.data > 0).astype(a.dtype.type))
-    return _from_op(np.maximum(a.data, 0), (a,), lambda g: (mul(g, mask),), "relu")
+    """max(a, 0); the gradient's pass-through mask is built only when a gradient is taken."""
+    x = a.data
+    return _from_op(np.maximum(x, 0), (a,), lambda g: (mul(g, constant((x > 0).astype(x.dtype.type))),),
+                    "relu")
 
 
 def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
@@ -670,11 +641,11 @@ def sparsemax(z: Tensor) -> Tensor:
         rows = [r.tobytes() for r in z.data.reshape(-1, z.shape[-1])]
         done = {key: sparsemax_project(np.frombuffer(key, dtype=z.dtype)) for key in set(rows)}
         p = np.stack([done[key] for key in rows]).reshape(z.shape)
-    support = constant((p > 0).astype(z.dtype.type))
-    inv_size = constant((1.0 / (p > 0).sum(axis=-1, keepdims=True)).astype(z.dtype))
 
     def vjp(g: Tensor) -> tuple[Tensor]:
         # J = Diag(m) - m m^T / |S| on the support indicator m, per row.
+        support = constant((p > 0).astype(z.dtype.type))
+        inv_size = constant((1.0 / (p > 0).sum(axis=-1, keepdims=True)).astype(z.dtype))
         masked = mul(g, support)
         total = tsum(masked, axis=-1, keepdims=True)
         correction = mul(support, mul(total, inv_size))

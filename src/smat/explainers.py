@@ -210,14 +210,6 @@ def _output_loss(model, output: Tensor, target: int | None) -> Tensor:
     return output
 
 
-def _prediction_target(model, token_ids: Sequence[int]) -> int | None:
-    if model.config.task != "classification":
-        return None
-    with ad.no_grad():
-        out = model.forward(token_ids)
-    return int(np.argmax(out.data))
-
-
 def _path_gradients(
     model,
     token_ids: Sequence[int],
@@ -227,14 +219,18 @@ def _path_gradients(
 
     Returns the (K, L, D) gradients, the (L, D) input embeddings x and the
     predicted label. Each scaled copy is one row of a (K, L, D) batch with
-    its own loss, so its gradient is the one it has alone.
+    its own loss, so its gradient is the one it has alone. The last alpha
+    must be 1: that row is x itself, and its output gives the label.
     """
-    target = _prediction_target(model, token_ids)
+    if alphas[-1] != 1:
+        raise ValueError(f"the last path point must be alpha = 1, got {alphas[-1]}")
     with ad.no_grad():
         base = model.input_embeddings(token_ids).data
     points = np.asarray(alphas, dtype=base.dtype)[:, None, None] * base
     x = Tensor(points, requires_grad=True, dtype=base.dtype)
-    loss = ad.tsum(_output_loss(model, model.forward_from_embeddings(x), target))
+    out = model.forward_from_embeddings(x)
+    target = int(np.argmax(out.data[-1])) if model.config.task == "classification" else None
+    loss = ad.tsum(_output_loss(model, out, target))
     return ad.backward(loss, [x])[0].data, base, target
 
 
@@ -292,7 +288,7 @@ def explain_integrated_gradients(
     steps: int = IG_STEPS_EVAL,
 ) -> Saliency:
     """Softmax over :func:`integrated_gradients_raw`'s attributions, without
-    its completeness losses: two forwards per sequence, not four."""
+    its completeness losses: one forward per sequence, not three."""
     raw = _integrated_gradients(model, token_ids, steps)[0]
     return Saliency(scores=_simplex(raw), raw=raw)
 

@@ -23,6 +23,15 @@ unpadded sequence's; the attention softmax sums only the valid keys, so
 they round alike too (see ``autodiff.softmax``). Trailing pads shared by every
 sequence are dropped first, so one sequence runs with no mask at all.
 A pad id in the interior of a sequence is rejected as malformed input.
+Ids with no pad, every id in the vocabulary and at most ``max_len`` per
+sequence skip the rest of that validation: there is nothing to strip or
+reject.
+
+A forward that records no graph (grad disabled, or no input requiring
+grad, as for a frozen teacher) runs each layer norm as one node: the op
+chain's numpy expressions in the chain's order, so its bits are the
+chain's. If the variance or the output comes out non-finite, the op chain
+runs instead and raises naming its op, as a recorded forward does.
 """
 
 from __future__ import annotations
@@ -231,6 +240,10 @@ class MiniTransformer:
                 row[: len(seq)] = seq
         else:
             rows = np.asarray(token_ids, dtype=np.int64)
+        # No pad (the lowest id) and every id in range: nothing to strip or check.
+        if (rows.ndim in (1, 2) and rows.size and rows.shape[-1] <= self.config.max_len
+                and rows.min() > PAD_ID and rows.max() < self.config.vocab_size):
+            return rows, None
         one = rows.ndim == 1
         rows = rows.reshape(1, -1) if one else rows
         if rows.ndim != 2:
@@ -390,6 +403,24 @@ class MiniTransformer:
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm over the last axis, scaled by ``gain`` and shifted by ``bias``.
+
+    A recorded forward runs the op chain below. One that records no graph
+    runs the chain's numpy expressions in the same order as one node, so
+    its bits are the chain's. From finite inputs only ``var`` or the output
+    can come out non-finite; then the chain runs, and raises naming its op.
+    """
+    if not ad.records_graph((x, gain, bias)):
+        inv_n = ad.scalar(1.0 / x.shape[-1], x.dtype).data
+        centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+        if ad.all_finite(var):
+            denom = np.sqrt(var + ad.scalar(LAYER_NORM_EPS, x.dtype).data)
+            try:
+                return ad._from_op(centered / denom * gain.data + bias.data, (x, gain, bias), None,
+                                   "layer_norm")
+            except ad.NonFiniteError:
+                pass  # the op chain raises, naming the op that went non-finite
     mu = ad.tmean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
     var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)

@@ -124,8 +124,31 @@ def test_clip_zeroes_gradient_outside_range():
     assert np.array_equal(g.data, np.array([0.0, 1.0, 0.0]))
 
 
-# ---------------------------------------------------------------------------
-# shape and gather ops
+def test_sparsemax_row_stack_gradients_at_stable_points():
+    def build(rng):
+        z = rng.normal(scale=1.2, size=(3, 4))
+        p = np.stack([ad.sparsemax_project(row) for row in z])
+        z[(p > 0) & (p < 1e-3)] += 0.1  # keep FD off support changes
+
+        def f(ts):
+            return weighted_sum(ad.sparsemax(ts[0]), np.random.default_rng(6))
+
+        return [z], f
+
+    check_op_gradients(build)
+
+
+@pytest.mark.parametrize("op", [ad.relu, lambda t: ad.clip(t, lo=-0.5, hi=0.5), ad.sparsemax])
+def test_masks_are_built_only_when_a_gradient_is_taken(monkeypatch, op):
+    x = ad.Tensor(np.array([[0.4, -1.0, 0.9], [0.1, 0.2, -0.3]]), requires_grad=True, dtype=np.float64)
+    built = []
+    real = ad.constant
+    monkeypatch.setattr(ad, "constant", lambda *a, **k: built.append(1) or real(*a, **k))
+    with ad.no_grad():
+        op(x)
+    assert not built
+    ad.backward(ad.tsum(op(x)), [x])
+    assert built
 
 
 def test_matmul_transpose_gradients():
@@ -354,7 +377,7 @@ def test_square_gradient_at_three():
 def test_gradient_shapes_match_parameters():
     shapes = [(), (3,), (2, 2)]
     tensors = [ad.Tensor(np.ones(s), requires_grad=True, dtype=np.float64) for s in shapes]
-    loss = ad.tsum(tensors[0] * tensors[0])
+    loss = ad.tsum(ad.mul(tensors[0], tensors[0]))
     for t in tensors[1:]:
         loss = ad.add(loss, ad.tsum(ad.mul(t, t)))
     grads = ad.backward(loss, tensors)

@@ -25,7 +25,7 @@ from smat.explainers import (
     saliency_from_internals,
     scope_head_indices,
 )
-from smat.model import PAD_ID, MiniTransformer, head_saliency_logits
+from smat.model import PAD_ID, MiniTransformer, _layer_norm, head_saliency_logits
 from smat.training import (
     TeacherContext,
     TrainConfig,
@@ -152,17 +152,33 @@ def test_batched_predict_matches_one_at_a_time():
     assert net.predict(seqs) == [0] * len(seqs)  # ties go to the lowest class index
 
 
-@pytest.mark.parametrize("bad", [
-    [[2, 3], [4, PAD_ID, 5]],  # interior pad in one row
-    [[2, 3], [PAD_ID, PAD_ID]],  # a row with no tokens
-    [[2, 3], [4, VOCAB]],  # id out of range
-    [[2, 3], [1] * (MAX_LEN + 1)],  # longer than max_len
+TOO_LONG = f"sequence length {MAX_LEN + 1} exceeds max_len {MAX_LEN}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[2, 3], [4, PAD_ID, 5]], "pad id found in the interior of a sequence"),
+    ([[2, 3], [PAD_ID, PAD_ID]], r"empty sequence \(no non-pad tokens\)"),
+    ([[2, 3], [4, VOCAB]], f"token id {VOCAB} out of range for vocab size {VOCAB}"),
+    ([[2, 3], [1] * (MAX_LEN + 1)], TOO_LONG),
 ])
-def test_batch_validation_rejects_each_bad_row(bad):
-    with pytest.raises(ValueError):
+def test_batch_validation_rejects_each_bad_row(bad, message):
+    with pytest.raises(ValueError, match=message):
         model(0).forward(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         model(0).forward(padded(bad, width=MAX_LEN + 1))
+
+
+# Unpadded batches, which first meet the no-pad early exit's checks.
+@pytest.mark.parametrize("bad, message", [
+    ([[2, 3], [4, VOCAB]], f"token id {VOCAB} out of range for vocab size {VOCAB}"),
+    ([[2, 3], [4, -1]], f"token id -1 out of range for vocab size {VOCAB}"),
+    ([[1] * (MAX_LEN + 1)] * 2, TOO_LONG),
+])
+def test_unpadded_batch_validation_as_a_list_and_as_an_array(bad, message):
+    with pytest.raises(ValueError, match=message):
+        model(0).forward(bad)
+    with pytest.raises(ValueError, match=message):
+        model(0).forward(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +660,30 @@ def test_float32_explain_integrated_gradients_skips_the_completeness_forwards(mo
         before = len(calls)
         sal = explainers.explain_integrated_gradients(teacher, seq, steps=5)
         assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, scores)
-        assert len(calls) - before == 2  # the predicted label and the path's gradients
+        assert len(calls) - before == 1  # the path's graph, which also gives the label
+
+
+def separate_label_path_gradients(net, token_ids, alphas):
+    """The path's gradients on the label of a separate no-grad forward at x."""
+    with ad.no_grad():
+        target = int(np.argmax(net.forward(token_ids).data))
+        base = net.input_embeddings(token_ids).data
+    x = Tensor(np.asarray(alphas, dtype=base.dtype)[:, None, None] * base, requires_grad=True)
+    loss = ad.tsum(ad.cross_entropy(net.forward_from_embeddings(x), np.full(len(alphas), target)))
+    return ad.backward(loss, [x])[0].data, target
+
+
+def test_float32_path_label_from_its_own_graph_is_the_separate_forwards_label():
+    teacher = model(63, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    steps = explainers.IG_STEPS_TRAINING
+    alphas = np.arange(1, steps + 1) / steps
+    for seq in explainer_pool(65):
+        want_grads, want_label = separate_label_path_gradients(teacher, seq, alphas)
+        grads, base, label = explainers._path_gradients(teacher, seq, alphas)
+        assert label == want_label and np.array_equal(grads, want_grads)
+        want_raw = (base.astype(np.float64) * (want_grads.astype(np.float64).sum(axis=0) / steps)).sum(axis=1)
+        sal = explainers.explain_integrated_gradients(teacher, seq, steps=steps)
+        assert np.array_equal(sal.scores, explainers._simplex(want_raw.astype(np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -692,3 +731,108 @@ def test_attention_internals_read_no_parameter_past_the_last_scores(shape):
     assert_internals_equal(net.attention_internals(seqs, params=prefix), want)
     with pytest.raises(KeyError):
         net.forward(seqs, params=prefix)
+
+
+# ---------------------------------------------------------------------------
+# forwards that record no graph: layer norm as one node
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(9, 32), (6, 10, 32)], ids=["sequence", "batch"])
+def test_no_graph_layer_norm_node_is_the_op_chain_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(81)
+    arrays = (rng.normal(1.0, 3.0, size=shape), rng.normal(size=32), rng.normal(size=32))
+    with ad.no_grad():
+        node = _layer_norm(*(Tensor(a, requires_grad=True, dtype=dtype) for a in arrays))
+    chain = _layer_norm(*(Tensor(a, requires_grad=i == 0, dtype=dtype) for i, a in enumerate(arrays)))
+    assert node._op == "layer_norm" and not node.requires_grad and chain.requires_grad
+    assert node.dtype == dtype and np.array_equal(node.data, chain.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_graph_forwards_are_the_recorded_forward_bit_for_bit(dtype):
+    net = model(83, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    frozen = model(83, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER).freeze()
+    rng = np.random.default_rng(85)
+    seqs = [rng.integers(1, VOCAB, size=n).tolist() for n in LONG_LENGTHS]
+    for ids in (seqs[0], seqs, padded(seqs, width=LONG_LEN)):  # one sequence, padded batches
+        want, internals = net.forward(ids, record=True)  # records the op chain
+        with ad.no_grad():
+            quiet, quiet_internals = net.forward(ids, record=True)
+        # grad enabled, but no frozen parameter requires it: no graph either
+        cold, cold_internals = frozen.forward(ids, record=True)
+        for out, got in ((quiet, quiet_internals), (cold, cold_internals)):
+            assert not out.requires_grad and np.array_equal(out.data, want.data)
+            for kind in ("queries", "keys", "scores", "attention"):
+                for x, y in zip(getattr(got, kind), getattr(internals, kind)):
+                    assert x.dtype == dtype and np.array_equal(x.data, y.data)
+
+
+# The op of the chain that first gives a non-finite value, by case.
+NON_FINITE_CASES = {"row_sum": "sum", "square": "mul", "gain": "mul", "nan_gain": "mul", "inf_bias": "add"}
+
+
+def non_finite_layer_norm(case, grad):
+    """float32 (x, gain, bias) tensors whose layer norm is non-finite at the case's op."""
+    rng = np.random.default_rng(87)
+    x = rng.normal(size=(4, 32)).astype(np.float32)
+    gain, bias = np.ones(32, dtype=np.float32), np.zeros(32, dtype=np.float32)
+    if case == "row_sum":
+        x = x + np.float32(2e37)
+    elif case == "square":
+        x = np.where(np.arange(32) % 2, 2e19, -2e19).astype(np.float32) * (1 + np.float32(0.01) * x)
+    elif case == "gain":
+        gain[:] = 3e38
+    ts = [Tensor(x, requires_grad=grad), Tensor(gain), Tensor(bias)]
+    # a leaf is checked when it is built, so NaN and Inf are written after
+    if case == "nan_gain":
+        ts[1].data[3] = np.nan
+    elif case == "inf_bias":
+        ts[2].data[5] = np.inf
+    return ts
+
+
+def non_finite_message(run, grad):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError) as err:
+        with ad.enable_grad() if grad else ad.no_grad():
+            run()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
+def test_no_grad_layer_norm_raises_naming_the_chains_op(case):
+    messages = [non_finite_message(lambda: _layer_norm(*non_finite_layer_norm(case, grad)), grad)
+                for grad in (True, False)]
+    assert messages == [f"non-finite values produced by '{NON_FINITE_CASES[case]}'"] * 2
+
+
+@pytest.mark.parametrize("case", ["activations", "nan_gain"])
+def test_no_grad_forward_raises_naming_the_same_op_as_a_recorded_one(case):
+    net = model(89, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    seqs = explainer_pool(91, count=3)
+    if case == "nan_gain":
+        net.params["layers.1.ffn.norm.gain"].data[2] = np.nan
+        run = lambda: net.forward(seqs)  # noqa: E731
+    else:  # embeddings whose first layer norm's squares overflow
+        with ad.no_grad():
+            huge = net.input_embeddings(seqs).data * np.float32(1e30)
+        run = lambda: net.forward_from_embeddings(Tensor(huge))  # noqa: E731
+    assert non_finite_message(run, True) == non_finite_message(run, False) == \
+        "non-finite values produced by 'mul'"
+
+
+# Guards the read path's cost: a change that brings back the ten-node layer
+# norm chain on no-grad forwards adds 27 nodes here and fails this test.
+def test_no_grad_attention_internals_records_a_pinned_number_of_nodes(monkeypatch):
+    net = model(93, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    ops = []
+    real = ad._from_op
+    monkeypatch.setattr(ad, "_from_op", lambda data, parents, vjp, op: ops.append(op) or real(
+        data, parents, vjp, op))
+    with ad.no_grad():
+        net.attention_internals(explainer_pool(95, count=1)[0])
+    # embeddings 3; layer 0: one layer_norm node, q/k/scores/softmax 10, value,
+    # attention output and residual 8, one layer_norm node, FFN and residual 6;
+    # layer 1 up to its attention: one layer_norm node and 10
+    assert ops.count("layer_norm") == 3
+    assert len(ops) == 40

@@ -25,9 +25,9 @@ def heads(internals):
 
 
 def test_config_validates_dimensions():
-    with pytest.raises(ValueError):
-        tiny_config(model_dim=10)  # not heads_per_layer * head_dim
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"model_dim 10 != heads_per_layer 2 \* head_dim 4"):
+        tiny_config(model_dim=10)
+    with pytest.raises(ValueError, match="unknown task 'ranking'"):
         tiny_config(task="ranking")
 
 
@@ -67,18 +67,21 @@ def test_trailing_padding_is_ignored():
     assert np.array_equal(short, padded)
 
 
-def test_input_validation():
-    model = tiny_model()
-    with pytest.raises(ValueError):
-        model.forward([2, PAD_ID, 3])  # interior padding
-    with pytest.raises(ValueError):
-        model.forward([PAD_ID, PAD_ID])  # nothing left
-    with pytest.raises(ValueError):
-        model.forward([])
-    with pytest.raises(ValueError):
-        model.forward([2, 99])  # out of vocabulary
-    with pytest.raises(ValueError):
-        model.forward([2] * 7)  # longer than max_len
+@pytest.mark.parametrize("ids, message", [
+    ([2, PAD_ID, 3], "pad id found in the interior of a sequence"),
+    ([PAD_ID, PAD_ID], r"empty sequence \(no non-pad tokens\)"),
+    ([], r"empty batch \(no sequences\)"),
+    # unpadded, so each first meets the no-pad early exit's range check
+    ([2, 99], "token id 99 out of range for vocab size 12"),
+    (np.array([2, 99]), "token id 99 out of range for vocab size 12"),
+    (np.array([[2, 99]]), "token id 99 out of range for vocab size 12"),
+    ([2, -1], "token id -1 out of range for vocab size 12"),
+    ([2] * 7, "sequence length 7 exceeds max_len 6"),
+    (np.array([[2] * 7]), "sequence length 7 exceeds max_len 6"),
+])
+def test_input_validation(ids, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_model().forward(ids)
 
 
 def test_attention_rows_are_distributions():
@@ -235,7 +238,7 @@ def test_freeze_blocks_writes():
     model = tiny_model()
     model.freeze()
     assert not any(p.requires_grad for p in model.param_list())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
         model.params["head.bias"].data[:] = 1.0
 
 
