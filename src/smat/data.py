@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, all_finite
 from .model import PAD_ID, MiniTransformer, ModelConfig
 
 UNK_ID = 1
@@ -315,9 +315,10 @@ def save_checkpoint(
     Layout: magic "SMAT", u32 version, u32 tensor count, then per tensor
     a u16 name length, UTF-8 name, u8 rank, u64 extents, and raw
     little-endian float32 values in row-major order. A tensor that
-    float32 cannot hold exactly raises :class:`CheckpointError` rather
-    than being rounded. An optional config echo goes to a deterministic
-    JSON sidecar at ``path + ".json"``.
+    float32 cannot hold exactly, or that holds NaN or Inf, raises
+    :class:`CheckpointError` naming the path and the tensor, and nothing
+    is written. An optional config echo goes to a deterministic JSON
+    sidecar at ``path + ".json"``.
     """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
@@ -328,8 +329,10 @@ def save_checkpoint(
         arr = given.astype("<f4", copy=False)  # ascontiguousarray would promote 0-d to 1-d
         if arr is not given and not np.array_equal(arr, given, equal_nan=True):
             raise CheckpointError(
-                f"tensor {name!r} of dtype {given.dtype} does not fit float32 without loss"
+                f"{path}: tensor {name!r} of dtype {given.dtype} does not fit float32 without loss"
             )
+        if not all_finite(arr):
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf values")
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         encoded = name.encode("utf-8")
@@ -348,7 +351,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint, validating structure and exact length."""
+    """Read a checkpoint, validating structure, exact length and finite values."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -380,7 +383,10 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         for extent in shape:
             n_values *= extent
         raw = take(4 * n_values, f"values of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        if not all_finite(values):
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf values")
+        out[name] = values.copy()
     if offset != len(view):
         raise CheckpointError(f"{path}: {len(view) - offset} trailing bytes after last tensor")
     return out

@@ -395,6 +395,50 @@ def test_unreached_parameter_gets_zero_gradient_and_warning(caplog):
     assert any("not reached" in rec.message for rec in caplog.records)
 
 
+def _side_branch_loss(side_vjp, dtype=np.float64):
+    """A loss over x @ w and a side branch behind y, which requires grad;
+    ``side_vjp`` is the side node's vector-Jacobian closure."""
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=dtype)
+    w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=dtype)
+    y = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True, dtype=dtype)
+    side = ad.exp(ad._from_op(y.data * 0.5, (y,), side_vjp, "side"))
+    h = ad.matmul(x, w)
+    return ad.tsum(ad.mul(ad.mul(h, h), side)), [x, w], y
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_backward_runs_no_closure_behind_a_branch_that_reaches_no_requested_tensor(create_graph):
+    def raising(g):
+        raise AssertionError("a closure that feeds no requested gradient ran")
+
+    def halving(g):
+        return (ad.mul(g, ad.scalar(0.5, g.dtype)),)
+
+    loss, wrt, _ = _side_branch_loss(raising)
+    got = ad.backward(loss, wrt, create_graph=create_graph)
+    full_loss, full_wrt, y = _side_branch_loss(halving)
+    want = ad.backward(full_loss, full_wrt + [y], create_graph=create_graph)[:2]
+    for g, w in zip(got, want):
+        assert g.requires_grad == create_graph
+        assert np.array_equal(g.data, w.data)
+    if create_graph:  # the gradient graph holds the side branch too
+        second = ad.backward(ad.add(ad.tsum(ad.mul(got[0], got[0])), ad.tsum(got[1])), wrt)
+        full = ad.backward(ad.add(ad.tsum(ad.mul(want[0], want[0])), ad.tsum(want[1])), full_wrt)
+        for g, w in zip(second, full):
+            assert np.array_equal(g.data, w.data)
+
+
+def test_backward_leaves_a_requested_constant_unreached(caplog):
+    x = ad.Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+    c = ad.constant(np.ones(3), dtype=np.float64)
+    with caplog.at_level(logging.WARNING):
+        gx, gc_ = ad.backward(ad.tsum(ad.mul(ad.neg(x), ad.neg(c))), [x, c])
+    assert np.array_equal(gx.data, np.ones(3))
+    assert np.array_equal(gc_.data, np.zeros(3))
+    assert any("not reached" in rec.message for rec in caplog.records)
+
+
 def test_backward_rejects_non_scalar_loss():
     x = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with pytest.raises(ValueError):
@@ -431,6 +475,60 @@ def test_finite_values_whose_sum_overflows_are_accepted():
         leaf = ad.Tensor(big, name="big")
         out = ad.mul(leaf, ad.constant(np.ones(4, dtype=np.float32)))
     assert np.array_equal(out.data, big)
+
+
+# ---------------------------------------------------------------------------
+# the finiteness proof: a sum of squares, elementwise only when it overflows
+
+# Sizes on both sides of the block widths a BLAS dot product unrolls by.
+PROOF_SIZES = (1, 7, 8, 9, 33, 10240, 100003)
+
+
+# name: (view of n elements of a base of 2n, index of the view's element i);
+# the 2-D layout is non-contiguous and holds all 2n.
+LAYOUTS = {
+    "contiguous": (lambda base, n: base[:n], lambda i: i),
+    "strided": (lambda base, n: base[::2], lambda i: i),
+    "reversed": (lambda base, n: base[:n][::-1], lambda i: i),
+    "2-D transposed": (lambda base, n: base.reshape(2, n).T, lambda i: (i, 0)),
+}
+
+
+@pytest.mark.parametrize("size", PROOF_SIZES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_finite_rejects_every_non_finite_element(dtype, size):
+    clean = np.random.default_rng(size).normal(size=2 * size).astype(dtype)
+    for where in sorted({0, size // 2, size - 1}):
+        for bad in (np.nan, np.inf, -np.inf):
+            for name, (view_of, index) in LAYOUTS.items():
+                view = view_of(clean.copy(), size)
+                assert ad.all_finite(view), name
+                view[index(where)] = bad
+                assert not ad.all_finite(view), (name, where, bad)
+                frozen = view.view()
+                frozen.setflags(write=False)
+                assert not ad.all_finite(frozen), (name, where, bad, "read-only")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_finite_on_0d_empty_and_one_element_arrays(dtype):
+    for ok in (np.zeros((), dtype), np.full((), -2.5, dtype), np.zeros(0, dtype),
+               np.zeros((3, 0), dtype), np.full(1, 7.0, dtype)):
+        assert ad.all_finite(ok), ok.shape
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not ad.all_finite(np.full((), bad, dtype))
+        assert not ad.all_finite(np.full(1, bad, dtype))
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 2e19), (np.float64, 1e155)])
+def test_finite_values_whose_squares_overflow_are_accepted(dtype, big):
+    arr = np.array([big, -big, 1.0], dtype=dtype)
+    with np.errstate(all="raise"):  # neither the proof nor its fallback warns
+        assert not math.isfinite(np.vdot(arr, arr))  # the sum of squares cannot decide
+        assert ad.all_finite(arr)
+        leaf = ad.Tensor(arr, name="big", dtype=dtype)
+        out = ad.mul(leaf, ad.constant(np.ones(3, dtype=dtype)))
+    assert np.array_equal(out.data, arr)
 
 
 @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])

@@ -25,7 +25,7 @@ from smat.explainers import (
     saliency_from_internals,
     scope_head_indices,
 )
-from smat.model import PAD_ID, MiniTransformer, _layer_norm, head_saliency_logits
+from smat.model import PAD_ID, PREDICT_CHUNK, MiniTransformer, _layer_norm, head_saliency_logits
 from smat.training import (
     TeacherContext,
     TrainConfig,
@@ -836,3 +836,36 @@ def test_no_grad_attention_internals_records_a_pinned_number_of_nodes(monkeypatc
     # layer 1 up to its attention: one layer_norm node and 10
     assert ops.count("layer_norm") == 3
     assert len(ops) == 40
+
+
+# ---------------------------------------------------------------------------
+# the finiteness proof's fast path
+
+
+def test_float32_training_and_predict_never_take_the_elementwise_finite_check(monkeypatch):
+    """Every tensor is proved finite by one sum of squares (``ad.all_finite``);
+    only a sum that overflows falls back to ``np.isfinite``, at several times
+    the cost. A change that routinely makes huge finite values (a larger
+    MASK_BIAS, unnormalized scores) would put every check on that slow path
+    and no other test would notice, so this counts the fallback's calls over
+    one teacher step, one smat step and one padded predict chunk."""
+    rng = np.random.default_rng(101)
+    batch = [Example(tokens=["t"] * int(n), label=int(rng.integers(0, 2)),
+                     token_ids=rng.integers(1, VOCAB, size=int(n)).tolist())
+             for n in rng.integers(1, LONG_LEN + 1, size=32)]
+    teacher = model(103, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    config = TrainConfig(mode="smat", steps=1, batch_size=32)
+    state, tctx = student_state(config, seed=5, dtype=np.float32, max_len=LONG_LEN,
+                                teacher_shape=EXPERIMENT_TEACHER)
+    chunk = [rng.integers(1, VOCAB, size=int(n)).tolist()
+             for n in rng.integers(1, LONG_LEN + 1, size=PREDICT_CHUNK)]
+
+    calls = []
+    real = ad.np.isfinite
+    monkeypatch.setattr(ad.np, "isfinite", lambda *a, **k: calls.append(1) or real(*a, **k))
+    train_supervised(teacher, batch, steps=1, batch_size=32)
+    inner_step(state, batch, config, tctx)
+    outer_step(state, batch, batch[::-1], config, tctx)
+    teacher.predict(chunk)
+    assert calls == []
+    assert not ad.all_finite(np.full(3, np.inf, np.float32)) and calls == [1]  # the count sees it

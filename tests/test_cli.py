@@ -6,6 +6,7 @@ synthetic corpus so the whole file stays inside a few seconds.
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -231,6 +232,25 @@ def test_explain_rejects_a_bad_phi_file_naming_it(pipeline, tmp_path, capsys, te
     err = capsys.readouterr().err
     assert code == 1
     assert str(phi) in err and field in err.replace(str(phi), "")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_explain_rejects_a_non_finite_phi_file_naming_it(pipeline, tmp_path, capsys):
+    smat = pipeline["students"]["smat"]
+    good = smat / json.loads((smat / "summary.json").read_text())["runs"][0]["phi_t"]
+    phi = tmp_path / "nan.smat"
+    blob = bytearray(good.read_bytes())
+    blob[-4:] = struct.pack("<f", float("nan"))  # the last value of phi_t
+    phi.write_bytes(bytes(blob))
+    (tmp_path / "nan.smat.json").write_bytes(open(f"{good}.json", "rb").read())
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "parameterized",
+        "--phi", str(phi), "--data", str(pipeline["corpus"]),
+        "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(phi) in err and "'phi_t' holds NaN or Inf" in err
     assert not (tmp_path / "x.jsonl").exists()
 
 

@@ -240,6 +240,52 @@ def test_checkpoint_refuses_lossy_cast(tmp_path):
         save_model(tiny_model(seed=11, dtype=np.float64), str(path))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_to_save_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.smat"
+    tensors = {"ok": np.ones(2, dtype=np.float32), "w": np.array([1.0, bad], dtype=np.float32)}
+    with pytest.raises(CheckpointError, match="'w'") as err:
+        save_checkpoint(tensors, str(path), config_echo={"kind": "test"})
+    assert str(path) in str(err.value) and "'ok'" not in str(err.value)
+    assert not path.exists() and not (tmp_path / "bad.smat.json").exists()
+
+
+def test_model_save_refuses_non_finite_parameters(tmp_path):
+    model = tiny_model(seed=11, dtype=np.float32)
+    name = model.param_names()[-1]
+    model.params[name].data[...] = np.nan  # as an overflowing update would leave it
+    path = tmp_path / "enc.smat"
+    with pytest.raises(CheckpointError, match=repr(name)):
+        save_model(model, str(path))
+    assert not path.exists() and not (tmp_path / "enc.smat.json").exists()
+
+
+def _write_non_finite_value(path, bad):
+    """Overwrite a checkpoint's last float32 value in place."""
+    blob = bytearray(open(path, "rb").read())
+    blob[-4:] = struct.pack("<f", bad)
+    open(path, "wb").write(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_to_load_non_finite_values(tmp_path, bad):
+    path = str(tmp_path / "model.smat")
+    save_checkpoint({"a": np.ones(3, dtype=np.float32), "w": np.ones((2, 2), dtype=np.float32)}, path)
+    _write_non_finite_value(path, bad)
+    with pytest.raises(CheckpointError, match=f"{path}: tensor 'w' holds NaN or Inf"):
+        load_checkpoint(path)
+
+
+def test_model_load_refuses_non_finite_parameters(tmp_path):
+    model = tiny_model(seed=11, dtype=np.float32)
+    path = str(tmp_path / "enc.smat")
+    save_model(model, path)
+    _write_non_finite_value(path, np.nan)
+    last = model.param_names()[-1]
+    with pytest.raises(CheckpointError, match=f"{path}: tensor {last!r}"):
+        load_model(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     path = str(tmp_path / "model.smat")
     save_checkpoint({"w": np.ones((2, 2), dtype=np.float32)}, path)
