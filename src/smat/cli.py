@@ -30,6 +30,7 @@ from .explainers import (
     ExplainerParams,
     compute_static_saliency,
     explain_parameterized,
+    scope_head_indices,
 )
 from .autodiff import Tensor
 from .model import MiniTransformer, ModelConfig
@@ -177,8 +178,9 @@ def _load_teacher(path: str) -> tuple[MiniTransformer, dict]:
     return teacher, vocab
 
 
-def _load_phi(path: str) -> ExplainerParams:
-    """A learned phi_T with the normalization and scope from its sidecar."""
+def _load_phi(path: str, teacher: MiniTransformer) -> ExplainerParams:
+    """A learned phi_T with the normalization and scope from its sidecar, one
+    entry per in-scope head of ``teacher``."""
     echo = dio.load_config_echo(path)
     if echo.get("kind") != "phi":
         raise dio.CheckpointError(f"{path}: sidecar kind {echo.get('kind')!r} is not 'phi'")
@@ -189,6 +191,10 @@ def _load_phi(path: str) -> ExplainerParams:
     tensors = dio.load_checkpoint(path)
     if "phi_t" not in tensors:
         raise dio.CheckpointError(f"{path}: no 'phi_t' tensor")
+    heads = len(scope_head_indices(teacher, scope))
+    if tensors["phi_t"].shape != (heads,):
+        raise dio.CheckpointError(f"{path}: 'phi_t' has shape {tensors['phi_t'].shape}, not ({heads},)"
+                                  f" for the teacher's heads in scope {scope!r}")
     return ExplainerParams(Tensor(tensors["phi_t"]), normalize, scope)
 
 
@@ -343,7 +349,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     values = []
     for run in summary["runs"]:
         saliencies = static if static is not None else explain_parameterized(
-            teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"])))
+            teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))
         pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]
         auc, used, skipped = metrics.corpus_auc(pairs)
         values.append(auc)
@@ -362,7 +368,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.explainer == "parameterized":
         if not args.phi:
             raise ConfigurationError("--explainer parameterized requires --phi")
-        saliencies = explain_parameterized(model, ids, _load_phi(args.phi))
+        saliencies = explain_parameterized(model, ids, _load_phi(args.phi, model))
+    elif args.phi:
+        raise ConfigurationError("--phi applies only to --explainer parameterized")
     else:
         saliencies = compute_static_saliency(model, ids, args.explainer)
     records = []

@@ -2,14 +2,16 @@
 
 Two families share one output contract, a simplex vector over the
 non-pad tokens of one input. Each takes one sequence (one ``Saliency``) or
-a list (a list of them); the differentiable attention form gives a batch
-one row per input, with pad positions exactly 0:
+a list (a list of them), which it runs grouped by length with trailing pads
+stripped, so no group needs a mask; the differentiable attention form
+gives a batch one row per input, with pad positions exactly 0:
 
 * attention-based: per-head mean score rows, combined either uniformly
   (static attention mean) or through learned head coefficients that are
   projected by sparsemax, softmax, or a clamped identity;
 * gradient-based: embedding-gradient L2 norms, gradient-times-input,
-  and integrated gradients on the model's own predicted label.
+  and integrated gradients on the model's own predicted label, one graph
+  per length chunk of at most IG_STEPS_EVAL (50) path points.
 
 Raw scores are always projected onto the simplex with a softmax and no
 top-k truncation is applied anywhere.
@@ -19,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias
+from .model import PAD_ID, AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -34,13 +35,9 @@ SCOPES = ("all", "last")
 # Head coefficients under the identity normalization stay in this box.
 NONE_CLIP = 10.0
 
-STATIC_EXPLAINERS = (
-    "grad_l2",
-    "grad_x_input",
-    "integrated_gradients",
-    "attn_all",
-    "attn_last",
-)
+GRADIENT_EXPLAINERS = ("grad_l2", "grad_x_input", "integrated_gradients")
+
+STATIC_EXPLAINERS = GRADIENT_EXPLAINERS + ("attn_all", "attn_last")
 
 ATTENTION_EXPLAINERS = ("attn_all", "attn_last", "parameterized")
 
@@ -171,6 +168,30 @@ def head_logit_matrix(
         return head_saliency_logits(model.attention_internals(token_ids), first).data
 
 
+def _by_length(token_ids, explain, chunk: int | None = None):
+    """``explain`` on a list grouped by length, at most ``chunk`` sequences a call.
+
+    One sequence is a list of one. Trailing pads are stripped first, so no
+    group needs a mask: a padded row's head mix (a 1 x heads by heads x L
+    BLAS product) can round one ulp away from the sequence's own, so this
+    keeps each one's bits. ``explain`` returns one Saliency per sequence.
+    """
+    if not is_batch(token_ids):
+        return _by_length([token_ids], explain, chunk)[0]
+    lengths = [len(ids) for ids in token_ids]
+    for i, ids in enumerate(token_ids):
+        while lengths[i] and ids[lengths[i] - 1] == PAD_ID:
+            lengths[i] -= 1
+    out = [None] * len(token_ids)
+    for length in dict.fromkeys(lengths):
+        idx = [i for i, n in enumerate(lengths) if n == length]
+        step = chunk or len(idx)
+        for part in (idx[s : s + step] for s in range(0, len(idx), step)):
+            for i, sal in zip(part, explain([token_ids[i][:length] for i in part])):
+                out[i] = sal
+    return out
+
+
 def explain_parameterized(
     model: MiniTransformer,
     token_ids: Sequence[int],
@@ -179,79 +200,96 @@ def explain_parameterized(
     """Learned head-combination explanation (value form).
 
     One sequence gives one Saliency, a list a list of them. Each runs only
-    the no-grad ``attention_internals`` prefix of the forward, one per
-    sequence length, unpadded: a padded row's head mix (a 1 x heads by
-    heads x L BLAS product) can round one ulp away from the sequence's own,
-    so this keeps each one's bits. The differentiable form is
-    :func:`saliency_from_internals`.
+    the no-grad ``attention_internals`` prefix of the forward: one sequence
+    without a batch axis, a list one per sequence length. The differentiable
+    form is :func:`saliency_from_internals`.
     """
+    def explain(ids):
+        return saliency_from_internals(model.attention_internals(ids), params).data
+
     with ad.no_grad():
         if not is_batch(token_ids):
-            internals = model.attention_internals(token_ids)
-            return Saliency(scores=saliency_from_internals(internals, params).data)
-        out = [None] * len(token_ids)
-        for length in dict.fromkeys(len(ids) for ids in token_ids):
-            idx = [i for i, ids in enumerate(token_ids) if len(ids) == length]
-            internals = model.attention_internals([token_ids[i] for i in idx])
-            scores = saliency_from_internals(internals, params).data
-            valid = np.ones(scores.shape, dtype=bool) if internals.valid is None else internals.valid
-            for i, row, keep in zip(idx, scores, valid):
-                out[i] = Saliency(scores=row[keep])
-        return out
+            return Saliency(scores=explain(token_ids))
+        return _by_length(token_ids, lambda group: [Saliency(scores=row) for row in explain(group)])
 
 
 # ---------------------------------------------------------------------------
 # gradient-based explainers
 
 
-def _output_loss(model, output: Tensor, target: int | None) -> Tensor:
+def _output_loss(model, output: Tensor, target: np.ndarray | int | None) -> Tensor:
     if model.config.task == "classification":
         return ad.cross_entropy(output, np.full(output.shape[:-1], target))
     return output
 
 
-def _path_gradients(
-    model,
-    token_ids: Sequence[int],
-    alphas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Predicted-label loss gradients at alpha * x for each alpha, in one graph.
+def _path_gradients(model, group: Sequence[Sequence[int]], alphas: np.ndarray):
+    """Predicted-label loss gradients at alpha * x for each sequence x of a
+    group of one length and each alpha, in one graph.
 
-    Returns the (K, L, D) gradients, the (L, D) input embeddings x and the
-    predicted label. Each scaled copy is one row of a (K, L, D) batch with
-    its own loss, so its gradient is the one it has alone. The last alpha
-    must be 1: that row is x itself, and its output gives the label.
+    Returns the (n, K, L, D) gradients, the (n, L, D) input embeddings and
+    the n predicted labels (None for regression). Each scaled copy is one
+    row of an (n * K, L, D) batch with its own loss, so its gradient is the
+    one it has alone. The last alpha must be 1: that row is x itself, and
+    its output gives its sequence's label.
     """
     if alphas[-1] != 1:
         raise ValueError(f"the last path point must be alpha = 1, got {alphas[-1]}")
     with ad.no_grad():
-        base = model.input_embeddings(token_ids).data
-    points = np.asarray(alphas, dtype=base.dtype)[:, None, None] * base
-    x = Tensor(points, requires_grad=True, dtype=base.dtype)
+        base = model.input_embeddings(group).data
+    n, k = len(base), len(alphas)
+    points = np.asarray(alphas, dtype=base.dtype)[:, None, None] * base[:, None]
+    x = Tensor(points.reshape((n * k,) + base.shape[1:]), requires_grad=True, dtype=base.dtype)
     out = model.forward_from_embeddings(x)
-    target = int(np.argmax(out.data[-1])) if model.config.task == "classification" else None
-    loss = ad.tsum(_output_loss(model, out, target))
-    return ad.backward(loss, [x])[0].data, base, target
+    labels = None
+    if model.config.task == "classification":
+        labels = np.argmax(out.data.reshape(n, k, -1)[:, -1], axis=-1)
+    loss = ad.tsum(_output_loss(model, out, None if labels is None else np.repeat(labels, k)))
+    return ad.backward(loss, [x])[0].data.reshape(points.shape), base, labels
 
 
-def explain_grad_l2(model, token_ids: Sequence[int]) -> Saliency:
-    """Softmax over per-token L2 norms of the embedding gradient."""
-    grads, _, _ = _path_gradients(model, token_ids, [1.0])
-    raw = np.sqrt((grads[0].astype(np.float64) ** 2).sum(axis=1)).astype(grads.dtype)
-    return Saliency(scores=_simplex(raw), raw=raw)
+def _path_alphas(name: str, steps: int) -> np.ndarray:
+    """The path points of a gradient explainer: the input alone, or IG's k/steps * x."""
+    if name != "integrated_gradients":
+        return np.ones(1)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    return np.arange(1, steps + 1) / steps
+
+
+def _gradient_raw(model, group, name: str, alphas: np.ndarray):
+    """(n, L) raw scores of a gradient explainer for a group of one length,
+    with the group's input embeddings and predicted labels."""
+    grads, base, labels = _path_gradients(model, group, alphas)
+    if name == "grad_l2":
+        raw = np.sqrt((grads[:, 0].astype(np.float64) ** 2).sum(axis=-1)).astype(grads.dtype)
+    elif name == "grad_x_input":
+        raw = (grads[:, 0] * base).sum(axis=-1)
+    else:  # integrated gradients: the right-endpoint path average times the input
+        avg = grads.astype(np.float64).sum(axis=1) / len(alphas)
+        raw = (base.astype(np.float64) * avg).sum(axis=-1).astype(base.dtype)
+    return raw, base, labels
+
+
+def _gradient_saliency(model, token_ids, name: str, steps: int = IG_STEPS_EVAL):
+    """A gradient explainer on one sequence or a list, one graph per length
+    chunk of at most IG_STEPS_EVAL path points (one sequence if it has more)."""
+    alphas = _path_alphas(name, steps)
+
+    def explain(group):
+        return [Saliency(scores=_simplex(raw), raw=raw)
+                for raw in _gradient_raw(model, group, name, alphas)[0]]
+
+    return _by_length(token_ids, explain, chunk=max(1, IG_STEPS_EVAL // len(alphas)))
 
 
 def explain_grad_x_input(model, token_ids: Sequence[int]) -> Saliency:
     """Softmax over the per-token gradient-input dot products."""
-    grads, base, _ = _path_gradients(model, token_ids, [1.0])
-    raw = (grads[0] * base).sum(axis=1)
-    return Saliency(scores=_simplex(raw), raw=raw)
+    return _gradient_saliency(model, token_ids, "grad_x_input")
 
 
 def integrated_gradients_raw(
-    model,
-    token_ids: Sequence[int],
-    steps: int,
+    model, token_ids: Sequence[int], steps: int
 ) -> tuple[np.ndarray, float, float]:
     """Right-endpoint integrated gradients from a zero embedding baseline.
 
@@ -261,36 +299,21 @@ def integrated_gradients_raw(
     completeness (sum of attributions vs. their difference) can be checked
     directly.
     """
-    raw, base, target = _integrated_gradients(model, token_ids, steps)
+    raw, base, labels = _gradient_raw(
+        model, [token_ids], "integrated_gradients", _path_alphas("integrated_gradients", steps))
+    target = None if labels is None else labels[0]
     with ad.no_grad():
         at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
-            Tensor(x, dtype=base.dtype)), target).item() for x in (base, np.zeros_like(base)))
-    return raw, at_input, at_baseline
-
-
-def _integrated_gradients(
-    model,
-    token_ids: Sequence[int],
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Per-token raw attributions, the input embeddings and the predicted label."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    grads, base, target = _path_gradients(model, token_ids, np.arange(1, steps + 1) / steps)
-    avg = grads.astype(np.float64).sum(axis=0) / steps
-    raw = (base.astype(np.float64) * avg).sum(axis=1)
-    return raw.astype(base.dtype), base, target
+            Tensor(x, dtype=x.dtype)), target).item() for x in (base[0], np.zeros_like(base[0])))
+    return raw[0], at_input, at_baseline
 
 
 def explain_integrated_gradients(
-    model,
-    token_ids: Sequence[int],
-    steps: int = IG_STEPS_EVAL,
+    model, token_ids: Sequence[int], steps: int = IG_STEPS_EVAL
 ) -> Saliency:
     """Softmax over :func:`integrated_gradients_raw`'s attributions, without
-    its completeness losses: one forward per sequence, not three."""
-    raw = _integrated_gradients(model, token_ids, steps)[0]
-    return Saliency(scores=_simplex(raw), raw=raw)
+    its completeness losses: one forward per graph, not three."""
+    return _gradient_saliency(model, token_ids, "integrated_gradients", steps)
 
 
 def _simplex(raw: np.ndarray) -> np.ndarray:
@@ -308,43 +331,18 @@ def compute_static_saliency(
     """One of the named static explainers: one sequence gives one Saliency,
     a list a list of them.
 
-    The attention means are :func:`explain_parameterized` with uniform
-    coefficients (1/heads, not normalized), so a list runs as one forward
-    per length. A gradient explainer runs each sequence as its own graph.
+    A list runs grouped by length, unpadded. The attention means are
+    :func:`explain_parameterized` with uniform coefficients (1/heads, not
+    normalized): one forward per length. A gradient explainer runs one
+    graph per length chunk of at most IG_STEPS_EVAL path points (one
+    sequence alone if its path has more): no larger than one 50-step
+    integrated-gradients explanation.
     """
     if name in ("attn_all", "attn_last"):
         scope = name.removeprefix("attn_")
         heads = len(scope_head_indices(model, scope))
         uniform = ad.constant(np.ones(heads, dtype=model.dtype) / heads)
         return explain_parameterized(model, token_ids, ExplainerParams(uniform, "none", scope))
-    explain = {"grad_l2": explain_grad_l2, "grad_x_input": explain_grad_x_input,
-               "integrated_gradients": partial(explain_integrated_gradients, steps=ig_steps)}.get(name)
-    if explain is None:
+    if name not in GRADIENT_EXPLAINERS:
         raise ValueError(f"unknown static explainer {name!r}")
-    if is_batch(token_ids):
-        return [explain(model, ids) for ids in token_ids]
-    return explain(model, token_ids)
-
-
-def wordpiece_to_word(
-    scores: np.ndarray | Saliency,
-    groups: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Sum piece-level scores into word-level scores.
-
-    ``groups`` must partition the piece positions exactly: every index
-    appears in exactly one group.
-    """
-    vec = scores.scores if isinstance(scores, Saliency) else np.asarray(scores)
-    seen: set[int] = set()
-    for group in groups:
-        for i in group:
-            if not 0 <= int(i) < vec.size:
-                raise ValueError(f"piece index {i} out of range for {vec.size} pieces")
-            if int(i) in seen:
-                raise ValueError(f"piece index {i} assigned to more than one word")
-            seen.add(int(i))
-    if len(seen) != vec.size:
-        missing = sorted(set(range(vec.size)) - seen)
-        raise ValueError(f"piece indices not covered by any word: {missing}")
-    return np.asarray([vec[list(map(int, g))].sum() for g in groups], dtype=vec.dtype)
+    return _gradient_saliency(model, token_ids, name, ig_steps)

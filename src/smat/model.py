@@ -272,8 +272,12 @@ class MiniTransformer:
         return ad.add(ad.gather_rows(p["embed.tok"], ids), ad.narrow(p["embed.pos"], 0, 0, ids.shape[-1]))
 
     def input_embeddings(self, token_ids, params: dict[str, Tensor] | None = None) -> Tensor:
-        """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch."""
-        return self._embed(self._batch_ids(token_ids)[0], params)
+        """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch
+        of sequences of one length once trailing pads are stripped (no pad mask)."""
+        ids, lengths = self._batch_ids(token_ids)
+        if lengths is not None:
+            raise ValueError(f"input embeddings need one sequence length, got {np.unique(lengths)}")
+        return self._embed(ids, params)
 
     def forward(self, token_ids, record: bool = False, params: dict[str, Tensor] | None = None):
         """Task output for one sequence or a batch; optionally also attention internals.

@@ -40,6 +40,7 @@ from .autodiff import Tensor
 from .data import Example, Splits
 from .explainers import (
     IG_STEPS_TRAINING,
+    NORMALIZATIONS,
     STATIC_EXPLAINERS,
     ExplainerParams,
     combine_head_logits,
@@ -96,7 +97,7 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if kind == "static" and self.static_name() not in STATIC_EXPLAINERS:
             raise ValueError(f"unknown static explainer in mode {self.mode!r}")
-        if self.normalize not in ("sparsemax", "softmax", "none"):
+        if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalize!r}")
         if self.sim_loss not in SIM_LOSS_TASKS:
             raise ValueError(f"unknown sim_loss {self.sim_loss!r}")
@@ -439,22 +440,10 @@ def outer_step(
 # evaluation helpers
 
 
-def simulate_predictions(
-    student: MiniTransformer,
-    tctx: TeacherContext,
-    examples: Sequence[Example],
-) -> tuple[list, list]:
-    ids = [ex.token_ids for ex in examples]
-    return student.predict(ids), tctx.target(ids)
-
-
-def simulability(
-    student: MiniTransformer,
-    tctx: TeacherContext,
-    examples: Sequence[Example],
-) -> float:
+def simulability(student: MiniTransformer, tctx: TeacherContext, examples: Sequence[Example]) -> float:
     """Prediction agreement with the teacher: accuracy or Pearson."""
-    preds, targets = simulate_predictions(student, tctx, examples)
+    ids = [ex.token_ids for ex in examples]
+    preds, targets = student.predict(ids), tctx.target(ids)
     if student.config.task == "classification":
         return simulability_accuracy(preds, targets)
     return simulability_pearson(preds, targets)

@@ -54,6 +54,15 @@ def padded(seqs, width=MAX_LEN):
     return out
 
 
+def padded_embeddings(net, seqs):
+    """(B, L, D) input embeddings of ``seqs``, zero past each one's length:
+    ``input_embeddings`` takes only sequences of one length, as it adds no mask."""
+    width = max(map(len, seqs))
+    with ad.no_grad():
+        rows = [net.input_embeddings(seq).data for seq in seqs]
+    return np.stack([np.pad(row, ((0, width - len(row)), (0, 0))) for row in rows])
+
+
 def examples(rng, count):
     return [Example(tokens=[f"t{i}" for i in ids], label=int(rng.integers(0, 2)), token_ids=ids)
             for ids in random_ids(rng, count)]
@@ -111,7 +120,7 @@ def test_appending_pad_columns_moves_no_valid_output():
     # through embeddings: extra pad rows with arbitrary values stay masked
     lengths = np.array([len(s) for s in seqs])
     with ad.no_grad():
-        x = net.input_embeddings(ids)
+        x = Tensor(padded_embeddings(net, seqs))
         wide = np.concatenate([x.data, rng.normal(size=(5, 2, 8))], axis=1)
         want, short = net.forward_from_embeddings(x, record=True, lengths=lengths)
         got, long = net.forward_from_embeddings(Tensor(wide, dtype=np.float64), record=True,
@@ -615,6 +624,58 @@ def test_gradient_explainer_list_is_the_per_sequence_list():
             assert np.array_equal(sal.scores, want.scores) and np.array_equal(sal.raw, want.raw)
 
 
+def length_groups(pool):
+    """The sequences of ``pool`` grouped by length, in first-seen order."""
+    groups = {}
+    for seq in pool:
+        groups.setdefault(len(seq), []).append(seq)
+    return list(groups.values())
+
+
+def chunk_pool(seed, chunk):
+    """Shuffled sequences of lengths 5..LONG_LEN (on both sides of 8), chunk + 1
+    of each length, so every length's group spans two chunks."""
+    rng = np.random.default_rng(seed)
+    pool = [rng.integers(1, VOCAB, size=n).tolist()
+            for n in range(5, LONG_LEN + 1) for _ in range(chunk + 1)]
+    return [pool[int(i)] for i in rng.permutation(len(pool))]
+
+
+GRADIENT_CASES = [("grad_l2", 1), ("grad_x_input", 1), ("integrated_gradients", 1),
+                  ("integrated_gradients", 5), ("integrated_gradients", 10),
+                  ("integrated_gradients", explainers.IG_STEPS_EVAL)]
+
+
+@pytest.mark.parametrize("name,steps", GRADIENT_CASES)
+def test_float32_gradient_explainer_chunks_are_bit_identical_to_per_sequence(name, steps):
+    """Grouped, chunked graphs give each sequence the bits of its own graph."""
+    teacher = model(71, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    pool = chunk_pool(73, max(1, explainers.IG_STEPS_EVAL // steps))
+    for seq, sal in zip(pool, compute_static_saliency(teacher, pool, name, ig_steps=steps)):
+        want = compute_static_saliency(teacher, seq, name, ig_steps=steps)
+        assert sal.raw.dtype == np.float32
+        assert np.array_equal(sal.scores, want.scores) and np.array_equal(sal.raw, want.raw)
+
+
+@pytest.mark.parametrize("name,steps", GRADIENT_CASES)
+def test_gradient_explainer_graphs_hold_at_most_the_eval_path_points(monkeypatch, name, steps):
+    net = model(75, max_len=LONG_LEN)
+    chunk = max(1, explainers.IG_STEPS_EVAL // steps)
+    pool = chunk_pool(77, chunk)
+    rows = []
+    run = net.forward_from_embeddings
+
+    def counting(embeddings, *args, **kwargs):
+        rows.append(embeddings.shape[0])
+        return run(embeddings, *args, **kwargs)
+
+    monkeypatch.setattr(net, "forward_from_embeddings", counting)
+    compute_static_saliency(net, pool, name, ig_steps=steps)
+    per_length = [len(group) for group in length_groups(pool)]
+    assert max(rows) <= explainers.IG_STEPS_EVAL
+    assert len(rows) == sum(-(-n // chunk) for n in per_length) == 2 * len(per_length)
+
+
 def oracle_integrated_gradients(net, token_ids, steps):
     """Per-point loop: one graph per interpolation point k/steps * x."""
     with ad.no_grad():
@@ -633,15 +694,16 @@ def oracle_integrated_gradients(net, token_ids, steps):
 def test_integrated_gradients_points_match_a_per_point_loop(dtype):
     teacher = model(55, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
     steps = explainers.IG_STEPS_EVAL
-    for seq in explainer_pool(57, count=6):
-        want_grads, want_raw = oracle_integrated_gradients(teacher, seq, steps)
-        grads = explainers._path_gradients(teacher, seq, np.arange(1, steps + 1) / steps)[0]
-        raw = integrated_gradients_raw(teacher, seq, steps)[0]
-        assert grads.dtype == dtype and raw.dtype == dtype
-        if dtype == np.float32:
-            assert np.array_equal(grads, want_grads) and np.array_equal(raw, want_raw)
-        else:
-            assert rel_err(grads, want_grads) < TOL and rel_err(raw, want_raw) < TOL
+    for group in length_groups(explainer_pool(57, count=6)):
+        grouped = explainers._path_gradients(teacher, group, np.arange(1, steps + 1) / steps)[0]
+        for seq, grads in zip(group, grouped):
+            want_grads, want_raw = oracle_integrated_gradients(teacher, seq, steps)
+            raw = integrated_gradients_raw(teacher, seq, steps)[0]
+            assert grads.dtype == dtype and raw.dtype == dtype
+            if dtype == np.float32:
+                assert np.array_equal(grads, want_grads) and np.array_equal(raw, want_raw)
+            else:
+                assert rel_err(grads, want_grads) < TOL and rel_err(raw, want_raw) < TOL
 
 
 def test_float32_explain_integrated_gradients_skips_the_completeness_forwards(monkeypatch):
@@ -677,13 +739,49 @@ def test_float32_path_label_from_its_own_graph_is_the_separate_forwards_label():
     teacher = model(63, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
     steps = explainers.IG_STEPS_TRAINING
     alphas = np.arange(1, steps + 1) / steps
-    for seq in explainer_pool(65):
-        want_grads, want_label = separate_label_path_gradients(teacher, seq, alphas)
-        grads, base, label = explainers._path_gradients(teacher, seq, alphas)
-        assert label == want_label and np.array_equal(grads, want_grads)
-        want_raw = (base.astype(np.float64) * (want_grads.astype(np.float64).sum(axis=0) / steps)).sum(axis=1)
-        sal = explainers.explain_integrated_gradients(teacher, seq, steps=steps)
-        assert np.array_equal(sal.scores, explainers._simplex(want_raw.astype(np.float32)))
+    for group in length_groups(explainer_pool(65)):
+        grouped = explainers._path_gradients(teacher, group, alphas)
+        for seq, grads, base, label in zip(group, *grouped):
+            want_grads, want_label = separate_label_path_gradients(teacher, seq, alphas)
+            assert label == want_label and np.array_equal(grads, want_grads)
+            want_raw = (base.astype(np.float64) * (want_grads.astype(np.float64).sum(axis=0) / steps)).sum(axis=1)
+            sal = explainers.explain_integrated_gradients(teacher, seq, steps=steps)
+            assert np.array_equal(sal.scores, explainers._simplex(want_raw.astype(np.float32)))
+
+
+EXPLAINERS = [*explainers.STATIC_EXPLAINERS, "parameterized"]
+
+
+def named_explainer(name, net):
+    if name != "parameterized":
+        return lambda ids: compute_static_saliency(net, ids, name, ig_steps=5)
+    params = ExplainerParams(Tensor(np.linspace(-0.3, 0.4, net.config.total_heads)))
+    return lambda ids: explain_parameterized(net, ids, params)
+
+
+@pytest.mark.parametrize("name", EXPLAINERS)
+def test_padded_input_explains_as_the_unpadded_list(name):
+    """Trailing pads are stripped before grouping, so no explanation sees a pad."""
+    net = model(79)
+    explain = named_explainer(name, net)
+    seqs = random_ids(np.random.default_rng(81), 9)
+    want = explain(seqs)
+    for got in (explain(padded(seqs)), explain([seq + [PAD_ID] * 2 for seq in seqs])):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.scores, b.scores)
+            assert (a.raw is None and b.raw is None) or np.array_equal(a.raw, b.raw)
+    one = explain(seqs[0] + [PAD_ID])
+    assert np.array_equal(one.scores, want[0].scores)
+
+
+def test_input_embeddings_reject_a_batch_of_mixed_lengths():
+    net = model(83)
+    assert net.input_embeddings(padded([[2, 3], [4, 5]])).shape == (2, 2, net.config.model_dim)
+    with pytest.raises(ValueError, match="one sequence length"):
+        net.input_embeddings([[2, 3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="one sequence length"):
+        net.input_embeddings(padded([[2, 3, 4], [5, 6]]))
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +912,9 @@ def test_no_grad_forward_raises_naming_the_same_op_as_a_recorded_one(case):
         net.params["layers.1.ffn.norm.gain"].data[2] = np.nan
         run = lambda: net.forward(seqs)  # noqa: E731
     else:  # embeddings whose first layer norm's squares overflow
-        with ad.no_grad():
-            huge = net.input_embeddings(seqs).data * np.float32(1e30)
-        run = lambda: net.forward_from_embeddings(Tensor(huge))  # noqa: E731
+        huge = padded_embeddings(net, seqs) * np.float32(1e30)
+        lengths = np.array([len(seq) for seq in seqs])
+        run = lambda: net.forward_from_embeddings(Tensor(huge), lengths=lengths)  # noqa: E731
     assert non_finite_message(run, True) == non_finite_message(run, False) == \
         "non-finite values produced by 'mul'"
 

@@ -8,6 +8,7 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from smat import cli
@@ -251,6 +252,58 @@ def test_explain_rejects_a_non_finite_phi_file_naming_it(pipeline, tmp_path, cap
     err = capsys.readouterr().err
     assert code == 1
     assert str(phi) in err and "'phi_t' holds NaN or Inf" in err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def save_phi(path, entries, scope="all"):
+    save_checkpoint({"phi_t": np.zeros(entries, dtype=np.float32)}, str(path),
+                    config_echo={"kind": "phi", "normalize": "sparsemax", "scope": scope})
+
+
+# The teacher has 2 layers x 2 heads: 4 in scope "all", 2 in scope "last".
+@pytest.mark.parametrize("entries,scope", [(3, "all"), (4, "last")])
+def test_explain_rejects_a_phi_for_other_heads_naming_it(pipeline, tmp_path, capsys, entries, scope):
+    phi = tmp_path / "other.smat"
+    save_phi(phi, entries, scope)
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "parameterized",
+        "--phi", str(phi), "--data", str(pipeline["corpus"]),
+        "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(phi) in err and "'phi_t'" in err.replace(str(phi), "")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_evaluate_auc_rejects_a_phi_for_other_heads_naming_it(pipeline, tmp_path, capsys):
+    summary = json.loads((pipeline["students"]["smat"] / "summary.json").read_text())
+    students = tmp_path / "students"
+    students.mkdir()
+    (students / "summary.json").write_text(json.dumps(summary))
+    for run in summary["runs"]:
+        (students / run["phi_t"]).parent.mkdir()
+        save_phi(students / run["phi_t"], 5)
+    code = main([
+        "evaluate", "--students", str(students), "--teacher", str(pipeline["teacher"]),
+        "--data", str(pipeline["corpus"]), "--metric", "auc",
+    ])
+    err = capsys.readouterr().err
+    first = students / summary["runs"][0]["phi_t"]
+    assert code == 1
+    assert str(first) in err and "'phi_t'" in err.replace(str(first), "")
+
+
+def test_explain_static_explainer_rejects_phi(pipeline, tmp_path, capsys):
+    smat = pipeline["students"]["smat"]
+    phi = smat / json.loads((smat / "summary.json").read_text())["runs"][0]["phi_t"]
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "attn_all",
+        "--phi", str(phi), "--data", str(pipeline["corpus"]),
+        "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert "--phi" in capsys.readouterr().err
     assert not (tmp_path / "x.jsonl").exists()
 
 

@@ -1,4 +1,4 @@
-"""Saliency extraction: learned head mixing, gradient methods, IG, alignment."""
+"""Saliency extraction: learned head mixing, gradient methods and IG."""
 
 from types import SimpleNamespace
 
@@ -21,7 +21,6 @@ from smat.explainers import (
     integrated_gradients_raw,
     normalize_coefficients,
     scope_head_indices,
-    wordpiece_to_word,
 )
 from conftest import fd_gradients, rel_err, tiny_model
 
@@ -241,35 +240,3 @@ def test_ig_rejects_bad_steps():
     with pytest.raises(ValueError):
         integrated_gradients_raw(model, [2, 3], steps=0)
 
-
-# ---------------------------------------------------------------------------
-# word-piece to word alignment
-
-
-def test_wordpiece_identity_alignment():
-    scores = np.array([0.2, 0.5, 0.3])
-    out = wordpiece_to_word(scores, [[0], [1], [2]])
-    assert np.array_equal(out, scores)
-
-
-def test_wordpiece_groups_sum():
-    out = wordpiece_to_word(np.array([0.2, 0.3, 0.5]), [[0, 1], [2]])
-    assert np.allclose(out, [0.5, 0.5], atol=1e-12)
-
-
-def test_wordpiece_preserves_total_mass():
-    rng = np.random.default_rng(3)
-    raw = np.abs(rng.normal(size=6))
-    scores = raw / raw.sum()
-    out = wordpiece_to_word(scores, [[0, 3], [1], [2, 4, 5]])
-    assert abs(out.sum() - 1.0) < 1e-12
-
-
-def test_wordpiece_rejects_bad_partitions():
-    scores = np.ones(3) / 3.0
-    with pytest.raises(ValueError):
-        wordpiece_to_word(scores, [[0], [1]])  # index 2 missing
-    with pytest.raises(ValueError):
-        wordpiece_to_word(scores, [[0, 1], [1, 2]])  # index 1 twice
-    with pytest.raises(ValueError):
-        wordpiece_to_word(scores, [[0], [1], [2, 3]])  # out of range
