@@ -67,34 +67,32 @@ class GradientError(RuntimeError):
 _grad_enabled = True
 
 
-class no_grad:
+class _GradMode:
+    """Sets graph recording to the subclass's ``enabled`` inside its body;
+    restores the previous setting on exit, also on an exception."""
+
+    def __enter__(self) -> "_GradMode":
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = self.enabled
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        global _grad_enabled
+        _grad_enabled = self._prev
+        return False
+
+
+class no_grad(_GradMode):
     """Context manager that disables graph recording inside its body."""
 
-    def __enter__(self) -> "no_grad":
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+    enabled = False
 
 
-class enable_grad:
+class enable_grad(_GradMode):
     """Context manager that re-enables graph recording inside its body."""
 
-    def __enter__(self) -> "enable_grad":
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = True
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+    enabled = True
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -159,16 +157,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.name = self.name
-        out._parents = ()
-        out._vjp = None
-        out._op = "detach"
-        return out
 
     def __repr__(self) -> str:
         tag = self.name or self._op
@@ -607,15 +595,15 @@ def cross_entropy(logits: Tensor, target: int | Sequence[int] | np.ndarray | Ten
     return sub(logsumexp(logits), tsum(mul(target, logits), axis=-1))
 
 
-def kl_divergence(p: Tensor, q: Tensor, eps: float = KL_EPS) -> Tensor:
-    """KL(p || q) for probability vectors, with q clamped below by eps.
+def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
+    """KL(p || q) for probability vectors, with q clamped below by KL_EPS.
 
     Terms where p == 0 contribute exactly zero.
     """
     if p.shape != q.shape:
         raise ValueError(f"KL shape mismatch: {p.shape} vs {q.shape}")
-    p_safe = clip(p, lo=eps)
-    q_safe = clip(q, lo=eps)
+    p_safe = clip(p, lo=KL_EPS)
+    q_safe = clip(q, lo=KL_EPS)
     return tsum(mul(p, sub(log(p_safe), log(q_safe))))
 
 
@@ -720,8 +708,7 @@ def backward(
         if any(id(p) in reaches for p in node._parents):
             reaches.add(id(node))
 
-    mode: no_grad | enable_grad = enable_grad() if create_graph else no_grad()
-    with mode:
+    with enable_grad() if create_graph else no_grad():
         for node in reversed(order):
             g = grads.get(id(node))
             if g is None or node._vjp is None or id(node) not in reaches:

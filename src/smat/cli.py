@@ -222,7 +222,6 @@ def cmd_train_student(args: argparse.Namespace) -> int:
     # every seed shares the mode, scope, normalization and ig_steps
     tctx = training.TeacherContext(teacher, base)
     runs = []
-    sims: list[float] = []
     for i in range(args.seeds):
         seed = base.seed + i
         run_cfg = replace(base, seed=seed)
@@ -249,22 +248,15 @@ def cmd_train_student(args: argparse.Namespace) -> int:
                     "scope": run_cfg.explainer_scope(),
                 },
             )
-        test_sim = training.simulability(result.student, tctx, splits.test)
-        dev_sim = training.simulability(result.student, tctx, splits.dev)
-        active = training.count_active_heads(result.phi_t, run_cfg.normalize)
-        run_log_path = os.path.join(run_dir, "run.json")
+        stats = {
+            "test_simulability": training.simulability(result.student, tctx, splits.test),
+            "dev_simulability": training.simulability(result.student, tctx, splits.dev),
+            "active_heads": training.count_active_heads(result.phi_t, run_cfg.normalize),
+        }
         dio._atomic_write_text(
-            run_log_path,
-            json.dumps(
-                {
-                    "seed": seed,
-                    "log": [rec.to_dict() for rec in result.log],
-                    "test_simulability": test_sim,
-                    "dev_simulability": dev_sim,
-                    "active_heads": active,
-                },
-                sort_keys=True,
-            )
+            os.path.join(run_dir, "run.json"),
+            json.dumps({"seed": seed, "log": [rec.to_dict() for rec in result.log], **stats},
+                       sort_keys=True)
             + "\n",
         )
         runs.append(
@@ -274,15 +266,13 @@ def cmd_train_student(args: argparse.Namespace) -> int:
                 "student": os.path.join(f"seed_{seed}", "student.smat"),
                 "phi_t": os.path.join(f"seed_{seed}", "phi_t.smat") if phi_path else None,
                 "run_log": os.path.join(f"seed_{seed}", "run.json"),
-                "test_simulability": test_sim,
-                "dev_simulability": dev_sim,
-                "active_heads": active,
+                **stats,
             }
         )
-        sims.append(test_sim)
-        print(f"seed={seed} test_simulability={test_sim:.4f} active_heads={active}")
+        print(f"seed={seed} test_simulability={stats['test_simulability']:.4f} "
+              f"active_heads={stats['active_heads']}")
 
-    agg = metrics.aggregate_median_iqr(sims)
+    agg = metrics.aggregate_median_iqr([run["test_simulability"] for run in runs])
     summary = {
         "mode": args.mode,
         "normalize": base.normalize,
@@ -320,40 +310,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = _load_summary(args.students)
     mode = summary["mode"]
 
+    values = []
     if args.metric == "sim":
-        base_cfg = training.TrainConfig(mode=mode)
-        tctx = training.TeacherContext(teacher, base_cfg)
-        values = []
+        tctx = training.TeacherContext(teacher, training.TrainConfig(mode=mode))
         for run in summary["runs"]:
             student, _ = dio.load_model(os.path.join(args.students, run["student"]))
             sim = training.simulability(student, tctx, dataset.examples)
             values.append(sim)
             print(f"seed={run['seed']} sim={sim:.4f}")
-        agg = metrics.aggregate_median_iqr(values)
-        print(f"aggregate median={agg.median:.4f} iqr=[{agg.iqr_low:.4f}, {agg.iqr_high:.4f}]")
-        return 0
-
-    # plausibility AUC against gold rationales
-    if not any(ex.rationale is not None for ex in dataset.examples):
-        raise ValueError(
-            "plausibility AUC requires rationale masks in the data file "
-            "(third TSV column of 0/1 flags)"
-        )
-    with_masks = [ex for ex in dataset.examples if ex.rationale is not None]
-    ids = [ex.token_ids for ex in with_masks]
-    static = None  # a static teacher explanation is the same for every seed
-    if mode.startswith("static:"):
-        static = compute_static_saliency(teacher, ids, mode.split(":", 1)[1])
-    elif mode != "smat":
-        raise ValueError(f"mode {mode!r} trains without a teacher explainer; nothing to score")
-    values = []
-    for run in summary["runs"]:
-        saliencies = static if static is not None else explain_parameterized(
-            teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))
-        pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]
-        auc, used, skipped = metrics.corpus_auc(pairs)
-        values.append(auc)
-        print(f"seed={run['seed']} auc={auc:.4f} used={used} skipped={skipped}")
+    else:
+        # plausibility AUC against gold rationales
+        if not any(ex.rationale is not None for ex in dataset.examples):
+            raise ValueError(
+                "plausibility AUC requires rationale masks in the data file "
+                "(third TSV column of 0/1 flags)"
+            )
+        with_masks = [ex for ex in dataset.examples if ex.rationale is not None]
+        ids = [ex.token_ids for ex in with_masks]
+        static = None  # a static teacher explanation is the same for every seed
+        if mode.startswith("static:"):
+            static = compute_static_saliency(teacher, ids, mode.split(":", 1)[1])
+        elif mode != "smat":
+            raise ValueError(f"mode {mode!r} trains without a teacher explainer; nothing to score")
+        for run in summary["runs"]:
+            saliencies = static if static is not None else explain_parameterized(
+                teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))
+            pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]
+            auc, used, skipped = metrics.corpus_auc(pairs)
+            values.append(auc)
+            print(f"seed={run['seed']} auc={auc:.4f} used={used} skipped={skipped}")
     agg = metrics.aggregate_median_iqr(values)
     print(f"aggregate median={agg.median:.4f} iqr=[{agg.iqr_low:.4f}, {agg.iqr_high:.4f}]")
     return 0

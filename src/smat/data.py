@@ -56,10 +56,6 @@ class Example:
                 f"rationale length {len(self.rationale)} != token count {len(self.tokens)}"
             )
 
-    @property
-    def target(self) -> int | float:
-        return self.label if self.label is not None else self.score
-
 
 @dataclass
 class Dataset:
@@ -70,9 +66,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import PAD_ID, AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias
+from .model import AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias, strip_pads
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -178,16 +178,14 @@ def _by_length(token_ids, explain, chunk: int | None = None):
     """
     if not is_batch(token_ids):
         return _by_length([token_ids], explain, chunk)[0]
-    lengths = [len(ids) for ids in token_ids]
-    for i, ids in enumerate(token_ids):
-        while lengths[i] and ids[lengths[i] - 1] == PAD_ID:
-            lengths[i] -= 1
+    stripped = [strip_pads(ids) for ids in token_ids]
+    lengths = [len(ids) for ids in stripped]
     out = [None] * len(token_ids)
     for length in dict.fromkeys(lengths):
         idx = [i for i, n in enumerate(lengths) if n == length]
         step = chunk or len(idx)
         for part in (idx[s : s + step] for s in range(0, len(idx), step)):
-            for i, sal in zip(part, explain([token_ids[i][:length] for i in part])):
+            for i, sal in zip(part, explain([stripped[i] for i in part])):
                 out[i] = sal
     return out
 

@@ -62,6 +62,8 @@ def plausibility_auc(scores: Sequence[float], mask: Sequence[int]) -> float:
     m = np.asarray(mask, dtype=np.int64)
     if s.shape != m.shape or s.ndim != 1 or s.size == 0:
         raise ValueError("scores and mask must be equal-length non-empty vectors")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN: they have no rank")
     if not set(np.unique(m)) <= {0, 1}:
         raise ValueError("mask entries must be 0 or 1")
     n_pos = int(m.sum())
@@ -74,17 +76,12 @@ def plausibility_auc(scores: Sequence[float], mask: Sequence[int]) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; a tie run at sorted positions left .. right - 1 shares
+    their mean rank (left + 1 + right) / 2."""
+    ordered = np.sort(values)
+    left = np.searchsorted(ordered, values, side="left")
+    right = np.searchsorted(ordered, values, side="right")
+    return (left + right + 1) / 2.0
 
 
 def corpus_auc(

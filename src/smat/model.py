@@ -135,6 +135,14 @@ def is_batch(token_ids: object) -> bool:
     return len(token_ids) == 0 or hasattr(token_ids[0], "__len__")
 
 
+def strip_pads(ids: Sequence[int]) -> Sequence[int]:
+    """``ids`` without its trailing pads: the sequence a forward runs."""
+    n = len(ids)
+    while n and ids[n - 1] == PAD_ID:
+        n -= 1
+    return ids[:n]
+
+
 def pad_bias(valid: np.ndarray, dtype) -> np.ndarray:
     """0 at valid positions and MASK_BIAS at pads, to add before a softmax."""
     return np.where(valid, 0.0, MASK_BIAS).astype(dtype)

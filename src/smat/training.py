@@ -53,7 +53,7 @@ from .explainers import (
     scope_head_indices,
 )
 from .metrics import simulability_accuracy, simulability_pearson
-from .model import PREDICT_CHUNK, MiniTransformer, ModelConfig, is_batch, task_loss
+from .model import PREDICT_CHUNK, MiniTransformer, ModelConfig, is_batch, strip_pads, task_loss
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,7 @@ class TrainConfig:
     ``mode`` is ``none``, ``smat``, or ``static:<explainer>`` where the
     explainer is one of the five static saliency methods. ``beta``
     defaults by explainer family (attention 5.0, gradient 0.2) and is
-    forced to zero in mode ``none``.
+    forced to zero in mode ``none``, with one warning when built.
     """
 
     mode: str = "none"
@@ -115,6 +115,8 @@ class TrainConfig:
             raise ValueError("batch_size and ig_steps must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if kind == "none" and self.beta:
+            logger.warning("mode 'none' forces beta to 0 (config had %s)", self.beta)
 
     def mode_kind(self) -> str:
         return self.mode.split(":", 1)[0]
@@ -127,8 +129,6 @@ class TrainConfig:
 
     def effective_beta(self) -> float:
         if self.mode_kind() == "none":
-            if self.beta not in (None, 0, 0.0):
-                logger.warning("mode 'none' forces beta to 0 (config had %s)", self.beta)
             return 0.0
         if self.beta is not None:
             return float(self.beta)
@@ -183,9 +183,11 @@ class TeacherContext:
 
         ``compute`` maps unseen sequences, each once and in first-seen order,
         to the list of their values; it gets at most PREDICT_CHUNK at a time.
+        Keys drop trailing pads, as a forward does, so a value does not
+        depend on the batch it was computed in.
         """
         one = not is_batch(token_ids)
-        keys = [(kind, tuple(map(int, ids))) for ids in ([token_ids] if one else token_ids)]
+        keys = [(kind, strip_pads(tuple(map(int, ids)))) for ids in ([token_ids] if one else token_ids)]
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):
             chunk = unseen[start : start + PREDICT_CHUNK]
@@ -245,7 +247,6 @@ class TrainState:
     student: MiniTransformer
     phi_s: Tensor
     phi_t: Tensor
-    step: int = 0
     last_loss: float | None = None
 
 
@@ -344,7 +345,6 @@ def inner_step(
     grads = ad.backward(loss, params)
     for p, g in zip(params, grads):
         p.data = p.data - config.eta_inner * g.data
-    state.step += 1
     state.last_loss = loss.item()
     return state
 

@@ -1,6 +1,7 @@
 """Simulability, plausibility AUC, median/IQR aggregation, skill ratings."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ def test_auc_rejects_degenerate_masks():
         plausibility_auc([0.5, 0.5], [0, 0])
 
 
+def test_auc_rejects_nan_scores():
+    with pytest.raises(ValueError, match="NaN"):
+        plausibility_auc([0.5, float("nan"), 0.2], [1, 0, 0])
+
+
 def test_auc_invariant_under_monotone_transforms():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -69,6 +75,22 @@ def test_auc_invariant_under_monotone_transforms():
         a = plausibility_auc(scores.tolist(), mask.tolist())
         b = plausibility_auc(np.exp(2.0 * scores).tolist(), mask.tolist())
         assert a == pytest.approx(b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_auc_is_the_pairwise_count_of_wins_and_half_ties(dtype):
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        levels = rng.normal(size=int(rng.integers(1, 6))).astype(dtype)
+        scores = levels[rng.integers(0, levels.size, size=n)]
+        mask = rng.integers(0, 2, size=n)
+        mask[:2] = [0, 1]
+        pos, neg = scores[mask == 1], scores[mask == 0]
+        wins = int((pos[:, None] > neg[None, :]).sum())
+        ties = int((pos[:, None] == neg[None, :]).sum())
+        oracle = Fraction(2 * wins + ties, 2 * pos.size * neg.size)
+        assert plausibility_auc(scores, mask) == float(oracle)
 
 
 def test_corpus_auc_skips_degenerate_examples():

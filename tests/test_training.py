@@ -88,6 +88,14 @@ def test_mode_none_forces_beta_zero(caplog):
     assert any("beta" in rec.message for rec in caplog.records)
 
 
+def test_a_mode_none_run_warns_once_about_beta(caplog):
+    import logging
+    with caplog.at_level(logging.WARNING):
+        teacher, splits, student_config, config = make_setup("none", beta=5.0, steps=20)
+        train(config, teacher, splits, student_config)
+    assert sum("forces beta" in rec.message for rec in caplog.records) == 1
+
+
 def test_default_beta_follows_explainer_family():
     assert TrainConfig(mode="smat").effective_beta() == 5.0
     assert TrainConfig(mode="static:attn_all").effective_beta() == 5.0
@@ -635,6 +643,44 @@ def test_a_short_run_fills_only_the_sequences_its_schedule_touches(monkeypatch):
     assert len(calls) == len(sizes) and len(splits.train) > 4
     assert 1 <= sizes["head_logits"] <= 4  # one inner batch, not the train split
     assert len(splits.dev) <= sizes["target"] <= len(splits.dev) + 4
+
+
+PADDED, UNPADDED, LONGER = [5, 6, 0], [5, 6], [5, 6, 7, 8]
+
+
+def _assert_same(a, b):
+    assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode,kind", [("smat", "target"), ("smat", "probs"),
+                                       ("smat", "head_logits"), ("static:attn_all", "static_saliency")])
+def test_a_padded_sequence_reads_its_unpadded_cache_entry(mode, kind):
+    teacher, _, _, config = make_setup(mode, dtype=np.float32)
+
+    def fresh(ids):
+        return getattr(TeacherContext(teacher, config), kind)(ids)
+
+    _assert_same(fresh(PADDED), fresh(UNPADDED))
+    _assert_same(fresh([PADDED, LONGER])[0], fresh([UNPADDED, LONGER])[0])
+    tctx = TeacherContext(teacher, config)
+    value = getattr(tctx, kind)(UNPADDED)
+    assert getattr(tctx, kind)([LONGER, PADDED])[1] is value
+    assert getattr(tctx, kind)(np.array(PADDED)) is value
+    assert len(tctx._cache) == 2
+
+
+@pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
+def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
+    teacher, _, _, config = make_setup(mode, dtype=np.float32)
+    phi_t = Tensor(np.linspace(-1, 1, len(scope_head_indices(teacher, "all")), dtype=np.float32))
+
+    def e_t(ids):
+        return TeacherContext(teacher, config).teacher_saliency(ids, phi_t).data
+
+    _assert_same(e_t(PADDED), e_t(UNPADDED))
+    beside = e_t([PADDED, LONGER])
+    _assert_same(beside, e_t([UNPADDED, LONGER]))
+    assert (beside[0, 2:] == 0).all()
 
 
 def test_train_rejects_a_context_for_another_run():
