@@ -29,6 +29,10 @@ so a forward that records no graph never builds them.
 and ``narrow``/``concat`` work along any axis, so a model can run a whole
 padded batch as one graph.
 
+Tensors hash and compare by identity (``Tensor`` defines no ``__eq__`` or
+``__hash__``), and :func:`backward` relies on it: its visited set, reach
+set and gradient table are keyed by the tensors themselves.
+
 Storage is 32-bit by default. Finite-difference oracles in the test
 suite instantiate the same operations in 64-bit, which the engine
 supports via an explicit dtype.
@@ -186,6 +190,11 @@ def records_graph(parents: Sequence[Tensor]) -> bool:
     return False
 
 
+# bound once: _from_op runs for every node
+_new_tensor = Tensor.__new__
+_ndarray = np.ndarray
+
+
 def _from_op(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
@@ -193,10 +202,11 @@ def _from_op(
     op: str,
 ) -> Tensor:
     """An op's output node; ``vjp`` may be None only if it records no graph."""
-    arr = np.asarray(data)
+    # numpy reductions over every axis return a scalar, not an array
+    arr = data if type(data) is _ndarray else np.asarray(data)
     if not all_finite(arr):
         raise NonFiniteError(f"non-finite values produced by '{op}'")
-    out = Tensor.__new__(Tensor)
+    out = _new_tensor(Tensor)
     out.data = arr
     out.name = None
     out._op = op
@@ -340,14 +350,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
 
 
+@functools.cache
+def _swap_last_two(ndim: int) -> tuple[int, ...]:
+    """The permutation that swaps the last two of ``ndim`` axes."""
+    return (*range(ndim - 2), ndim - 1, ndim - 2)
+
+
+@functools.cache
+def _inverse_permutation(axes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(axes.index(i) for i in range(len(axes)))
+
+
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Swap the last two axes, or permute the axes in the order ``axes`` lists."""
     if axes is None:
         if a.ndim < 2:
             raise ValueError(f"transpose expects at least 2 axes, got {a.shape}")
-        axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
-    axes = tuple(axes)
-    inverse = tuple(axes.index(i) for i in range(len(axes)))
+        axes = _swap_last_two(a.ndim)
+    else:
+        axes = tuple(axes)
+    inverse = _inverse_permutation(axes)
     return _from_op(
         np.ascontiguousarray(a.data.transpose(axes)),
         (a,),
@@ -659,19 +681,19 @@ def sparsemax(z: Tensor) -> Tensor:
 
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+            if parent.requires_grad and parent not in seen:
                 stack.append((parent, False))
     return order
 
@@ -697,21 +719,23 @@ def backward(
         raise GradientError("loss does not depend on any tracked tensor")
 
     order = _toposort(loss)
-    grads: dict[int, Tensor] = {
-        id(loss): constant(np.ones(loss.shape, dtype=loss.dtype))
+    grads: dict[Tensor, Tensor] = {
+        loss: constant(np.ones(loss.shape, dtype=loss.dtype))
     }
-    wrt_ids = {id(t) for t in wrt}
+    wanted = set(wrt)
     # Parents come before children in ``order``, so one pass marks every node
     # on a path to a wrt tensor; only those collect gradients and run closures.
-    reaches = {id(t) for t in wrt if t.requires_grad}
+    reaches = {t for t in wrt if t.requires_grad}
     for node in order:
-        if any(id(p) in reaches for p in node._parents):
-            reaches.add(id(node))
+        for p in node._parents:
+            if p in reaches:
+                reaches.add(node)
+                break
 
     with enable_grad() if create_graph else no_grad():
         for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None or id(node) not in reaches:
+            g = grads.get(node)
+            if g is None or node._vjp is None or node not in reaches:
                 continue
             try:
                 parent_grads = node._vjp(g)
@@ -720,16 +744,16 @@ def backward(
                     f"non-finite gradient while differentiating '{node._op}': {err}"
                 ) from err
             for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or id(parent) not in reaches:
+                if pg is None or parent not in reaches:
                     continue
-                held = grads.get(id(parent))
-                grads[id(parent)] = pg if held is None else add(held, pg)
-            if id(node) not in wrt_ids:
-                del grads[id(node)]
+                held = grads.get(parent)
+                grads[parent] = pg if held is None else add(held, pg)
+            if node not in wanted:
+                del grads[node]
 
     out: list[Tensor] = []
     for t in wrt:
-        g = grads.get(id(t))
+        g = grads.get(t)
         if g is None:
             logger.warning("parameter %r is not reached by the loss; gradient is zero", t)
             g = constant(np.zeros(t.shape, dtype=t.dtype))

@@ -12,11 +12,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from collections.abc import Sequence
 
 import numpy as np
@@ -224,7 +224,10 @@ def cmd_train_student(args: argparse.Namespace) -> int:
     runs = []
     for i in range(args.seeds):
         seed = base.seed + i
-        run_cfg = replace(base, seed=seed)
+        # a copy, not dataclasses.replace: rebuilding would rerun the config's
+        # checks and log its warnings once more per seed
+        run_cfg = copy.copy(base)
+        run_cfg.seed = seed
         result = training.train(
             run_cfg,
             teacher,

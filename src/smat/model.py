@@ -36,6 +36,7 @@ runs instead and raises naming its op, as a recorded forward does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
@@ -155,10 +156,14 @@ def _mean_weights(valid: np.ndarray | None, lead: tuple[int, ...], length: int, 
     return (valid / valid.sum(axis=-1, keepdims=True)).astype(dtype)[:, None, :]
 
 
+@functools.cache
+def _head_swap(ndim: int) -> tuple[int, ...]:
+    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
+
+
 def _swap_heads(x: Tensor) -> Tensor:
     """(..., L, H, d) <-> (..., H, L, d)."""
-    n = x.ndim
-    return ad.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
+    return ad.transpose(x, _head_swap(x.ndim))
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:

@@ -166,6 +166,8 @@ class TeacherContext:
         self.config = config
         self.scope = config.explainer_scope()
         self._cache: dict[tuple[str, tuple[int, ...]], object] = {}
+        # (phi_t, phi_t.data, key, data bytes, E_T) of the last teacher_saliency call
+        self._last_saliency: tuple | None = None
 
     def check_serves(self, teacher: MiniTransformer, config: TrainConfig) -> None:
         """Raise ValueError, naming the field, unless this context's values
@@ -178,21 +180,27 @@ class TeacherContext:
                 raise ValueError(f"teacher context was built for {name}={have!r}, "
                                  f"the run has {name}={want!r}")
 
-    def _lookup(self, kind: str, token_ids, compute):
-        """Cached ``kind`` values: one for one sequence, a list for a list.
-
-        ``compute`` maps unseen sequences, each once and in first-seen order,
-        to the list of their values; it gets at most PREDICT_CHUNK at a time.
-        Keys drop trailing pads, as a forward does, so a value does not
-        depend on the batch it was computed in.
-        """
+    def _keys(self, kind: str, token_ids) -> tuple[bool, list[tuple[str, tuple[int, ...]]]]:
+        """Whether ``token_ids`` is one sequence, and the cache key of each
+        sequence. Keys drop trailing pads, as a forward does, so a value does
+        not depend on the batch it was computed in."""
         one = not is_batch(token_ids)
-        keys = [(kind, strip_pads(tuple(map(int, ids)))) for ids in ([token_ids] if one else token_ids)]
+        return one, [(kind, strip_pads(tuple(map(int, ids)))) for ids in ([token_ids] if one else token_ids)]
+
+    def _values(self, keys: list, compute) -> list:
+        """The cached value of each key. ``compute`` maps unseen sequences, each
+        once and in first-seen order, to the list of their values; it gets at
+        most PREDICT_CHUNK at a time."""
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):
             chunk = unseen[start : start + PREDICT_CHUNK]
             self._cache.update(zip(chunk, compute([ids for _, ids in chunk])))
-        values = [self._cache[k] for k in keys]
+        return [self._cache[k] for k in keys]
+
+    def _lookup(self, kind: str, token_ids, compute):
+        """Cached ``kind`` values: one for one sequence, a list for a list."""
+        one, keys = self._keys(kind, token_ids)
+        values = self._values(keys, compute)
         return values[0] if one else values
 
     def target(self, token_ids):
@@ -206,26 +214,45 @@ class TeacherContext:
 
     def head_logits(self, token_ids):
         """(in-scope teacher heads, L) saliency-logit matrix of each sequence."""
-        def compute(batch):
-            stack = head_logit_matrix(self.teacher, batch, self.scope)
-            return [m[:, : len(ids)] for m, ids in zip(stack, batch)]
-        return self._lookup("head_logits", token_ids, compute)
+        return self._lookup("head_logits", token_ids, self._compute_head_logits)
+
+    def _compute_head_logits(self, batch):
+        stack = head_logit_matrix(self.teacher, batch, self.scope)
+        return [m[:, : len(ids)] for m, ids in zip(stack, batch)]
 
     def static_saliency(self, token_ids):
-        def compute(batch):
-            return [sal.scores for sal in compute_static_saliency(
-                self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
-        return self._lookup("static", token_ids, compute)
+        return self._lookup("static", token_ids, self._compute_static_saliency)
+
+    def _compute_static_saliency(self, batch):
+        return [sal.scores for sal in compute_static_saliency(
+            self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
 
     def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:
         """E_T for one sequence (L,) or a batch (B, L): learned combination or
-        static constant, exactly 0 at pad positions."""
-        kind = self.config.mode_kind()
-        if kind == "none":
+        static constant, exactly 0 at pad positions.
+
+        The last result is kept: a call with the same sequences (by cache
+        key), the same ``phi_t`` tensor, its ``data`` the same array with the
+        same bytes, and graph recording as before returns the same tensor.
+        A smat step asks for E_T four times on one batch at one phi_T (the
+        inner step, the outer step's loss at the committed weights and both
+        hypergradient probes), so all four share one graph node, and a
+        backward pass through any of them reaches phi_T.
+        """
+        mode = self.config.mode_kind()
+        if mode == "none":
             raise ValueError("mode 'none' has no teacher explainer")
-        one = not is_batch(token_ids)
-        lookup = self.head_logits if kind == "smat" else self.static_saliency
-        rows = lookup([token_ids] if one else token_ids)
+        kind, compute = (("head_logits", self._compute_head_logits) if mode == "smat"
+                         else ("static", self._compute_static_saliency))
+        one, keys = self._keys(kind, token_ids)
+        data = phi_t.data
+        key = (one, keys, ad.records_graph((phi_t,)))
+        if self._last_saliency is not None:
+            last_phi, last_data, last_key, last_bytes, e_t = self._last_saliency
+            if (last_phi is phi_t and last_data is data and last_key == key
+                    and last_bytes == data.tobytes()):
+                return e_t
+        rows = self._values(keys, compute)
         lengths = np.array([r.shape[-1] for r in rows])
         width = int(lengths.max())
         padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
@@ -234,10 +261,13 @@ class TeacherContext:
         valid = None if (lengths == width).all() else np.arange(width) < lengths[:, None]
         if one:
             padded = padded[0]
-        if kind == "static":
-            return ad.constant(padded)
-        lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
-        return combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, valid)
+        if mode == "static":
+            e_t = ad.constant(padded)
+        else:
+            lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
+            e_t = combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, valid)
+        self._last_saliency = (phi_t, data, key, data.tobytes(), e_t)
+        return e_t
 
 
 @dataclass
@@ -270,7 +300,7 @@ class TrainResult:
 
 
 def _scaled(total: Tensor, factor: float) -> Tensor:
-    return ad.mul(total, ad.constant(np.asarray(factor, dtype=total.dtype)))
+    return ad.mul(total, ad.scalar(factor, total.dtype))
 
 
 def _check_sim_loss(sim_loss: str, student_task: str) -> None:
@@ -322,7 +352,7 @@ def student_loss(
     e_s = saliency_from_internals(internals, _student_explainer(phi_s, config))
     expl = _kl_sum(tctx.teacher_saliency(ids, phi_t), e_s, config)
     total = ad.add(_sim_sum(student, tctx, ids, config, output=out),
-                   ad.mul(ad.constant(np.asarray(beta, dtype=expl.dtype)), expl))
+                   ad.mul(ad.scalar(beta, expl.dtype), expl))
     return _scaled(total, 1.0 / len(ids))
 
 
@@ -371,16 +401,17 @@ def _phi_t_gradient(
 
     Only the explanation term depends on phi_T, so the simulation term
     is dropped; the student-side saliency is evaluated at the probe
-    weights and treated as a constant.
+    weights and treated as a constant. E_T is the step's shared node (see
+    ``TeacherContext.teacher_saliency``), differentiated with respect to
+    ``state.phi_t`` itself.
     """
     ids = [ex.token_ids for ex in batch]
-    phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
-    expl = _kl_sum(tctx.teacher_saliency(ids, phi_leaf), e_s, config)
+    expl = _kl_sum(tctx.teacher_saliency(ids, state.phi_t), e_s, config)
     loss = _scaled(expl, config.effective_beta() / len(ids))
-    return ad.backward(loss, [phi_leaf])[0].data
+    return ad.backward(loss, [state.phi_t])[0].data
 
 
 def outer_step(
@@ -413,7 +444,7 @@ def outer_step(
     g_theta = ad.backward(loss_train, theta, create_graph=exact)
 
     if exact:
-        eta = ad.constant(np.asarray(config.eta_inner, dtype=theta[0].dtype))
+        eta = ad.scalar(config.eta_inner, theta[0].dtype)
         pilot = {
             name: ad.sub(t, ad.mul(eta, g))
             for name, t, g in zip(names, theta, g_theta)

@@ -5,6 +5,7 @@ differences in float64 at 10 seeded random points, relative error < 1e-4.
 """
 
 import gc
+import itertools
 import logging
 import math
 import weakref
@@ -443,6 +444,122 @@ def test_backward_rejects_non_scalar_loss():
     x = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with pytest.raises(ValueError):
         ad.backward(ad.mul(x, x), [x])
+
+
+# ---------------------------------------------------------------------------
+# backward bookkeeping, against the id()-keyed engine it replaced
+
+
+def _id_keyed_toposort(root):
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def id_keyed_backward(loss, wrt, create_graph=False):
+    """Oracle: the backward pass with its visited set, reach set and
+    gradient table keyed by ``id()`` of each tensor."""
+    order = _id_keyed_toposort(loss)
+    grads = {id(loss): ad.constant(np.ones(loss.shape, dtype=loss.dtype))}
+    wrt_ids = {id(t) for t in wrt}
+    reaches = {id(t) for t in wrt if t.requires_grad}
+    for node in order:
+        if any(id(p) in reaches for p in node._parents):
+            reaches.add(id(node))
+    with ad.enable_grad() if create_graph else ad.no_grad():
+        for node in reversed(order):
+            g = grads.get(id(node))
+            if g is None or node._vjp is None or id(node) not in reaches:
+                continue
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or id(parent) not in reaches:
+                    continue
+                held = grads.get(id(parent))
+                grads[id(parent)] = pg if held is None else ad.add(held, pg)
+            if id(node) not in wrt_ids:
+                del grads[id(node)]
+    return [grads[id(t)] for t in wrt]
+
+
+def _repeated_parents(rng):
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float32)
+    w = ad.Tensor(rng.normal(size=(4,)), requires_grad=True, dtype=np.float32)
+    sq = ad.mul(x, x)
+    return ad.tsum(ad.add(ad.mul(sq, x), ad.mul(ad.mul(sq, w), sq))), [x, w]
+
+
+def _diamond(rng):
+    x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float32)
+    w = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float32)
+    top = ad.exp(ad.matmul(x, w))  # feeds both sides
+    left = ad.softmax(ad.mul(top, x), axis=-1)
+    right = ad.sqrt(ad.add(top, ad.scalar(1.0, top.dtype)))
+    bottom = ad.add(ad.matmul(left, ad.transpose(w)), ad.mul(right, right))
+    return ad.tsum(ad.mul(bottom, ad.add(bottom, top))), [x, w]
+
+
+def _model(rng):
+    net = tiny_model(seed=3, dtype=np.float32)
+    ids = [[int(t) for t in rng.integers(1, 12, size=n)] for n in (6, 4, 5)]
+    return task_loss(net, ids, [0, 1, 1]), net.param_list()
+
+
+@pytest.mark.parametrize("build", [_repeated_parents, _diamond, _model],
+                         ids=["repeated_parents", "diamond", "model"])
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_float32_backward_equals_the_id_keyed_engine_bit_for_bit(build, create_graph):
+    loss, wrt = build(np.random.default_rng(31))
+    got = ad.backward(loss, wrt, create_graph=create_graph)
+    want = id_keyed_backward(loss, wrt, create_graph=create_graph)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float32 and np.array_equal(g.data, w.data)
+        assert g.requires_grad == w.requires_grad
+    if not create_graph:
+        return
+    # differentiate each engine's own first-order graph again
+    rng = np.random.default_rng(37)
+    vs = [ad.constant(rng.normal(size=t.shape), dtype=np.float32) for t in wrt]
+
+    def dot(grads):
+        total = ad.tsum(ad.mul(grads[0], vs[0]))
+        for g, v in zip(grads[1:], vs[1:]):
+            total = ad.add(total, ad.tsum(ad.mul(g, v)))
+        return total
+
+    for g, w in zip(ad.backward(dot(got), wrt), id_keyed_backward(dot(want), wrt)):
+        assert np.array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("ndim", [3, 4, 5])
+@pytest.mark.parametrize("container", [tuple, list])
+def test_transpose_cached_inverse_undoes_every_permutation(ndim, container):
+    rng = np.random.default_rng(ndim)
+    x = ad.Tensor(rng.normal(size=tuple(range(2, 2 + ndim))), requires_grad=True,
+                  dtype=np.float64)
+    for perm in itertools.permutations(range(ndim)):
+        axes = container(perm)
+        out = ad.transpose(x, axes)
+        assert axes == container(perm)  # the caller's axes are left alone
+        assert np.array_equal(out.data, x.data.transpose(perm))
+        w = rng.normal(size=out.shape)
+        (g,) = ad.backward(ad.tsum(ad.mul(out, ad.constant(w, dtype=np.float64))), [x])
+        assert np.array_equal(g.data, w.transpose(np.argsort(perm)))
+        assert ad._inverse_permutation(perm) == tuple(np.argsort(perm))
+    swapped = ad.transpose(x)
+    assert np.array_equal(swapped.data, np.swapaxes(x.data, -1, -2))
+    (g,) = ad.backward(ad.tsum(ad.mul(swapped, swapped)), [x])
+    assert np.array_equal(g.data, 2.0 * x.data)
 
 
 def test_no_grad_blocks_graph_recording():

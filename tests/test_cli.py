@@ -5,6 +5,7 @@ synthetic corpus so the whole file stays inside a few seconds.
 """
 
 import json
+import logging
 import os
 import struct
 
@@ -98,6 +99,24 @@ def test_teacher_training_is_reproducible(pipeline, tmp_path):
     with open(str(again) + ".json", "rb") as a, \
             open(str(pipeline["teacher"]) + ".json", "rb") as b:
         assert a.read() == b.read()
+
+
+def test_train_student_mode_none_warns_once_about_beta(pipeline, tmp_path, caplog):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["train"]["beta"] = 5.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    out = tmp_path / "none"
+    with caplog.at_level(logging.WARNING):
+        assert main(["train-student", "--config", str(config), "--teacher", str(pipeline["teacher"]),
+                     "--mode", "none", "--seeds", "2", "--out", str(out)]) == 0
+    lines = [rec.getMessage() for rec in caplog.records if "forces beta" in rec.getMessage()]
+    assert lines == ["mode 'none' forces beta to 0 (config had 5.0)"]
+    for seed in ("seed_0", "seed_1"):  # beta is 0 either way
+        for name in ("run.json", "student.smat"):
+            assert (out / seed / name).read_bytes() == \
+                (pipeline["students"]["none"] / seed / name).read_bytes()
 
 
 def test_student_summary_shape(pipeline):

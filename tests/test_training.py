@@ -683,6 +683,119 @@ def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
     assert (beside[0, 2:] == 0).all()
 
 
+# ---------------------------------------------------------------------------
+# one teacher explanation E_T per smat step
+
+
+def count_e_t_builds(monkeypatch):
+    """One entry per E_T that teacher_saliency builds (a memo miss)."""
+    builds = []
+    combine = training.combine_head_logits
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return combine(*args, **kwargs)
+
+    monkeypatch.setattr(training, "combine_head_logits", counting)
+    return builds
+
+
+def test_a_central_smat_step_builds_e_t_once_for_its_four_uses(monkeypatch):
+    teacher, splits, student_config, config = fixture_shaped_setup("smat")
+    state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    builds, requests = count_e_t_builds(monkeypatch), []
+    saliency = TeacherContext.teacher_saliency
+
+    def recording(self, token_ids, phi_t):
+        requests.append(1)
+        return saliency(self, token_ids, phi_t)
+
+    monkeypatch.setattr(TeacherContext, "teacher_saliency", recording)
+    for step, start in enumerate((0, 8), start=1):
+        batch, outer = splits.train[start : start + 8], splits.dev[start : start + 8]
+        inner_step(state, batch, config, tctx)
+        before = state.phi_t.data.copy()
+        outer_step(state, batch, outer, config, tctx)
+        assert not np.array_equal(state.phi_t.data, before)
+        # inner step, committed-weight loss and both probes; one build
+        assert (len(requests), len(builds)) == (4 * step, step)
+
+
+def test_the_e_t_memo_misses_on_a_new_batch_a_phi_t_update_or_an_in_place_write(monkeypatch):
+    teacher, splits, student_config, config = fixture_shaped_setup("smat")
+    state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    builds = count_e_t_builds(monkeypatch)
+    batch, outer = splits.train[:8], splits.dev[:8]
+    ids = [ex.token_ids for ex in batch]
+
+    def fresh():  # E_T from a context with no memo, built after every check
+        return TeacherContext(teacher, config).teacher_saliency(ids, state.phi_t).data
+
+    inner_step(state, batch, config, tctx)
+    e_t = tctx.teacher_saliency([list(x) + [0] for x in ids], state.phi_t)  # same cache keys
+    assert e_t.requires_grad and len(builds) == 1
+    outer_step(state, batch, outer, config, tctx)  # every use hits, then phi_t.data is replaced
+    assert len(builds) == 1
+
+    updated = tctx.teacher_saliency(ids, state.phi_t)
+    assert len(builds) == 2 and not np.array_equal(updated.data, e_t.data)
+    assert np.array_equal(updated.data, fresh())
+    assert tctx.teacher_saliency(ids, state.phi_t) is updated and len(builds) == 3
+
+    state.phi_t.data[0] += 1.0  # same array, new bytes
+    written = tctx.teacher_saliency(ids, state.phi_t)
+    assert len(builds) == 4 and np.array_equal(written.data, fresh())
+
+    alias = Tensor(state.phi_t.data, requires_grad=True)  # another tensor on the same array
+    assert alias.data is state.phi_t.data
+    aliased = tctx.teacher_saliency(ids, alias)
+    assert len(builds) == 6 and ad.backward(ad.tsum(aliased), [alias])[0].data.any()
+    with ad.no_grad():  # a graph was recorded before; this call records none
+        assert not tctx.teacher_saliency(ids, alias).requires_grad
+    assert len(builds) == 7
+    other = tctx.teacher_saliency([ex.token_ids for ex in splits.train[8:16]], alias)
+    assert len(builds) == 8 and other.shape[0] == 8
+
+
+def unshared_phi_t_gradient(state, batch, config, tctx, probe_params):
+    """The probe gradient through an E_T of its own, on a copy of phi_T."""
+    ids = [ex.token_ids for ex in batch]
+    phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
+    with ad.no_grad():
+        internals = state.student.attention_internals(ids, params=probe_params)
+        e_s = training.saliency_from_internals(
+            internals, ExplainerParams(phi=state.phi_s, normalize=config.normalize,
+                                       scope=config.explainer_scope()))
+    expl = training._kl_sum(tctx.teacher_saliency(ids, phi_leaf), e_s, config)
+    factor = ad.constant(np.asarray(config.effective_beta() / len(ids), dtype=expl.dtype))
+    return ad.backward(ad.mul(expl, factor), [phi_leaf])[0].data
+
+
+@pytest.mark.parametrize("hypergrad", ["central", "exact"])
+def test_float32_train_with_one_shared_e_t_is_bit_identical_to_unshared(monkeypatch, hypergrad):
+    teacher, splits, student_config, config = fixture_shaped_setup(
+        "smat", steps=10, batch_size=16, hypergrad=hypergrad)
+    shared = train(config, teacher, splits, student_config)
+    builds = count_e_t_builds(monkeypatch)
+    saliency = TeacherContext.teacher_saliency
+
+    def unshared(self, token_ids, phi_t):
+        self._last_saliency = None  # every request builds its own E_T
+        return saliency(self, token_ids, phi_t)
+
+    monkeypatch.setattr(TeacherContext, "teacher_saliency", unshared)
+    monkeypatch.setattr(training, "_phi_t_gradient", unshared_phi_t_gradient)
+    alone = train(config, teacher, splits, student_config)
+    assert len(builds) == (4 if hypergrad == "central" else 2) * config.steps
+    for name in shared.student.param_names():
+        got, want = shared.student.params[name].data, alone.student.params[name].data
+        assert got.dtype == np.float32 and np.array_equal(got, want), name
+    assert np.array_equal(shared.phi_t.data, alone.phi_t.data)
+    assert np.array_equal(shared.phi_s.data, alone.phi_s.data)
+    assert [r.to_dict() for r in shared.log] == [r.to_dict() for r in alone.log]
+    assert shared.phi_t.data.any()  # the outer steps moved phi_T off its zero start
+
+
 def test_train_rejects_a_context_for_another_run():
     teacher, splits, student_config, config = make_setup(mode="smat", normalize="softmax")
     other = MiniTransformer(teacher.config, seed=9, dtype=teacher.dtype)
