@@ -5,9 +5,10 @@
         --heldout-seed 1000 --traced-seed 3 --claim smat_student:step_ms_p50 \\
         --what "..." --out BENCH_N.json
 
-Each checkout runs its own ``perfbench/run.py``, one run at a time. Pair i
-runs both sides with ``--seed <first-seed + i>``, the parent first in odd
-pairs (1, 3, ...) and the change first in even ones. Every end-to-end
+Each checkout runs its own ``perfbench/run.py`` for the ``run_seconds`` of
+the change's ``BENCHMARK.json``, one run at a time. A workload given no
+pair count gets 5 pairs. Pair i runs both sides with ``--seed i``, the
+parent first in odd pairs (1, 3, ...) and the change first in even ones. Every end-to-end
 metric that the change's ``BENCHMARK.json`` declares gets each side's
 median and quartiles (linear interpolation, as numpy's default
 percentile), the relative change of the medians, the pairs won and lost,
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 QUALITY = ("final_loss", "teacher_acc", "test_sim", "auc")
+DEFAULT_PAIRS = 5
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0,
@@ -89,9 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME or NAME:PAIRS; repeat for more workloads")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs for a workload given no count")
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--heldout-seed", type=int, default=None)
     parser.add_argument("--traced-seed", type=int, default=None)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
@@ -100,11 +99,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = {m["name"]: m for m in json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
-    command = f"python3 perfbench/run.py --workload <w> --seed <i> --seconds {args.seconds:g} --trace 0"
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    spec = {m["name"]: m for m in benchmark["end_to_end"]}
+    command = f"python3 perfbench/run.py --workload <w> --seed <i> --seconds {seconds:g} --trace 0"
     report: dict = {
         "what": args.what,
-        "command": command + (f" (pair i uses seed {args.first_seed} + i; odd pairs run the parent "
+        "command": command + (" (pair i uses seed i; odd pairs run the parent "
                               "first, even pairs the change first)"),
         "workloads": {},
         "failed_operations": {},
@@ -113,14 +114,14 @@ def main(argv: list[str] | None = None) -> int:
     envs = []
     for entry in args.workload:
         name, _, count = entry.partition(":")
-        pairs = int(count) if count else args.pairs
+        pairs = int(count) if count else DEFAULT_PAIRS
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        seeds = [args.first_seed + i for i in range(pairs)]
+        seeds = list(range(pairs))
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 print(f"bench_pairs: {name} pair {i + 1}/{pairs} seed {seed} {side}", file=sys.stderr)
-                runs[side].append({"seed": seed, **perfbench(sides[side], name, seed, args.seconds)})
+                runs[side].append({"seed": seed, **perfbench(sides[side], name, seed, seconds)})
         envs += [run.get("env") for side in runs.values() for run in side]
         metrics = {m: compare(spec[m], values(runs["parent"], m), values(runs["change"], m))
                    for m in spec}
@@ -138,25 +139,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.heldout_seed is not None:
         h = args.heldout_seed
         report["heldout_command"] = (f"python3 perfbench/run.py --workload <w> --seed {h} "
-                                     f"--seconds {args.seconds:g} --trace 0 --heldout-seed {h + 1}")
+                                     f"--seconds {seconds:g} --trace 0 --heldout-seed {h + 1}")
         report["heldout"] = {}
         for name in report["workloads"]:
             report["heldout"][name] = {}
             for side, path in sides.items():
                 print(f"bench_pairs: {name} held-out seed {h} {side}", file=sys.stderr)
-                run = perfbench(path, name, h, args.seconds, heldout_seed=h + 1)
+                run = perfbench(path, name, h, seconds, heldout_seed=h + 1)
                 report["heldout"][name][side] = {"seed": h, "heldout_seed": h + 1, **run}
 
     if args.traced_seed is not None:
         t = args.traced_seed
         report["traced_command"] = (f"python3 perfbench/run.py --workload <w> --seed {t} "
-                                    f"--seconds {args.seconds:g} --trace 1")
+                                    f"--seconds {seconds:g} --trace 1")
         report["traced"] = {}
         for name in report["workloads"]:
             report["traced"][name] = {}
             for side, path in sides.items():
                 print(f"bench_pairs: {name} traced seed {t} {side}", file=sys.stderr)
-                run = perfbench(path, name, t, args.seconds, trace=1)
+                run = perfbench(path, name, t, seconds, trace=1)
                 report["traced"][name][side] = {"seed": t, **run}
         report["traced_failed"] = {
             name: {side: run["result"]["failed"] for side, run in body.items()}

@@ -180,27 +180,26 @@ class TeacherContext:
                 raise ValueError(f"teacher context was built for {name}={have!r}, "
                                  f"the run has {name}={want!r}")
 
-    def _keys(self, kind: str, token_ids) -> tuple[bool, list[tuple[str, tuple[int, ...]]]]:
-        """Whether ``token_ids`` is one sequence, and the cache key of each
-        sequence. Keys drop trailing pads, as a forward does, so a value does
-        not depend on the batch it was computed in."""
-        one = not is_batch(token_ids)
-        return one, [(kind, strip_pads(tuple(map(int, ids)))) for ids in ([token_ids] if one else token_ids)]
+    @staticmethod
+    def _keys(kind: str, sequences) -> list[tuple[str, tuple[int, ...]]]:
+        """The cache key of each sequence. Keys drop trailing pads, as a
+        forward does, so a value does not depend on the batch it was
+        computed in."""
+        return [(kind, strip_pads(tuple(map(int, ids)))) for ids in sequences]
 
-    def _values(self, keys: list, compute) -> list:
-        """The cached value of each key. ``compute`` maps unseen sequences, each
-        once and in first-seen order, to the list of their values; it gets at
-        most PREDICT_CHUNK at a time."""
+    def _lookup(self, kind: str, token_ids, compute):
+        """Cached ``kind`` values: one for one sequence, a list for a list.
+
+        ``compute`` maps unseen sequences, each once and in first-seen order,
+        to the list of their values; it gets at most PREDICT_CHUNK at a time.
+        """
+        one = not is_batch(token_ids)
+        keys = self._keys(kind, [token_ids] if one else token_ids)
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):
             chunk = unseen[start : start + PREDICT_CHUNK]
             self._cache.update(zip(chunk, compute([ids for _, ids in chunk])))
-        return [self._cache[k] for k in keys]
-
-    def _lookup(self, kind: str, token_ids, compute):
-        """Cached ``kind`` values: one for one sequence, a list for a list."""
-        one, keys = self._keys(kind, token_ids)
-        values = self._values(keys, compute)
+        values = [self._cache[k] for k in keys]
         return values[0] if one else values
 
     def target(self, token_ids):
@@ -214,18 +213,16 @@ class TeacherContext:
 
     def head_logits(self, token_ids):
         """(in-scope teacher heads, L) saliency-logit matrix of each sequence."""
-        return self._lookup("head_logits", token_ids, self._compute_head_logits)
-
-    def _compute_head_logits(self, batch):
-        stack = head_logit_matrix(self.teacher, batch, self.scope)
-        return [m[:, : len(ids)] for m, ids in zip(stack, batch)]
+        def compute(batch):
+            stack = head_logit_matrix(self.teacher, batch, self.scope)
+            return [m[:, : len(ids)] for m, ids in zip(stack, batch)]
+        return self._lookup("head_logits", token_ids, compute)
 
     def static_saliency(self, token_ids):
-        return self._lookup("static", token_ids, self._compute_static_saliency)
-
-    def _compute_static_saliency(self, batch):
-        return [sal.scores for sal in compute_static_saliency(
-            self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
+        def compute(batch):
+            return [sal.scores for sal in compute_static_saliency(
+                self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
+        return self._lookup("static", token_ids, compute)
 
     def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:
         """E_T for one sequence (L,) or a batch (B, L): learned combination or
@@ -239,20 +236,20 @@ class TeacherContext:
         hypergradient probes), so all four share one graph node, and a
         backward pass through any of them reaches phi_T.
         """
-        mode = self.config.mode_kind()
-        if mode == "none":
+        kind = self.config.mode_kind()
+        if kind == "none":
             raise ValueError("mode 'none' has no teacher explainer")
-        kind, compute = (("head_logits", self._compute_head_logits) if mode == "smat"
-                         else ("static", self._compute_static_saliency))
-        one, keys = self._keys(kind, token_ids)
+        one = not is_batch(token_ids)
+        sequences = [token_ids] if one else token_ids
         data = phi_t.data
-        key = (one, keys, ad.records_graph((phi_t,)))
+        key = (one, self._keys(kind, sequences), ad.records_graph((phi_t,)))
         if self._last_saliency is not None:
             last_phi, last_data, last_key, last_bytes, e_t = self._last_saliency
             if (last_phi is phi_t and last_data is data and last_key == key
                     and last_bytes == data.tobytes()):
                 return e_t
-        rows = self._values(keys, compute)
+        lookup = self.head_logits if kind == "smat" else self.static_saliency
+        rows = lookup(sequences)
         lengths = np.array([r.shape[-1] for r in rows])
         width = int(lengths.max())
         padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
@@ -261,7 +258,7 @@ class TeacherContext:
         valid = None if (lengths == width).all() else np.arange(width) < lengths[:, None]
         if one:
             padded = padded[0]
-        if mode == "static":
+        if kind == "static":
             e_t = ad.constant(padded)
         else:
             lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
