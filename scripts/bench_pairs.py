@@ -81,6 +81,25 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def verdict(workload: str, metric: str, s: dict) -> dict:
+    """The claim of a gain in ``metric`` on ``workload``, judged from its
+    ``compare`` summary ``s``: met at >= 9 of 10 pairs won with the median
+    gap beyond the parent's IQR."""
+    return {
+        "metric": metric,
+        "workload": workload,
+        "bound": s["bound"],
+        "target": ">= 9/10 pairs won and median gap > parent IQR",
+        "pairs_won": s["pairs_won"],
+        "pairs": s["pairs"],
+        "parent_median": s["parent"]["median"],
+        "parent_iqr": s["parent"]["iqr"],
+        "change_median": s["change"]["median"],
+        "median_change_rel": s["median_change_rel"],
+        "met": s["pairs_won"] >= 0.9 * s["pairs"] and s["gain_beyond_parent_iqr"],
+    }
+
+
 def values(runs: list[dict], metric: str) -> list[float]:
     return [run["result"]["metrics"][metric]["value"] for run in runs]
 
@@ -165,20 +184,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.claim:
         name, _, metric = args.claim.partition(":")
-        s = report["workloads"][name]["metrics"][metric]
-        claim = {
-            "metric": metric,
-            "workload": name,
-            "bound": s["bound"],
-            "target": ">= 9/10 pairs won and median gap > parent IQR",
-            "pairs_won": s["pairs_won"],
-            "pairs": s["pairs"],
-            "parent_median": s["parent"]["median"],
-            "parent_iqr": s["parent"]["iqr"],
-            "change_median": s["change"]["median"],
-            "median_change_rel": s["median_change_rel"],
-            "met": s["pairs_won"] >= 0.9 * s["pairs"] and s["gain_beyond_parent_iqr"],
-        }
+        claim = verdict(name, metric, report["workloads"][name]["metrics"][metric])
         if "heldout" in report:
             claim[f"heldout_seed_{args.heldout_seed}"] = {
                 side: run["result"]["metrics"][metric]["value"]

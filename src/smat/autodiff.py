@@ -6,9 +6,21 @@ graph once in reverse topological order. Gradients are themselves
 tensors built from the same primitives, so a second backward pass (used
 for exact Hessian-vector products) works when ``create_graph=True``.
 
-Every tensor, leaf or op output, is checked to hold only finite values,
-and the first op that produces NaN or Inf raises :class:`NonFiniteError`
-naming it (in the backward pass, naming the op being differentiated).
+Leaves and forward ops are checked to hold only finite values as they
+are built, and the first op that produces NaN or Inf raises
+:class:`NonFiniteError` naming it. A backward pass with
+``create_graph=True`` checks every op it builds the same way. A
+first-order backward builds its ops unchecked, with numpy's
+floating-point warnings off, and checks each gradient it returns once:
+every vector-Jacobian product is linear in its cotangent, so a NaN or Inf
+in a cotangent reaches the returned gradients it feeds. If one is
+non-finite, the sweep is replayed with every op checked, which raises
+the error, naming the op and the op being differentiated, and numpy's
+warnings that checking each op gives. So a value inside a
+vector-Jacobian product that goes non-finite but leaves every returned
+gradient finite (an overflowed denominator that only divides a gradient
+to zero, say) is no error there.
+
 The check costs one BLAS dot product per tensor, the sum of its squares
 (see :func:`all_finite`): a finite result proves every element finite.
 Only a non-finite result, which finite values whose squares overflow can
@@ -69,6 +81,8 @@ class GradientError(RuntimeError):
 
 
 _grad_enabled = True
+# Off only inside a first-order backward sweep, which checks what it returns.
+_check_ops = True
 
 
 class _GradMode:
@@ -204,7 +218,7 @@ def _from_op(
     """An op's output node; ``vjp`` may be None only if it records no graph."""
     # numpy reductions over every axis return a scalar, not an array
     arr = data if type(data) is _ndarray else np.asarray(data)
-    if not all_finite(arr):
+    if _check_ops and not all_finite(arr):
         raise NonFiniteError(f"non-finite values produced by '{op}'")
     out = _new_tensor(Tensor)
     out.data = arr
@@ -698,6 +712,46 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _sweep(
+    loss: Tensor,
+    order: list[Tensor],
+    reaches: set[Tensor],
+    wanted: set[Tensor],
+    checked: bool,
+) -> dict[Tensor, Tensor]:
+    """One reverse pass over ``order``: the gradients of the ``wanted`` tensors.
+
+    ``checked=False`` builds each op's output unchecked and with numpy's
+    floating-point warnings off; the caller then checks what is returned.
+    """
+    global _check_ops
+    grads: dict[Tensor, Tensor] = {loss: constant(np.ones(loss.shape, dtype=loss.dtype))}
+    prev = _check_ops
+    _check_ops = checked
+    try:
+        with np.errstate() if checked else np.errstate(all="ignore"):
+            for node in reversed(order):
+                g = grads.get(node)
+                if g is None or node._vjp is None or node not in reaches:
+                    continue
+                try:
+                    parent_grads = node._vjp(g)
+                except NonFiniteError as err:
+                    raise NonFiniteError(
+                        f"non-finite gradient while differentiating '{node._op}': {err}"
+                    ) from err
+                for parent, pg in zip(node._parents, parent_grads):
+                    if pg is None or parent not in reaches:
+                        continue
+                    held = grads.get(parent)
+                    grads[parent] = pg if held is None else add(held, pg)
+                if node not in wanted:
+                    del grads[node]
+    finally:
+        _check_ops = prev
+    return grads
+
+
 def backward(
     loss: Tensor,
     wrt: Sequence[Tensor],
@@ -712,6 +766,11 @@ def backward(
     never run. Parameters the loss does not reach get a zero gradient and a
     logged warning. With ``create_graph=True`` the returned gradients are
     themselves graph nodes, so they can be differentiated again.
+
+    With ``create_graph=True`` every op the pass builds is checked for
+    NaN and Inf. Otherwise only the returned gradients are, once each; if
+    one is non-finite the pass is replayed with every op checked, and
+    raises the :class:`NonFiniteError` that checking gives.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -719,9 +778,6 @@ def backward(
         raise GradientError("loss does not depend on any tracked tensor")
 
     order = _toposort(loss)
-    grads: dict[Tensor, Tensor] = {
-        loss: constant(np.ones(loss.shape, dtype=loss.dtype))
-    }
     wanted = set(wrt)
     # Parents come before children in ``order``, so one pass marks every node
     # on a path to a wrt tensor; only those collect gradients and run closures.
@@ -733,23 +789,10 @@ def backward(
                 break
 
     with enable_grad() if create_graph else no_grad():
-        for node in reversed(order):
-            g = grads.get(node)
-            if g is None or node._vjp is None or node not in reaches:
-                continue
-            try:
-                parent_grads = node._vjp(g)
-            except NonFiniteError as err:
-                raise NonFiniteError(
-                    f"non-finite gradient while differentiating '{node._op}': {err}"
-                ) from err
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or parent not in reaches:
-                    continue
-                held = grads.get(parent)
-                grads[parent] = pg if held is None else add(held, pg)
-            if node not in wanted:
-                del grads[node]
+        grads = _sweep(loss, order, reaches, wanted, checked=create_graph)
+        if not create_graph and not all(all_finite(g.data) for g in grads.values()):
+            # the same sweep with every op checked raises naming the op
+            grads = _sweep(loss, order, reaches, wanted, checked=True)
 
     out: list[Tensor] = []
     for t in wrt:

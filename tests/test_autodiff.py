@@ -8,12 +8,16 @@ import gc
 import itertools
 import logging
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from smat import autodiff as ad
+from smat import training
+from smat.data import Example
+from smat.explainers import saliency_from_internals, scope_head_indices
 from smat.model import task_loss
 from conftest import check_op_gradients, fd_gradients, rel_err, tiny_model, weighted_sum
 
@@ -515,8 +519,42 @@ def _model(rng):
     return task_loss(net, ids, [0, 1, 1]), net.param_list()
 
 
-@pytest.mark.parametrize("build", [_repeated_parents, _diamond, _model],
-                         ids=["repeated_parents", "diamond", "model"])
+def _smat_world(rng):
+    """A float32 teacher context, student, phi_S, phi_T and batch, as a smat step sees them."""
+    config = training.TrainConfig(mode="smat", steps=1, batch_size=3)
+    tctx = training.TeacherContext(tiny_model(seed=5, dtype=np.float32), config)
+    student = tiny_model(seed=6, dtype=np.float32, num_layers=1)
+    scope = config.explainer_scope()
+    phi_s, phi_t = (ad.Tensor(rng.normal(size=len(scope_head_indices(net, scope))) * 0.1,
+                              requires_grad=True, dtype=np.float32)
+                    for net in (student, tctx.teacher))
+    batch = [Example(tokens=["t"] * n, label=int(rng.integers(0, 2)),
+                     token_ids=rng.integers(1, 12, size=n).tolist()) for n in (6, 4, 5)]
+    return config, tctx, student, phi_s, phi_t, batch
+
+
+def _student_loss(rng):
+    """The inner step's loss: through E_T, differentiated for the student and phi_S."""
+    config, tctx, student, phi_s, phi_t, batch = _smat_world(rng)
+    loss = training.student_loss(student, tctx, phi_s, phi_t, batch, config)
+    return loss, student.param_list() + [phi_s]
+
+
+def _phi_t_probe_loss(rng):
+    """A hypergradient probe's loss, built as ``training._phi_t_gradient`` builds it."""
+    config, tctx, student, phi_s, phi_t, batch = _smat_world(rng)
+    ids = [ex.token_ids for ex in batch]
+    with ad.no_grad():
+        e_s = saliency_from_internals(student.attention_internals(ids),
+                                      training._student_explainer(phi_s, config))
+    expl = training._kl_sum(tctx.teacher_saliency(ids, phi_t), e_s, config)
+    return training._scaled(expl, config.effective_beta() / len(ids)), [phi_t]
+
+
+@pytest.mark.parametrize("build", [_repeated_parents, _diamond, _model, _student_loss,
+                                   _phi_t_probe_loss],
+                         ids=["repeated_parents", "diamond", "model", "student_loss",
+                              "phi_t_probe_loss"])
 @pytest.mark.parametrize("create_graph", [False, True])
 def test_float32_backward_equals_the_id_keyed_engine_bit_for_bit(build, create_graph):
     loss, wrt = build(np.random.default_rng(31))
@@ -597,11 +635,110 @@ def test_non_finite_forward_names_op():
         ad.exp(x)
 
 
-def test_non_finite_gradient_names_op():
+# First-order graphs that go non-finite inside backward. A first-order
+# backward builds its ops unchecked and checks the gradients it returns; a
+# non-finite one replays the sweep with every op checked, so the error and
+# numpy's warnings are those of a sweep that checks each op as it is built.
+
+
+def _float32_leaf(values):
+    return ad.Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+
+
+def _sqrt_at_zero():
     x = ad.Tensor(np.array([0.0, 1.0]), requires_grad=True, dtype=np.float64)
-    loss = ad.tsum(ad.sqrt(x))  # d sqrt/dx at 0 is infinite
-    with np.errstate(divide="ignore"), pytest.raises(ad.NonFiniteError, match="sqrt"):
-        ad.backward(loss, [x])
+    return ad.tsum(ad.sqrt(x)), [x]  # d sqrt/dx at 0 is infinite
+
+
+def _div_by_zero_in_a_vjp():
+    a, b = _float32_leaf([1.0, 2.0]), _float32_leaf([1e-30, 1.0])  # b * b underflows to 0
+    return ad.tsum(ad.div(a, b)), [a, b]
+
+
+def _accumulation_overflows():
+    x = _float32_leaf([1e-3, 2e-3])
+    c = ad.constant(np.full(2, 3e38, dtype=np.float32))  # each term's gradient is finite
+    return ad.tsum(ad.add(ad.mul(x, c), ad.mul(x, c))), [x]
+
+
+# Below, sqrt's gradient at an exact zero is the Inf cotangent each op carries.
+def _inf_through_matmul():
+    x = _float32_leaf([[0.0, 0.0], [1.0, 2.0]])
+    w = _float32_leaf([[0.5, 1.0, 1.5], [2.0, 0.25, 1.0]])
+    return ad.tsum(ad.sqrt(ad.matmul(x, w))), [x, w]
+
+
+def _inf_through_softmax_with_lengths():
+    x = _float32_leaf(np.random.default_rng(0).normal(size=(2, 4)))
+    lengths = np.array([4, 2])
+    mask = ad.constant(np.where(np.arange(4) < lengths[:, None], 0.0, -1e30).astype(np.float32))
+    return ad.tsum(ad.sqrt(ad.softmax(ad.add(x, mask), axis=-1, lengths=lengths))), [x]
+
+
+def _inf_through_sparsemax():
+    z = _float32_leaf([[2.0, 0.0, -1.0], [0.5, 0.4, 0.3]])
+    return ad.tsum(ad.sqrt(ad.sparsemax(z))), [z]
+
+
+def _inf_through_gather_rows():
+    table = _float32_leaf([[0.0, 1.0], [2.0, 3.0], [4.0, 0.5]])
+    return ad.tsum(ad.sqrt(ad.gather_rows(table, [[2, 0], [0, 1]]))), [table]
+
+
+SQRT_DIV = "non-finite gradient while differentiating 'sqrt': non-finite values produced by 'div'"
+DIVIDE = "divide by zero encountered in divide"
+# build: (message, numpy warnings), both as a backward that checks every op gives them
+NON_FINITE_BACKWARDS = {
+    _sqrt_at_zero: (SQRT_DIV, [DIVIDE]),
+    _div_by_zero_in_a_vjp: (
+        "non-finite gradient while differentiating 'div': non-finite values produced by 'div'",
+        [DIVIDE]),
+    _accumulation_overflows: ("non-finite values produced by 'add'", ["overflow encountered in add"]),
+    _inf_through_matmul: (SQRT_DIV, [DIVIDE]),
+    _inf_through_softmax_with_lengths: (SQRT_DIV, [DIVIDE]),
+    _inf_through_sparsemax: (SQRT_DIV, [DIVIDE]),
+    _inf_through_gather_rows: (SQRT_DIV, [DIVIDE]),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_BACKWARDS, ids=lambda build: build.__name__[1:])
+def test_a_non_finite_first_order_backward_names_the_op_with_its_warnings(build):
+    message, warned = NON_FINITE_BACKWARDS[build]
+    loss, wrt = build()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ad.NonFiniteError) as err:
+            ad.backward(loss, wrt)
+    assert str(err.value) == message
+    assert [(w.category, str(w.message)) for w in seen] == [(RuntimeWarning, t) for t in warned]
+
+
+def test_op_checks_are_back_on_after_a_vjp_raises():
+    def raising(g):
+        raise KeyError("vjp")
+
+    loss, wrt, y = _side_branch_loss(raising)
+    with pytest.raises(KeyError):
+        ad.backward(loss, wrt + [y])
+    x = ad.Tensor(np.ones(2))
+    x.data[1] = np.nan  # a leaf is checked when it is built, so NaN is written after
+    with pytest.raises(ad.NonFiniteError, match="^non-finite values produced by 'neg'$"):
+        ad.neg(x)
+
+
+def test_a_vjp_intermediate_that_overflows_but_feeds_a_finite_gradient_is_accepted():
+    """div's VJP forms b * b, which overflows float32 at b = 3e19; the returned
+    db = -a / b**2 is finite, and -0.0 is its correctly rounded value. A
+    first-order backward checks only what it returns, so it returns it with
+    no warning; a backward that checked every op would raise at that mul."""
+    a, b = _float32_leaf([1e-7]), _float32_leaf([3e19])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        da, db = ad.backward(ad.tsum(ad.div(a, b)), [a, b])
+    want = -np.float64(a.data[0]) / np.float64(b.data[0]) ** 2
+    assert np.float32(want) == 0.0 and np.signbit(np.float32(want))
+    assert db.data[0] == 0.0 and np.signbit(db.data[0])
+    assert da.data[0] == np.float32(1.0) / b.data[0]
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():

@@ -397,6 +397,70 @@ def test_exact_and_central_hypergradients_agree():
     assert rel_err(updates["central"], updates["exact"]) < 1e-2
 
 
+# eta_outer for reading a hypergradient back from outer_step's update: a power
+# of two scales float32 exactly, and phi_T - 2**30 * hyper rounds once, at
+# most 2**-24 of |hyper| once phi_T / 2**30 is negligible.
+READBACK_ETA = 2.0**30
+# Measured by the test below (float32 rel err against float64 exact after 1,
+# 20 and 60 steps): central 1.0e-4 to 3.5e-4, exact 3.1e-7 to 8.4e-7, and
+# exact beat central by 265x to 513x. Each bound leaves about 5x of margin.
+CENTRAL_REL_ERR = 2e-3
+EXACT_REL_ERR = 4e-6
+EXACT_OVER_CENTRAL = 2e-2
+
+
+def _outer_hypergradient(state, dtype, hypergrad, tctx, config, train_batch, outer_batch):
+    """outer_step's hypergradient at a copy of ``state`` in ``dtype``, as float64."""
+    student = MiniTransformer(state.student.config, seed=0, dtype=dtype)
+    student.load_param_data(state.student.clone_param_data())
+    copy = TrainState(student=student,
+                      phi_s=Tensor(state.phi_s.data, requires_grad=True, dtype=dtype),
+                      phi_t=Tensor(state.phi_t.data, requires_grad=True, dtype=dtype))
+    before = copy.phi_t.data.astype(np.float64)
+    outer_step(copy, train_batch, outer_batch,
+               replace(config, hypergrad=hypergrad, eta_outer=READBACK_ETA), tctx)
+    return (before - copy.phi_t.data.astype(np.float64)) / READBACK_ETA
+
+
+def test_float32_hypergradient_estimators_against_float64_exact():
+    """At the acceptance experiment's shapes (a fresh teacher, batches of 32),
+    the float32 central and exact hypergradients stay within measured bounds
+    of the float64 exact one, at states along a float32 central smat run."""
+    data = generate_synthetic(SyntheticSpec(seed=7, vocab_size=200, noise_ratio=0.75,
+                                            min_len=5, max_len=10), 300)
+    vocab = build_vocab(data.examples)
+    splits = split_dataset(attach_token_ids(data, vocab), seed=0)
+    shape = dict(vocab_size=len(vocab), max_len=10)
+    teachers = {dtype: MiniTransformer(ModelConfig(**shape, num_layers=2, heads_per_layer=4,
+                                                   model_dim=32, head_dim=8, ffn_dim=64),
+                                       seed=1, dtype=dtype)
+                for dtype in (np.float32, np.float64)}
+    teachers[np.float64].load_param_data(teachers[np.float32].clone_param_data())
+    config = TrainConfig(mode="smat", steps=60, batch_size=32, seed=0, eta_outer=0.2)
+    tctxs = {dtype: TeacherContext(t, config) for dtype, t in teachers.items()}
+    student_config = ModelConfig(**shape, num_layers=1, heads_per_layer=2, model_dim=8,
+                                 head_dim=4, ffn_dim=16)
+    state, _ = make_state(teachers[np.float32], splits, student_config, config, np.float32)
+    tctx = tctxs[np.float32]
+    rng = np.random.default_rng(0)
+    step = 0
+    for at in (1, 20, 60):
+        while step < at:
+            train_batch = [splits.train[i] for i in rng.integers(0, len(splits.train), 32)]
+            outer_batch = [splits.dev[i] for i in rng.integers(0, len(splits.dev), 32)]
+            inner_step(state, train_batch, config, tctx)
+            outer_step(state, train_batch, outer_batch, config, tctx)
+            step += 1
+        batches = (config, train_batch, outer_batch)
+        want = _outer_hypergradient(state, np.float64, "exact", tctxs[np.float64], *batches)
+        assert np.count_nonzero(want) > 1
+        errs = {mode: rel_err(_outer_hypergradient(state, np.float32, mode, tctx, *batches), want)
+                for mode in ("central", "exact")}
+        assert errs["central"] < CENTRAL_REL_ERR, (at, errs)
+        assert errs["exact"] < EXACT_REL_ERR, (at, errs)
+        assert errs["exact"] < EXACT_OVER_CENTRAL * errs["central"], (at, errs)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
