@@ -311,11 +311,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
     summary = _load_summary(args.students)
-    mode = summary["mode"]
+    config = training.TrainConfig(mode=summary["mode"])
 
     values = []
     if args.metric == "sim":
-        tctx = training.TeacherContext(teacher, training.TrainConfig(mode=mode))
+        tctx = training.TeacherContext(teacher, config)
         for run in summary["runs"]:
             student, _ = dio.load_model(os.path.join(args.students, run["student"]))
             sim = training.simulability(student, tctx, dataset.examples)
@@ -331,10 +331,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with_masks = [ex for ex in dataset.examples if ex.rationale is not None]
         ids = [ex.token_ids for ex in with_masks]
         static = None  # a static teacher explanation is the same for every seed
-        if mode.startswith("static:"):
-            static = compute_static_saliency(teacher, ids, mode.split(":", 1)[1])
-        elif mode != "smat":
-            raise ValueError(f"mode {mode!r} trains without a teacher explainer; nothing to score")
+        if config.mode_kind() == "static":
+            static = compute_static_saliency(teacher, ids, config.static_name())
+        elif config.mode_kind() != "smat":
+            raise ValueError(f"mode {config.mode!r} trains without a teacher explainer; nothing to score")
         for run in summary["runs"]:
             saliencies = static if static is not None else explain_parameterized(
                 teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))

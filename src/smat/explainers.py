@@ -92,10 +92,9 @@ def normalize_coefficients(phi: Tensor, kind: str) -> Tensor:
 
 def default_beta(explainer: str) -> float:
     """Explanation-loss weight default, keyed by explainer family."""
-    name = explainer.split(":", 1)[-1]
-    if name in ATTENTION_EXPLAINERS:
+    if explainer in ATTENTION_EXPLAINERS:
         return BETA_ATTENTION
-    if name in STATIC_EXPLAINERS:
+    if explainer in STATIC_EXPLAINERS:
         return BETA_GRADIENT
     raise ValueError(f"unknown explainer {explainer!r}")
 

@@ -5,9 +5,11 @@ own prediction, and a saliency map over tokens. The student minimizes
 
     L_student = L_sim(student, teacher) + beta * L_expl(E_S, E_T)
 
-where L_sim is cross-entropy against the teacher's predicted label (or
-squared error against its score) and L_expl is a KL divergence between
-the student's and teacher's saliency maps.
+where L_sim follows the student's task: cross-entropy against the
+teacher's predicted label (or its output distribution, with
+``soft_targets``) for classification, squared error against the
+teacher's score for regression. L_expl is a KL divergence between the
+student's and teacher's saliency maps.
 
 Three modes share this loop:
 
@@ -63,8 +65,6 @@ HYPERGRAD_MODES = ("central", "exact")
 
 KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
 
-SIM_LOSS_TASKS = {"cross_entropy": "classification", "mse": "regression"}
-
 
 @dataclass
 class TrainConfig:
@@ -73,7 +73,9 @@ class TrainConfig:
     ``mode`` is ``none``, ``smat``, or ``static:<explainer>`` where the
     explainer is one of the five static saliency methods. ``beta``
     defaults by explainer family (attention 5.0, gradient 0.2) and is
-    forced to zero in mode ``none``, with one warning when built.
+    forced to zero in mode ``none``, with one warning when built. The
+    simulation loss follows the student's task; ``soft_targets`` (match
+    the teacher's output distribution) applies to classification only.
     """
 
     mode: str = "none"
@@ -84,7 +86,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     normalize: str = "sparsemax"
-    sim_loss: str = "cross_entropy"
     kl_direction: str = "teacher_to_student"
     hypergrad: str = "central"
     ig_steps: int = IG_STEPS_TRAINING
@@ -99,8 +100,6 @@ class TrainConfig:
             raise ValueError(f"unknown static explainer in mode {self.mode!r}")
         if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalize!r}")
-        if self.sim_loss not in SIM_LOSS_TASKS:
-            raise ValueError(f"unknown sim_loss {self.sim_loss!r}")
         if self.kl_direction not in KL_DIRECTIONS:
             raise ValueError(f"unknown kl_direction {self.kl_direction!r}")
         if self.hypergrad not in HYPERGRAD_MODES:
@@ -184,8 +183,9 @@ class TeacherContext:
     def _keys(kind: str, sequences) -> list[tuple[str, tuple[int, ...]]]:
         """The cache key of each sequence. Keys drop trailing pads, as a
         forward does, so a value does not depend on the batch it was
-        computed in."""
-        return [(kind, strip_pads(tuple(map(int, ids)))) for ids in sequences]
+        computed in. Numpy integers hash and compare as Python ints do, so a
+        list, a tuple and an integer array of one sequence share a key."""
+        return [(kind, strip_pads(tuple(ids))) for ids in sequences]
 
     def _lookup(self, kind: str, token_ids, compute):
         """Cached ``kind`` values: one for one sequence, a list for a list.
@@ -300,18 +300,11 @@ def _scaled(total: Tensor, factor: float) -> Tensor:
     return ad.mul(total, ad.scalar(factor, total.dtype))
 
 
-def _check_sim_loss(sim_loss: str, student_task: str) -> None:
-    need = SIM_LOSS_TASKS[sim_loss]
-    if student_task != need:
-        raise ValueError(f"{sim_loss} sim loss needs a {need} student, got a {student_task} student")
-
-
 def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: list, config: TrainConfig,
              params: dict[str, Tensor] | None = None, output: Tensor | None = None) -> Tensor:
-    """Simulation loss summed over a batch of sequences."""
-    _check_sim_loss(config.sim_loss, student.config.task)
+    """Simulation loss summed over a batch of sequences, by the student's task."""
     out = output if output is not None else student.forward(ids, params=params)
-    if config.sim_loss == "cross_entropy":
+    if student.config.task == "classification":
         target = (ad.constant(np.stack(tctx.probs(ids)), dtype=out.dtype)
                   if config.soft_targets else tctx.target(ids))
         return ad.tsum(ad.cross_entropy(out, target))
@@ -489,9 +482,8 @@ def _sample_batch(rng: np.random.Generator, pool: Sequence[Example], size: int) 
 
 
 def _token_ids(*batches: Sequence[Example]) -> list:
-    """Token ids of the distinct examples in ``batches``, in first-seen order."""
-    unique = {id(ex): ex for batch in batches for ex in batch}
-    return [ex.token_ids for ex in unique.values()]
+    """Token ids of every example in ``batches``; the lookups dedupe them."""
+    return [ex.token_ids for batch in batches for ex in batch]
 
 
 def _fill_teacher_cache(
@@ -507,7 +499,7 @@ def _fill_teacher_cache(
     when no outer step runs) and ``dev`` the eval split (empty for a run
     with no step). After it no lookup of the run computes anything.
     """
-    if config.soft_targets and config.sim_loss == "cross_entropy":
+    if config.soft_targets:
         tctx.probs(_token_ids(*inner, *outer))
         tctx.target(_token_ids(dev))
     else:
@@ -548,7 +540,9 @@ def train(
     if student_config.task != teacher.config.task:
         raise ValueError(f"student task {student_config.task!r} does not match "
                          f"teacher task {teacher.config.task!r}")
-    _check_sim_loss(config.sim_loss, student_config.task)
+    if config.soft_targets and student_config.task != "classification":
+        raise ValueError(f"soft_targets needs a classification student, "
+                         f"got a {student_config.task} student")
 
     if tctx is None:
         tctx = TeacherContext(teacher, config)

@@ -194,8 +194,8 @@ def test_unpadded_batch_validation_as_a_list_and_as_an_array(bad, message):
 # per-example oracles of the training losses
 
 
-def oracle_sim_term(out, tctx, token_ids, config):
-    if config.sim_loss == "mse":
+def oracle_sim_term(student, out, tctx, token_ids, config):
+    if student.config.task == "regression":
         diff = ad.sub(out, ad.constant(np.asarray(tctx.target(token_ids), dtype=out.dtype)))
         return ad.mul(diff, diff)
     if config.soft_targets:
@@ -209,7 +209,7 @@ def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
     total = None
     for ex in batch:
         out, internals = student.forward(ex.token_ids, record=True)
-        term = oracle_sim_term(out, tctx, ex.token_ids, config)
+        term = oracle_sim_term(student, out, tctx, ex.token_ids, config)
         if beta > 0.0:
             params = ExplainerParams(phi=phi_s, normalize=config.normalize,
                                      scope=config.explainer_scope())
@@ -269,11 +269,12 @@ def student_state(config, seed=0, dtype=np.float64, max_len=MAX_LEN, teacher_sha
     ("static:attn_last", {}),
     ("none", {}),
     ("smat", {"soft_targets": True}),
-    ("smat", {"sim_loss": "mse"}),
+    ("smat", {"task": "regression"}),
 ])
 def test_student_loss_and_gradients_match_per_example(mode, options):
-    config = TrainConfig(mode=mode, steps=1, batch_size=6, **options)
-    task = "regression" if config.sim_loss == "mse" else "classification"
+    task = options.get("task", "classification")
+    config = TrainConfig(mode=mode, steps=1, batch_size=6,
+                         **{k: v for k, v in options.items() if k != "task"})
     state, tctx = student_state(config, task=task)
     batch = examples(np.random.default_rng(13), 6)
     wrt = state.student.param_list() + [state.phi_s, state.phi_t]

@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,4 +489,37 @@ def test_student_task_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "regression" in err and "classification" in err
+    assert not (tmp_path / "students").exists()
+
+
+def test_a_regression_config_trains_without_a_sim_loss_field(pipeline, tmp_path, capsys):
+    """The student's task picks its simulation loss: squared error here."""
+    cfg = json.loads(pipeline["config"].read_text())
+    for section in ("model", "student_model"):
+        cfg[section]["task"] = "regression"
+        del cfg[section]["num_classes"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    corpus = load_tsv(str(pipeline["corpus"]))
+    scores = [replace(ex, label=None, score=ex.label - 0.5) for ex in corpus.examples]
+    save_tsv(Dataset(examples=scores, task="regression"), str(tmp_path / "corpus.tsv"))
+    teacher, out = tmp_path / "teacher.smat", tmp_path / "students"
+    assert main(["train-teacher", "--config", str(config), "--out", str(teacher)]) == 0
+    assert main(["train-student", "--config", str(config), "--teacher", str(teacher),
+                 "--mode", "smat", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["task"] == "regression"
+    capsys.readouterr()
+
+
+def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["train"]["sim_loss"] = "cross_entropy"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    code = main(["train-student", "--config", str(config), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "none", "--out", str(tmp_path / "students")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "sim_loss" in err
     assert not (tmp_path / "students").exists()

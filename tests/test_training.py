@@ -1,5 +1,7 @@
 """Student loss, inner/outer steps, hypergradient fidelity, full runs."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -68,8 +70,6 @@ def test_config_validation():
         TrainConfig(mode="static:lime")
     with pytest.raises(ValueError):
         TrainConfig(normalize="entmax")
-    with pytest.raises(ValueError):
-        TrainConfig(sim_loss="huber")
     with pytest.raises(ValueError):
         TrainConfig(kl_direction="both")
     with pytest.raises(ValueError):
@@ -508,14 +508,11 @@ def test_train_rejects_missing_token_ids():
         train(config, teacher, stripped, student_config)
 
 
-def test_mse_sim_loss_on_a_classification_student_is_rejected():
-    teacher, splits, student_config, config = make_setup(mode="none", sim_loss="mse")
-    with pytest.raises(ValueError, match="regression.*classification"):
+def test_soft_targets_on_a_regression_student_are_rejected():
+    teacher, splits, student_config, config = fixture_shaped_setup(
+        "none", task="regression", soft_targets=True)
+    with pytest.raises(ValueError, match="soft_targets"):
         train(config, teacher, splits, student_config)
-    state, tctx = make_state(teacher, splits, student_config, config)
-    # a batch of two would broadcast (2, 2) logits against (2,) targets
-    with pytest.raises(ValueError, match="regression.*classification"):
-        student_loss(state.student, tctx, state.phi_s, state.phi_t, splits.train[:2], config)
 
 
 def test_student_task_unlike_the_teacher_task_is_rejected():
@@ -582,7 +579,7 @@ def test_static_mode_uses_cached_teacher_saliency():
 # one teacher cache per run schedule, shared across runs
 
 
-def fixture_shaped_setup(mode, seed=0, **overrides):
+def fixture_shaped_setup(mode, seed=0, task="classification", **overrides):
     """float32 teacher at the acceptance experiment's shapes, lengths 5-10."""
     data = generate_synthetic(SyntheticSpec(seed=7, vocab_size=200, noise_ratio=0.75,
                                             min_len=5, max_len=10), 120)
@@ -591,9 +588,10 @@ def fixture_shaped_setup(mode, seed=0, **overrides):
     splits = split_dataset(data, seed=0)
     teacher = MiniTransformer(
         ModelConfig(vocab_size=len(vocab), max_len=10, num_layers=2, heads_per_layer=4,
-                    model_dim=32, head_dim=8, ffn_dim=64), seed=1, dtype=np.float32)
+                    model_dim=32, head_dim=8, ffn_dim=64, task=task), seed=1, dtype=np.float32)
     student_config = ModelConfig(vocab_size=len(vocab), max_len=10, num_layers=1,
-                                 heads_per_layer=2, model_dim=8, head_dim=4, ffn_dim=16)
+                                 heads_per_layer=2, model_dim=8, head_dim=4, ffn_dim=16,
+                                 task=task)
     defaults = dict(mode=mode, steps=5, batch_size=8, seed=seed, eta_outer=0.2, eval_every=2)
     defaults.update(overrides)
     return teacher, splits, student_config, TrainConfig(**defaults)
@@ -638,6 +636,36 @@ def test_float32_train_with_a_fresh_or_shared_filled_context_is_bit_identical(mo
     train(replace(config, seed=1), teacher, splits, student_config, tctx=shared)
     for _ in range(2):  # partly filled by seed 1, then filled by this run
         assert_same_run(train(config, teacher, splits, student_config, tctx=shared), state, log)
+
+
+def run_sha256(result):
+    """Hash of a run's student weights, phi_S, phi_T and log."""
+    h = hashlib.sha256()
+    for name in result.student.param_names():
+        h.update(result.student.params[name].data.tobytes())
+    h.update(result.phi_s.data.tobytes())
+    h.update(result.phi_t.data.tobytes())
+    h.update(json.dumps([r.to_dict() for r in result.log]).encode())
+    return h.hexdigest()
+
+
+# Recorded with the squared-error simulation loss the regression student
+# trained on when it had to be chosen by a config field.
+REGRESSION_RUN_SHA256 = {
+    ("none", "central"): "1049fa31bb5754cf582bfa1e0520e2cb753a29bd2858b5dcee8568a3de336353",
+    ("static:attn_all", "central"):
+        "6d6a0b6665dde8b3adc4a564bdde8c6f2d68baeb0ad7c56c9299c054e37a4d54",
+    ("smat", "central"): "e8441014e2fdfc485503fbd927384763e2c14c3778add5a83ff26d0d61de4629",
+    ("smat", "exact"): "7e3fd763429e869eb79a34289190256f8c963aefe06e6e6b1b16b85137359b64",
+}
+
+
+@pytest.mark.parametrize("mode,hypergrad", list(REGRESSION_RUN_SHA256))
+def test_float32_regression_train_is_pinned(mode, hypergrad):
+    teacher, splits, student_config, config = fixture_shaped_setup(
+        mode, task="regression", steps=12, eval_every=4, hypergrad=hypergrad)
+    result = train(config, teacher, splits, student_config)
+    assert run_sha256(result) == REGRESSION_RUN_SHA256[mode, hypergrad]
 
 
 def record_teacher_calls(monkeypatch, tctx):
@@ -730,6 +758,10 @@ def test_a_padded_sequence_reads_its_unpadded_cache_entry(mode, kind):
     value = getattr(tctx, kind)(UNPADDED)
     assert getattr(tctx, kind)([LONGER, PADDED])[1] is value
     assert getattr(tctx, kind)(np.array(PADDED)) is value
+    for same in (tuple(UNPADDED), np.array(UNPADDED, dtype=np.int32),
+                 [np.int64(i) for i in PADDED]):
+        assert getattr(tctx, kind)(same) is value
+        assert getattr(tctx, kind)([same, LONGER])[0] is value
     assert len(tctx._cache) == 2
 
 
