@@ -475,8 +475,13 @@ def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray | LengthGroups) ->
     numpy orders a float sum's additions by the row length, so a row padded
     with zeros can round differently from the same row alone. Summing only
     the valid prefix rounds a padded batch row exactly like the row alone.
+    The rows are summed with ``axis`` moved last; when it already is last
+    (every softmax here), no axis is moved, which changes no bit: moving an
+    axis onto itself is the same view.
     """
-    x = np.moveaxis(x, axis, -1)
+    last = axis in (-1, x.ndim - 1)
+    if not last:
+        x = np.moveaxis(x, axis, -1)
     groups = lengths if isinstance(lengths, LengthGroups) else LengthGroups(lengths, x.shape)
     if groups.shape != x.shape:
         raise ValueError(f"length groups for shape {groups.shape} used on {x.shape}")
@@ -490,7 +495,8 @@ def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray | LengthGroups) ->
             sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
         out = np.empty_like(sums)
         out[groups.order] = sums
-    return np.moveaxis(out.reshape(x.shape[:-1] + (1,)), -1, axis)
+    out = out.reshape(x.shape[:-1] + (1,))
+    return out if last else np.moveaxis(out, -1, axis)
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,

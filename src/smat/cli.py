@@ -215,6 +215,9 @@ def cmd_train_student(args: argparse.Namespace) -> int:
     if student_cfg.task != teacher.config.task:
         raise ConfigurationError(f"student_model task {student_cfg.task!r} does not match "
                                  f"teacher task {teacher.config.task!r}")
+    if base.soft_targets and student_cfg.task != "classification":
+        raise ConfigurationError(f"train soft_targets needs a classification student_model, "
+                                 f"got task {student_cfg.task!r}")
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import AttentionInternals, MiniTransformer, head_saliency_logits, is_batch, pad_bias, strip_pads
+from .model import AttentionInternals, MiniTransformer, PadMask, head_saliency_logits, is_batch, strip_pads
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -111,12 +111,14 @@ def scope_head_indices(model: MiniTransformer, scope: str) -> list[int]:
 
 
 def combine_head_logits(
-    logit_stack: Tensor, coefficients: Tensor, valid: np.ndarray | None = None
+    logit_stack: Tensor, coefficients: Tensor, mask: PadMask | None = None
 ) -> Tensor:
     """softmax(coefficients . logit_stack) for a (heads, L) or (B, heads, L) stack.
 
     ``coefficients`` is (heads,), or (B, heads) with one row per example.
-    ``valid`` is the (B, L) mask of non-pad positions; pads get exactly 0.
+    ``mask`` is the batch's pad mask (None when no position is padding);
+    pads get exactly 0. Its pad bias and length groups are built once per
+    batch and kept, so the explanations of one batch share them.
     """
     if logit_stack.ndim not in (2, 3):
         raise ValueError("logit stack must be (heads, length) or (batch, heads, length)")
@@ -127,9 +129,10 @@ def combine_head_logits(
         )
     mixed = ad.matmul(ad.reshape(coefficients, coefficients.shape[:-1] + (1, heads)), logit_stack)
     mixed = ad.reshape(mixed, logit_stack.shape[:-2] + (length,))
-    if valid is not None:
-        mixed = ad.add(mixed, ad.constant(pad_bias(valid, mixed.dtype)))
-    return ad.softmax(mixed, axis=-1, lengths=None if valid is None else valid.sum(axis=-1))
+    if mask is None:
+        return ad.softmax(mixed, axis=-1)
+    mixed = ad.add(mixed, mask.saliency_bias(mixed.dtype))
+    return ad.softmax(mixed, axis=-1, lengths=mask.saliency_groups())
 
 
 def example_coefficients(phi: Tensor, kind: str, lead: tuple[int, ...]) -> Tensor:
@@ -150,7 +153,7 @@ def saliency_from_internals(internals: AttentionInternals, params: ExplainerPara
             f"phi has {params.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
         )
     lam = example_coefficients(params.phi, params.normalize, logits.shape[:-2])
-    return combine_head_logits(logits, lam, internals.valid)
+    return combine_head_logits(logits, lam, internals.mask)
 
 
 def head_logit_matrix(

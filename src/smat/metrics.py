@@ -130,14 +130,17 @@ class Aggregate:
 def aggregate_median_iqr(values: Sequence[float]) -> Aggregate:
     """Median (lower of the middle two for even counts) plus 25/75 bounds.
 
-    The quartile bounds use linear interpolation.
+    All three are taken by one rule, the inverted empirical CDF: each is
+    the smallest value with at least that share of the values at or below
+    it. So each is one of the values, and the median never lies outside its
+    own bounds.
     """
     if len(values) == 0:
         raise ValueError("cannot aggregate an empty value list")
-    vs = sorted(float(v) for v in values)
-    median = vs[(len(vs) - 1) // 2]
-    lo, hi = np.percentile(vs, [25.0, 75.0], method="linear")
-    return Aggregate(values=list(values), median=median, iqr_low=float(lo), iqr_high=float(hi))
+    lo, median, hi = np.percentile([float(v) for v in values], [25.0, 50.0, 75.0],
+                                   method="inverted_cdf")
+    return Aggregate(values=list(values), median=float(median), iqr_low=float(lo),
+                     iqr_high=float(hi))
 
 
 # ---------------------------------------------------------------------------

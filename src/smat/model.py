@@ -23,9 +23,17 @@ unpadded sequence's; the attention softmax sums only the valid keys, so
 they round alike too (see ``autodiff.softmax``). Trailing pads shared by every
 sequence are dropped first, so one sequence runs with no mask at all.
 A pad id in the interior of a sequence is rejected as malformed input.
-Ids with no pad, every id in the vocabulary and at most ``max_len`` per
-sequence skip the rest of that validation: there is nothing to strip or
-reject.
+Ids with no pad skip the rest of that validation: there is nothing to
+strip or reject.
+
+Every forward prepares its ids once, as a :class:`PreparedIds`: the
+validated ids and their :class:`PadMask`, which builds each mask a forward
+derives from the padding (the attention key bias and length groups, the
+mean rows of pooling and of the saliency logits, the saliency pad bias and
+length groups) on first use and keeps it. Raw ids are prepared on entry,
+so a one-off forward builds what it did before; a caller that runs several
+forwards over one batch (a smat training step runs five) prepares it once
+and passes the PreparedIds to each.
 
 A forward that records no graph (grad disabled, or no input requiring
 grad, as for a frozen teacher) runs each layer norm as one node: the op
@@ -113,11 +121,11 @@ class AttentionInternals:
     attention.
 
     Shapes are (..., H, L, .), where ``...`` is empty for one sequence and
-    (B,) for a batch. ``valid`` is the (B, L) mask of non-pad positions, or
-    None when no position is padding.
+    (B,) for a batch. ``mask`` is the batch's :class:`PadMask`, or None when
+    no position is padding.
     """
 
-    valid: np.ndarray | None = None
+    mask: PadMask | None = None
     queries: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
     keys: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
     scores: list[Tensor] = field(default_factory=list)  # (..., H, L, L), pre-softmax, unmasked
@@ -126,6 +134,11 @@ class AttentionInternals:
     @property
     def seq_len(self) -> int:
         return self.scores[0].shape[-1]
+
+    @property
+    def valid(self) -> np.ndarray | None:
+        """The (B, L) mask of non-pad positions, or None when no position is padding."""
+        return None if self.mask is None else self.mask.valid
 
 
 def is_batch(token_ids: object) -> bool:
@@ -149,11 +162,133 @@ def pad_bias(valid: np.ndarray, dtype) -> np.ndarray:
     return np.where(valid, 0.0, MASK_BIAS).astype(dtype)
 
 
-def _mean_weights(valid: np.ndarray | None, lead: tuple[int, ...], length: int, dtype) -> np.ndarray:
+class PadMask:
+    """The padding of a (B, L) batch, and the masks every forward over it reads.
+
+    ``lengths`` holds each row's valid prefix and ``valid`` is the (B, L)
+    mask of non-pad positions. Each mask derived from them is built on its
+    first use and kept, so every forward, explanation and E_T over one batch
+    shares it: the attention key bias and the length groups of the score
+    rows, the mean rows of pooling and of the saliency logits, and the
+    saliency pad bias and length groups.
+    """
+
+    __slots__ = ("lengths", "valid", "_kept")
+
+    def __init__(self, lengths: np.ndarray, width: int) -> None:
+        self.lengths = np.asarray(lengths)
+        self.valid = np.arange(width) < self.lengths[:, None]
+        self._kept: dict[tuple, object] = {}
+
+    def _keep(self, key: tuple, build):
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build()
+        return value
+
+    def key_bias(self, dtype) -> Tensor:
+        """(B, 1, 1, L) constant to add to attention scores: MASK_BIAS at pad keys."""
+        return self._keep(("key_bias", dtype), lambda: ad.constant(
+            pad_bias(self.valid, dtype)[:, None, None, :]))
+
+    def score_groups(self, heads: int) -> ad.LengthGroups:
+        """The (B, heads, L, L) attention score rows grouped by key length."""
+        batch, width = self.valid.shape
+        return self._keep(("score_groups", heads), lambda: ad.LengthGroups(
+            self.lengths[:, None, None], (batch, heads, width, width)))
+
+    def mean_rows(self, dtype) -> np.ndarray:
+        """(B, 1, L) row weights of a mean over each row's valid positions."""
+        return self._keep(("mean_rows", dtype), lambda: (
+            self.valid / self.valid.sum(axis=-1, keepdims=True)).astype(dtype)[:, None, :])
+
+    def saliency_bias(self, dtype) -> Tensor:
+        """(B, L) constant to add to saliency logits: MASK_BIAS at pads."""
+        return self._keep(("saliency_bias", dtype),
+                          lambda: ad.constant(pad_bias(self.valid, dtype)))
+
+    def saliency_groups(self) -> ad.LengthGroups:
+        """The (B, L) saliency rows grouped by valid length."""
+        return self._keep(("saliency_groups",), lambda: ad.LengthGroups(
+            self.valid.sum(axis=-1), self.valid.shape))
+
+
+class PreparedIds:
+    """Token ids prepared once, for every forward that reads them.
+
+    ``ids`` is (L,) for one sequence or (B, L) for a batch, without the
+    trailing pads every sequence shares, and ``mask`` is the batch's
+    :class:`PadMask`, or None when no position is padding. Preparing checks
+    what no model setting decides: the shape, empty sequences and pads in
+    the interior of a sequence; ``low`` and ``high`` are the smallest and
+    largest id, which a model checks against its vocabulary. Like the ids
+    it is built from, it is a sequence of id rows.
+    """
+
+    __slots__ = ("ids", "mask", "low", "high", "_sequences")
+
+    def __init__(self, token_ids: Sequence[int] | Sequence[Sequence[int]] | np.ndarray) -> None:
+        if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
+            if not token_ids:
+                raise ValueError("empty batch (no sequences)")
+            rows = np.full((len(token_ids), max(len(s) for s in token_ids)), PAD_ID, dtype=np.int64)
+            for row, seq in zip(rows, token_ids):
+                row[: len(seq)] = seq
+        else:
+            rows = np.asarray(token_ids, dtype=np.int64)
+        self.mask = None
+        self._sequences = None
+        # No pad (the lowest id): nothing to strip or check.
+        if rows.ndim in (1, 2) and rows.size:
+            low = int(rows.min())
+            if low > PAD_ID:
+                self.ids, self.low, self.high = rows, low, int(rows.max())
+                return
+        one = rows.ndim == 1
+        rows = rows.reshape(1, -1) if one else rows
+        if rows.ndim != 2:
+            raise ValueError(f"token ids must be one sequence or a batch, got shape {rows.shape}")
+        real = rows != PAD_ID
+        if rows.size == 0 or not real.any(axis=1).all():
+            raise ValueError("empty sequence (no non-pad tokens)")
+        lengths = rows.shape[1] - np.argmax(real[:, ::-1], axis=1)
+        width = int(lengths.max())
+        rows = rows[:, :width]
+        if (~real[:, :width] & (np.arange(width) < lengths[:, None])).any():
+            raise ValueError("pad id found in the interior of a sequence")
+        self.low, self.high = int(rows.min()), int(rows.max())
+        if one:
+            self.ids = rows[0]
+        else:
+            self.ids = rows
+            if not (lengths == width).all():
+                self.mask = PadMask(lengths, width)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self.ids[index]
+
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Each sequence as a tuple of ints without its trailing pads (one
+        sequence gives a list of one): what its forward runs, built once."""
+        if self._sequences is None:
+            if self.ids.ndim == 1:
+                self._sequences = [tuple(self.ids.tolist())]
+            elif self.mask is None:
+                self._sequences = [tuple(row) for row in self.ids.tolist()]
+            else:
+                self._sequences = [tuple(row[:n]) for row, n in
+                                   zip(self.ids.tolist(), self.mask.lengths.tolist())]
+        return self._sequences
+
+
+def _mean_weights(mask: PadMask | None, lead: tuple[int, ...], length: int, dtype) -> np.ndarray:
     """(..., 1, L) row weights of a mean over the valid positions."""
-    if valid is None:
+    if mask is None:
         return np.full(lead + (1, length), 1.0 / length, dtype=dtype)
-    return (valid / valid.sum(axis=-1, keepdims=True)).astype(dtype)[:, None, :]
+    return mask.mean_rows(dtype)
 
 
 @functools.cache
@@ -242,43 +377,20 @@ class MiniTransformer:
 
     # -- forward -----------------------------------------------------------
 
-    def _batch_ids(self, token_ids: Sequence[int] | Sequence[Sequence[int]] | np.ndarray):
-        """Validated ids, (L,) for one sequence or (B, L) for a batch, and the
-        (B,) sequence lengths when some are shorter than L (else None)."""
-        if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
-            if not token_ids:
-                raise ValueError("empty batch (no sequences)")
-            rows = np.full((len(token_ids), max(len(s) for s in token_ids)), PAD_ID, dtype=np.int64)
-            for row, seq in zip(rows, token_ids):
-                row[: len(seq)] = seq
-        else:
-            rows = np.asarray(token_ids, dtype=np.int64)
-        # No pad (the lowest id) and every id in range: nothing to strip or check.
-        if (rows.ndim in (1, 2) and rows.size and rows.shape[-1] <= self.config.max_len
-                and rows.min() > PAD_ID and rows.max() < self.config.vocab_size):
-            return rows, None
-        one = rows.ndim == 1
-        rows = rows.reshape(1, -1) if one else rows
-        if rows.ndim != 2:
-            raise ValueError(f"token ids must be one sequence or a batch, got shape {rows.shape}")
-        real = rows != PAD_ID
-        if rows.size == 0 or not real.any(axis=1).all():
-            raise ValueError("empty sequence (no non-pad tokens)")
-        lengths = rows.shape[1] - np.argmax(real[:, ::-1], axis=1)
-        width = int(lengths.max())
-        if width > self.config.max_len:
-            raise ValueError(f"sequence length {width} exceeds max_len {self.config.max_len}")
-        rows = rows[:, :width]
-        if (~real[:, :width] & (np.arange(width) < lengths[:, None])).any():
-            raise ValueError("pad id found in the interior of a sequence")
-        bad = (rows < 0) | (rows >= self.config.vocab_size)
-        if bad.any():
-            raise ValueError(
-                f"token id {int(rows[bad][0])} out of range for vocab size {self.config.vocab_size}"
-            )
-        if one:
-            return rows[0], None
-        return rows, None if (lengths == width).all() else lengths
+    def _batch_ids(self, token_ids) -> PreparedIds:
+        """``token_ids`` prepared (a :class:`PreparedIds` passes through as
+        it is), with every id in this model's vocabulary and at most
+        ``max_len`` per sequence."""
+        prepared = token_ids if isinstance(token_ids, PreparedIds) else PreparedIds(token_ids)
+        c = self.config
+        width = prepared.ids.shape[-1]
+        if width > c.max_len:
+            raise ValueError(f"sequence length {width} exceeds max_len {c.max_len}")
+        if prepared.low < 0 or prepared.high >= c.vocab_size:
+            ids = prepared.ids
+            bad = (ids < 0) | (ids >= c.vocab_size)
+            raise ValueError(f"token id {int(ids[bad][0])} out of range for vocab size {c.vocab_size}")
+        return prepared
 
     def _embed(self, ids: np.ndarray, params: dict[str, Tensor] | None) -> Tensor:
         p = params if params is not None else self.params
@@ -287,22 +399,24 @@ class MiniTransformer:
     def input_embeddings(self, token_ids, params: dict[str, Tensor] | None = None) -> Tensor:
         """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch
         of sequences of one length once trailing pads are stripped (no pad mask)."""
-        ids, lengths = self._batch_ids(token_ids)
-        if lengths is not None:
-            raise ValueError(f"input embeddings need one sequence length, got {np.unique(lengths)}")
-        return self._embed(ids, params)
+        prepared = self._batch_ids(token_ids)
+        if prepared.mask is not None:
+            raise ValueError(f"input embeddings need one sequence length, "
+                             f"got {np.unique(prepared.mask.lengths)}")
+        return self._embed(prepared.ids, params)
 
     def forward(self, token_ids, record: bool = False, params: dict[str, Tensor] | None = None):
         """Task output for one sequence or a batch; optionally also attention internals.
 
-        ``token_ids`` is one sequence, a list of sequences or a 2-D id array.
-        Returns logits (classification) or a score (regression), shaped
-        (C,) or () for one sequence and (B, C) or (B,) for a batch, or an
-        ``(output, AttentionInternals)`` pair when ``record`` is set.
+        ``token_ids`` is one sequence, a list of sequences, a 2-D id array or
+        a :class:`PreparedIds`. Returns logits (classification) or a score
+        (regression), shaped (C,) or () for one sequence and (B, C) or (B,)
+        for a batch, or an ``(output, AttentionInternals)`` pair when
+        ``record`` is set.
         """
-        ids, lengths = self._batch_ids(token_ids)
+        prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
-            self._embed(ids, params), record=record, params=params, lengths=lengths
+            self._embed(prepared.ids, params), record=record, params=params, lengths=prepared.mask
         )
 
     def attention_internals(
@@ -316,9 +430,9 @@ class MiniTransformer:
         parameters it never reads. Each recorded tensor comes from the same
         ops on the same inputs, so it matches the full forward's bit for bit.
         """
-        ids, lengths = self._batch_ids(token_ids)
+        prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
-            self._embed(ids, params), params=params, lengths=lengths, _scores_only=True
+            self._embed(prepared.ids, params), params=params, lengths=prepared.mask, _scores_only=True
         )
 
     def forward_from_embeddings(
@@ -326,15 +440,17 @@ class MiniTransformer:
         embeddings: Tensor,
         record: bool = False,
         params: dict[str, Tensor] | None = None,
-        lengths: np.ndarray | None = None,
+        lengths: np.ndarray | PadMask | None = None,
         *,
         _scores_only: bool = False,
     ):
         """Run the encoder on (L, model_dim) or (B, L, model_dim) embeddings.
 
-        ``lengths`` gives each batch row's valid prefix; None means no padding.
-        ``_scores_only`` (for :meth:`attention_internals`) returns the
-        internals as soon as the last layer has recorded its attention.
+        ``lengths`` gives each batch row's valid prefix, or the batch's
+        :class:`PadMask`, whose kept masks this forward then reads; None
+        means no padding. ``_scores_only`` (for :meth:`attention_internals`)
+        returns the internals as soon as the last layer has recorded its
+        attention.
         """
         p = params if params is not None else self.params
         c = self.config
@@ -344,15 +460,16 @@ class MiniTransformer:
         if length < 1 or length > c.max_len:
             raise ValueError(f"embedding rows {length} outside [1, {c.max_len}]")
         dt = embeddings.dtype
-        valid = None if lengths is None else np.arange(length) < np.asarray(lengths)[:, None]
-        key_bias = None if valid is None else ad.constant(pad_bias(valid, dt)[:, None, None, :])
+        mask = lengths if lengths is None or isinstance(lengths, PadMask) else PadMask(lengths, length)
+        if mask is not None and mask.valid.shape != lead + (length,):
+            raise ValueError(f"pad mask of shape {mask.valid.shape} for embeddings {embeddings.shape}")
+        key_bias = None if mask is None else mask.key_bias(dt)
         # one grouping of the (..., H, L) score rows by key length, shared by
         # every layer's attention softmax and its gradient
-        key_lengths = None if valid is None else ad.LengthGroups(
-            np.asarray(lengths)[:, None, None], lead + (c.heads_per_layer, length, length))
-        internals = AttentionInternals(valid=valid) if record or _scores_only else None
+        key_lengths = None if mask is None else mask.score_groups(c.heads_per_layer)
+        internals = AttentionInternals(mask=mask) if record or _scores_only else None
         scale = ad.scalar(1.0 / math.sqrt(c.head_dim), dt)
-        pool = None if _scores_only else ad.constant(_mean_weights(valid, lead, length, dt))
+        pool = None if _scores_only else ad.constant(_mean_weights(mask, lead, length, dt))
         split = lead + (length, c.heads_per_layer, c.head_dim)
 
         def heads(u: Tensor, weight: Tensor) -> Tensor:  # (..., L, D) -> (..., H, L, head_dim)
@@ -457,7 +574,7 @@ def head_saliency_logits(internals: AttentionInternals, first_layer: int = 0) ->
         raise ValueError("internals contain no recorded heads")
     stacked = scores[0] if len(scores) == 1 else ad.concat(scores, axis=-3)  # (..., heads, L, L)
     lead, length = stacked.shape[:-3], stacked.shape[-1]
-    rows = _mean_weights(internals.valid, lead, length, stacked.dtype)[..., None, :, :]
+    rows = _mean_weights(internals.mask, lead, length, stacked.dtype)[..., None, :, :]
     mean = ad.matmul(ad.constant(rows), stacked)  # (..., heads, 1, L)
     return ad.reshape(mean, stacked.shape[:-2] + (length,))
 

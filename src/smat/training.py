@@ -55,7 +55,8 @@ from .explainers import (
     scope_head_indices,
 )
 from .metrics import simulability_accuracy, simulability_pearson
-from .model import PREDICT_CHUNK, MiniTransformer, ModelConfig, is_batch, strip_pads, task_loss
+from .model import (PREDICT_CHUNK, MiniTransformer, ModelConfig, PreparedIds, is_batch, strip_pads,
+                    task_loss)
 
 logger = logging.getLogger(__name__)
 
@@ -180,12 +181,19 @@ class TeacherContext:
                                  f"the run has {name}={want!r}")
 
     @staticmethod
-    def _keys(kind: str, sequences) -> list[tuple[str, tuple[int, ...]]]:
-        """The cache key of each sequence. Keys drop trailing pads, as a
-        forward does, so a value does not depend on the batch it was
-        computed in. Numpy integers hash and compare as Python ints do, so a
-        list, a tuple and an integer array of one sequence share a key."""
-        return [(kind, strip_pads(tuple(ids))) for ids in sequences]
+    def _keys(kind: str, token_ids) -> list[tuple[str, tuple[int, ...]]]:
+        """The cache key of each sequence of one sequence or a batch. Keys
+        drop trailing pads, as a forward does, so a value does not depend on
+        the batch it was computed in. Numpy integers hash and compare as
+        Python ints do, so a list, a tuple and an integer array of one
+        sequence share a key. A :class:`PreparedIds` gives the sequences it
+        keeps, so a step builds them once."""
+        if isinstance(token_ids, PreparedIds):
+            sequences = token_ids.sequences()
+        else:
+            sequences = [strip_pads(tuple(ids))
+                         for ids in (token_ids if is_batch(token_ids) else [token_ids])]
+        return [(kind, ids) for ids in sequences]
 
     def _lookup(self, kind: str, token_ids, compute):
         """Cached ``kind`` values: one for one sequence, a list for a list.
@@ -193,14 +201,13 @@ class TeacherContext:
         ``compute`` maps unseen sequences, each once and in first-seen order,
         to the list of their values; it gets at most PREDICT_CHUNK at a time.
         """
-        one = not is_batch(token_ids)
-        keys = self._keys(kind, [token_ids] if one else token_ids)
+        keys = self._keys(kind, token_ids)
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):
             chunk = unseen[start : start + PREDICT_CHUNK]
             self._cache.update(zip(chunk, compute([ids for _, ids in chunk])))
         values = [self._cache[k] for k in keys]
-        return values[0] if one else values
+        return values if is_batch(token_ids) else values[0]
 
     def target(self, token_ids):
         return self._lookup("target", token_ids, self.teacher.predict)
@@ -228,9 +235,11 @@ class TeacherContext:
         """E_T for one sequence (L,) or a batch (B, L): learned combination or
         static constant, exactly 0 at pad positions.
 
-        The last result is kept: a call with the same sequences (by cache
-        key), the same ``phi_t`` tensor, its ``data`` the same array with the
-        same bytes, and graph recording as before returns the same tensor.
+        The last result is kept: a call with the same sequences (without
+        trailing pads), the same ``phi_t`` tensor, its ``data`` the same
+        array with the same bytes, and graph recording as before returns the
+        same tensor. The pad mask comes from the batch's
+        :class:`PreparedIds` (raw ids are prepared on entry).
         A smat step asks for E_T four times on one batch at one phi_T (the
         inner step, the outer step's loss at the committed weights and both
         hypergradient probes), so all four share one graph node, and a
@@ -239,30 +248,28 @@ class TeacherContext:
         kind = self.config.mode_kind()
         if kind == "none":
             raise ValueError("mode 'none' has no teacher explainer")
-        one = not is_batch(token_ids)
-        sequences = [token_ids] if one else token_ids
+        prepared = token_ids if isinstance(token_ids, PreparedIds) else PreparedIds(token_ids)
+        one = prepared.ids.ndim == 1
         data = phi_t.data
-        key = (one, self._keys(kind, sequences), ad.records_graph((phi_t,)))
+        key = (one, prepared.sequences(), ad.records_graph((phi_t,)))
         if self._last_saliency is not None:
             last_phi, last_data, last_key, last_bytes, e_t = self._last_saliency
             if (last_phi is phi_t and last_data is data and last_key == key
                     and last_bytes == data.tobytes()):
                 return e_t
         lookup = self.head_logits if kind == "smat" else self.static_saliency
-        rows = lookup(sequences)
-        lengths = np.array([r.shape[-1] for r in rows])
-        width = int(lengths.max())
+        rows = [lookup(prepared)] if one else lookup(prepared)
+        width = prepared.ids.shape[-1]
         padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
         for out, r in zip(padded, rows):
             out[..., : r.shape[-1]] = r
-        valid = None if (lengths == width).all() else np.arange(width) < lengths[:, None]
         if one:
             padded = padded[0]
         if kind == "static":
             e_t = ad.constant(padded)
         else:
             lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
-            e_t = combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, valid)
+            e_t = combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, prepared.mask)
         self._last_saliency = (phi_t, data, key, data.tobytes(), e_t)
         return e_t
 
@@ -296,11 +303,32 @@ class TrainResult:
     log: list[TrainRecord] = field(default_factory=list)
 
 
+class StepBatch(tuple):
+    """One step's batch of Examples, with its token ids prepared once.
+
+    ``ids`` is the batch's :class:`PreparedIds`. Every forward of a smat
+    step (the inner loss, the loss at the committed weights and both probes
+    over the train batch, the pilot over the outer batch), its explanations
+    E_S and E_T and its teacher lookups read it, so the ids, pad masks,
+    length groups and teacher cache keys are built once a step, not once a
+    use. It keeps what it read when built, so build one per step.
+    """
+
+    def __new__(cls, examples: Sequence[Example]) -> "StepBatch":
+        batch = super().__new__(cls, examples)
+        batch.ids = PreparedIds([ex.token_ids for ex in batch])
+        return batch
+
+
+def _prepared(batch: Sequence[Example]) -> StepBatch:
+    return batch if isinstance(batch, StepBatch) else StepBatch(batch)
+
+
 def _scaled(total: Tensor, factor: float) -> Tensor:
     return ad.mul(total, ad.scalar(factor, total.dtype))
 
 
-def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: list, config: TrainConfig,
+def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: PreparedIds, config: TrainConfig,
              params: dict[str, Tensor] | None = None, output: Tensor | None = None) -> Tensor:
     """Simulation loss summed over a batch of sequences, by the student's task."""
     out = output if output is not None else student.forward(ids, params=params)
@@ -335,7 +363,7 @@ def student_loss(
     if not batch:
         raise ValueError("empty batch")
     beta = config.effective_beta()
-    ids = [ex.token_ids for ex in batch]
+    ids = _prepared(batch).ids
     if beta == 0.0:
         return _scaled(_sim_sum(student, tctx, ids, config), 1.0 / len(ids))
     out, internals = student.forward(ids, record=True)
@@ -376,7 +404,7 @@ def _sim_only_loss(
     config: TrainConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    ids = [ex.token_ids for ex in batch]
+    ids = _prepared(batch).ids
     return _scaled(_sim_sum(student, tctx, ids, config, params=params), 1.0 / len(ids))
 
 
@@ -395,7 +423,7 @@ def _phi_t_gradient(
     ``TeacherContext.teacher_saliency``), differentiated with respect to
     ``state.phi_t`` itself.
     """
-    ids = [ex.token_ids for ex in batch]
+    ids = _prepared(batch).ids
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
@@ -418,13 +446,16 @@ def outer_step(
     simulation-loss gradient at the lookahead weights on the outer batch
     and M v the mixed second derivative realized around the committed
     weights by ``autodiff.central_difference``, whose docstring states the
-    step rule (or exactly through the graph).
+    step rule (or exactly through the graph). Each batch is prepared once
+    (see :class:`StepBatch`), and the train batch is not prepared again when
+    it comes prepared from the inner step.
     """
     if config.mode_kind() != "smat":
         return state
     beta = config.effective_beta()
     if beta == 0.0 or config.eta_outer == 0.0:
         return state
+    train_batch, outer_batch = _prepared(train_batch), _prepared(outer_batch)
 
     student = state.student
     names = student.param_names()
@@ -573,7 +604,8 @@ def train(
                         splits.dev if config.steps else [])
 
     log: list[TrainRecord] = []
-    for step, batch in enumerate(inner, start=1):
+    for step, examples in enumerate(inner, start=1):
+        batch = StepBatch(examples)  # prepared here, not up front: one batch's masks at a time
         inner_step(state, batch, config, tctx)
         if smat:
             outer_step(state, batch, outer[step - 1], config, tctx)

@@ -550,7 +550,7 @@ def test_criterion_08_metric_examples():
     agg = metrics.aggregate_median_iqr([7])
     assert (agg.median, agg.iqr_low, agg.iqr_high) == (7, 7, 7)
     agg = metrics.aggregate_median_iqr([1, 2, 3, 4])
-    assert (agg.median, agg.iqr_low, agg.iqr_high) == (2, 1.75, 3.25)
+    assert (agg.median, agg.iqr_low, agg.iqr_high) == (2, 1, 3)
 
     disjoint = {"a": metrics.SkillRating(mu=3.0, sigma=0.1),
                 "b": metrics.SkillRating(mu=0.0, sigma=0.1)}

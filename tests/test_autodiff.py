@@ -1062,6 +1062,32 @@ def test_tsum_lengths_sums_each_row_prefix():
         ad.tsum(ad.constant(x), keepdims=True, lengths=np.array([4, 2, 1]))  # one axis
 
 
+def moveaxis_prefix_sum(x, axis, lengths):
+    """The prefix sum with ``axis`` moved last and back by ``np.moveaxis``
+    whatever it is, each row summed alone."""
+    moved = np.moveaxis(x, axis, -1)
+    counts = np.broadcast_to(lengths, moved.shape[:-1])
+    sums = np.empty(moved.shape[:-1] + (1,), dtype=x.dtype)
+    for idx in np.ndindex(*moved.shape[:-1]):
+        sums[idx] = moved[idx][: counts[idx]].sum()
+    return np.moveaxis(sums, -1, axis)
+
+
+@pytest.mark.parametrize("axis", [-1, 2, 1], ids=["last", "last_by_index", "inner"])
+def test_float32_prefix_sum_is_the_moveaxis_formulation_bit_for_bit(axis):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 12, 11)).astype(np.float32)  # rows on both sides of 8
+    shape = list(x.shape)
+    del shape[axis]
+    lengths = rng.integers(1, x.shape[axis] + 1, size=shape)
+    want = moveaxis_prefix_sum(x, axis, lengths)
+    for lens in (lengths, ad.LengthGroups(lengths, np.moveaxis(x, axis, -1).shape)):
+        got = ad._prefix_sum(x, axis, lens)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    full = np.full(shape, x.shape[axis])  # every row whole: the ungrouped sum
+    assert np.array_equal(ad._prefix_sum(x, axis, full), moveaxis_prefix_sum(x, axis, full))
+
+
 def test_broadcast_gradient_sums_each_example_then_examples_in_order():
     rng = np.random.default_rng(13)
     g = rng.normal(size=(7, 9, 5)).astype(np.float32)

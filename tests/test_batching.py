@@ -25,8 +25,18 @@ from smat.explainers import (
     saliency_from_internals,
     scope_head_indices,
 )
-from smat.model import PAD_ID, PREDICT_CHUNK, MiniTransformer, _layer_norm, head_saliency_logits
+from smat.model import (
+    PAD_ID,
+    PREDICT_CHUNK,
+    MiniTransformer,
+    PreparedIds,
+    _layer_norm,
+    head_saliency_logits,
+    is_batch,
+    strip_pads,
+)
 from smat.training import (
+    StepBatch,
     TeacherContext,
     TrainConfig,
     TrainState,
@@ -830,6 +840,82 @@ def test_attention_internals_read_no_parameter_past_the_last_scores(shape):
     assert_internals_equal(net.attention_internals(seqs, params=prefix), want)
     with pytest.raises(KeyError):
         net.forward(seqs, params=prefix)
+
+
+# ---------------------------------------------------------------------------
+# prepared ids: one preparation read by every forward over a batch
+
+PREPARED_LENGTHS = {"padded": LONG_LENGTHS, "unpadded": (LONG_LEN,) * len(LONG_LENGTHS)}
+
+
+def prepared_case(name, seed):
+    rng = np.random.default_rng(seed)
+    return [Example(tokens=["t"] * n, label=int(rng.integers(0, 2)),
+                    token_ids=rng.integers(1, VOCAB, size=n).tolist())
+            for n in PREPARED_LENGTHS[name]]
+
+
+def test_prepared_ids_are_the_sequences_they_were_built_from():
+    seqs = [ex.token_ids for ex in prepared_case("padded", 111)]
+    prepared = PreparedIds([seq + [PAD_ID] * 2 for seq in seqs])
+    assert is_batch(prepared) and len(prepared) == len(seqs)
+    assert prepared.ids.shape == (len(seqs), LONG_LEN)  # the shared trailing pads are dropped
+    assert prepared.sequences() == [tuple(seq) for seq in seqs]
+    assert prepared.sequences() is prepared.sequences()  # built once
+    assert np.array_equal(prepared.mask.lengths, [len(seq) for seq in seqs])
+    one = PreparedIds(seqs[1] + [PAD_ID])
+    assert not is_batch(one) and one.mask is None
+    assert one.sequences() == [tuple(strip_pads(seqs[1]))]
+
+
+@pytest.mark.parametrize("case", list(PREPARED_LENGTHS))
+@pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, STUDENT_SHAPE], ids=["teacher", "student"])
+def test_float32_forwards_over_prepared_ids_are_bit_identical_to_raw_ids(shape, case):
+    net = model(113, np.float32, max_len=LONG_LEN, **shape)
+    seqs = [ex.token_ids for ex in prepared_case(case, 115)]
+    prepared = PreparedIds(seqs)
+    assert (prepared.mask is None) == (case == "unpadded")
+    rng = np.random.default_rng(117)
+    probe = {name: Tensor(t.data + (1e-3 * rng.standard_normal(t.shape)).astype(np.float32),
+                          requires_grad=True, name=name)
+             for name, t in net.params.items()}
+    phi = Tensor(rng.normal(size=net.config.total_heads).astype(np.float32), requires_grad=True)
+    explainer = ExplainerParams(phi=phi)
+    for params in (None, probe):
+        want_out, want = net.forward(seqs, record=True, params=params)
+        want_e_s = saliency_from_internals(want, explainer)
+        (want_grad,) = ad.backward(ad.tsum(ad.mul(want_e_s, want_e_s)), [phi])
+        for _ in range(2):  # the second pass reads the masks the first one kept
+            got_out, got = net.forward(prepared, record=True, params=params)
+            assert np.array_equal(got_out.data, want_out.data)
+            assert_internals_equal(got, want)
+            with ad.no_grad():
+                assert_internals_equal(net.attention_internals(prepared, params=params), want)
+            e_s = saliency_from_internals(got, explainer)
+            assert np.array_equal(e_s.data, want_e_s.data)
+            (grad,) = ad.backward(ad.tsum(ad.mul(e_s, e_s)), [phi])
+            assert np.array_equal(grad.data, want_grad.data)
+
+
+@pytest.mark.parametrize("case", list(PREPARED_LENGTHS))
+@pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
+def test_float32_e_t_and_student_loss_over_a_step_batch_are_bit_identical_to_raw_ids(mode, case):
+    config = TrainConfig(mode=mode, steps=1, batch_size=6)
+    state, tctx = student_state(config, seed=7, dtype=np.float32, max_len=LONG_LEN,
+                                teacher_shape=EXPERIMENT_TEACHER)
+    batch = prepared_case(case, 119)
+    ids = [ex.token_ids for ex in batch]
+    step = StepBatch(batch)
+    want_e_t = TeacherContext(tctx.teacher, config).teacher_saliency(ids, state.phi_t)
+    assert np.array_equal(tctx.teacher_saliency(step.ids, state.phi_t).data, want_e_t.data)
+    wrt = state.student.param_list() + [state.phi_s, state.phi_t]
+    want = ad.backward(student_loss(state.student, TeacherContext(tctx.teacher, config),
+                                    state.phi_s, state.phi_t, list(batch), config), wrt)
+    for _ in range(2):  # the second loss reuses the first one's masks and E_T
+        got = ad.backward(student_loss(state.student, tctx, state.phi_s, state.phi_t, step,
+                                       config), wrt)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and np.array_equal(g.data, w.data)
 
 
 # ---------------------------------------------------------------------------

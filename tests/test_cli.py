@@ -492,23 +492,44 @@ def test_student_task_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "students").exists()
 
 
-def test_a_regression_config_trains_without_a_sim_loss_field(pipeline, tmp_path, capsys):
-    """The student's task picks its simulation loss: squared error here."""
+def regression_config(pipeline, tmp_path, **train):
+    """A regression copy of the pipeline's config, with ``train`` set in its
+    train section, beside a regression corpus and a teacher trained on it."""
     cfg = json.loads(pipeline["config"].read_text())
     for section in ("model", "student_model"):
         cfg[section]["task"] = "regression"
         del cfg[section]["num_classes"]
+    cfg["train"].update(train)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     corpus = load_tsv(str(pipeline["corpus"]))
     scores = [replace(ex, label=None, score=ex.label - 0.5) for ex in corpus.examples]
     save_tsv(Dataset(examples=scores, task="regression"), str(tmp_path / "corpus.tsv"))
-    teacher, out = tmp_path / "teacher.smat", tmp_path / "students"
+    teacher = tmp_path / "teacher.smat"
     assert main(["train-teacher", "--config", str(config), "--out", str(teacher)]) == 0
+    return config, teacher
+
+
+def test_a_regression_config_trains_without_a_sim_loss_field(pipeline, tmp_path, capsys):
+    """The student's task picks its simulation loss: squared error here."""
+    config, teacher = regression_config(pipeline, tmp_path)
+    out = tmp_path / "students"
     assert main(["train-student", "--config", str(config), "--teacher", str(teacher),
                  "--mode", "smat", "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["task"] == "regression"
     capsys.readouterr()
+
+
+def test_soft_targets_for_a_regression_student_exit_2_before_any_output(pipeline, tmp_path, capsys):
+    config, teacher = regression_config(pipeline, tmp_path, soft_targets=True)
+    capsys.readouterr()
+    out = tmp_path / "students"
+    code = main(["train-student", "--config", str(config), "--teacher", str(teacher),
+                 "--mode", "smat", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "soft_targets" in err
+    assert not out.exists()
 
 
 def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):

@@ -113,10 +113,23 @@ def test_median_iqr_cases():
     assert (agg.median, agg.iqr_low, agg.iqr_high) == (7.0, 7.0, 7.0)
     agg = aggregate_median_iqr([1, 2, 3, 4])
     assert agg.median == 2.0  # lower of the two middle values
-    assert agg.iqr_low == pytest.approx(1.75)
-    assert agg.iqr_high == pytest.approx(3.25)
+    assert (agg.iqr_low, agg.iqr_high) == (1.0, 3.0)  # by the median's rule
     with pytest.raises(ValueError):
         aggregate_median_iqr([])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_median_iqr_bounds_come_by_the_medians_rule(n):
+    values = np.random.default_rng(n).normal(size=n).tolist()
+    ranked = sorted(values)
+    agg = aggregate_median_iqr(values)
+    assert agg.median == ranked[(n - 1) // 2]  # the lower middle value
+    assert agg.iqr_low <= agg.median <= agg.iqr_high
+    # the k-th of n values at or below a share p first reaches p at k = ceil(p * n)
+    assert agg.iqr_low == ranked[math.ceil(0.25 * n) - 1]
+    assert agg.iqr_high == ranked[math.ceil(0.75 * n) - 1]
+    if n % 4 == 1:  # 4k + 1 values: the interpolated quartiles are values too
+        assert (agg.iqr_low, agg.iqr_high) == tuple(np.percentile(values, [25, 75]))
 
 
 def test_median_is_order_independent():
@@ -259,5 +272,5 @@ def test_aggregate_to_dict():
     agg = aggregate_median_iqr([1.0, 2.0, 3.0])
     d = agg.to_dict()
     assert d["median"] == 2.0
-    assert d["iqr"] == [1.5, 2.5]
+    assert d["iqr"] == [1.0, 3.0]
     assert d["values"] == [1.0, 2.0, 3.0]

@@ -13,8 +13,9 @@ from smat import training
 from smat.autodiff import Tensor
 from smat.data import SyntheticSpec, attach_token_ids, build_vocab, generate_synthetic, split_dataset
 from smat.explainers import ExplainerParams, compute_static_saliency, scope_head_indices
-from smat.model import MiniTransformer, ModelConfig, task_loss
+from smat.model import MiniTransformer, ModelConfig, PreparedIds, task_loss
 from smat.training import (
+    StepBatch,
     TeacherContext,
     TrainConfig,
     TrainState,
@@ -890,6 +891,81 @@ def test_float32_train_with_one_shared_e_t_is_bit_identical_to_unshared(monkeypa
     assert np.array_equal(shared.phi_s.data, alone.phi_s.data)
     assert [r.to_dict() for r in shared.log] == [r.to_dict() for r in alone.log]
     assert shared.phi_t.data.any()  # the outer steps moved phi_T off its zero start
+
+
+# ---------------------------------------------------------------------------
+# each batch prepared once per step
+
+
+def count_preparations(monkeypatch):
+    """The sequence count of each PreparedIds built from raw token ids."""
+    sizes = []
+    init = PreparedIds.__init__
+
+    def counting(self, token_ids):
+        sizes.append(len(token_ids))
+        init(self, token_ids)
+
+    monkeypatch.setattr(PreparedIds, "__init__", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("mode,hypergrad,per_step", [
+    ("smat", "central", 2), ("smat", "exact", 2),
+    ("none", "central", 1), ("static:attn_all", "central", 1),
+])
+def test_a_step_prepares_each_of_its_batches_once(monkeypatch, mode, hypergrad, per_step):
+    teacher, splits, student_config, config = fixture_shaped_setup(
+        mode, steps=3, eval_every=3, hypergrad=hypergrad)
+    tctx = TeacherContext(teacher, config)
+    train(config, teacher, splits, student_config, tctx=tctx)  # fills the cache: no teacher forward
+    sizes = count_preparations(monkeypatch)
+    train(config, teacher, splits, student_config, tctx=tctx)
+    # each step's train batch (and outer batch), then the dev evaluation's one predict forward
+    assert len(splits.dev) <= training.PREDICT_CHUNK
+    assert sizes == [config.batch_size] * (per_step * config.steps) + [len(splits.dev)]
+
+
+def test_a_batch_with_the_same_lengths_and_other_ids_gets_its_own_values():
+    teacher, splits, student_config, config = fixture_shaped_setup("smat")
+    state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    first = splits.train[:8]
+    second = [replace(ex, token_ids=ex.token_ids[::-1]) for ex in first]
+    assert [ex.token_ids for ex in second] != [ex.token_ids for ex in first]
+    wrt = state.student.param_list() + [state.phi_s, state.phi_t]
+    for batch in (first, second):  # one context: the second batch follows the first's E_T
+        step = StepBatch(batch)
+        e_t = tctx.teacher_saliency(step.ids, state.phi_t)
+        got = ad.backward(student_loss(state.student, tctx, state.phi_s, state.phi_t, step,
+                                       config), wrt)
+        fresh = TeacherContext(teacher, config)
+        assert np.array_equal(e_t.data, fresh.teacher_saliency(
+            [ex.token_ids for ex in batch], state.phi_t).data)
+        want = ad.backward(student_loss(state.student, fresh, state.phi_s, state.phi_t,
+                                        list(batch), config), wrt)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.data, w.data)
+
+
+def test_train_prepares_each_step_from_the_token_ids_its_examples_then_hold(monkeypatch):
+    teacher, splits, student_config, config = fixture_shaped_setup("smat", steps=4)
+    splits = replace(splits, train=[replace(ex) for ex in splits.train])
+    inner, outer, seen = training.inner_step, training.outer_step, []
+
+    def checking(state, batch, *args):
+        seen.append(batch.ids.sequences() == [tuple(ex.token_ids) for ex in batch])
+        return inner(state, batch, *args)
+
+    def replacing(*args):
+        out = outer(*args)
+        for ex in splits.train:  # between steps: the same lengths, other ids
+            ex.token_ids = ex.token_ids[::-1]
+        return out
+
+    monkeypatch.setattr(training, "inner_step", checking)
+    monkeypatch.setattr(training, "outer_step", replacing)
+    train(config, teacher, splits, student_config)
+    assert seen == [True] * config.steps
 
 
 def test_train_rejects_a_context_for_another_run():
