@@ -6,7 +6,7 @@ distilled with those maps simulates the teacher better, and evaluates
 explainers by simulability and plausibility.
 """
 
-from .autodiff import Tensor, backward, hvp, no_grad, sparsemax
+from .autodiff import Tensor, backward, no_grad, sparsemax
 from .explainers import ExplainerParams, Saliency
 from .model import MiniTransformer, ModelConfig
 from .training import TrainConfig, TrainResult, train
@@ -23,7 +23,6 @@ __all__ = [
     "TrainResult",
     "__version__",
     "backward",
-    "hvp",
     "no_grad",
     "sparsemax",
     "train",

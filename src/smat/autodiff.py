@@ -446,8 +446,8 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 class LengthGroups:
     """Rows of an array grouped by their valid prefix length, for prefix sums.
 
-    ``shape`` is the summed array's shape with the summed axis last, and
-    ``lengths`` broadcasts over its other axes. Built once, it serves every
+    ``shape`` is the summed array's shape; the sum runs over its last axis,
+    and ``lengths`` broadcasts over the other axes. Built once, it serves every
     prefix sum over rows of that shape and those lengths: a softmax forward,
     its gradient, and every layer that reuses the mask.
     """
@@ -469,20 +469,15 @@ class LengthGroups:
                            for n in np.flatnonzero(counts))
 
 
-def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray | LengthGroups) -> np.ndarray:
-    """Sum over ``axis`` (keepdims) of each row's first ``lengths`` entries.
+def _prefix_sum(x: np.ndarray, axis: int, groups: LengthGroups) -> np.ndarray:
+    """Sum over the last axis (keepdims) of each row's valid prefix, as ``groups`` holds it.
 
     numpy orders a float sum's additions by the row length, so a row padded
     with zeros can round differently from the same row alone. Summing only
     the valid prefix rounds a padded batch row exactly like the row alone.
-    The rows are summed with ``axis`` moved last; when it already is last
-    (every softmax here), no axis is moved, which changes no bit: moving an
-    axis onto itself is the same view.
     """
-    last = axis in (-1, x.ndim - 1)
-    if not last:
-        x = np.moveaxis(x, axis, -1)
-    groups = lengths if isinstance(lengths, LengthGroups) else LengthGroups(lengths, x.shape)
+    if axis not in (-1, x.ndim - 1):
+        raise ValueError(f"a prefix sum runs over the last axis, not axis {axis} of {x.shape}")
     if groups.shape != x.shape:
         raise ValueError(f"length groups for shape {groups.shape} used on {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
@@ -495,18 +490,16 @@ def _prefix_sum(x: np.ndarray, axis: int, lengths: np.ndarray | LengthGroups) ->
             sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
         out = np.empty_like(sums)
         out[groups.order] = sums
-    out = out.reshape(x.shape[:-1] + (1,))
-    return out if last else np.moveaxis(out, -1, axis)
+    return out.reshape(x.shape[:-1] + (1,))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
-         lengths: np.ndarray | LengthGroups | None = None) -> Tensor:
+         lengths: LengthGroups | None = None) -> Tensor:
     """Sum over ``axis`` (all axes for None).
 
-    ``lengths`` (one axis, keepdims only) holds each row's valid prefix,
-    broadcast over the other axes, or its :class:`LengthGroups`; entries
-    past it must be zero, and are left out of the sum so they cannot change
-    its rounding.
+    ``lengths`` (the last axis, keepdims only) groups the rows by their
+    valid prefix; entries past it must be zero, and are left out of the sum
+    so they cannot change its rounding.
     """
     if lengths is None:
         data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -581,21 +574,19 @@ def scatter_rows(g: Tensor, ids: np.ndarray, num_rows: int) -> Tensor:
 # softmax family and losses
 
 
-def softmax(a: Tensor, axis: int = -1, lengths: np.ndarray | LengthGroups | None = None) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, lengths: LengthGroups | None = None) -> Tensor:
     """Softmax along ``axis``.
 
-    ``lengths`` gives each row's valid prefix (broadcast over the other
-    axes), or its :class:`LengthGroups`, when the entries past it are masked
-    to exactly zero weight; the sums here and in the gradient then skip
-    them, so a padded row rounds exactly like the row alone.
+    ``lengths`` (the last axis only) groups the rows by their valid prefix
+    when the entries past it are masked to exactly zero weight; the sums
+    here and in the gradient then skip them, so a padded row rounds exactly
+    like the row alone.
     """
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     if lengths is None:
         y = e / e.sum(axis=axis, keepdims=True)
     else:
-        if not isinstance(lengths, LengthGroups):  # one grouping for this sum and the gradient's
-            lengths = LengthGroups(lengths, np.moveaxis(e, axis, -1).shape)
         y = e / _prefix_sum(e, axis, lengths)
 
     def vjp(g: Tensor) -> tuple[Tensor]:
@@ -835,52 +826,3 @@ def central_difference(
                   for p, x in zip(params, vs)]
         sides.append([np.asarray(g, dtype=np.float64) for g in grad_at(probes)])
     return [(gp - gm) / (2.0 * eps) for gp, gm in zip(*sides)]
-
-
-def hvp(
-    loss_fn: Callable[[list[Tensor]], Tensor],
-    params: Sequence[Tensor],
-    v: Sequence[np.ndarray],
-    mode: str = "central",
-    eps0: float = HVP_EPS0,
-    delta: float = HVP_DELTA,
-) -> list[np.ndarray]:
-    """Hessian-vector product of ``loss_fn`` at ``params`` with vector ``v``.
-
-    ``central`` differentiates the gradient along v with
-    :func:`central_difference`; ``exact`` differentiates through a
-    backward pass built with ``create_graph=True``.
-    """
-    params, v = list(params), list(v)
-    if len(v) != len(params):
-        raise ValueError("direction does not match parameter structure")
-    vs = [np.asarray(x, dtype=p.dtype) for x, p in zip(v, params)]
-    for p, x in zip(params, vs):
-        if p.shape != x.shape:
-            raise ValueError(f"direction shape {x.shape} does not match parameter {p.shape}")
-
-    if mode == "central":
-        diffs = central_difference(
-            lambda probes: [g.data for g in backward(loss_fn(probes), probes)],
-            params, vs, eps0, delta)
-        return [d.astype(p.dtype) for d, p in zip(diffs, params)]
-
-    if mode == "exact":
-        loss = loss_fn(params)
-        grads = backward(loss, params, create_graph=True)
-        if not any(g.requires_grad for g in grads):
-            raise GradientError(
-                "exact mode needs a graph built with higher-order support; "
-                "the first backward produced constant gradients"
-            )
-        pieces = [
-            tsum(mul(g, constant(x, dtype=g.dtype)))
-            for g, x in zip(grads, vs)
-        ]
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = add(total, piece)
-        second = backward(total, params)
-        return [g.data for g in second]
-
-    raise ValueError(f"unknown hvp mode: {mode!r}")

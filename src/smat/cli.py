@@ -19,8 +19,6 @@ import os
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
 from . import data as dio
 from . import metrics, training
 from .explainers import (
@@ -62,6 +60,16 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return part
 
 
+def _field(section: dict, where: str, name: str, convert, default):
+    """``convert`` of the section's ``name`` value (``default`` when absent);
+    a value it cannot convert is a config error naming ``where.name``."""
+    value = section.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"bad {where}.{name} {value!r}: {err}") from err
+
+
 def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
     body = dict(section)
     declared = body.pop("vocab_size", None)
@@ -98,15 +106,14 @@ def _resolve_dataset(cfg: dict, config_dir: str) -> dio.Dataset:
         return dio.load_tsv(full)
     if "synthetic" in data_cfg:
         spec = _synthetic_spec(data_cfg["synthetic"])
-        n = int(data_cfg.get("n", 1000))
-        return dio.generate_synthetic(spec, n)
+        return dio.generate_synthetic(spec, _field(data_cfg, "data", "n", int, 1000))
     raise ConfigurationError("data section needs either 'path' or 'synthetic'")
 
 
 def _resolve_splits(cfg: dict, dataset: dio.Dataset) -> dio.Splits:
     data_cfg = _section(cfg, "data")
-    ratios = data_cfg.get("ratios", list(dio.SPLIT_RATIOS))
-    split_seed = int(data_cfg.get("split_seed", 0))
+    ratios = _field(data_cfg, "data", "ratios", lambda rs: [float(r) for r in rs], dio.SPLIT_RATIOS)
+    split_seed = _field(data_cfg, "data", "split_seed", int, 0)
     try:
         return dio.split_dataset(dataset, ratios=ratios, seed=split_seed)
     except dio.DataError as err:
@@ -128,8 +135,7 @@ def cmd_make_data(args: argparse.Namespace) -> int:
     if "synthetic" not in data_cfg:
         raise ConfigurationError("make-data needs a data.synthetic section")
     spec = _synthetic_spec(data_cfg["synthetic"])
-    n = int(data_cfg.get("n", 1000))
-    dataset = dio.generate_synthetic(spec, n)
+    dataset = dio.generate_synthetic(spec, _field(data_cfg, "data", "n", int, 1000))
     dio.save_tsv(dataset, args.out)
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
@@ -140,7 +146,7 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
     config_dir = os.path.dirname(os.path.abspath(args.config))
     dataset = _resolve_dataset(cfg, config_dir)
     data_cfg = _section(cfg, "data")
-    vocab = dio.build_vocab(dataset.examples, min_freq=int(data_cfg.get("min_freq", 1)))
+    vocab = dio.build_vocab(dataset.examples, min_freq=_field(data_cfg, "data", "min_freq", int, 1))
     dio.attach_token_ids(dataset, vocab)
     splits = _resolve_splits(cfg, dataset)
 
@@ -149,17 +155,11 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"model task {model_cfg.task!r} does not match data task {dataset.task!r}"
         )
-    tt = _section(cfg, "teacher_train", required=False)
-    teacher = MiniTransformer(model_cfg, seed=int(tt.get("seed", 0)))
-    training.train_supervised(
-        teacher,
-        splits.train,
-        lr=float(tt.get("lr", 0.1)),
-        momentum=float(tt.get("momentum", 0.9)),
-        steps=int(tt.get("steps", 500)),
-        batch_size=int(tt.get("batch_size", 32)),
-        seed=int(tt.get("seed", 0)),
-    )
+    tt_cfg = _section(cfg, "teacher_train", required=False)
+    tt = {name: _field(tt_cfg, "teacher_train", name, type(default), default) for name, default in
+          (("lr", 0.1), ("momentum", 0.9), ("steps", 500), ("batch_size", 32), ("seed", 0))}
+    teacher = MiniTransformer(model_cfg, seed=tt["seed"])
+    training.train_supervised(teacher, splits.train, **tt)
     if dataset.task == "classification":
         train_acc = training.gold_accuracy(teacher, splits.train)
         test_acc = training.gold_accuracy(teacher, splits.test) if splits.test else float("nan")
@@ -207,8 +207,8 @@ def cmd_train_student(args: argparse.Namespace) -> int:
     dio.attach_token_ids(dataset, vocab)
     splits = _resolve_splits(cfg, dataset)
     data_cfg = _section(cfg, "data")
-    limit = data_cfg.get("student_train_size")
-    student_pool = splits.train[: int(limit)] if limit else splits.train
+    limit = _field(data_cfg, "data", "student_train_size", lambda v: int(v or 0), None)
+    student_pool = splits.train[:limit] if limit else splits.train
 
     base = _train_config(_section(cfg, "train", required=False), mode=args.mode)
     student_cfg = _model_config(_section(cfg, "student_model"), len(vocab), "student_model")

@@ -13,6 +13,8 @@ gives a batch one row per input, with pad positions exactly 0:
   and integrated gradients on the model's own predicted label, one graph
   per length chunk of at most IG_STEPS_EVAL (50) path points.
 
+:func:`compute_static_saliency` runs each static explainer by name.
+
 Raw scores are always projected onto the simplex with a softmax and no
 top-k truncation is applied anywhere.
 """
@@ -271,9 +273,11 @@ def _gradient_raw(model, group, name: str, alphas: np.ndarray):
     return raw, base, labels
 
 
-def _gradient_saliency(model, token_ids, name: str, steps: int = IG_STEPS_EVAL):
+def _gradient_saliency(model, token_ids, name: str, steps: int):
     """A gradient explainer on one sequence or a list, one graph per length
-    chunk of at most IG_STEPS_EVAL path points (one sequence if it has more)."""
+    chunk of at most IG_STEPS_EVAL path points (one sequence if it has more).
+    Integrated gradients skips :func:`integrated_gradients_raw`'s
+    completeness losses: one forward per graph, not three."""
     alphas = _path_alphas(name, steps)
 
     def explain(group):
@@ -281,11 +285,6 @@ def _gradient_saliency(model, token_ids, name: str, steps: int = IG_STEPS_EVAL):
                 for raw in _gradient_raw(model, group, name, alphas)[0]]
 
     return _by_length(token_ids, explain, chunk=max(1, IG_STEPS_EVAL // len(alphas)))
-
-
-def explain_grad_x_input(model, token_ids: Sequence[int]) -> Saliency:
-    """Softmax over the per-token gradient-input dot products."""
-    return _gradient_saliency(model, token_ids, "grad_x_input")
 
 
 def integrated_gradients_raw(
@@ -306,14 +305,6 @@ def integrated_gradients_raw(
         at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
             Tensor(x, dtype=x.dtype)), target).item() for x in (base[0], np.zeros_like(base[0])))
     return raw[0], at_input, at_baseline
-
-
-def explain_integrated_gradients(
-    model, token_ids: Sequence[int], steps: int = IG_STEPS_EVAL
-) -> Saliency:
-    """Softmax over :func:`integrated_gradients_raw`'s attributions, without
-    its completeness losses: one forward per graph, not three."""
-    return _gradient_saliency(model, token_ids, "integrated_gradients", steps)
 
 
 def _simplex(raw: np.ndarray) -> np.ndarray:

@@ -20,6 +20,13 @@ import numpy as np
 
 _NORMAL = NormalDist()
 
+# Two-player Gaussian skill model: performance noise (half the prior sigma),
+# the share of draws, and the z of a rating's confidence interval.
+SKILL_BETA = 0.25
+DRAW_PROBABILITY = 0.10
+INTERVAL_Z = 1.96
+DRAW_MARGIN = _NORMAL.inv_cdf((DRAW_PROBABILITY + 1.0) / 2.0) * math.sqrt(2.0) * SKILL_BETA
+
 
 # ---------------------------------------------------------------------------
 # simulability
@@ -149,27 +156,13 @@ def aggregate_median_iqr(values: Sequence[float]) -> Aggregate:
 
 @dataclass(frozen=True)
 class SkillRating:
-    """Gaussian belief over one method's latent skill."""
+    """Gaussian belief over one method's latent skill; the defaults are the prior."""
 
     mu: float = 0.0
     sigma: float = 0.5
 
-    def interval(self, z: float = 1.96) -> tuple[float, float]:
-        return self.mu - z * self.sigma, self.mu + z * self.sigma
-
-
-@dataclass(frozen=True)
-class SkillConfig:
-    """Update constants for the two-player Gaussian skill model."""
-
-    mu_prior: float = 0.0
-    sigma_prior: float = 0.5
-    beta: float = 0.25  # performance noise, sigma_prior * 0.5
-    tau: float = 0.0  # no skill dynamics between tournaments
-    draw_probability: float = 0.10
-
-    def draw_margin(self) -> float:
-        return _NORMAL.inv_cdf((self.draw_probability + 1.0) / 2.0) * math.sqrt(2.0) * self.beta
+    def interval(self) -> tuple[float, float]:
+        return self.mu - INTERVAL_Z * self.sigma, self.mu + INTERVAL_Z * self.sigma
 
 
 def _v_win(t: float, eps: float) -> float:
@@ -209,12 +202,11 @@ def _update_pair(
     winner: SkillRating,
     loser: SkillRating,
     draw: bool,
-    config: SkillConfig,
 ) -> tuple[SkillRating, SkillRating]:
-    c2 = 2.0 * config.beta**2 + winner.sigma**2 + loser.sigma**2 + 2.0 * config.tau**2
+    c2 = 2.0 * SKILL_BETA**2 + winner.sigma**2 + loser.sigma**2
     c = math.sqrt(c2)
     t = (winner.mu - loser.mu) / c
-    eps = config.draw_margin() / c
+    eps = DRAW_MARGIN / c
     if draw:
         v = _v_draw(t, eps)
         w = _w_draw(t, eps)
@@ -240,7 +232,6 @@ RankingGroup = Sequence[str]
 def trueskill_update(
     ratings: Mapping[str, SkillRating],
     ranking: Sequence[str | RankingGroup],
-    config: SkillConfig | None = None,
 ) -> dict[str, SkillRating]:
     """Apply one tournament outcome to a set of ratings.
 
@@ -249,7 +240,6 @@ def trueskill_update(
     (a tie inside a group becomes a draw). Returns a new mapping; the
     input is untouched.
     """
-    cfg = config or SkillConfig()
     out = dict(ratings)
     flat: list[tuple[str, int]] = []
     for group_idx, entry in enumerate(ranking):
@@ -262,15 +252,12 @@ def trueskill_update(
         raise ValueError("ranking repeats a method")
     for (name_a, grp_a), (name_b, grp_b) in zip(flat, flat[1:]):
         a, b = out[name_a], out[name_b]
-        new_a, new_b = _update_pair(a, b, draw=grp_a == grp_b, config=cfg)
+        new_a, new_b = _update_pair(a, b, draw=grp_a == grp_b)
         out[name_a], out[name_b] = new_a, new_b
     return out
 
 
-def rank_with_confidence(
-    ratings: Mapping[str, SkillRating],
-    z: float = 1.96,
-) -> dict[str, tuple[int, int]]:
+def rank_with_confidence(ratings: Mapping[str, SkillRating]) -> dict[str, tuple[int, int]]:
     """Conservative rank ranges from non-overlapping confidence intervals.
 
     Method A is strictly better than B only when A's interval lower
@@ -279,7 +266,7 @@ def rank_with_confidence(
     """
     names = list(ratings)
     n = len(names)
-    intervals = {name: ratings[name].interval(z) for name in names}
+    intervals = {name: ratings[name].interval() for name in names}
     out: dict[str, tuple[int, int]] = {}
     for name in names:
         lo, hi = intervals[name]
@@ -294,6 +281,5 @@ def format_rank(rank: tuple[int, int]) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
-def fresh_ratings(names: Sequence[str], config: SkillConfig | None = None) -> dict[str, SkillRating]:
-    cfg = config or SkillConfig()
-    return {name: SkillRating(mu=cfg.mu_prior, sigma=cfg.sigma_prior) for name in names}
+def fresh_ratings(names: Sequence[str]) -> dict[str, SkillRating]:
+    return {name: SkillRating() for name in names}

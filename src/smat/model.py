@@ -33,7 +33,8 @@ mean rows of pooling and of the saliency logits, the saliency pad bias and
 length groups) on first use and keeps it. Raw ids are prepared on entry,
 so a one-off forward builds what it did before; a caller that runs several
 forwards over one batch (a smat training step runs five) prepares it once
-and passes the PreparedIds to each.
+and passes the PreparedIds to each. A PreparedIds is the one place a
+PadMask is built: ``forward_from_embeddings`` takes one as its ``mask``.
 
 A forward that records no graph (grad disabled, or no input requiring
 grad, as for a frozen teacher) runs each layer norm as one node: the op
@@ -45,6 +46,7 @@ runs instead and raises naming its op, as a recorded forward does.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
@@ -130,15 +132,6 @@ class AttentionInternals:
     keys: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
     scores: list[Tensor] = field(default_factory=list)  # (..., H, L, L), pre-softmax, unmasked
     attention: list[Tensor] = field(default_factory=list)  # (..., H, L, L), rows on the simplex
-
-    @property
-    def seq_len(self) -> int:
-        return self.scores[0].shape[-1]
-
-    @property
-    def valid(self) -> np.ndarray | None:
-        """The (B, L) mask of non-pad positions, or None when no position is padding."""
-        return None if self.mask is None else self.mask.valid
 
 
 def is_batch(token_ids: object) -> bool:
@@ -231,9 +224,11 @@ class PreparedIds:
         if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
             if not token_ids:
                 raise ValueError("empty batch (no sequences)")
-            rows = np.full((len(token_ids), max(len(s) for s in token_ids)), PAD_ID, dtype=np.int64)
-            for row, seq in zip(rows, token_ids):
-                row[: len(seq)] = seq
+            sizes = np.fromiter(map(len, token_ids), dtype=np.int64, count=len(token_ids))
+            rows = np.full((len(token_ids), int(sizes.max())), PAD_ID, dtype=np.int64)
+            # every id in one pass; the length mask takes them in row-major order
+            rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.fromiter(
+                itertools.chain.from_iterable(token_ids), dtype=np.int64, count=int(sizes.sum()))
         else:
             rows = np.asarray(token_ids, dtype=np.int64)
         self.mask = None
@@ -416,7 +411,7 @@ class MiniTransformer:
         """
         prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
-            self._embed(prepared.ids, params), record=record, params=params, lengths=prepared.mask
+            self._embed(prepared.ids, params), record=record, params=params, mask=prepared.mask
         )
 
     def attention_internals(
@@ -432,7 +427,7 @@ class MiniTransformer:
         """
         prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
-            self._embed(prepared.ids, params), params=params, lengths=prepared.mask, _scores_only=True
+            self._embed(prepared.ids, params), params=params, mask=prepared.mask, _scores_only=True
         )
 
     def forward_from_embeddings(
@@ -440,17 +435,16 @@ class MiniTransformer:
         embeddings: Tensor,
         record: bool = False,
         params: dict[str, Tensor] | None = None,
-        lengths: np.ndarray | PadMask | None = None,
+        mask: PadMask | None = None,
         *,
         _scores_only: bool = False,
     ):
         """Run the encoder on (L, model_dim) or (B, L, model_dim) embeddings.
 
-        ``lengths`` gives each batch row's valid prefix, or the batch's
-        :class:`PadMask`, whose kept masks this forward then reads; None
-        means no padding. ``_scores_only`` (for :meth:`attention_internals`)
-        returns the internals as soon as the last layer has recorded its
-        attention.
+        ``mask`` is the batch's :class:`PadMask` (a :class:`PreparedIds`
+        builds it), whose kept masks this forward reads; None means no
+        padding. ``_scores_only`` (for :meth:`attention_internals`) returns
+        the internals as soon as the last layer has recorded its attention.
         """
         p = params if params is not None else self.params
         c = self.config
@@ -460,7 +454,6 @@ class MiniTransformer:
         if length < 1 or length > c.max_len:
             raise ValueError(f"embedding rows {length} outside [1, {c.max_len}]")
         dt = embeddings.dtype
-        mask = lengths if lengths is None or isinstance(lengths, PadMask) else PadMask(lengths, length)
         if mask is not None and mask.valid.shape != lead + (length,):
             raise ValueError(f"pad mask of shape {mask.valid.shape} for embeddings {embeddings.shape}")
         key_bias = None if mask is None else mask.key_bias(dt)

@@ -31,8 +31,6 @@ from smat.data import (
 from smat.explainers import (
     ExplainerParams,
     compute_static_saliency,
-    explain_grad_x_input,
-    explain_integrated_gradients,
     explain_parameterized,
     integrated_gradients_raw,
     normalize_coefficients,
@@ -488,9 +486,9 @@ def test_criterion_07_integrated_gradients_completeness():
     table = rng.normal(size=(6, 3))
     linear = LinearScorer(table, rng.normal(size=3))
     ids = [1, 3, 4]
-    gxi = explain_grad_x_input(linear, ids)
+    gxi = compute_static_saliency(linear, ids, "grad_x_input")
     for steps in (1, 7, 50):
-        ig = explain_integrated_gradients(linear, ids, steps=steps)
+        ig = compute_static_saliency(linear, ids, "integrated_gradients", ig_steps=steps)
         gap = float(np.max(np.abs(ig.raw - gxi.raw)))
         assert gap <= 1e-6, f"linear scorer, steps={steps}: |IG - grad*input| {gap:.3g}"
 

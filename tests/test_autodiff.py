@@ -672,7 +672,8 @@ def _inf_through_softmax_with_lengths():
     x = _float32_leaf(np.random.default_rng(0).normal(size=(2, 4)))
     lengths = np.array([4, 2])
     mask = ad.constant(np.where(np.arange(4) < lengths[:, None], 0.0, -1e30).astype(np.float32))
-    return ad.tsum(ad.sqrt(ad.softmax(ad.add(x, mask), axis=-1, lengths=lengths))), [x]
+    groups = ad.LengthGroups(lengths, (2, 4))
+    return ad.tsum(ad.sqrt(ad.softmax(ad.add(x, mask), axis=-1, lengths=groups))), [x]
 
 
 def _inf_through_sparsemax():
@@ -883,7 +884,25 @@ def test_default_dtype_is_float32():
 
 
 # ---------------------------------------------------------------------------
-# Hessian-vector products
+# Hessian-vector products, by the two routes the outer step takes
+
+
+def central_hvp(f, params, v, eps0=ad.HVP_EPS0):
+    """H v of ``f`` at ``params``: central differences of its gradient."""
+    return ad.central_difference(
+        lambda probes: [g.data for g in ad.backward(f(probes), probes)], params, v, eps0)
+
+
+def exact_hvp(f, params, v):
+    """H v of ``f`` at ``params``: the gradient of <grad f, v>, taken
+    through a backward built with ``create_graph=True``."""
+    grads = ad.backward(f(params), params, create_graph=True)
+    assert all(g.requires_grad for g in grads)
+    pieces = [ad.tsum(ad.mul(g, ad.constant(x, dtype=g.dtype))) for g, x in zip(grads, v)]
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total = ad.add(total, piece)
+    return [g.data for g in ad.backward(total, params)]
 
 
 def _quadratic(a):
@@ -902,8 +921,8 @@ def test_hvp_quadratic_exact_for_both_modes():
     a = np.array([[2.0, 0.0], [0.0, 4.0]])
     theta = ad.Tensor(np.array([0.3, -1.2]), requires_grad=True, dtype=np.float64)
     v = [np.array([1.0, 1.0])]
-    for mode in ("central", "exact"):
-        (hv,) = ad.hvp(_quadratic(a), [theta], v, mode=mode)
+    for mode, hvp in (("central", central_hvp), ("exact", exact_hvp)):
+        (hv,) = hvp(_quadratic(a), [theta], v)
         assert rel_err(hv, np.array([2.0, 4.0])) < 1e-9, mode
 
 
@@ -915,8 +934,8 @@ def test_hvp_cross_term_modes_agree():
     p1 = ad.Tensor(1.0, requires_grad=True, dtype=np.float64)
     p2 = ad.Tensor(1.0, requires_grad=True, dtype=np.float64)
     v = [np.asarray(1.0), np.asarray(0.0)]
-    central = ad.hvp(f, [p1, p2], v, mode="central")
-    exact = ad.hvp(f, [p1, p2], v, mode="exact")
+    central = central_hvp(f, [p1, p2], v)
+    exact = exact_hvp(f, [p1, p2], v)
     for c, e, want in zip(central, exact, (2.0, 2.0)):
         assert c.shape == () and e.shape == ()
         assert math.isclose(float(c), float(e), rel_tol=1e-3)
@@ -929,20 +948,8 @@ def test_hvp_zero_direction_is_zero():
         return ad.tsum(ad.mul(ad.mul(t, t), t))
 
     p = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-    (hv,) = ad.hvp(f, [p], [np.zeros(2)], mode="central")
+    (hv,) = central_hvp(f, [p], [np.zeros(2)])
     assert np.array_equal(hv, np.zeros(2))
-
-
-def test_hvp_rejects_mismatched_direction():
-    def f(params):
-        return ad.tsum(params[0])
-
-    p = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
-    with pytest.raises(ValueError):
-        ad.hvp(f, [p], [np.ones(2)], mode="central")
-    for mode in ("central", "exact"):  # an extra array is not dropped
-        with pytest.raises(ValueError, match="parameter structure"):
-            ad.hvp(f, [p], [np.ones(3), np.ones(5)], mode=mode)
 
 
 def test_hvp_random_function_modes_agree():
@@ -957,8 +964,8 @@ def test_hvp_random_function_modes_agree():
 
     p = ad.Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)
     v = [rng.normal(size=4)]
-    (central,) = ad.hvp(f, [p], v, mode="central")
-    (exact,) = ad.hvp(f, [p], v, mode="exact")
+    (central,) = central_hvp(f, [p], v)
+    (exact,) = exact_hvp(f, [p], v)
     assert rel_err(central, exact) < 1e-6
 
 
@@ -1040,7 +1047,7 @@ def test_softmax_lengths_round_padded_rows_like_rows_alone():
         weights = rng.normal(size=n).astype(np.float32)
         x = ad.Tensor(np.concatenate([row, np.full(width - n, -1e9, np.float32)])[None],
                       requires_grad=True)
-        y = ad.softmax(x, axis=-1, lengths=np.array([n]))
+        y = ad.softmax(x, axis=-1, lengths=ad.LengthGroups(np.array([n]), (1, width)))
         w = np.zeros((1, width), np.float32)
         w[0, :n] = weights
         (g,) = ad.backward(ad.tsum(ad.mul(y, ad.constant(w))), [x])
@@ -1053,13 +1060,22 @@ def test_softmax_lengths_round_padded_rows_like_rows_alone():
 
 def test_tsum_lengths_sums_each_row_prefix():
     x = np.arange(12.0).reshape(3, 4)
-    got = ad.tsum(ad.constant(x, dtype=np.float64), axis=1, keepdims=True,
-                  lengths=np.array([4, 2, 1])).data
-    assert np.array_equal(got, [[6.0], [9.0], [8.0]])
+    groups = ad.LengthGroups(np.array([4, 2, 1]), (3, 4))
+    for axis in (1, -1):
+        got = ad.tsum(ad.constant(x, dtype=np.float64), axis=axis, keepdims=True, lengths=groups).data
+        assert np.array_equal(got, [[6.0], [9.0], [8.0]])
     with pytest.raises(ValueError):
-        ad.tsum(ad.constant(x), axis=1, lengths=np.array([4, 2, 1]))  # keepdims needed
+        ad.tsum(ad.constant(x), axis=1, lengths=groups)  # keepdims needed
     with pytest.raises(ValueError):
-        ad.tsum(ad.constant(x), keepdims=True, lengths=np.array([4, 2, 1]))  # one axis
+        ad.tsum(ad.constant(x), keepdims=True, lengths=groups)  # one axis
+    # only the last axis: an inner one raises, also where the shapes agree
+    square = ad.LengthGroups(np.array([4, 2, 1, 3]), (4, 4))
+    for t, lens in ((ad.constant(x.T), ad.LengthGroups(np.array([3, 2, 1, 3]), (4, 3))),
+                    (ad.constant(np.ones((4, 4))), square)):
+        with pytest.raises(ValueError, match="last axis"):
+            ad.tsum(t, axis=0, keepdims=True, lengths=lens)
+    with pytest.raises(ValueError, match="last axis"):
+        ad.softmax(ad.constant(np.ones((4, 4))), axis=0, lengths=square)
 
 
 def moveaxis_prefix_sum(x, axis, lengths):
@@ -1073,19 +1089,17 @@ def moveaxis_prefix_sum(x, axis, lengths):
     return np.moveaxis(sums, -1, axis)
 
 
-@pytest.mark.parametrize("axis", [-1, 2, 1], ids=["last", "last_by_index", "inner"])
+@pytest.mark.parametrize("axis", [-1, 2], ids=["last", "last_by_index"])
 def test_float32_prefix_sum_is_the_moveaxis_formulation_bit_for_bit(axis):
     rng = np.random.default_rng(14)
     x = rng.normal(size=(3, 12, 11)).astype(np.float32)  # rows on both sides of 8
-    shape = list(x.shape)
-    del shape[axis]
-    lengths = rng.integers(1, x.shape[axis] + 1, size=shape)
+    lengths = rng.integers(1, x.shape[-1] + 1, size=x.shape[:-1])
     want = moveaxis_prefix_sum(x, axis, lengths)
-    for lens in (lengths, ad.LengthGroups(lengths, np.moveaxis(x, axis, -1).shape)):
-        got = ad._prefix_sum(x, axis, lens)
-        assert got.shape == want.shape and np.array_equal(got, want)
-    full = np.full(shape, x.shape[axis])  # every row whole: the ungrouped sum
-    assert np.array_equal(ad._prefix_sum(x, axis, full), moveaxis_prefix_sum(x, axis, full))
+    got = ad._prefix_sum(x, axis, ad.LengthGroups(lengths, x.shape))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    full = np.full(x.shape[:-1], x.shape[-1])  # every row whole: the ungrouped sum
+    assert np.array_equal(ad._prefix_sum(x, axis, ad.LengthGroups(full, x.shape)),
+                          moveaxis_prefix_sum(x, axis, full))
 
 
 def test_broadcast_gradient_sums_each_example_then_examples_in_order():
@@ -1153,7 +1167,7 @@ def test_hvp_exact_matches_central_on_batched_graph():
               ad.Tensor(rng.normal(size=(12, 2)) * 0.5, requires_grad=True, dtype=np.float64)]
     v = [rng.normal(size=(4, 4)), rng.normal(size=(12, 2))]
     # a small step keeps the central difference's O(eps^2) error below the bar
-    central = ad.hvp(f, params, v, mode="central", eps0=1e-4)
-    exact = ad.hvp(f, params, v, mode="exact")
+    central = central_hvp(f, params, v, eps0=1e-4)
+    exact = exact_hvp(f, params, v)
     for c, e in zip(central, exact):
         assert rel_err(c, e) < 1e-6

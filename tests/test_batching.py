@@ -29,6 +29,7 @@ from smat.model import (
     PAD_ID,
     PREDICT_CHUNK,
     MiniTransformer,
+    PadMask,
     PreparedIds,
     _layer_norm,
     head_saliency_logits,
@@ -132,9 +133,10 @@ def test_appending_pad_columns_moves_no_valid_output():
     with ad.no_grad():
         x = Tensor(padded_embeddings(net, seqs))
         wide = np.concatenate([x.data, rng.normal(size=(5, 2, 8))], axis=1)
-        want, short = net.forward_from_embeddings(x, record=True, lengths=lengths)
+        want, short = net.forward_from_embeddings(x, record=True,
+                                                  mask=PadMask(lengths, x.shape[1]))
         got, long = net.forward_from_embeddings(Tensor(wide, dtype=np.float64), record=True,
-                                                lengths=lengths)
+                                                mask=PadMask(lengths, wide.shape[1]))
     assert np.max(np.abs(got.data - want.data)) <= 1e-12
     width = ids.shape[1]
     for a, b in zip(short.attention, long.attention):
@@ -485,7 +487,7 @@ def test_float32_length_groups_built_once_round_like_each_row_alone():
         x = np.where(pad, -1e9, rng.normal(size=shape)).astype(np.float32)
         g = rng.normal(size=shape).astype(np.float32)
         outs = []
-        for lens in (groups, lengths[:, None, None]):
+        for lens in (groups, ad.LengthGroups(lengths[:, None, None], shape)):  # kept, and fresh
             a = Tensor(x, requires_grad=True)
             y = ad.softmax(a, axis=-1, lengths=lens)
             outs.append((y.data, ad.backward(ad.tsum(ad.mul(y, ad.constant(g))), [a])[0].data))
@@ -731,7 +733,7 @@ def test_float32_explain_integrated_gradients_skips_the_completeness_forwards(mo
     monkeypatch.setattr(teacher, "forward_from_embeddings", counting)
     for seq, scores in zip(pool, want):
         before = len(calls)
-        sal = explainers.explain_integrated_gradients(teacher, seq, steps=5)
+        sal = compute_static_saliency(teacher, seq, "integrated_gradients", ig_steps=5)
         assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, scores)
         assert len(calls) - before == 1  # the path's graph, which also gives the label
 
@@ -756,7 +758,7 @@ def test_float32_path_label_from_its_own_graph_is_the_separate_forwards_label():
             want_grads, want_label = separate_label_path_gradients(teacher, seq, alphas)
             assert label == want_label and np.array_equal(grads, want_grads)
             want_raw = (base.astype(np.float64) * (want_grads.astype(np.float64).sum(axis=0) / steps)).sum(axis=1)
-            sal = explainers.explain_integrated_gradients(teacher, seq, steps=steps)
+            sal = compute_static_saliency(teacher, seq, "integrated_gradients", ig_steps=steps)
             assert np.array_equal(sal.scores, explainers._simplex(want_raw.astype(np.float32)))
 
 
@@ -802,9 +804,9 @@ STUDENT_SHAPE = dict(num_layers=1)  # tiny_config's 1 layer x 2 heads
 
 
 def assert_internals_equal(got, want):
-    assert (got.valid is None) == (want.valid is None)
-    if want.valid is not None:
-        assert np.array_equal(got.valid, want.valid)
+    assert (got.mask is None) == (want.mask is None)
+    if want.mask is not None:
+        assert np.array_equal(got.mask.valid, want.mask.valid)
     for kind in ("queries", "keys", "scores", "attention"):
         a, b = getattr(got, kind), getattr(want, kind)
         assert len(a) == len(b)
@@ -866,6 +868,18 @@ def test_prepared_ids_are_the_sequences_they_were_built_from():
     one = PreparedIds(seqs[1] + [PAD_ID])
     assert not is_batch(one) and one.mask is None
     assert one.sequences() == [tuple(strip_pads(seqs[1]))]
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array, lambda seq: [np.int64(i) for i in seq]],
+                         ids=["lists", "tuples", "int_arrays", "np_int64_elements"])
+def test_prepared_ids_fill_ragged_input_as_the_row_loop_does(form):
+    rng = np.random.default_rng(113)
+    seqs = random_ids(rng, 9) + [[2, 3, PAD_ID, PAD_ID]]  # a row with trailing pads
+    want = padded(seqs, width=max(map(len, seqs)))  # filled one row at a time
+    prepared = PreparedIds([form(seq) for seq in seqs])
+    width = max(len(strip_pads(seq)) for seq in seqs)
+    assert prepared.ids.dtype == np.int64 and np.array_equal(prepared.ids, want[:, :width])
+    assert np.array_equal(prepared.mask.lengths, [len(strip_pads(seq)) for seq in seqs])
 
 
 @pytest.mark.parametrize("case", list(PREPARED_LENGTHS))
@@ -1001,7 +1015,8 @@ def test_no_grad_forward_raises_naming_the_same_op_as_a_recorded_one(case):
     else:  # embeddings whose first layer norm's squares overflow
         huge = padded_embeddings(net, seqs) * np.float32(1e30)
         lengths = np.array([len(seq) for seq in seqs])
-        run = lambda: net.forward_from_embeddings(Tensor(huge), lengths=lengths)  # noqa: E731
+        run = lambda: net.forward_from_embeddings(  # noqa: E731
+            Tensor(huge), mask=PadMask(lengths, huge.shape[1]))
     assert non_finite_message(run, True) == non_finite_message(run, False) == \
         "non-finite values produced by 'mul'"
 

@@ -412,17 +412,22 @@ def test_explain_html_report(pipeline, tmp_path):
     assert "http://" not in html and "https://" not in html
 
 
-def test_trueskill_command(pipeline, tmp_path, capsys):
+# Each line is one tournament; the members of a tie group ("b=c") draw.
+TRUESKILL_RANKINGS = ["alpha,beta,gamma,delta"] * 12 + [
+    "beta=gamma,alpha,delta", "alpha,gamma=beta=delta", "alpha,beta,delta=gamma"]
+TRUESKILL_STDOUT = """\
+alpha: mu=0.584 sigma=0.178 interval=[0.236, 0.932] rank=1
+beta: mu=-0.012 sigma=0.118 interval=[-0.243, 0.219] rank=2-3
+gamma: mu=-0.179 sigma=0.113 interval=[-0.400, 0.043] rank=2-4
+delta: mu=-0.660 sigma=0.158 interval=[-0.969, -0.351] rank=3-4
+"""
+
+
+def test_trueskill_command(tmp_path, capsys):
     rankings = tmp_path / "rankings.txt"
-    lines = ["alpha,beta,gamma"] * 30 + ["alpha,beta=gamma"]
-    rankings.write_text("\n".join(lines) + "\n")
-    code = main(["trueskill", "--rankings", str(rankings)])
-    out = capsys.readouterr().out
-    assert code == 0
-    printed = [line.split(":")[0] for line in out.strip().splitlines()]
-    assert printed[0] == "alpha"
-    assert set(printed) == {"alpha", "beta", "gamma"}
-    assert "rank=1" in out.splitlines()[0]
+    rankings.write_text("\n".join(TRUESKILL_RANKINGS) + "\n")
+    assert main(["trueskill", "--rankings", str(rankings)]) == 0
+    assert capsys.readouterr().out == TRUESKILL_STDOUT
 
 
 def test_trueskill_empty_file_fails(tmp_path, capsys):
@@ -544,3 +549,33 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "sim_loss" in err
     assert not (tmp_path / "students").exists()
+
+
+@pytest.mark.parametrize("command, section, field, value", [
+    ("make-data", "data", "n", "many"),
+    ("train-teacher", "data", "split_seed", "first"),
+    ("train-teacher", "data", "ratios", 0.7),
+    ("train-teacher", "data", "ratios", ["a", "b", "c"]),
+    ("train-teacher", "data", "min_freq", [1]),
+    ("train-student", "data", "student_train_size", "forty"),
+    ("train-teacher", "teacher_train", "lr", "fast"),
+    ("train-teacher", "teacher_train", "momentum", None),
+    ("train-teacher", "teacher_train", "steps", "many"),
+    ("train-teacher", "teacher_train", "batch_size", {}),
+    ("train-teacher", "teacher_train", "seed", "s"),
+])
+def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
+        pipeline, tmp_path, capsys, command, section, field, value):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg[section][field] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "train-student":
+        argv += ["--teacher", str(pipeline["teacher"]), "--mode", "none"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f" {section}.{field} " in err
+    assert not out.exists()

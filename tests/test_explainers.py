@@ -14,8 +14,6 @@ from smat.explainers import (
     combine_head_logits,
     compute_static_saliency,
     default_beta,
-    explain_grad_x_input,
-    explain_integrated_gradients,
     explain_parameterized,
     head_logit_matrix,
     integrated_gradients_raw,
@@ -179,7 +177,7 @@ def linear_scorer():
 
 def test_grad_x_input_closed_form_on_linear_model(linear_scorer):
     ids = [1, 3, 5]
-    sal = explain_grad_x_input(linear_scorer, ids)
+    sal = compute_static_saliency(linear_scorer, ids, "grad_x_input")
     want = np.array([float(linear_scorer.w @ linear_scorer.table[i]) for i in ids])
     assert np.allclose(sal.raw, want, atol=1e-12)
     assert sal.raw[2] == 0.0  # zero embedding contributes nothing
@@ -193,9 +191,9 @@ def test_grad_l2_raw_scores_nonnegative():
 
 def test_ig_equals_grad_x_input_on_linear_model(linear_scorer):
     ids = [0, 2, 4]
-    gxi = explain_grad_x_input(linear_scorer, ids)
+    gxi = compute_static_saliency(linear_scorer, ids, "grad_x_input")
     for steps in (1, 3, 25):
-        ig = explain_integrated_gradients(linear_scorer, ids, steps=steps)
+        ig = compute_static_saliency(linear_scorer, ids, "integrated_gradients", ig_steps=steps)
         assert np.allclose(ig.raw, gxi.raw, atol=1e-10), steps
 
 
@@ -231,7 +229,7 @@ def test_ig_steps_one_is_grad_x_input_at_input():
     model = tiny_model(seed=14)
     ids = [2, 3, 4]
     raw, _, _ = integrated_gradients_raw(model, ids, steps=1)
-    gxi = explain_grad_x_input(model, ids)
+    gxi = compute_static_saliency(model, ids, "grad_x_input")
     assert np.allclose(raw, gxi.raw, atol=1e-6)
 
 

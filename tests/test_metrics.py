@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from smat.metrics import (
+    DRAW_MARGIN,
+    DRAW_PROBABILITY,
     Aggregate,
-    SkillConfig,
     SkillRating,
     aggregate_median_iqr,
     corpus_auc,
@@ -202,9 +203,8 @@ def test_update_does_not_mutate_input():
 
 
 def test_draw_margin_positive():
-    cfg = SkillConfig()
-    assert cfg.draw_probability == pytest.approx(0.10)
-    assert cfg.draw_margin() > 0
+    assert DRAW_PROBABILITY == pytest.approx(0.10)
+    assert DRAW_MARGIN > 0
 
 
 # ---------------------------------------------------------------------------

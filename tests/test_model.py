@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smat
 from smat import autodiff as ad
 from smat.model import (
     PAD_ID,
@@ -22,6 +23,11 @@ def heads(internals):
                                              internals.scores, internals.attention)):
         for head in range(s.shape[-3]):
             yield layer, head, q.data[head], k.data[head], s.data[head], a.data[head]
+
+
+def test_every_name_the_package_exports_resolves():
+    for name in smat.__all__:
+        assert getattr(smat, name) is not None, name
 
 
 def test_config_validates_dimensions():
@@ -56,7 +62,7 @@ def test_record_flag_does_not_change_output():
     plain = model.forward([2, 3, 4]).data
     recorded, internals = model.forward([2, 3, 4], record=True)
     assert np.array_equal(plain, recorded.data)
-    assert internals.seq_len == 3
+    assert internals.scores[0].shape[-1] == 3
     assert len(list(heads(internals))) == model.config.total_heads
 
 
