@@ -27,6 +27,7 @@ from .explainers import (
     STATIC_EXPLAINERS,
     ExplainerParams,
     compute_static_saliency,
+    explain_and_predict,
     explain_parameterized,
     scope_head_indices,
 )
@@ -72,13 +73,14 @@ def _field(section: dict, where: str, name: str, convert, default):
 
 def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
     body = dict(section)
-    declared = body.pop("vocab_size", None)
-    if declared is not None and int(declared) < vocab_size:
+    declared = _field(body, where, "vocab_size", lambda v: None if v is None else int(v), None)
+    body.pop("vocab_size", None)
+    if declared is not None and declared < vocab_size:
         raise ConfigurationError(
             f"{where}.vocab_size {declared} is smaller than the data vocabulary {vocab_size}"
         )
     try:
-        return ModelConfig(vocab_size=int(declared) if declared else vocab_size, **body)
+        return ModelConfig(vocab_size=declared or vocab_size, **body)
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"bad {where} section: {err}") from err
 
@@ -355,17 +357,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
 
-    ids = [ex.token_ids for ex in dataset.examples]
+    params = None
     if args.explainer == "parameterized":
         if not args.phi:
             raise ConfigurationError("--explainer parameterized requires --phi")
-        saliencies = explain_parameterized(model, ids, _load_phi(args.phi, model))
+        params = _load_phi(args.phi, model)
     elif args.phi:
         raise ConfigurationError("--phi applies only to --explainer parameterized")
-    else:
-        saliencies = compute_static_saliency(model, ids, args.explainer)
+    # each prediction comes from the forward that explains its sequence
+    explained = explain_and_predict(model, [ex.token_ids for ex in dataset.examples],
+                                    args.explainer, params)
     records = []
-    for ex, sal, prediction in zip(dataset.examples, saliencies, model.predict(ids)):
+    for ex, (sal, prediction) in zip(dataset.examples, explained):
         record = {
             "tokens": ex.tokens[: len(ex.token_ids)],
             "scores": [float(s) for s in sal.scores],

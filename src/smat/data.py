@@ -110,6 +110,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise DataError(f"seed must be an integer, got {self.seed!r}")
         if not self.cue_lexicon:
             raise DataError("cue lexicon is empty")
         for word, pol in self.cue_lexicon.items():

@@ -14,6 +14,14 @@ gives a batch one row per input, with pad positions exactly 0:
   per length chunk of at most IG_STEPS_EVAL (50) path points.
 
 :func:`compute_static_saliency` runs each static explainer by name.
+:func:`explain_and_predict` (what ``smat explain`` exports) also gives each
+sequence the model's prediction, from the forward that explains it: an
+attention explainer runs one full forward per length group in place of the
+attention-internals prefix, and a gradient explainer reads the alpha = 1 row
+of its graph. :func:`explain_parameterized` and the attention means of
+:func:`compute_static_saliency` keep the prefix, on one sequence and on a
+list: their callers (the plausibility AUC, the teacher caches and
+perfbench's per-example loops) need no prediction.
 
 Raw scores are always projected onto the simplex with a softmax and no
 top-k truncation is applied anywhere.
@@ -28,7 +36,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import AttentionInternals, MiniTransformer, PadMask, head_saliency_logits, is_batch, strip_pads
+from .model import (
+    AttentionInternals,
+    MiniTransformer,
+    PadMask,
+    head_saliency_logits,
+    is_batch,
+    strip_pads,
+    task_predictions,
+)
 
 NORMALIZATIONS = ("sparsemax", "softmax", "none")
 
@@ -178,7 +194,7 @@ def _by_length(token_ids, explain, chunk: int | None = None):
     One sequence is a list of one. Trailing pads are stripped first, so no
     group needs a mask: a padded row's head mix (a 1 x heads by heads x L
     BLAS product) can round one ulp away from the sequence's own, so this
-    keeps each one's bits. ``explain`` returns one Saliency per sequence.
+    keeps each one's bits. ``explain`` returns one result per sequence.
     """
     if not is_batch(token_ids):
         return _by_length([token_ids], explain, chunk)[0]
@@ -219,9 +235,12 @@ def explain_parameterized(
 # gradient-based explainers
 
 
-def _output_loss(model, output: Tensor, target: np.ndarray | int | None) -> Tensor:
+def _output_loss(model, output: Tensor, outputs_at_x: np.ndarray) -> Tensor:
+    """The loss a gradient explainer differentiates: cross-entropy on the
+    label predicted from ``outputs_at_x`` (the outputs at the input itself,
+    one row per row of ``output``), or the regression score itself."""
     if model.config.task == "classification":
-        return ad.cross_entropy(output, np.full(output.shape[:-1], target))
+        return ad.cross_entropy(output, np.argmax(outputs_at_x, axis=-1))
     return output
 
 
@@ -230,10 +249,10 @@ def _path_gradients(model, group: Sequence[Sequence[int]], alphas: np.ndarray):
     group of one length and each alpha, in one graph.
 
     Returns the (n, K, L, D) gradients, the (n, L, D) input embeddings and
-    the n predicted labels (None for regression). Each scaled copy is one
-    row of an (n * K, L, D) batch with its own loss, so its gradient is the
-    one it has alone. The last alpha must be 1: that row is x itself, and
-    its output gives its sequence's label.
+    the n outputs at the inputs themselves, (n, C) or (n,). Each scaled copy
+    is one row of an (n * K, L, D) batch with its own loss, so its gradient
+    is the one it has alone. The last alpha must be 1: that row is x itself,
+    so its output is the sequence's forward output, which gives its label.
     """
     if alphas[-1] != 1:
         raise ValueError(f"the last path point must be alpha = 1, got {alphas[-1]}")
@@ -243,11 +262,9 @@ def _path_gradients(model, group: Sequence[Sequence[int]], alphas: np.ndarray):
     points = np.asarray(alphas, dtype=base.dtype)[:, None, None] * base[:, None]
     x = Tensor(points.reshape((n * k,) + base.shape[1:]), requires_grad=True, dtype=base.dtype)
     out = model.forward_from_embeddings(x)
-    labels = None
-    if model.config.task == "classification":
-        labels = np.argmax(out.data.reshape(n, k, -1)[:, -1], axis=-1)
-    loss = ad.tsum(_output_loss(model, out, None if labels is None else np.repeat(labels, k)))
-    return ad.backward(loss, [x])[0].data.reshape(points.shape), base, labels
+    outputs = out.data.reshape((n, k) + out.shape[1:])[:, -1]
+    loss = ad.tsum(_output_loss(model, out, np.repeat(outputs, k, axis=0)))
+    return ad.backward(loss, [x])[0].data.reshape(points.shape), base, outputs
 
 
 def _path_alphas(name: str, steps: int) -> np.ndarray:
@@ -261,8 +278,8 @@ def _path_alphas(name: str, steps: int) -> np.ndarray:
 
 def _gradient_raw(model, group, name: str, alphas: np.ndarray):
     """(n, L) raw scores of a gradient explainer for a group of one length,
-    with the group's input embeddings and predicted labels."""
-    grads, base, labels = _path_gradients(model, group, alphas)
+    with the group's input embeddings and outputs at the inputs."""
+    grads, base, outputs = _path_gradients(model, group, alphas)
     if name == "grad_l2":
         raw = np.sqrt((grads[:, 0].astype(np.float64) ** 2).sum(axis=-1)).astype(grads.dtype)
     elif name == "grad_x_input":
@@ -270,19 +287,22 @@ def _gradient_raw(model, group, name: str, alphas: np.ndarray):
     else:  # integrated gradients: the right-endpoint path average times the input
         avg = grads.astype(np.float64).sum(axis=1) / len(alphas)
         raw = (base.astype(np.float64) * avg).sum(axis=-1).astype(base.dtype)
-    return raw, base, labels
+    return raw, base, outputs
 
 
-def _gradient_saliency(model, token_ids, name: str, steps: int):
-    """A gradient explainer on one sequence or a list, one graph per length
-    chunk of at most IG_STEPS_EVAL path points (one sequence if it has more).
+def _gradient_explained(model, token_ids, name: str, steps: int):
+    """A gradient explainer on one sequence or a list: a (Saliency,
+    prediction) pair per sequence, one graph per length chunk of at most
+    IG_STEPS_EVAL path points (one sequence if it has more). The prediction
+    is :meth:`MiniTransformer.predict`'s, from the graph's alpha = 1 row.
     Integrated gradients skips :func:`integrated_gradients_raw`'s
     completeness losses: one forward per graph, not three."""
     alphas = _path_alphas(name, steps)
 
     def explain(group):
-        return [Saliency(scores=_simplex(raw), raw=raw)
-                for raw in _gradient_raw(model, group, name, alphas)[0]]
+        raw, _, outputs = _gradient_raw(model, group, name, alphas)
+        return list(zip([Saliency(scores=_simplex(r), raw=r) for r in raw],
+                        task_predictions(model.config.task, outputs)))
 
     return _by_length(token_ids, explain, chunk=max(1, IG_STEPS_EVAL // len(alphas)))
 
@@ -298,12 +318,11 @@ def integrated_gradients_raw(
     completeness (sum of attributions vs. their difference) can be checked
     directly.
     """
-    raw, base, labels = _gradient_raw(
+    raw, base, outputs = _gradient_raw(
         model, [token_ids], "integrated_gradients", _path_alphas("integrated_gradients", steps))
-    target = None if labels is None else labels[0]
     with ad.no_grad():
         at_input, at_baseline = (_output_loss(model, model.forward_from_embeddings(
-            Tensor(x, dtype=x.dtype)), target).item() for x in (base[0], np.zeros_like(base[0])))
+            Tensor(x, dtype=x.dtype)), outputs[0]).item() for x in (base[0], np.zeros_like(base[0])))
     return raw[0], at_input, at_baseline
 
 
@@ -330,10 +349,53 @@ def compute_static_saliency(
     integrated-gradients explanation.
     """
     if name in ("attn_all", "attn_last"):
-        scope = name.removeprefix("attn_")
-        heads = len(scope_head_indices(model, scope))
-        uniform = ad.constant(np.ones(heads, dtype=model.dtype) / heads)
-        return explain_parameterized(model, token_ids, ExplainerParams(uniform, "none", scope))
+        return explain_parameterized(model, token_ids, _uniform_params(model, name))
     if name not in GRADIENT_EXPLAINERS:
         raise ValueError(f"unknown static explainer {name!r}")
-    return _gradient_saliency(model, token_ids, name, ig_steps)
+    explained = _gradient_explained(model, token_ids, name, ig_steps)
+    return [sal for sal, _ in explained] if is_batch(token_ids) else explained[0]
+
+
+def _uniform_params(model, name: str) -> ExplainerParams:
+    """``attn_all`` or ``attn_last`` as a head mix: every in-scope head 1/heads."""
+    scope = name.removeprefix("attn_")
+    heads = len(scope_head_indices(model, scope))
+    return ExplainerParams(ad.constant(np.ones(heads, dtype=model.dtype) / heads), "none", scope)
+
+
+def explain_and_predict(
+    model: MiniTransformer,
+    token_ids: Sequence[int],
+    name: str,
+    params: ExplainerParams | None = None,
+):
+    """Each sequence's explanation by ``name`` and the model's prediction for
+    it, both from the forward that explains it.
+
+    ``name`` is a static explainer, or "parameterized" with ``params``. One
+    sequence gives one (Saliency, prediction) pair, a list a list of them,
+    run grouped by length as every list explainer runs. An attention
+    explainer runs one full no-grad forward per length group with
+    ``record`` set, where the other explainers run the attention-internals
+    prefix; a gradient explainer reads the alpha = 1 rows of its graphs.
+    Each Saliency is the one :func:`compute_static_saliency` or
+    :func:`explain_parameterized` gives, and each prediction the one
+    :meth:`MiniTransformer.predict` gives, bit for bit.
+    """
+    if name in GRADIENT_EXPLAINERS:
+        return _gradient_explained(model, token_ids, name, IG_STEPS_EVAL)
+    if name in ("attn_all", "attn_last"):
+        params = _uniform_params(model, name)
+    elif name != "parameterized":
+        raise ValueError(f"unknown explainer {name!r}")
+    elif params is None:
+        raise ValueError("the parameterized explainer needs params")
+
+    def explain(group):
+        out, internals = model.forward(group, record=True)
+        scores = saliency_from_internals(internals, params).data
+        return list(zip([Saliency(scores=row) for row in scores],
+                        task_predictions(model.config.task, out.data)))
+
+    with ad.no_grad():
+        return _by_length(token_ids, explain)

@@ -524,9 +524,16 @@ class MiniTransformer:
                 ])
             else:
                 out = self.forward(token_ids).data
-        if self.config.task == "classification":
-            out = np.argmax(out, axis=-1)
-        return out.tolist()
+        return task_predictions(self.config.task, out)
+
+
+def task_predictions(task: str, outputs: np.ndarray):
+    """:meth:`MiniTransformer.predict`'s values for task outputs: the argmax
+    class index (classification) or the score (regression), one value for
+    one output, a list for a batch."""
+    if task == "classification":
+        outputs = np.argmax(outputs, axis=-1)
+    return outputs.tolist()
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -754,9 +754,9 @@ def test_float32_path_label_from_its_own_graph_is_the_separate_forwards_label():
     alphas = np.arange(1, steps + 1) / steps
     for group in length_groups(explainer_pool(65)):
         grouped = explainers._path_gradients(teacher, group, alphas)
-        for seq, grads, base, label in zip(group, *grouped):
+        for seq, grads, base, output in zip(group, *grouped):
             want_grads, want_label = separate_label_path_gradients(teacher, seq, alphas)
-            assert label == want_label and np.array_equal(grads, want_grads)
+            assert np.argmax(output) == want_label and np.array_equal(grads, want_grads)
             want_raw = (base.astype(np.float64) * (want_grads.astype(np.float64).sum(axis=0) / steps)).sum(axis=1)
             sal = compute_static_saliency(teacher, seq, "integrated_gradients", ig_steps=steps)
             assert np.array_equal(sal.scores, explainers._simplex(want_raw.astype(np.float32)))
@@ -786,6 +786,33 @@ def test_padded_input_explains_as_the_unpadded_list(name):
             assert (a.raw is None and b.raw is None) or np.array_equal(a.raw, b.raw)
     one = explain(seqs[0] + [PAD_ID])
     assert np.array_equal(one.scores, want[0].scores)
+
+
+@pytest.mark.parametrize("name", EXPLAINERS)
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, {}], ids=["experiment", "four_heads"])
+def test_float32_explain_and_predict_is_the_explainer_and_predict_bit_for_bit(name, task, shape):
+    """One forward per length group gives each sequence the explainer's
+    Saliency and predict's value: for one sequence, an unpadded list (whose
+    predict runs padded) and a padded 2-D array."""
+    net = model(85, np.float32, max_len=LONG_LEN, task=task,
+                num_classes=2 if task == "classification" else 1, **shape)
+    params = ExplainerParams(Tensor(np.linspace(-0.3, 0.4, net.config.total_heads, dtype=np.float32)))
+    if name == "parameterized":
+        explain = lambda ids: explain_parameterized(net, ids, params)
+    else:
+        explain = lambda ids: compute_static_saliency(net, ids, name)
+    pool = explainer_pool(87, count=24)
+    for ids in (pool[0], pool, padded(pool, LONG_LEN)):
+        got = explainers.explain_and_predict(net, ids, name, params)
+        want_sal, want_pred = explain(ids), net.predict(ids)
+        if not is_batch(ids):
+            got, want_sal, want_pred = [got], [want_sal], [want_pred]
+        assert [p for _, p in got] == want_pred
+        assert all(type(p) is type(w) for (_, p), w in zip(got, want_pred))
+        for (sal, _), want in zip(got, want_sal):
+            assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, want.scores)
+            assert (sal.raw is None and want.raw is None) or np.array_equal(sal.raw, want.raw)
 
 
 def test_input_embeddings_reject_a_batch_of_mixed_lengths():

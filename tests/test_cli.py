@@ -4,6 +4,7 @@ Everything runs in process through main(argv) against a miniature
 synthetic corpus so the whole file stays inside a few seconds.
 """
 
+import hashlib
 import json
 import logging
 import os
@@ -25,7 +26,8 @@ from smat.data import (
     save_checkpoint,
     save_tsv,
 )
-from smat.explainers import compute_static_saliency
+from smat.explainers import ATTENTION_EXPLAINERS, STATIC_EXPLAINERS, compute_static_saliency
+from smat.model import MiniTransformer
 
 
 BASE_CONFIG = {
@@ -563,6 +565,8 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
     ("train-teacher", "teacher_train", "steps", "many"),
     ("train-teacher", "teacher_train", "batch_size", {}),
     ("train-teacher", "teacher_train", "seed", "s"),
+    ("train-teacher", "model", "vocab_size", "big"),
+    ("train-student", "student_model", "vocab_size", [40]),
 ])
 def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
         pipeline, tmp_path, capsys, command, section, field, value):
@@ -579,3 +583,108 @@ def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f" {section}.{field} " in err
     assert not out.exists()
+
+
+def test_a_synthetic_seed_that_is_not_an_integer_exits_2_naming_it(pipeline, tmp_path, capsys):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["data"]["synthetic"]["seed"] = "x"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "corpus.tsv"
+    assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad synthetic section: ") and "seed" in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# explain: one teacher forward per length group gives scores and predictions
+
+EXPLAINERS = [*STATIC_EXPLAINERS, "parameterized"]
+
+# sha256 of `smat explain`'s output for the explain_inputs cases, recorded
+# from the two-pass export (explain, then a separate `predict` call): an
+# oracle independent of the one-pass path. Like the acceptance criteria,
+# they rest on float32 rounding with OpenBLAS 0.3.31.
+EXPLAIN_SHA256 = {
+    "classification/attn_all.html": "9dad2c29d5dda10b54897f2aa3957255b9cddf97c9c7025c47ccde409332e52a",
+    "classification/attn_all.jsonl": "dc0ed7f0a3a7e3c81b48d6bc4e474ceec5c776879a9f0702f4b47e59bdb88237",
+    "classification/attn_last.html": "4b5be3732e880ee31427af07c92465af99e01fcc63e994d8a3ab1f5ce9d5c742",
+    "classification/attn_last.jsonl": "4542ba458937b25283d07db662ab24acd5d35958a70f1c244039ea9070b923a4",
+    "classification/grad_l2.html": "1c9c430c29574d679a969dc399f9a4dde69378c28c8c89fea021e0f1cb15c4bc",
+    "classification/grad_l2.jsonl": "e9679c8208d107fb2bd65bd0c42bfb7256bbe237b6ed640deeb2da06e7601acb",
+    "classification/grad_x_input.html": "d9f24bda7edd1bd21bc5de15a401d7daf9a9461ec371aa9cfd1d5733b7f86499",
+    "classification/grad_x_input.jsonl": "5fc960bfd8088a4c8cdc11d67fc73d13f7f7511e24fd53164ab51558b979ca2e",
+    "classification/integrated_gradients.html": "0a5e605c2f3341d55ef3fd04f8723f640677d712b3958b6f3e10b78f6c552d11",
+    "classification/integrated_gradients.jsonl": "46fbfc913ba572c4b87d2df8ab5b8941edb1b12247481e079da6a87be021dbfe",
+    "classification/parameterized.html": "e54a6243f265654631f9a81dc6740ec205fab9cea252dac823696dada175066f",
+    "classification/parameterized.jsonl": "78e9199dd8f89d63baadc526a1de5f41d7198cbc72bb01d626d1e0de0ed070fe",
+    "regression/attn_all.html": "a807befcafb9911b89f05f34e05eccefa218573131afee7b6807764b0ece37c5",
+    "regression/attn_all.jsonl": "e9685483dfcb3beaf2bc580f7851f9708090fd8b159972d263318a4c3867eb9f",
+    "regression/attn_last.html": "599195c3770b22ec56481cb244c7850f6a7a17acfaac8fa1aa8b067a57008a5b",
+    "regression/attn_last.jsonl": "b128fb0741e4340acda20466ca052dfacf2abcfdaeb713024f697e8687cee873",
+    "regression/grad_l2.html": "0a8d875d04e06e2fc6ae044ca7606a3633f9fb49619de84bb1fac59a8ec06a09",
+    "regression/grad_l2.jsonl": "07877f00cb2a2635f5cbd6c8b3e9a69039d9438c3f11911225e8c1c074acbfb6",
+    "regression/grad_x_input.html": "6303c1dd9530678cb1fe7f0f63c657e56e9eeafef1c42ffd2f7f15df5fcd3d21",
+    "regression/grad_x_input.jsonl": "2a7d66b6e35051d04a49849ec1bd0f1e2d1214417d9daf14e13347d830224313",
+    "regression/integrated_gradients.html": "df0f8fe6be9ba1cdc4c954532e9d5a1a8b3f73b53675971decd0ae55dbaedd25",
+    "regression/integrated_gradients.jsonl": "f5fe41018a02bac8a703b482e0e5ec6e9bab53cfc60d7b2680f7f905f9b3da64",
+    "regression/parameterized.html": "4944d4a4856f3fab75689d5f1cdac822b796541c8d37c669da57a3764f341495",
+    "regression/parameterized.jsonl": "47e4a3bfb9a8926f88b25f5b53ef387655d739834cbca1df600bc46e14f588d3",
+}
+
+
+@pytest.fixture(scope="module")
+def explain_inputs(pipeline, tmp_path_factory):
+    """Per task: its teacher, a 48-example data file in 4 lengths and a phi_T."""
+    root = tmp_path_factory.mktemp("explain")
+    (root / "regression").mkdir()
+    _, regression_teacher = regression_config(pipeline, root / "regression")
+    cases = {}
+    for task, teacher, corpus in (
+            ("classification", pipeline["teacher"], pipeline["corpus"]),
+            ("regression", regression_teacher, root / "regression" / "corpus.tsv")):
+        data, phi = root / f"{task}.tsv", root / f"{task}_phi.smat"
+        save_tsv(Dataset(load_tsv(str(corpus)).examples[:48], task=task), str(data))
+        save_checkpoint({"phi_t": np.array([0.4, -0.2, 0.1, 0.3], dtype=np.float32)}, str(phi),
+                        config_echo={"kind": "phi", "normalize": "sparsemax", "scope": "all"})
+        cases[task] = {"teacher": teacher, "data": data, "phi": phi}
+    return cases
+
+
+def explain_argv(case, explainer, fmt, out):
+    phi = ["--phi", str(case["phi"])] if explainer == "parameterized" else []
+    return ["explain", "--model", str(case["teacher"]), "--explainer", explainer, *phi,
+            "--data", str(case["data"]), "--format", fmt, "--out", str(out)]
+
+
+@pytest.mark.parametrize("explainer", EXPLAINERS)
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_explain_output_has_its_recorded_bytes(explain_inputs, tmp_path, task, explainer):
+    got, want = {}, {}
+    for fmt in ("jsonl", "html"):
+        out = tmp_path / f"out.{fmt}"
+        assert main(explain_argv(explain_inputs[task], explainer, fmt, out)) == 0
+        key = f"{task}/{explainer}.{fmt}"
+        got[key], want[key] = hashlib.sha256(out.read_bytes()).hexdigest(), EXPLAIN_SHA256.get(key)
+    assert got == want
+
+
+@pytest.mark.parametrize("explainer", EXPLAINERS)
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_explain_takes_each_prediction_from_the_forward_that_explains_it(
+        explain_inputs, tmp_path, monkeypatch, task, explainer):
+    """No predict call; an attention explainer runs one full forward per
+    length group, and a gradient explainer only its path graphs."""
+    calls = dict.fromkeys(("predict", "forward", "attention_internals"), 0)
+    for name in calls:
+        def counting(self, *args, _name=name, _run=getattr(MiniTransformer, name), **kwargs):
+            calls[_name] += 1
+            return _run(self, *args, **kwargs)
+        monkeypatch.setattr(MiniTransformer, name, counting)
+    case = explain_inputs[task]
+    assert main(explain_argv(case, explainer, "jsonl", tmp_path / "out.jsonl")) == 0
+    lengths = {len(ex.tokens) for ex in load_tsv(str(case["data"])).examples}
+    assert len(lengths) == 4
+    forwards = len(lengths) if explainer in ATTENTION_EXPLAINERS else 0
+    assert calls == {"predict": 0, "forward": forwards, "attention_internals": 0}

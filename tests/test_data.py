@@ -94,6 +94,13 @@ def test_synthetic_spec_validation():
         SyntheticSpec(vocab_size=6)  # too small to fit cues plus noise
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, None, True, [1, 2]])
+def test_synthetic_spec_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(DataError, match=r"seed must be an integer, got "):
+        SyntheticSpec(seed=seed)
+    assert SyntheticSpec(seed=np.int64(3)).seed == 3
+
+
 def test_example_validates_rationale_length():
     with pytest.raises(ValueError):
         Example(tokens=["a", "b"], label=1, rationale=[1, 0, 0])

@@ -151,7 +151,9 @@ def test_phi_gradient_matches_finite_differences():
 
 
 class LinearScorer:
-    """f(x) = sum_i w . emb_i: constant gradient, closed-form attributions."""
+    """f(x) = sum_i w . emb_i: constant gradient, closed-form attributions.
+
+    Like the model, a batch of (B, L, D) embeddings gets one score per row."""
 
     def __init__(self, table, w):
         self.table = np.asarray(table, dtype=np.float64)
@@ -164,7 +166,7 @@ class LinearScorer:
 
     def forward_from_embeddings(self, x, record=False, params=None):
         col = ad.constant(self.w.reshape(-1, 1), dtype=np.float64)
-        return ad.reshape(ad.tsum(ad.matmul(x, col)), ())
+        return ad.tsum(ad.reshape(ad.matmul(x, col), x.shape[:-1]), axis=-1)
 
 
 @pytest.fixture
@@ -210,8 +212,8 @@ class QuadraticScorer(LinearScorer):
 
     def forward_from_embeddings(self, x, record=False, params=None):
         col = ad.constant(self.w.reshape(-1, 1), dtype=np.float64)
-        m = ad.matmul(x, col)
-        return ad.reshape(ad.tsum(ad.mul(m, m)), ())
+        m = ad.reshape(ad.matmul(x, col), x.shape[:-1])
+        return ad.tsum(ad.mul(m, m), axis=-1)
 
 
 def test_ig_riemann_scheme_has_exact_error_on_quadratic():
