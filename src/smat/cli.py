@@ -89,6 +89,8 @@ def _train_config(section: dict, **overrides) -> training.TrainConfig:
     body = {**section, **overrides}
     try:
         return training.TrainConfig.from_dict(body)
+    except training.FieldError as err:
+        raise ConfigurationError(f"bad train.{err}") from err
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"bad train section: {err}") from err
 
@@ -158,10 +160,15 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
             f"model task {model_cfg.task!r} does not match data task {dataset.task!r}"
         )
     tt_cfg = _section(cfg, "teacher_train", required=False)
-    tt = {name: _field(tt_cfg, "teacher_train", name, type(default), default) for name, default in
-          (("lr", 0.1), ("momentum", 0.9), ("steps", 500), ("batch_size", 32), ("seed", 0))}
-    teacher = MiniTransformer(model_cfg, seed=tt["seed"])
-    training.train_supervised(teacher, splits.train, **tt)
+    seed = _field(tt_cfg, "teacher_train", "seed", int, 0)
+    # train_supervised checks the rest (and has their defaults) before its first step
+    hyper = {name: tt_cfg[name] for name in ("lr", "momentum", "steps", "batch_size")
+             if name in tt_cfg}
+    teacher = MiniTransformer(model_cfg, seed=seed)
+    try:
+        training.train_supervised(teacher, splits.train, seed=seed, **hyper)
+    except training.FieldError as err:
+        raise ConfigurationError(f"bad teacher_train.{err}") from err
     if dataset.task == "classification":
         train_acc = training.gold_accuracy(teacher, splits.train)
         test_acc = training.gold_accuracy(teacher, splits.test) if splits.test else float("nan")

@@ -21,7 +21,15 @@ attention-internals prefix, and a gradient explainer reads the alpha = 1 row
 of its graph. :func:`explain_parameterized` and the attention means of
 :func:`compute_static_saliency` keep the prefix, on one sequence and on a
 list: their callers (the plausibility AUC, the teacher caches and
-perfbench's per-example loops) need no prediction.
+perfbench's per-example loops) need no prediction. The prefix stops once
+the last layer's scores are recorded, the last thing a head mix reads.
+
+Calls that record no graph share what cannot change between them: an
+:class:`ExplainerParams` keeps the coefficients it last normalized (see
+:meth:`ExplainerParams.coefficients`), and ``attn_all`` and ``attn_last``
+use one uniform mix per (heads, dtype, scope), so repeated one-sequence
+explanations normalize phi once. Each kept value is the one recomputing
+gives, bit for bit.
 
 Raw scores are always projected onto the simplex with a softmax and no
 top-k truncation is applied anywhere.
@@ -29,7 +37,8 @@ top-k truncation is applied anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -87,6 +96,9 @@ class ExplainerParams:
     phi: Tensor
     normalize: str = "sparsemax"
     scope: str = "all"
+    # (phi, phi.data, (normalize, lead), data bytes, coefficients) of the last
+    # coefficients() call that recorded no graph
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.normalize not in NORMALIZATIONS:
@@ -95,6 +107,28 @@ class ExplainerParams:
             raise ValueError(f"unknown scope {self.scope!r}")
         if self.phi.ndim != 1:
             raise ValueError("phi must be a vector with one entry per in-scope head")
+
+    def coefficients(self, lead: tuple[int, ...]) -> Tensor:
+        """:func:`example_coefficients` of ``phi`` for a ``lead``-shaped batch.
+
+        The last result of a call that records no graph is kept: the next
+        such call with the same ``phi`` tensor, its ``data`` the same array
+        with the same bytes, the same normalization and the same ``lead``
+        returns it, as ``TeacherContext.teacher_saliency`` keeps E_T. A call
+        that records a graph neither reads nor writes what is kept.
+        """
+        phi = self.phi
+        if ad.records_graph((phi,)):
+            return example_coefficients(phi, self.normalize, lead)
+        data, key = phi.data, (self.normalize, lead)
+        if self._last is not None:
+            last_phi, last_data, last_key, last_bytes, lam = self._last
+            if (last_phi is phi and last_data is data and last_key == key
+                    and last_bytes == data.tobytes()):
+                return lam
+        lam = example_coefficients(phi, self.normalize, lead)
+        self._last = (phi, data, key, data.tobytes(), lam)
+        return lam
 
 
 def normalize_coefficients(phi: Tensor, kind: str) -> Tensor:
@@ -170,8 +204,7 @@ def saliency_from_internals(internals: AttentionInternals, params: ExplainerPara
         raise ValueError(
             f"phi has {params.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
         )
-    lam = example_coefficients(params.phi, params.normalize, logits.shape[:-2])
-    return combine_head_logits(logits, lam, internals.mask)
+    return combine_head_logits(logits, params.coefficients(logits.shape[:-2]), internals.mask)
 
 
 def head_logit_matrix(
@@ -359,8 +392,17 @@ def compute_static_saliency(
 def _uniform_params(model, name: str) -> ExplainerParams:
     """``attn_all`` or ``attn_last`` as a head mix: every in-scope head 1/heads."""
     scope = name.removeprefix("attn_")
-    heads = len(scope_head_indices(model, scope))
-    return ExplainerParams(ad.constant(np.ones(heads, dtype=model.dtype) / heads), "none", scope)
+    return _uniform_mix(len(scope_head_indices(model, scope)), model.dtype, scope)
+
+
+@functools.cache
+def _uniform_mix(heads: int, dtype: np.dtype, scope: str) -> ExplainerParams:
+    """The uniform mix of ``heads`` heads around a read-only phi, built once per
+    (heads, dtype, scope) and shared, as ``ad.scalar`` shares its constants: so
+    the coefficients it keeps serve every call with those heads."""
+    phi = ad.constant(np.ones(heads, dtype=dtype) / heads)
+    phi.data.setflags(write=False)
+    return ExplainerParams(phi, "none", scope)
 
 
 def explain_and_predict(

@@ -6,10 +6,11 @@ scalar mix over mean-pooled per-layer outputs feeding the task head.
 Forward passes can record per-layer attention internals (post-projection
 queries and keys, pre-softmax scores, attention weights), which
 downstream saliency code consumes. ``attention_internals`` records the
-same tensors from a prefix of the forward that stops at the last layer's
-attention; every caller that reads only the internals uses it (the
-attention explainers, the teacher head-logit cache and the phi_T probes),
-while the training losses keep the full forward.
+same tensors from a prefix of the forward that stops once the last layer's
+scores are recorded, so it holds no last-layer attention weights; every
+caller that reads only the scores uses it (the attention explainers, the
+teacher head-logit cache and the phi_T probes), while the training losses
+keep the full forward.
 
 A forward pass takes one sequence or a batch, and builds one graph over
 (B, L, model_dim) tensors with the heads split by reshape to
@@ -119,8 +120,8 @@ class AttentionInternals:
 
     ``MiniTransformer.forward(..., record=True)`` returns them beside the
     output; ``MiniTransformer.attention_internals`` returns the same
-    tensors alone, from a forward that stops after the last layer's
-    attention.
+    tensors alone, from a forward that stops once the last layer's scores
+    are recorded, so its ``attention`` holds every layer but the last.
 
     Shapes are (..., H, L, .), where ``...`` is empty for one sequence and
     (B,) for a batch. ``mask`` is the batch's :class:`PadMask`, or None when
@@ -417,13 +418,16 @@ class MiniTransformer:
     def attention_internals(
         self, token_ids, params: dict[str, Tensor] | None = None
     ) -> AttentionInternals:
-        """The attention internals ``forward(token_ids, record=True)`` records.
+        """The attention internals ``forward(token_ids, record=True)`` records,
+        but for the last layer's attention weights.
 
-        Runs the same layer loop, stopping once the last layer's scores and
-        attention are recorded: no last-layer value projection, attention
-        output or feed-forward, and no pooling, layer mix or head, whose
-        parameters it never reads. Each recorded tensor comes from the same
-        ops on the same inputs, so it matches the full forward's bit for bit.
+        Runs the same layer loop, stopping once the last layer's scores are
+        recorded: no last-layer key bias, attention softmax, value
+        projection, attention output or feed-forward, and no pooling, layer
+        mix or head, whose parameters it never reads. So ``attention`` holds
+        every layer but the last, while queries, keys and scores hold every
+        layer. Each recorded tensor comes from the same ops on the same
+        inputs, so it matches the full forward's bit for bit.
         """
         prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
@@ -444,7 +448,7 @@ class MiniTransformer:
         ``mask`` is the batch's :class:`PadMask` (a :class:`PreparedIds`
         builds it), whose kept masks this forward reads; None means no
         padding. ``_scores_only`` (for :meth:`attention_internals`) returns
-        the internals as soon as the last layer has recorded its attention.
+        the internals as soon as the last layer has recorded its scores.
         """
         p = params if params is not None else self.params
         c = self.config
@@ -475,15 +479,16 @@ class MiniTransformer:
             u = _layer_norm(h, p[f"{prefix}.attn.norm.gain"], p[f"{prefix}.attn.norm.bias"])
             q, k = heads(u, p[f"{prefix}.attn.wq"]), heads(u, p[f"{prefix}.attn.wk"])
             scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
-            attn = ad.softmax(scores if key_bias is None else ad.add(scores, key_bias), axis=-1,
-                              lengths=key_lengths)
             if internals is not None:
                 internals.queries.append(q)
                 internals.keys.append(k)
                 internals.scores.append(scores)
-                internals.attention.append(attn)
             if _scores_only and layer == c.num_layers - 1:
                 return internals
+            attn = ad.softmax(scores if key_bias is None else ad.add(scores, key_bias), axis=-1,
+                              lengths=key_lengths)
+            if internals is not None:
+                internals.attention.append(attn)
             v = heads(u, p[f"{prefix}.attn.wv"])
             ctx = ad.reshape(_swap_heads(ad.matmul(attn, v)), lead + (length, c.model_dim))
             h = ad.add(h, ad.matmul(ctx, p[f"{prefix}.attn.wo"]))

@@ -32,6 +32,7 @@ when the teacher-side explainer is the last-layer attention mean.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 
@@ -67,6 +68,31 @@ HYPERGRAD_MODES = ("central", "exact")
 KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
 
 
+class FieldError(ValueError):
+    """A config field or argument of the wrong type, or out of its range."""
+
+    def __init__(self, name: str, value: object, problem: str) -> None:
+        super().__init__(f"{name} {value!r}: {problem}")
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``: an integer or an integral
+    float, not a bool; otherwise a FieldError naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise FieldError(name, value, "must be an integer")
+    if value < low:
+        raise FieldError(name, value, f"must be >= {low}")
+    return int(value)
+
+
+def _number(name: str, value) -> None:
+    """A FieldError naming ``name`` unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FieldError(name, value, "must be a number")
+
+
 @dataclass
 class TrainConfig:
     """Student training hyperparameters.
@@ -77,6 +103,8 @@ class TrainConfig:
     forced to zero in mode ``none``, with one warning when built. The
     simulation loss follows the student's task; ``soft_targets`` (match
     the teacher's output distribution) applies to classification only.
+    A field of the wrong type raises a :class:`FieldError` naming it; an
+    integral float in an integer field becomes its int.
     """
 
     mode: str = "none"
@@ -94,6 +122,15 @@ class TrainConfig:
     eval_every: int = 100
 
     def __post_init__(self) -> None:
+        for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("ig_steps", 1),
+                          ("eval_every", 1)):
+            setattr(self, name, _count(name, getattr(self, name), low))
+        if self.beta is not None:
+            _number("beta", self.beta)
+        _number("eta_inner", self.eta_inner)
+        _number("eta_outer", self.eta_outer)
+        if not isinstance(self.soft_targets, bool):
+            raise FieldError("soft_targets", self.soft_targets, "must be true or false")
         kind = self.mode_kind()
         if kind not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -109,12 +146,6 @@ class TrainConfig:
             raise ValueError("eta_inner must be positive and eta_outer non-negative")
         if self.beta is not None and self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.batch_size < 1 or self.ig_steps < 1:
-            raise ValueError("batch_size and ig_steps must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if kind == "none" and self.beta:
             logger.warning("mode 'none' forces beta to 0 (config had %s)", self.beta)
 
@@ -638,7 +669,15 @@ def train_supervised(
     batch_size: int = 32,
     seed: int = 0,
 ) -> list[float]:
-    """SGD with momentum on gold labels; returns per-step mean losses."""
+    """SGD with momentum on gold labels; returns per-step mean losses.
+
+    ``lr`` and ``momentum`` must be numbers, ``steps`` an integer >= 0 and
+    ``batch_size`` one >= 1 (bools are neither); otherwise a
+    :class:`FieldError` naming the argument is raised before any step.
+    """
+    _number("lr", lr)
+    _number("momentum", momentum)
+    steps, batch_size = _count("steps", steps, 0), _count("batch_size", batch_size, 1)
     if not examples:
         raise ValueError("no training examples")
     for ex in examples:

@@ -9,6 +9,8 @@ batches whose lengths straddle 8, where numpy's float sum changes its
 order: the batched path rounds as the per-example one did.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -628,6 +630,57 @@ def test_float32_attention_explainer_list_is_bit_identical_to_per_sequence(name,
         assert sal.scores.dtype == np.float32 and np.array_equal(sal.scores, want.scores)
 
 
+# sha256 of the scores of attention_explanation_bytes' explanations, recorded
+# when every explanation ran the whole prefix up to the last layer's attention
+# and normalized phi on every call: an oracle independent of what the value
+# path keeps between calls. It rests on float32 rounding with OpenBLAS 0.3.31.
+EXPLANATION_SHA256 = {
+    ("attn_all", None, "all"):
+        "aa91fb10dd060c51d1bdf076029799d8e6a6728a22c37a740db543b003491a1e",
+    ("attn_last", None, "last"):
+        "e9a2142ecf3c0687ed07c44a4c4cca15898626ada50c0169c3e309f4226a9245",
+    ("parameterized", "sparsemax", "all"):
+        "03948fd2533019891180ca00f222cda0b9c1fa7fb82678ab223ba93fadfaaac8",
+    ("parameterized", "softmax", "all"):
+        "8219b0ec8c60ca75091f4670e71457589559a02855863686685e66fd30b9d910",
+    ("parameterized", "none", "all"):
+        "1d35d4408c44dc6031fce7744284e6078149136f6d3fa48d6da57f377138a6bb",
+    ("parameterized", "sparsemax", "last"):
+        "a8f8c2d45cb5cc0e8da8b3288e1b103d9b25b6ee52b47dd32b3b651b60e5a2e7",
+    ("parameterized", "softmax", "last"):
+        "dac04700f29cd20d370c0c44ff548e01342adb1732beaa30b7f6f7b1f2cf0078",
+    ("parameterized", "none", "last"):
+        "accb66423921583b40f7a56a68a176aa50a77375f7d641bd44e20545d72ee0c7",
+}
+
+
+def attention_explanation_bytes(name, normalize, scope):
+    """sha256 of two passes of one-sequence and list explanations of one pool,
+    in float32 at the experiment teacher's shapes."""
+    teacher = model(131, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    pool = explainer_pool(133, count=24)
+    if name == "parameterized":
+        rng = np.random.default_rng(135)
+        heads = len(scope_head_indices(teacher, scope))
+        params = ExplainerParams(Tensor(rng.normal(scale=0.25, size=heads).astype(np.float32)),
+                                 normalize, scope)
+        explain = lambda ids: explain_parameterized(teacher, ids, params)  # noqa: E731
+    else:
+        explain = lambda ids: compute_static_saliency(teacher, ids, name)  # noqa: E731
+    digest = hashlib.sha256()
+    for _ in range(2):  # the second pass may reuse what the first one kept
+        for sal in [explain(seq) for seq in pool] + explain(pool) + explain(pool[:3]):
+            assert sal.scores.dtype == np.float32
+            digest.update(sal.scores.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(EXPLANATION_SHA256),
+                         ids=lambda case: "-".join(filter(None, case)))
+def test_float32_attention_explanations_have_their_recorded_bytes(case):
+    assert attention_explanation_bytes(*case) == EXPLANATION_SHA256[case]
+
+
 def test_gradient_explainer_list_is_the_per_sequence_list():
     teacher = model(51, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
     pool = explainer_pool(53, count=6)
@@ -830,13 +883,18 @@ def test_input_embeddings_reject_a_batch_of_mixed_lengths():
 STUDENT_SHAPE = dict(num_layers=1)  # tiny_config's 1 layer x 2 heads
 
 
-def assert_internals_equal(got, want):
+def assert_internals_equal(got, want, prefix=False):
+    """``got`` holds ``want``'s tensors bit for bit. A ``prefix`` (what
+    ``attention_internals`` returns) stops at the last layer's scores: it
+    holds every layer's queries, keys and scores, and every layer's
+    attention but the last."""
     assert (got.mask is None) == (want.mask is None)
     if want.mask is not None:
         assert np.array_equal(got.mask.valid, want.mask.valid)
+    assert len(want.attention) == len(want.scores)
     for kind in ("queries", "keys", "scores", "attention"):
         a, b = getattr(got, kind), getattr(want, kind)
-        assert len(a) == len(b)
+        assert len(a) == len(b) - (prefix and kind == "attention")
         for x, y in zip(a, b):
             assert x.dtype == np.float32 and np.array_equal(x.data, y.data)
 
@@ -854,7 +912,7 @@ def test_float32_attention_internals_are_bit_identical_to_a_recorded_forward(sha
             with ad.no_grad():
                 _, want = net.forward(ids, record=True, params=params)
                 got = net.attention_internals(ids, params=params)
-            assert_internals_equal(got, want)
+            assert_internals_equal(got, want, prefix=True)
 
 
 @pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, STUDENT_SHAPE], ids=["teacher", "student"])
@@ -866,7 +924,7 @@ def test_attention_internals_read_no_parameter_past_the_last_scores(shape):
     assert f"{last}.ffn.norm.gain" not in prefix and "head.weight" not in prefix
     seqs = random_ids(np.random.default_rng(77), 5)
     _, want = net.forward(seqs, record=True)
-    assert_internals_equal(net.attention_internals(seqs, params=prefix), want)
+    assert_internals_equal(net.attention_internals(seqs, params=prefix), want, prefix=True)
     with pytest.raises(KeyError):
         net.forward(seqs, params=prefix)
 
@@ -931,7 +989,8 @@ def test_float32_forwards_over_prepared_ids_are_bit_identical_to_raw_ids(shape, 
             assert np.array_equal(got_out.data, want_out.data)
             assert_internals_equal(got, want)
             with ad.no_grad():
-                assert_internals_equal(net.attention_internals(prepared, params=params), want)
+                assert_internals_equal(net.attention_internals(prepared, params=params), want,
+                                       prefix=True)
             e_s = saliency_from_internals(got, explainer)
             assert np.array_equal(e_s.data, want_e_s.data)
             (grad,) = ad.backward(ad.tsum(ad.mul(e_s, e_s)), [phi])
@@ -1060,9 +1119,9 @@ def test_no_grad_attention_internals_records_a_pinned_number_of_nodes(monkeypatc
         net.attention_internals(explainer_pool(95, count=1)[0])
     # embeddings 3; layer 0: one layer_norm node, q/k/scores/softmax 10, value,
     # attention output and residual 8, one layer_norm node, FFN and residual 6;
-    # layer 1 up to its attention: one layer_norm node and 10
-    assert ops.count("layer_norm") == 3
-    assert len(ops) == 40
+    # layer 1 up to its scores: one layer_norm node and 9, no softmax
+    assert ops.count("layer_norm") == 3 and ops.count("softmax") == 1
+    assert len(ops) == 39
 
 
 # ---------------------------------------------------------------------------

@@ -565,11 +565,43 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
     ("train-teacher", "teacher_train", "steps", "many"),
     ("train-teacher", "teacher_train", "batch_size", {}),
     ("train-teacher", "teacher_train", "seed", "s"),
+    ("train-teacher", "teacher_train", "steps", -1),
+    ("train-teacher", "teacher_train", "steps", 2.5),
+    ("train-teacher", "teacher_train", "batch_size", 0),
+    ("train-teacher", "teacher_train", "batch_size", True),
+    ("train-teacher", "teacher_train", "lr", True),
+    ("train-teacher", "teacher_train", "momentum", False),
     ("train-teacher", "model", "vocab_size", "big"),
     ("train-student", "student_model", "vocab_size", [40]),
 ])
 def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
         pipeline, tmp_path, capsys, command, section, field, value):
+    assert_exits_2_naming(pipeline, tmp_path, capsys, command, section, field, value)
+
+
+# A wrong type in the train section, each once; "soft_targets": "no" used to
+# train with soft targets, because the field was read by truthiness.
+@pytest.mark.parametrize("field, value", [
+    ("soft_targets", "no"),
+    ("soft_targets", 1),
+    ("steps", True),
+    ("steps", 2.5),
+    ("batch_size", 4.5),
+    ("seed", True),
+    ("ig_steps", 1.5),
+    ("eval_every", False),
+    ("beta", True),
+    ("beta", "5"),
+    ("eta_inner", "0.1"),
+    ("eta_outer", True),
+])
+def test_a_train_field_of_the_wrong_type_exits_2_naming_it(pipeline, tmp_path, capsys, field, value):
+    assert_exits_2_naming(pipeline, tmp_path, capsys, "train-student", "train", field, value)
+
+
+def assert_exits_2_naming(pipeline, tmp_path, capsys, command, section, field, value):
+    """``command`` on the pipeline's config with ``section.field`` set to
+    ``value`` exits 2 naming the field, before it writes its output."""
     cfg = json.loads(pipeline["config"].read_text())
     cfg[section][field] = value
     config = tmp_path / "config.json"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from smat import autodiff as ad
+from smat import explainers
 from smat.explainers import (
     BETA_ATTENTION,
     BETA_GRADIENT,
+    NORMALIZATIONS,
     STATIC_EXPLAINERS,
     ExplainerParams,
     combine_head_logits,
@@ -18,6 +20,7 @@ from smat.explainers import (
     head_logit_matrix,
     integrated_gradients_raw,
     normalize_coefficients,
+    saliency_from_internals,
     scope_head_indices,
 )
 from conftest import fd_gradients, rel_err, tiny_model
@@ -144,6 +147,84 @@ def test_phi_gradient_matches_finite_differences():
 
         (fd,) = fd_gradients(value, [phi_val], h=1e-6)
         assert rel_err(g.data, fd) < 1e-3, kind
+
+
+# ---------------------------------------------------------------------------
+# the coefficients an ExplainerParams keeps between calls that record no graph
+
+
+def count_normalizations(monkeypatch):
+    """One entry per normalize_coefficients call (a miss of the kept coefficients)."""
+    calls = []
+    real = explainers.normalize_coefficients
+    monkeypatch.setattr(explainers, "normalize_coefficients",
+                        lambda phi, kind: calls.append(kind) or real(phi, kind))
+    return calls
+
+
+@pytest.mark.parametrize("kind", NORMALIZATIONS)
+def test_explaining_twice_with_one_explainer_params_normalizes_once(monkeypatch, kind):
+    model = tiny_model(seed=5, dtype=np.float32)
+    phi = ad.Tensor(np.array([0.4, -0.2, 0.3, 0.1], dtype=np.float32))
+    params = ExplainerParams(phi=phi, normalize=kind)
+    calls = count_normalizations(monkeypatch)
+    first = explain_parameterized(model, [2, 3, 4, 5], params)
+    second = explain_parameterized(model, [5, 4, 3, 2], params)
+    assert calls == [kind]
+    fresh = explain_parameterized(model, [5, 4, 3, 2], ExplainerParams(phi=phi, normalize=kind))
+    assert np.array_equal(second.scores, fresh.scores)
+    assert not np.array_equal(first.scores, second.scores)
+    listed = [explain_parameterized(model, [[2, 3], [4, 5]], params) for _ in range(2)]
+    assert len(calls) == 3  # one more for the (2,)-shaped batch
+    assert all(np.array_equal(a.scores, b.scores) for a, b in zip(*listed))
+
+
+def test_the_kept_coefficients_miss_on_each_changed_key_and_skip_recorded_calls(monkeypatch):
+    model = tiny_model(seed=7, dtype=np.float32)
+    ids = [2, 3, 4, 5]
+    phi = ad.Tensor(np.array([0.4, -0.2, 0.3, 0.1], dtype=np.float32), requires_grad=True)
+    params = ExplainerParams(phi=phi, normalize="sparsemax")
+    calls = count_normalizations(monkeypatch)
+
+    def misses(token_ids):
+        before = len(calls)
+        explain_parameterized(model, token_ids, params)
+        return len(calls) - before
+
+    def fresh():  # from params that keep nothing, after every check
+        unkept = ExplainerParams(ad.Tensor(params.phi.data.copy()), normalize="sparsemax")
+        return explain_parameterized(model, ids, unkept).scores
+
+    assert misses(ids) == 1 and misses(ids) == 0
+    kept = params._last
+    recorded = saliency_from_internals(model.attention_internals(ids), params)
+    assert recorded.requires_grad and len(calls) == 2  # a recorded call normalizes ...
+    assert params._last is kept and misses(ids) == 0  # ... and leaves the kept value as it was
+    assert ad.backward(ad.tsum(ad.mul(recorded, recorded)), [phi])[0].data.any()
+
+    phi.data[0] += 1.0  # same array, new bytes
+    assert misses(ids) == 1 and misses(ids) == 0
+    assert np.array_equal(explain_parameterized(model, ids, params).scores, fresh())
+    phi.data = phi.data.copy()  # a new array with the same bytes
+    assert misses(ids) == 1
+    params.phi = ad.Tensor(phi.data)  # another tensor on the same array
+    assert misses(ids) == 1
+    assert misses([ids, ids[::-1]]) == 1  # another lead shape: (2,), not ()
+    assert misses(ids) == 1
+
+
+def test_the_uniform_mix_is_built_once_per_heads_dtype_and_scope(monkeypatch):
+    a, b = tiny_model(seed=1, dtype=np.float32), tiny_model(seed=2, dtype=np.float32)
+    mix = explainers._uniform_params(a, "attn_all")
+    assert explainers._uniform_params(b, "attn_all") is mix
+    assert explainers._uniform_params(a, "attn_last") is not mix
+    assert explainers._uniform_params(tiny_model(seed=1), "attn_all") is not mix  # float64
+    assert not mix.phi.data.flags.writeable
+    calls = count_normalizations(monkeypatch)
+    compute_static_saliency(a, [2, 3, 4], "attn_all")
+    served = len(calls)
+    compute_static_saliency(b, [5, 6, 7, 8], "attn_all")
+    assert served <= 1 and len(calls) == served
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,23 @@ def test_train_rejects_missing_token_ids():
         train(config, teacher, stripped, student_config)
 
 
+def test_an_integral_float_in_an_integer_field_becomes_its_int():
+    config = TrainConfig(steps=3.0, batch_size=np.int64(4), seed=2.0, eval_every=np.float32(5))
+    got = (config.steps, config.batch_size, config.seed, config.eval_every)
+    assert got == (3, 4, 2, 5) and all(type(v) is int for v in got)
+
+
+def test_train_supervised_checks_its_arguments_before_any_step():
+    model = tiny_model()
+    before = model.clone_param_data()
+    pool = make_setup("none")[1].train
+    for bad, name in (({"steps": -1}, "steps"), ({"batch_size": 0}, "batch_size"),
+                      ({"lr": True}, "lr"), ({"momentum": "0.9"}, "momentum")):
+        with pytest.raises(training.FieldError, match=name):
+            train_supervised(model, pool, **bad)
+    assert all(np.array_equal(model.params[n].data, v) for n, v in before.items())
+
+
 def test_soft_targets_on_a_regression_student_are_rejected():
     teacher, splits, student_config, config = fixture_shaped_setup(
         "none", task="regression", soft_targets=True)
