@@ -9,7 +9,7 @@ explainers by simulability and plausibility.
 from .autodiff import Tensor, backward, no_grad, sparsemax
 from .explainers import ExplainerParams, Saliency
 from .model import MiniTransformer, ModelConfig
-from .training import TrainConfig, TrainResult, train
+from .training import TrainConfig, TrainState, train
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,7 @@ __all__ = [
     "Saliency",
     "Tensor",
     "TrainConfig",
-    "TrainResult",
+    "TrainState",
     "__version__",
     "backward",
     "no_grad",

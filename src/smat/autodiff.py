@@ -458,9 +458,6 @@ class LengthGroups:
         width = shape[-1]
         flat = np.broadcast_to(np.asarray(lengths, dtype=np.int64), shape[:-1]).reshape(-1)
         self.shape = tuple(shape)
-        if (flat == width).all():
-            self.order, self.spans = None, ()
-            return
         # stable order by length; one (start, stop, length) span per length
         self.order = np.argsort(flat, kind="stable")
         counts = np.bincount(flat, minlength=width + 1)
@@ -480,16 +477,12 @@ def _prefix_sum(x: np.ndarray, axis: int, groups: LengthGroups) -> np.ndarray:
         raise ValueError(f"a prefix sum runs over the last axis, not axis {axis} of {x.shape}")
     if groups.shape != x.shape:
         raise ValueError(f"length groups for shape {groups.shape} used on {x.shape}")
-    rows = x.reshape(-1, x.shape[-1])
-    if groups.order is None:
-        out = rows.sum(axis=-1)
-    else:
-        ordered = rows[groups.order]
-        sums = np.empty(len(rows), dtype=x.dtype)
-        for start, stop, n in groups.spans:
-            sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
-        out = np.empty_like(sums)
-        out[groups.order] = sums
+    ordered = x.reshape(-1, x.shape[-1])[groups.order]
+    sums = np.empty(len(ordered), dtype=x.dtype)
+    for start, stop, n in groups.spans:
+        sums[start:stop] = ordered[start:stop, :n].sum(axis=-1)
+    out = np.empty_like(sums)
+    out[groups.order] = sums
     return out.reshape(x.shape[:-1] + (1,))
 
 

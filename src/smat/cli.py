@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 
 from . import data as dio
 from . import metrics, training
@@ -32,7 +33,7 @@ from .explainers import (
     scope_head_indices,
 )
 from .autodiff import Tensor
-from .model import MiniTransformer, ModelConfig
+from .model import FieldError, MiniTransformer, ModelConfig, _count
 
 
 class ConfigurationError(Exception):
@@ -72,24 +73,29 @@ def _field(section: dict, where: str, name: str, convert, default):
 
 
 def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
+    """The ``where`` section as a ModelConfig; an absent or null vocab_size
+    is the data's, and a declared one must be at least that."""
     body = dict(section)
-    declared = _field(body, where, "vocab_size", lambda v: None if v is None else int(v), None)
-    body.pop("vocab_size", None)
-    if declared is not None and declared < vocab_size:
-        raise ConfigurationError(
-            f"{where}.vocab_size {declared} is smaller than the data vocabulary {vocab_size}"
-        )
+    if body.get("vocab_size") is None:
+        body["vocab_size"] = vocab_size
     try:
-        return ModelConfig(vocab_size=declared or vocab_size, **body)
+        config = ModelConfig(**body)
+    except FieldError as err:
+        raise ConfigurationError(f"bad {where}.{err}") from err
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"bad {where} section: {err}") from err
+    if config.vocab_size < vocab_size:
+        raise ConfigurationError(
+            f"{where}.vocab_size {config.vocab_size} is smaller than the data vocabulary {vocab_size}"
+        )
+    return config
 
 
 def _train_config(section: dict, **overrides) -> training.TrainConfig:
     body = {**section, **overrides}
     try:
-        return training.TrainConfig.from_dict(body)
-    except training.FieldError as err:
+        return training.TrainConfig(**body)
+    except FieldError as err:
         raise ConfigurationError(f"bad train.{err}") from err
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"bad train section: {err}") from err
@@ -97,7 +103,7 @@ def _train_config(section: dict, **overrides) -> training.TrainConfig:
 
 def _synthetic_spec(section: dict) -> dio.SyntheticSpec:
     try:
-        return dio.SyntheticSpec.from_dict(section)
+        return dio.SyntheticSpec(**section)
     except (TypeError, dio.DataError) as err:
         raise ConfigurationError(f"bad synthetic section: {err}") from err
 
@@ -160,14 +166,14 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
             f"model task {model_cfg.task!r} does not match data task {dataset.task!r}"
         )
     tt_cfg = _section(cfg, "teacher_train", required=False)
-    seed = _field(tt_cfg, "teacher_train", "seed", int, 0)
     # train_supervised checks the rest (and has their defaults) before its first step
     hyper = {name: tt_cfg[name] for name in ("lr", "momentum", "steps", "batch_size")
              if name in tt_cfg}
-    teacher = MiniTransformer(model_cfg, seed=seed)
     try:
+        seed = _count("seed", tt_cfg.get("seed", 0), 0)  # the teacher's init reads it first
+        teacher = MiniTransformer(model_cfg, seed=seed)
         training.train_supervised(teacher, splits.train, seed=seed, **hyper)
-    except training.FieldError as err:
+    except FieldError as err:
         raise ConfigurationError(f"bad teacher_train.{err}") from err
     if dataset.task == "classification":
         train_acc = training.gold_accuracy(teacher, splits.train)
@@ -270,7 +276,7 @@ def cmd_train_student(args: argparse.Namespace) -> int:
         }
         dio._atomic_write_text(
             os.path.join(run_dir, "run.json"),
-            json.dumps({"seed": seed, "log": [rec.to_dict() for rec in result.log], **stats},
+            json.dumps({"seed": seed, "log": [asdict(rec) for rec in result.log], **stats},
                        sort_keys=True)
             + "\n",
         )

@@ -12,7 +12,7 @@ import html
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -134,10 +134,6 @@ class SyntheticSpec:
     def noise_words(self) -> list[str]:
         width = len(str(self.num_noise_words - 1))
         return [f"w{idx:0{width}d}" for idx in range(self.num_noise_words)]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
 
 
 def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
@@ -397,7 +393,7 @@ def load_config_echo(path: str) -> dict:
 
 def save_model(model: MiniTransformer, path: str, extra_echo: dict | None = None) -> None:
     """Persist model weights plus a config echo sidecar."""
-    echo = {"kind": "model", "model": model.config.to_dict()}
+    echo = {"kind": "model", "model": asdict(model.config)}
     if extra_echo:
         echo.update(extra_echo)
     save_checkpoint(model.params, path, config_echo=echo)
@@ -408,7 +404,7 @@ def load_model(path: str) -> tuple[MiniTransformer, dict]:
     echo = load_config_echo(path)
     if echo.get("kind") != "model" or "model" not in echo:
         raise CheckpointError(f"{path}: sidecar does not describe a model")
-    config = ModelConfig.from_dict(echo["model"])
+    config = ModelConfig(**echo["model"])
     model = MiniTransformer(config, seed=0)
     model.load_param_data(load_checkpoint(path))
     return model, echo

@@ -24,12 +24,14 @@ list: their callers (the plausibility AUC, the teacher caches and
 perfbench's per-example loops) need no prediction. The prefix stops once
 the last layer's scores are recorded, the last thing a head mix reads.
 
-Calls that record no graph share what cannot change between them: an
-:class:`ExplainerParams` keeps the coefficients it last normalized (see
+Every attention explanation, the student's E_S and the teacher's E_T in
+training among them, mixes its head logits through one path,
+:meth:`ExplainerParams.mix`. A mix that records no graph takes its
+normalized coefficients from a small cache keyed by phi's value (see
 :meth:`ExplainerParams.coefficients`), and ``attn_all`` and ``attn_last``
-use one uniform mix per (heads, dtype, scope), so repeated one-sequence
-explanations normalize phi once. Each kept value is the one recomputing
-gives, bit for bit.
+use one uniform mix per (heads, dtype, scope), so repeated explanations
+normalize each phi once. Each cached value is the one recomputing gives,
+bit for bit.
 
 Raw scores are always projected onto the simplex with a softmax and no
 top-k truncation is applied anywhere.
@@ -38,7 +40,7 @@ top-k truncation is applied anywhere.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -91,14 +93,17 @@ class Saliency:
 
 @dataclass
 class ExplainerParams:
-    """Learnable head-combination parameters for one model."""
+    """Learnable head-combination parameters for one model.
+
+    ``phi`` holds one raw entry per in-scope head; ``normalize`` maps it to
+    the head coefficients and ``scope`` picks the heads (every layer's, or
+    the last layer's). :meth:`mix` turns a stack of those heads' logits
+    into a saliency. Nothing is kept on the params between calls.
+    """
 
     phi: Tensor
     normalize: str = "sparsemax"
     scope: str = "all"
-    # (phi, phi.data, (normalize, lead), data bytes, coefficients) of the last
-    # coefficients() call that recorded no graph
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.normalize not in NORMALIZATIONS:
@@ -109,26 +114,42 @@ class ExplainerParams:
             raise ValueError("phi must be a vector with one entry per in-scope head")
 
     def coefficients(self, lead: tuple[int, ...]) -> Tensor:
-        """:func:`example_coefficients` of ``phi`` for a ``lead``-shaped batch.
+        """Normalized coefficients, one row per example of a ``lead``-shaped batch.
 
-        The last result of a call that records no graph is kept: the next
-        such call with the same ``phi`` tensor, its ``data`` the same array
-        with the same bytes, the same normalization and the same ``lead``
-        returns it, as ``TeacherContext.teacher_saliency`` keeps E_T. A call
-        that records a graph neither reads nor writes what is kept.
+        A call that records a graph gives each example its own normalization
+        node, so phi's gradient sums per-example terms in order, as when each
+        sequence is explained alone. A call that records no graph broadcasts
+        one read-only row, normalized once per value of phi (see
+        :func:`_normalized_row`): normalizing each row of a broadcast phi
+        gives the same bits as normalizing phi once.
         """
         phi = self.phi
         if ad.records_graph((phi,)):
-            return example_coefficients(phi, self.normalize, lead)
-        data, key = phi.data, (self.normalize, lead)
-        if self._last is not None:
-            last_phi, last_data, last_key, last_bytes, lam = self._last
-            if (last_phi is phi and last_data is data and last_key == key
-                    and last_bytes == data.tobytes()):
-                return lam
-        lam = example_coefficients(phi, self.normalize, lead)
-        self._last = (phi, data, key, data.tobytes(), lam)
-        return lam
+            return normalize_coefficients(ad.broadcast_to(phi, lead + phi.shape), self.normalize)
+        row = _normalized_row(self.normalize, phi.dtype, phi.data.tobytes())
+        return ad.broadcast_to(row, lead + row.shape)
+
+    def mix(self, logits: Tensor, mask: PadMask | None = None) -> Tensor:
+        """Saliency, (L,) or (B, L), of a (heads, L) or (B, heads, L) logit
+        stack mixed by the normalized phi; pad positions of ``mask`` get
+        exactly 0 (see :func:`combine_head_logits`)."""
+        if logits.shape[-2] != self.phi.shape[0]:
+            raise ValueError(
+                f"phi has {self.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
+            )
+        return combine_head_logits(logits, self.coefficients(logits.shape[:-2]), mask)
+
+
+@functools.lru_cache(maxsize=32)
+def _normalized_row(kind: str, dtype: np.dtype, data: bytes) -> Tensor:
+    """The ``kind`` normalization of the phi whose bytes are ``data``, read-only.
+
+    Keyed by value, not by tensor: another tensor or array with the same
+    bytes hits, and an in-place write to phi misses.
+    """
+    row = normalize_coefficients(ad.constant(np.frombuffer(data, dtype=dtype)), kind)
+    row.data.setflags(write=False)
+    return row
 
 
 def normalize_coefficients(phi: Tensor, kind: str) -> Tensor:
@@ -151,15 +172,17 @@ def default_beta(explainer: str) -> float:
     raise ValueError(f"unknown explainer {explainer!r}")
 
 
+def _first_layer(scope: str, num_layers: int) -> int:
+    """The first layer whose heads ``scope`` covers: 0, or the last layer."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
+    return num_layers - 1 if scope == "last" else 0
+
+
 def scope_head_indices(model: MiniTransformer, scope: str) -> list[int]:
     """Indices into layer-major head order covered by a scope."""
     c = model.config
-    if scope == "all":
-        return list(range(c.total_heads))
-    if scope == "last":
-        start = (c.num_layers - 1) * c.heads_per_layer
-        return list(range(start, c.total_heads))
-    raise ValueError(f"unknown scope {scope!r}")
+    return list(range(_first_layer(scope, c.num_layers) * c.heads_per_layer, c.total_heads))
 
 
 def combine_head_logits(
@@ -187,24 +210,10 @@ def combine_head_logits(
     return ad.softmax(mixed, axis=-1, lengths=mask.saliency_groups())
 
 
-def example_coefficients(phi: Tensor, kind: str, lead: tuple[int, ...]) -> Tensor:
-    """Normalized coefficients, one row per example of a ``lead``-shaped batch.
-
-    Each example gets its own normalization node, so phi's gradient sums
-    per-example terms in order, as when each sequence is explained alone.
-    """
-    return normalize_coefficients(ad.broadcast_to(phi, lead + phi.shape), kind)
-
-
 def saliency_from_internals(internals: AttentionInternals, params: ExplainerParams) -> Tensor:
     """Differentiable saliency, (L,) or (B, L), from recorded internals and coefficients."""
-    first = len(internals.scores) - 1 if params.scope == "last" else 0
-    logits = head_saliency_logits(internals, first)
-    if logits.shape[-2] != params.phi.shape[0]:
-        raise ValueError(
-            f"phi has {params.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
-        )
-    return combine_head_logits(logits, params.coefficients(logits.shape[:-2]), internals.mask)
+    first = _first_layer(params.scope, len(internals.scores))
+    return params.mix(head_saliency_logits(internals, first), internals.mask)
 
 
 def head_logit_matrix(
@@ -216,7 +225,7 @@ def head_logit_matrix(
 
     Runs only the no-grad ``attention_internals`` prefix of the forward.
     """
-    first = scope_head_indices(model, scope)[0] // model.config.heads_per_layer
+    first = _first_layer(scope, model.config.num_layers)
     with ad.no_grad():
         return head_saliency_logits(model.attention_internals(token_ids), first).data
 
@@ -398,8 +407,7 @@ def _uniform_params(model, name: str) -> ExplainerParams:
 @functools.cache
 def _uniform_mix(heads: int, dtype: np.dtype, scope: str) -> ExplainerParams:
     """The uniform mix of ``heads`` heads around a read-only phi, built once per
-    (heads, dtype, scope) and shared, as ``ad.scalar`` shares its constants: so
-    the coefficients it keeps serve every call with those heads."""
+    (heads, dtype, scope) and shared, as ``ad.scalar`` shares its constants."""
     phi = ad.constant(np.ones(heads, dtype=dtype) / heads)
     phi.data.setflags(write=False)
     return ExplainerParams(phi, "none", scope)

@@ -49,7 +49,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -71,9 +72,38 @@ PREDICT_CHUNK = 256
 TASKS = ("classification", "regression")
 
 
+class FieldError(ValueError):
+    """A config field or argument of the wrong type, or out of its range."""
+
+    def __init__(self, name: str, value: object, problem: str) -> None:
+        super().__init__(f"{name} {value!r}: {problem}")
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``: an integer or an integral
+    float, not a bool; otherwise a FieldError naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise FieldError(name, value, "must be an integer")
+    if value < low:
+        raise FieldError(name, value, f"must be >= {low}")
+    return int(value)
+
+
+def _number(name: str, value) -> None:
+    """A FieldError naming ``name`` unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FieldError(name, value, "must be a number")
+
+
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters. model_dim must equal heads * head_dim."""
+    """Architecture hyperparameters. model_dim must equal heads * head_dim.
+
+    Every integer field must be an integer >= 1 (an integral float becomes
+    its int; a bool is not one), or a :class:`FieldError` names it.
+    """
 
     vocab_size: int
     max_len: int
@@ -86,6 +116,9 @@ class ModelConfig:
     num_classes: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "max_len", "num_layers", "heads_per_layer", "model_dim",
+                     "head_dim", "ffn_dim", "num_classes"):
+            setattr(self, name, _count(name, getattr(self, name), 1))
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.model_dim != self.heads_per_layer * self.head_dim:
@@ -93,8 +126,6 @@ class ModelConfig:
                 f"model_dim {self.model_dim} != heads_per_layer {self.heads_per_layer}"
                 f" * head_dim {self.head_dim}"
             )
-        if min(self.vocab_size, self.max_len, self.num_layers, self.heads_per_layer) < 1:
-            raise ValueError("vocab_size, max_len, num_layers, heads_per_layer must be >= 1")
         if self.task == "classification" and self.num_classes < 2:
             raise ValueError("classification needs at least 2 classes")
 
@@ -105,13 +136,6 @@ class ModelConfig:
     @property
     def output_dim(self) -> int:
         return self.num_classes if self.task == "classification" else 1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

@@ -32,8 +32,7 @@ when the teacher-side explainer is the last-layer attention mean.
 from __future__ import annotations
 
 import logging
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -46,18 +45,16 @@ from .explainers import (
     NORMALIZATIONS,
     STATIC_EXPLAINERS,
     ExplainerParams,
-    combine_head_logits,
     compute_static_saliency,
     default_beta,
-    example_coefficients,
     head_logit_matrix,
     normalize_coefficients,
     saliency_from_internals,
     scope_head_indices,
 )
 from .metrics import simulability_accuracy, simulability_pearson
-from .model import (PREDICT_CHUNK, MiniTransformer, ModelConfig, PreparedIds, is_batch, strip_pads,
-                    task_loss)
+from .model import (PREDICT_CHUNK, FieldError, MiniTransformer, ModelConfig, PreparedIds, _count,
+                    _number, is_batch, strip_pads, task_loss)
 
 logger = logging.getLogger(__name__)
 
@@ -66,31 +63,6 @@ MODES = ("none", "static", "smat")
 HYPERGRAD_MODES = ("central", "exact")
 
 KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
-
-
-class FieldError(ValueError):
-    """A config field or argument of the wrong type, or out of its range."""
-
-    def __init__(self, name: str, value: object, problem: str) -> None:
-        super().__init__(f"{name} {value!r}: {problem}")
-
-
-def _count(name: str, value, low: int) -> int:
-    """``value`` as an int of at least ``low``: an integer or an integral
-    float, not a bool; otherwise a FieldError naming ``name``."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not integral:
-        raise FieldError(name, value, "must be an integer")
-    if value < low:
-        raise FieldError(name, value, f"must be >= {low}")
-    return int(value)
-
-
-def _number(name: str, value) -> None:
-    """A FieldError naming ``name`` unless ``value`` is a real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise FieldError(name, value, "must be a number")
 
 
 @dataclass
@@ -170,13 +142,6 @@ class TrainConfig:
     def explainer_scope(self) -> str:
         """Scope shared by the teacher- and student-side explainers."""
         return "last" if self.static_name() == "attn_last" else "all"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class TeacherContext:
@@ -299,20 +264,10 @@ class TeacherContext:
         if kind == "static":
             e_t = ad.constant(padded)
         else:
-            lam = example_coefficients(phi_t, self.config.normalize, padded.shape[:-2])
-            e_t = combine_head_logits(ad.constant(padded, dtype=phi_t.dtype), lam, prepared.mask)
+            params = ExplainerParams(phi_t, self.config.normalize, self.scope)
+            e_t = params.mix(ad.constant(padded, dtype=phi_t.dtype), prepared.mask)
         self._last_saliency = (phi_t, data, key, data.tobytes(), e_t)
         return e_t
-
-
-@dataclass
-class TrainState:
-    """Mutable training state: student weights and both explainer params."""
-
-    student: MiniTransformer
-    phi_s: Tensor
-    phi_t: Tensor
-    last_loss: float | None = None
 
 
 @dataclass
@@ -322,37 +277,32 @@ class TrainRecord:
     dev_simulability: float | None
     active_heads: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """Mutable training state: student weights, both explainer params and
+    the run's log, which ``train`` returns."""
+
     student: MiniTransformer
     phi_s: Tensor
     phi_t: Tensor
+    last_loss: float | None = None
     log: list[TrainRecord] = field(default_factory=list)
 
 
-class StepBatch(tuple):
-    """One step's batch of Examples, with its token ids prepared once.
+def _prepared(batch: Sequence[Example] | PreparedIds) -> PreparedIds:
+    """A step's batch as its token ids, prepared once.
 
-    ``ids`` is the batch's :class:`PreparedIds`. Every forward of a smat
-    step (the inner loss, the loss at the committed weights and both probes
-    over the train batch, the pilot over the outer batch), its explanations
-    E_S and E_T and its teacher lookups read it, so the ids, pad masks,
-    length groups and teacher cache keys are built once a step, not once a
-    use. It keeps what it read when built, so build one per step.
+    The step functions take a batch of Examples or its :class:`PreparedIds`.
+    Every forward of a smat step (the inner loss, the loss at the committed
+    weights and both probes over the train batch, the pilot over the outer
+    batch), its explanations E_S and E_T and its teacher lookups read one
+    PreparedIds, so the ids, pad masks, length groups and teacher cache keys
+    are built once a step, not once a use. It keeps what the Examples held
+    when it was built, so ``train`` prepares each step's batch as that step
+    starts.
     """
-
-    def __new__(cls, examples: Sequence[Example]) -> "StepBatch":
-        batch = super().__new__(cls, examples)
-        batch.ids = PreparedIds([ex.token_ids for ex in batch])
-        return batch
-
-
-def _prepared(batch: Sequence[Example]) -> StepBatch:
-    return batch if isinstance(batch, StepBatch) else StepBatch(batch)
+    return batch if isinstance(batch, PreparedIds) else PreparedIds([ex.token_ids for ex in batch])
 
 
 def _scaled(total: Tensor, factor: float) -> Tensor:
@@ -387,14 +337,14 @@ def student_loss(
     tctx: TeacherContext,
     phi_s: Tensor,
     phi_t: Tensor,
-    batch: Sequence[Example],
+    batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
 ) -> Tensor:
     """Mean per-example student loss over one batch (a graph scalar)."""
     if not batch:
         raise ValueError("empty batch")
     beta = config.effective_beta()
-    ids = _prepared(batch).ids
+    ids = _prepared(batch)
     if beta == 0.0:
         return _scaled(_sim_sum(student, tctx, ids, config), 1.0 / len(ids))
     out, internals = student.forward(ids, record=True)
@@ -407,7 +357,7 @@ def student_loss(
 
 def inner_step(
     state: TrainState,
-    batch: Sequence[Example],
+    batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     tctx: TeacherContext,
 ) -> TrainState:
@@ -431,17 +381,17 @@ def inner_step(
 def _sim_only_loss(
     student: MiniTransformer,
     tctx: TeacherContext,
-    batch: Sequence[Example],
+    batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    ids = _prepared(batch).ids
+    ids = _prepared(batch)
     return _scaled(_sim_sum(student, tctx, ids, config, params=params), 1.0 / len(ids))
 
 
 def _phi_t_gradient(
     state: TrainState,
-    batch: Sequence[Example],
+    batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     tctx: TeacherContext,
     probe_params: dict[str, Tensor],
@@ -454,7 +404,7 @@ def _phi_t_gradient(
     ``TeacherContext.teacher_saliency``), differentiated with respect to
     ``state.phi_t`` itself.
     """
-    ids = _prepared(batch).ids
+    ids = _prepared(batch)
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
@@ -465,8 +415,8 @@ def _phi_t_gradient(
 
 def outer_step(
     state: TrainState,
-    train_batch: Sequence[Example],
-    outer_batch: Sequence[Example],
+    train_batch: Sequence[Example] | PreparedIds,
+    outer_batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     tctx: TeacherContext,
 ) -> TrainState:
@@ -478,7 +428,7 @@ def outer_step(
     and M v the mixed second derivative realized around the committed
     weights by ``autodiff.central_difference``, whose docstring states the
     step rule (or exactly through the graph). Each batch is prepared once
-    (see :class:`StepBatch`), and the train batch is not prepared again when
+    (see :func:`_prepared`), and the train batch is not prepared again when
     it comes prepared from the inner step.
     """
     if config.mode_kind() != "smat":
@@ -578,14 +528,14 @@ def train(
     student_config: ModelConfig,
     *,
     tctx: TeacherContext | None = None,
-) -> TrainResult:
+) -> TrainState:
     """Full student training run; deterministic given the config seed.
 
     Inner steps draw batches from the train split; in smat mode each
     inner step is followed by one outer step whose held-out batch comes
     from the dev split. Logs train loss, dev simulability, and the
     number of active teacher-head coefficients at every ``eval_every``
-    steps.
+    steps. Returns the run's final :class:`TrainState`, log included.
 
     The whole batch schedule is drawn first, and the teacher context
     ``tctx`` (a new one if None) is filled for exactly the sequences it
@@ -634,9 +584,8 @@ def train(
     _fill_teacher_cache(tctx, config, inner, outer if outer_runs else [],
                         splits.dev if config.steps else [])
 
-    log: list[TrainRecord] = []
     for step, examples in enumerate(inner, start=1):
-        batch = StepBatch(examples)  # prepared here, not up front: one batch's masks at a time
+        batch = _prepared(examples)  # here, not up front: one batch's masks at a time
         inner_step(state, batch, config, tctx)
         if smat:
             outer_step(state, batch, outer[step - 1], config, tctx)
@@ -645,7 +594,7 @@ def train(
                 dev_sim = simulability(student, tctx, splits.dev)
             except ValueError:
                 dev_sim = None
-            log.append(
+            state.log.append(
                 TrainRecord(
                     step=step,
                     train_loss=state.last_loss,
@@ -653,7 +602,7 @@ def train(
                     active_heads=count_active_heads(state.phi_t, config.normalize),
                 )
             )
-    return TrainResult(student=student, phi_s=state.phi_s, phi_t=state.phi_t, log=log)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +620,14 @@ def train_supervised(
 ) -> list[float]:
     """SGD with momentum on gold labels; returns per-step mean losses.
 
-    ``lr`` and ``momentum`` must be numbers, ``steps`` an integer >= 0 and
-    ``batch_size`` one >= 1 (bools are neither); otherwise a
-    :class:`FieldError` naming the argument is raised before any step.
+    ``lr`` and ``momentum`` must be numbers, ``steps`` and ``seed``
+    integers >= 0 and ``batch_size`` one >= 1 (bools are neither); otherwise
+    a :class:`FieldError` naming the argument is raised before any step.
     """
     _number("lr", lr)
     _number("momentum", momentum)
     steps, batch_size = _count("steps", steps, 0), _count("batch_size", batch_size, 1)
+    seed = _count("seed", seed, 0)
     if not examples:
         raise ValueError("no training examples")
     for ex in examples:

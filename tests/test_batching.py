@@ -39,7 +39,6 @@ from smat.model import (
     strip_pads,
 )
 from smat.training import (
-    StepBatch,
     TeacherContext,
     TrainConfig,
     TrainState,
@@ -218,17 +217,25 @@ def oracle_sim_term(student, out, tctx, token_ids, config):
     return ad.cross_entropy(out, tctx.target(token_ids))
 
 
+def sequences(batch):
+    """The token ids of a batch of Examples, or the sequences of the
+    PreparedIds a step passes on."""
+    if isinstance(batch, PreparedIds):
+        return batch.sequences()
+    return [ex.token_ids for ex in batch]
+
+
 def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
     beta = config.effective_beta()
     total = None
-    for ex in batch:
-        out, internals = student.forward(ex.token_ids, record=True)
-        term = oracle_sim_term(student, out, tctx, ex.token_ids, config)
+    for ids in sequences(batch):
+        out, internals = student.forward(ids, record=True)
+        term = oracle_sim_term(student, out, tctx, ids, config)
         if beta > 0.0:
             params = ExplainerParams(phi=phi_s, normalize=config.normalize,
                                      scope=config.explainer_scope())
             e_s = saliency_from_internals(internals, params)
-            e_t = tctx.teacher_saliency(ex.token_ids, phi_t)
+            e_t = tctx.teacher_saliency(ids, phi_t)
             pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
             term = ad.add(term, ad.mul(ad.constant(np.asarray(beta, dtype=term.dtype)),
                                        ad.kl_divergence(*pair)))
@@ -238,9 +245,8 @@ def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
 
 def oracle_sim_only_loss(student, tctx, batch, config, params):
     total = None
-    for ex in batch:
-        term = ad.cross_entropy(student.forward(ex.token_ids, params=params),
-                                tctx.target(ex.token_ids))
+    for ids in sequences(batch):
+        term = ad.cross_entropy(student.forward(ids, params=params), tctx.target(ids))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, ad.constant(np.asarray(1.0 / len(batch), dtype=total.dtype)))
 
@@ -250,11 +256,11 @@ def oracle_phi_t_gradient(state, batch, config, tctx, probe_params):
     params = ExplainerParams(phi=state.phi_s, normalize=config.normalize,
                              scope=config.explainer_scope())
     total = None
-    for ex in batch:
+    for ids in sequences(batch):
         with ad.no_grad():
-            _, internals = state.student.forward(ex.token_ids, record=True, params=probe_params)
+            _, internals = state.student.forward(ids, record=True, params=probe_params)
             e_s = ad.constant(saliency_from_internals(internals, params).data)
-        e_t = tctx.teacher_saliency(ex.token_ids, phi)
+        e_t = tctx.teacher_saliency(ids, phi)
         pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
         term = ad.kl_divergence(*pair)
         total = term if total is None else ad.add(total, term)
@@ -1005,9 +1011,9 @@ def test_float32_e_t_and_student_loss_over_a_step_batch_are_bit_identical_to_raw
                                 teacher_shape=EXPERIMENT_TEACHER)
     batch = prepared_case(case, 119)
     ids = [ex.token_ids for ex in batch]
-    step = StepBatch(batch)
+    step = PreparedIds(ids)
     want_e_t = TeacherContext(tctx.teacher, config).teacher_saliency(ids, state.phi_t)
-    assert np.array_equal(tctx.teacher_saliency(step.ids, state.phi_t).data, want_e_t.data)
+    assert np.array_equal(tctx.teacher_saliency(step, state.phi_t).data, want_e_t.data)
     wrt = state.student.param_list() + [state.phi_s, state.phi_t]
     want = ad.backward(student_loss(state.student, TeacherContext(tctx.teacher, config),
                                     state.phi_s, state.phi_t, list(batch), config), wrt)

@@ -565,6 +565,9 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
     ("train-teacher", "teacher_train", "steps", "many"),
     ("train-teacher", "teacher_train", "batch_size", {}),
     ("train-teacher", "teacher_train", "seed", "s"),
+    ("train-teacher", "teacher_train", "seed", True),  # trained with seed 1
+    ("train-teacher", "teacher_train", "seed", 2.5),  # trained with seed 2
+    ("train-teacher", "teacher_train", "seed", -1),
     ("train-teacher", "teacher_train", "steps", -1),
     ("train-teacher", "teacher_train", "steps", 2.5),
     ("train-teacher", "teacher_train", "batch_size", 0),
@@ -597,6 +600,19 @@ def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
 ])
 def test_a_train_field_of_the_wrong_type_exits_2_naming_it(pipeline, tmp_path, capsys, field, value):
     assert_exits_2_naming(pipeline, tmp_path, capsys, "train-student", "train", field, value)
+
+
+# Each integer field of both model sections, each wrong once: true and 2.5
+# used to reach numpy (exit 1, after --out was made), and "2" exited 2 with a
+# message that named the section, not the field.
+@pytest.mark.parametrize("value", ["2", True, 2.5, 0])
+@pytest.mark.parametrize("field", ["vocab_size", "max_len", "num_layers", "heads_per_layer",
+                                   "model_dim", "head_dim", "ffn_dim", "num_classes"])
+@pytest.mark.parametrize("command, section", [("train-teacher", "model"),
+                                              ("train-student", "student_model")])
+def test_a_model_field_of_the_wrong_type_exits_2_naming_it(
+        pipeline, tmp_path, capsys, command, section, field, value):
+    assert_exits_2_naming(pipeline, tmp_path, capsys, command, section, field, value)
 
 
 def assert_exits_2_naming(pipeline, tmp_path, capsys, command, section, field, value):

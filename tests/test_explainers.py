@@ -150,16 +150,37 @@ def test_phi_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# the coefficients an ExplainerParams keeps between calls that record no graph
+# the normalized coefficients of calls that record no graph, cached by value
 
 
 def count_normalizations(monkeypatch):
-    """One entry per normalize_coefficients call (a miss of the kept coefficients)."""
+    """One entry per normalize_coefficients call, from an empty cache (so each
+    no-graph entry is a cache miss)."""
+    explainers._normalized_row.cache_clear()
     calls = []
     real = explainers.normalize_coefficients
     monkeypatch.setattr(explainers, "normalize_coefficients",
                         lambda phi, kind: calls.append(kind) or real(phi, kind))
     return calls
+
+
+@pytest.mark.parametrize("kind", NORMALIZATIONS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8, 16])
+def test_no_graph_coefficients_are_each_examples_own_normalization_bit_for_bit(kind, dtype, heads):
+    rng = np.random.default_rng(heads)
+    values = rng.normal(scale=3.0, size=heads).astype(dtype)
+    values[rng.integers(heads)] = values[0]  # a tie, where sparsemax's sort order matters
+    alone = normalize_coefficients(ad.constant(values), kind).data
+    for lead in [(), (1,), (5,), (32,)]:
+        phi = ad.Tensor(values, requires_grad=True)
+        recorded = ExplainerParams(phi=phi, normalize=kind).coefficients(lead)
+        assert recorded.requires_grad  # one normalization node per example
+        with ad.no_grad():
+            got = ExplainerParams(phi=phi, normalize=kind).coefficients(lead)
+        assert got.shape == lead + (heads,) and got.dtype == dtype
+        assert np.array_equal(got.data, recorded.data), lead
+        assert all(np.array_equal(row, alone) for row in got.data.reshape(-1, heads)), lead
 
 
 @pytest.mark.parametrize("kind", NORMALIZATIONS)
@@ -171,46 +192,59 @@ def test_explaining_twice_with_one_explainer_params_normalizes_once(monkeypatch,
     first = explain_parameterized(model, [2, 3, 4, 5], params)
     second = explain_parameterized(model, [5, 4, 3, 2], params)
     assert calls == [kind]
-    fresh = explain_parameterized(model, [5, 4, 3, 2], ExplainerParams(phi=phi, normalize=kind))
-    assert np.array_equal(second.scores, fresh.scores)
+    recorded = saliency_from_internals(  # normalized again, through a graph
+        model.attention_internals([5, 4, 3, 2]),
+        ExplainerParams(ad.Tensor(phi.data, requires_grad=True), normalize=kind))
+    assert np.array_equal(second.scores, recorded.data)
     assert not np.array_equal(first.scores, second.scores)
+    calls.clear()
     listed = [explain_parameterized(model, [[2, 3], [4, 5]], params) for _ in range(2)]
-    assert len(calls) == 3  # one more for the (2,)-shaped batch
+    assert calls == []  # a (2,)-shaped batch broadcasts the same row
     assert all(np.array_equal(a.scores, b.scores) for a, b in zip(*listed))
 
 
-def test_the_kept_coefficients_miss_on_each_changed_key_and_skip_recorded_calls(monkeypatch):
+def test_the_cached_row_is_keyed_by_value_and_recorded_calls_skip_it(monkeypatch):
     model = tiny_model(seed=7, dtype=np.float32)
     ids = [2, 3, 4, 5]
     phi = ad.Tensor(np.array([0.4, -0.2, 0.3, 0.1], dtype=np.float32), requires_grad=True)
     params = ExplainerParams(phi=phi, normalize="sparsemax")
     calls = count_normalizations(monkeypatch)
+    cache = explainers._normalized_row.cache_info
 
-    def misses(token_ids):
+    def misses(token_ids, explainer=params, net=model):
         before = len(calls)
-        explain_parameterized(model, token_ids, params)
+        explain_parameterized(net, token_ids, explainer)
         return len(calls) - before
 
-    def fresh():  # from params that keep nothing, after every check
-        unkept = ExplainerParams(ad.Tensor(params.phi.data.copy()), normalize="sparsemax")
-        return explain_parameterized(model, ids, unkept).scores
+    def recorded(explainer=params):  # normalized through a graph, read by no cache
+        explainer = ExplainerParams(ad.Tensor(explainer.phi.data.copy(), requires_grad=True),
+                                    explainer.normalize, explainer.scope)
+        return saliency_from_internals(model.attention_internals(ids), explainer)
 
+    graph = saliency_from_internals(model.attention_internals(ids), params)
+    assert graph.requires_grad and len(calls) == 1  # a recorded call normalizes ...
+    assert cache().currsize == 0  # ... and fills no cache
+    assert ad.backward(ad.tsum(ad.mul(graph, graph)), [phi])[0].data.any()
     assert misses(ids) == 1 and misses(ids) == 0
-    kept = params._last
-    recorded = saliency_from_internals(model.attention_internals(ids), params)
-    assert recorded.requires_grad and len(calls) == 2  # a recorded call normalizes ...
-    assert params._last is kept and misses(ids) == 0  # ... and leaves the kept value as it was
-    assert ad.backward(ad.tsum(ad.mul(recorded, recorded)), [phi])[0].data.any()
+    hits = cache().hits
+    assert recorded().requires_grad and cache().hits == hits  # nor reads it
+    with ad.no_grad():
+        assert not params.coefficients(()).data.flags.writeable
 
-    phi.data[0] += 1.0  # same array, new bytes
-    assert misses(ids) == 1 and misses(ids) == 0
-    assert np.array_equal(explain_parameterized(model, ids, params).scores, fresh())
     phi.data = phi.data.copy()  # a new array with the same bytes
-    assert misses(ids) == 1
-    params.phi = ad.Tensor(phi.data)  # another tensor on the same array
-    assert misses(ids) == 1
-    assert misses([ids, ids[::-1]]) == 1  # another lead shape: (2,), not ()
-    assert misses(ids) == 1
+    assert misses(ids) == 0
+    params.phi = ad.Tensor(phi.data.copy())  # another tensor with the same bytes
+    assert misses(ids) == 0
+    assert misses([ids, ids[::-1]]) == 0  # another lead shape: (2,), not ()
+
+    params.phi.data[0] += 1.0  # the same array, new bytes
+    assert misses(ids) == 1 and misses(ids) == 0
+    assert np.array_equal(explain_parameterized(model, ids, params).scores, recorded().data)
+    softmax = ExplainerParams(params.phi, normalize="softmax")
+    assert misses(ids, softmax) == 1 and misses(ids, softmax) == 0
+    wide = ExplainerParams(ad.Tensor(params.phi.data.astype(np.float64)), normalize="sparsemax")
+    assert misses(ids, wide, tiny_model(seed=7)) == 1  # float64: another dtype
+    assert cache().currsize == 4
 
 
 def test_the_uniform_mix_is_built_once_per_heads_dtype_and_scope(monkeypatch):

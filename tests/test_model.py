@@ -1,5 +1,7 @@
 """Encoder behavior: shapes, determinism, padding, attention recording."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from smat import autodiff as ad
 from smat.model import (
     PAD_ID,
     AttentionInternals,
+    FieldError,
     MiniTransformer,
     ModelConfig,
     head_saliency_logits,
@@ -37,9 +40,19 @@ def test_config_validates_dimensions():
         tiny_config(task="ranking")
 
 
+def test_config_integer_fields_are_checked_by_type():
+    cfg = tiny_config(num_layers=2.0, vocab_size=np.int64(12))
+    assert (cfg.num_layers, cfg.vocab_size) == (2, 12)
+    assert type(cfg.num_layers) is int and type(cfg.vocab_size) is int
+    for name, value in (("num_layers", True), ("ffn_dim", 2.5), ("head_dim", "4"),
+                        ("num_classes", 0)):
+        with pytest.raises(FieldError, match=name):
+            tiny_config(**{name: value})
+
+
 def test_config_round_trips_through_dict():
     cfg = tiny_config()
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 def test_output_shapes():

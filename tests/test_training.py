@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from smat.data import SyntheticSpec, attach_token_ids, build_vocab, generate_syn
 from smat.explainers import ExplainerParams, compute_static_saliency, scope_head_indices
 from smat.model import MiniTransformer, ModelConfig, PreparedIds, task_loss
 from smat.training import (
-    StepBatch,
     TeacherContext,
     TrainConfig,
     TrainState,
@@ -113,7 +112,7 @@ def test_scope_follows_static_name():
 
 def test_config_round_trips_through_dict():
     config = TrainConfig(mode="static:grad_l2", beta=0.7, steps=5)
-    assert TrainConfig.from_dict(config.to_dict()) == config
+    assert TrainConfig(**asdict(config)) == config
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +484,7 @@ def test_train_is_deterministic():
         assert np.array_equal(a.student.params[name].data, b.student.params[name].data)
     assert np.array_equal(a.phi_t.data, b.phi_t.data)
     assert np.array_equal(a.phi_s.data, b.phi_s.data)
-    assert [r.to_dict() for r in a.log] == [r.to_dict() for r in b.log]
+    assert [asdict(r) for r in a.log] == [asdict(r) for r in b.log]
 
 
 def test_train_never_touches_teacher():
@@ -520,7 +519,8 @@ def test_train_supervised_checks_its_arguments_before_any_step():
     before = model.clone_param_data()
     pool = make_setup("none")[1].train
     for bad, name in (({"steps": -1}, "steps"), ({"batch_size": 0}, "batch_size"),
-                      ({"lr": True}, "lr"), ({"momentum": "0.9"}, "momentum")):
+                      ({"lr": True}, "lr"), ({"momentum": "0.9"}, "momentum"),
+                      ({"seed": True}, "seed"), ({"seed": 2.5}, "seed")):
         with pytest.raises(training.FieldError, match=name):
             train_supervised(model, pool, **bad)
     assert all(np.array_equal(model.params[n].data, v) for n, v in before.items())
@@ -663,7 +663,7 @@ def run_sha256(result):
         h.update(result.student.params[name].data.tobytes())
     h.update(result.phi_s.data.tobytes())
     h.update(result.phi_t.data.tobytes())
-    h.update(json.dumps([r.to_dict() for r in result.log]).encode())
+    h.update(json.dumps([asdict(r) for r in result.log]).encode())
     return h.hexdigest()
 
 
@@ -802,15 +802,18 @@ def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
 
 
 def count_e_t_builds(monkeypatch):
-    """One entry per E_T that teacher_saliency builds (a memo miss)."""
+    """One entry per E_T that teacher_saliency builds (a memo miss): a head
+    mix of the teacher's cached logits, a constant leaf, where E_S mixes the
+    logits of a student forward."""
     builds = []
-    combine = training.combine_head_logits
+    mix = ExplainerParams.mix
 
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return combine(*args, **kwargs)
+    def counting(self, logits, *args, **kwargs):
+        if logits._op == "leaf":
+            builds.append(1)
+        return mix(self, logits, *args, **kwargs)
 
-    monkeypatch.setattr(training, "combine_head_logits", counting)
+    monkeypatch.setattr(ExplainerParams, "mix", counting)
     return builds
 
 
@@ -873,7 +876,7 @@ def test_the_e_t_memo_misses_on_a_new_batch_a_phi_t_update_or_an_in_place_write(
 
 def unshared_phi_t_gradient(state, batch, config, tctx, probe_params):
     """The probe gradient through an E_T of its own, on a copy of phi_T."""
-    ids = [ex.token_ids for ex in batch]
+    ids = batch.sequences()
     phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
@@ -906,7 +909,7 @@ def test_float32_train_with_one_shared_e_t_is_bit_identical_to_unshared(monkeypa
         assert got.dtype == np.float32 and np.array_equal(got, want), name
     assert np.array_equal(shared.phi_t.data, alone.phi_t.data)
     assert np.array_equal(shared.phi_s.data, alone.phi_s.data)
-    assert [r.to_dict() for r in shared.log] == [r.to_dict() for r in alone.log]
+    assert [asdict(r) for r in shared.log] == [asdict(r) for r in alone.log]
     assert shared.phi_t.data.any()  # the outer steps moved phi_T off its zero start
 
 
@@ -951,8 +954,8 @@ def test_a_batch_with_the_same_lengths_and_other_ids_gets_its_own_values():
     assert [ex.token_ids for ex in second] != [ex.token_ids for ex in first]
     wrt = state.student.param_list() + [state.phi_s, state.phi_t]
     for batch in (first, second):  # one context: the second batch follows the first's E_T
-        step = StepBatch(batch)
-        e_t = tctx.teacher_saliency(step.ids, state.phi_t)
+        step = PreparedIds([ex.token_ids for ex in batch])
+        e_t = tctx.teacher_saliency(step, state.phi_t)
         got = ad.backward(student_loss(state.student, tctx, state.phi_s, state.phi_t, step,
                                        config), wrt)
         fresh = TeacherContext(teacher, config)
@@ -968,9 +971,13 @@ def test_train_prepares_each_step_from_the_token_ids_its_examples_then_hold(monk
     teacher, splits, student_config, config = fixture_shaped_setup("smat", steps=4)
     splits = replace(splits, train=[replace(ex) for ex in splits.train])
     inner, outer, seen = training.inner_step, training.outer_step, []
+    rng = np.random.default_rng([config.seed, 0])  # the run's schedule, drawn again
+    schedule = [training._sample_batch(rng, splits.train, config.batch_size)
+                for _ in range(config.steps)]
 
     def checking(state, batch, *args):
-        seen.append(batch.ids.sequences() == [tuple(ex.token_ids) for ex in batch])
+        examples = schedule[len(seen)]
+        seen.append(batch.sequences() == [tuple(ex.token_ids) for ex in examples])
         return inner(state, batch, *args)
 
     def replacing(*args):
