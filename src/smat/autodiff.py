@@ -539,27 +539,24 @@ def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 
 
 def scatter_rows(g: Tensor, ids: np.ndarray, num_rows: int) -> Tensor:
-    """Add rows of ``g`` into a zero table at the given indices.
+    """Add rows of ``g`` into a zero table at the given (non-empty) indices.
 
-    For an index array with leading axes, each last-axis slice (one
-    sequence of a batch) is summed on its own first, and the slices are
-    then added in order, which rounds as separate per-sequence graphs do.
+    Each last-axis slice of the index array (one sequence of a batch) is
+    summed on its own first, and the slices are then added in order, which
+    rounds as separate per-sequence graphs do; 1-D indices are one slice.
     """
     idx = np.asarray(ids, dtype=np.int64)
     data = np.zeros((num_rows,) + g.shape[idx.ndim:], dtype=g.dtype)
-    if idx.ndim < 2:
-        np.add.at(data, idx, g.data)
-    else:
-        # number the distinct (sequence, row) pairs in sequence order
-        seq = np.repeat(np.arange(idx.size // idx.shape[-1]), idx.shape[-1])
-        key = seq * num_rows + idx.reshape(-1)
-        order = np.argsort(key, kind="stable")
-        first = np.concatenate([[True], key[order][1:] != key[order][:-1]])
-        which = np.empty_like(order)
-        which[order] = np.cumsum(first) - 1
-        partial = np.zeros((int(first.sum()),) + data.shape[1:], dtype=g.dtype)
-        np.add.at(partial, which, g.data.reshape((idx.size,) + data.shape[1:]))
-        np.add.at(data, key[order][first] % num_rows, partial)
+    # number the distinct (sequence, row) pairs in sequence order
+    seq = np.repeat(np.arange(idx.size // idx.shape[-1]), idx.shape[-1])
+    key = seq * num_rows + idx.reshape(-1)
+    order = np.argsort(key, kind="stable")
+    first = np.concatenate([[True], key[order][1:] != key[order][:-1]])
+    which = np.empty_like(order)
+    which[order] = np.cumsum(first) - 1
+    partial = np.zeros((int(first.sum()),) + data.shape[1:], dtype=g.dtype)
+    np.add.at(partial, which, g.data.reshape((idx.size,) + data.shape[1:]))
+    np.add.at(data, key[order][first] % num_rows, partial)
     return _from_op(data, (g,), lambda gg: (gather_rows(gg, idx),), "scatter_rows")
 
 

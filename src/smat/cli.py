@@ -33,7 +33,7 @@ from .explainers import (
     scope_head_indices,
 )
 from .autodiff import Tensor
-from .model import FieldError, MiniTransformer, ModelConfig, _count
+from .model import FieldError, MiniTransformer, ModelConfig, _count, _number
 
 
 class ConfigurationError(Exception):
@@ -62,14 +62,21 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return part
 
 
-def _field(section: dict, where: str, name: str, convert, default):
-    """``convert`` of the section's ``name`` value (``default`` when absent);
-    a value it cannot convert is a config error naming ``where.name``."""
-    value = section.get(name, default)
+def _data_field(data_cfg: dict, name: str, read, default):
+    """``read(name, value)`` of ``data.<name>`` (``default`` when absent); the
+    FieldError it raises is a config error naming the field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"bad {where}.{name} {value!r}: {err}") from err
+        return read(name, data_cfg.get(name, default))
+    except FieldError as err:
+        raise ConfigurationError(f"bad data.{err}") from err
+
+
+def _ratios(name: str, value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise FieldError(name, value, "must be a list of numbers")
+    for ratio in value:
+        _number(name, ratio)
+    return [float(ratio) for ratio in value]
 
 
 def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
@@ -101,11 +108,15 @@ def _train_config(section: dict, **overrides) -> training.TrainConfig:
         raise ConfigurationError(f"bad train section: {err}") from err
 
 
-def _synthetic_spec(section: dict) -> dio.SyntheticSpec:
+def _synthetic_dataset(data_cfg: dict) -> dio.Dataset:
+    """``data.n`` examples of the ``data.synthetic`` corpus."""
     try:
-        return dio.SyntheticSpec(**section)
+        spec = dio.SyntheticSpec(**data_cfg["synthetic"])
+    except FieldError as err:
+        raise ConfigurationError(f"bad data.synthetic.{err}") from err
     except (TypeError, dio.DataError) as err:
         raise ConfigurationError(f"bad synthetic section: {err}") from err
+    return dio.generate_synthetic(spec, _data_field(data_cfg, "n", _count, 1000))
 
 
 def _resolve_dataset(cfg: dict, config_dir: str) -> dio.Dataset:
@@ -115,19 +126,25 @@ def _resolve_dataset(cfg: dict, config_dir: str) -> dio.Dataset:
         full = path if os.path.isabs(path) else os.path.join(config_dir, path)
         return dio.load_tsv(full)
     if "synthetic" in data_cfg:
-        spec = _synthetic_spec(data_cfg["synthetic"])
-        return dio.generate_synthetic(spec, _field(data_cfg, "data", "n", int, 1000))
+        return _synthetic_dataset(data_cfg)
     raise ConfigurationError("data section needs either 'path' or 'synthetic'")
 
 
-def _resolve_splits(cfg: dict, dataset: dio.Dataset) -> dio.Splits:
+def _resolve_splits(cfg: dict, dataset: dio.Dataset, needed: Sequence[str]) -> dio.Splits:
+    """The dataset split by ``data.ratios`` and ``data.split_seed``; a split
+    named in ``needed`` that comes out empty is a config error."""
     data_cfg = _section(cfg, "data")
-    ratios = _field(data_cfg, "data", "ratios", lambda rs: [float(r) for r in rs], dio.SPLIT_RATIOS)
-    split_seed = _field(data_cfg, "data", "split_seed", int, 0)
+    ratios = _data_field(data_cfg, "ratios", _ratios, dio.SPLIT_RATIOS)
+    split_seed = _data_field(data_cfg, "split_seed", lambda name, v: _count(name, v, 0), 0)
     try:
-        return dio.split_dataset(dataset, ratios=ratios, seed=split_seed)
+        splits = dio.split_dataset(dataset, ratios=ratios, seed=split_seed)
     except dio.DataError as err:
         raise ConfigurationError(str(err)) from err
+    for name in needed:
+        if not getattr(splits, name):
+            raise ConfigurationError(f"data.ratios {ratios} leave the {name} split of "
+                                     f"{len(dataset)} examples empty")
+    return splits
 
 
 def _config_sha256(path: str) -> str:
@@ -144,8 +161,7 @@ def cmd_make_data(args: argparse.Namespace) -> int:
     data_cfg = _section(cfg, "data")
     if "synthetic" not in data_cfg:
         raise ConfigurationError("make-data needs a data.synthetic section")
-    spec = _synthetic_spec(data_cfg["synthetic"])
-    dataset = dio.generate_synthetic(spec, _field(data_cfg, "data", "n", int, 1000))
+    dataset = _synthetic_dataset(data_cfg)
     dio.save_tsv(dataset, args.out)
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
@@ -156,9 +172,9 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
     config_dir = os.path.dirname(os.path.abspath(args.config))
     dataset = _resolve_dataset(cfg, config_dir)
     data_cfg = _section(cfg, "data")
-    vocab = dio.build_vocab(dataset.examples, min_freq=_field(data_cfg, "data", "min_freq", int, 1))
+    vocab = dio.build_vocab(dataset.examples, min_freq=_data_field(data_cfg, "min_freq", _count, 1))
     dio.attach_token_ids(dataset, vocab)
-    splits = _resolve_splits(cfg, dataset)
+    splits = _resolve_splits(cfg, dataset, ("train",))  # an empty test split is reported as nan
 
     model_cfg = _model_config(_section(cfg, "model"), len(vocab), "model")
     if model_cfg.task != dataset.task:
@@ -220,24 +236,23 @@ def cmd_train_student(args: argparse.Namespace) -> int:
 
     dataset = _resolve_dataset(cfg, config_dir)
     dio.attach_token_ids(dataset, vocab)
-    splits = _resolve_splits(cfg, dataset)
-    data_cfg = _section(cfg, "data")
-    limit = _field(data_cfg, "data", "student_train_size", lambda v: int(v or 0), None)
-    student_pool = splits.train[:limit] if limit else splits.train
+    splits = _resolve_splits(cfg, dataset, ("train", "dev", "test"))  # test: the reported simulability
+    limit = _data_field(_section(cfg, "data"), "student_train_size",
+                        lambda name, v: None if v is None else _count(name, v), None)
+    run_splits = dio.Splits(train=splits.train[:limit], dev=splits.dev, test=splits.test,
+                            task=splits.task)
 
     base = _train_config(_section(cfg, "train", required=False), mode=args.mode)
     student_cfg = _model_config(_section(cfg, "student_model"), len(vocab), "student_model")
-    if student_cfg.task != teacher.config.task:
-        raise ConfigurationError(f"student_model task {student_cfg.task!r} does not match "
-                                 f"teacher task {teacher.config.task!r}")
-    if base.soft_targets and student_cfg.task != "classification":
-        raise ConfigurationError(f"train soft_targets needs a classification student_model, "
-                                 f"got task {student_cfg.task!r}")
+    try:
+        training.check_run(base, teacher, run_splits, student_cfg)
+    except ValueError as err:
+        raise ConfigurationError(str(err)) from err
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
 
     os.makedirs(args.out, exist_ok=True)
-    # every seed shares the mode, scope, normalization and ig_steps
+    # every seed shares the mode, scope and normalization
     tctx = training.TeacherContext(teacher, base)
     runs = []
     for i in range(args.seeds):
@@ -246,13 +261,7 @@ def cmd_train_student(args: argparse.Namespace) -> int:
         # checks and log its warnings once more per seed
         run_cfg = copy.copy(base)
         run_cfg.seed = seed
-        result = training.train(
-            run_cfg,
-            teacher,
-            dio.Splits(train=student_pool, dev=splits.dev, test=splits.test, task=splits.task),
-            student_cfg,
-            tctx=tctx,
-        )
+        result = training.train(run_cfg, teacher, run_splits, student_cfg, tctx=tctx)
         run_dir = os.path.join(args.out, f"seed_{seed}")
         os.makedirs(run_dir, exist_ok=True)
         student_path = os.path.join(run_dir, "student.smat")

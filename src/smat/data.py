@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor, all_finite
-from .model import PAD_ID, MiniTransformer, ModelConfig
+from .model import PAD_ID, MiniTransformer, ModelConfig, _count, _number
 
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
@@ -89,6 +89,9 @@ class SyntheticSpec:
     with probability ``1 - noise_ratio``; at least one cue is planted and
     draws with zero net polarity are rejected, so the label (1 iff the
     summed cue polarity is positive) is always well defined.
+    ``vocab_size``, ``min_len``, ``max_len`` (each >= 1) and ``seed`` (>= 0)
+    must be integers and ``noise_ratio`` a number, or a ``model.FieldError``
+    names the field; an integral float becomes its int.
     """
 
     vocab_size: int = 60
@@ -110,14 +113,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
+        for name, low in (("vocab_size", 1), ("min_len", 1), ("max_len", 1), ("seed", 0)):
+            setattr(self, name, _count(name, getattr(self, name), low))
+        _number("noise_ratio", self.noise_ratio)
         if not self.cue_lexicon:
             raise DataError("cue lexicon is empty")
         for word, pol in self.cue_lexicon.items():
             if pol not in (-1, 1):
                 raise DataError(f"cue {word!r} must have polarity +1 or -1, got {pol}")
-        if self.min_len < 1 or self.min_len > self.max_len:
+        if self.min_len > self.max_len:
             raise DataError(f"invalid length range [{self.min_len}, {self.max_len}]")
         if not 0.0 <= self.noise_ratio < 1.0:
             raise DataError("noise_ratio must be in [0, 1)")

@@ -3,14 +3,13 @@
 The encoder is deliberately tiny: token plus learned positional
 embeddings, pre-norm blocks with ReLU feed-forwards, and a softmax
 scalar mix over mean-pooled per-layer outputs feeding the task head.
-Forward passes can record per-layer attention internals (post-projection
-queries and keys, pre-softmax scores, attention weights), which
-downstream saliency code consumes. ``attention_internals`` records the
-same tensors from a prefix of the forward that stops once the last layer's
-scores are recorded, so it holds no last-layer attention weights; every
-caller that reads only the scores uses it (the attention explainers, the
-teacher head-logit cache and the phi_T probes), while the training losses
-keep the full forward.
+Forward passes can record per-layer attention internals (pre-softmax
+scores and attention weights), which downstream saliency code consumes.
+``attention_internals`` records the same tensors from a prefix of the
+forward that stops once the last layer's scores are recorded, so it holds
+no last-layer attention weights; every caller that reads only the scores
+uses it (the attention explainers, the teacher head-logit cache and the
+phi_T probes), while the training losses keep the full forward.
 
 A forward pass takes one sequence or a batch, and builds one graph over
 (B, L, model_dim) tensors with the heads split by reshape to
@@ -79,7 +78,7 @@ class FieldError(ValueError):
         super().__init__(f"{name} {value!r}: {problem}")
 
 
-def _count(name: str, value, low: int) -> int:
+def _count(name: str, value, low: int = 1) -> int:
     """``value`` as an int of at least ``low``: an integer or an integral
     float, not a bool; otherwise a FieldError naming ``name``."""
     integral = isinstance(value, numbers.Integral) or (
@@ -153,8 +152,6 @@ class AttentionInternals:
     """
 
     mask: PadMask | None = None
-    queries: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
-    keys: list[Tensor] = field(default_factory=list)  # (..., H, L, head_dim), post-projection
     scores: list[Tensor] = field(default_factory=list)  # (..., H, L, L), pre-softmax, unmasked
     attention: list[Tensor] = field(default_factory=list)  # (..., H, L, L), rows on the simplex
 
@@ -416,14 +413,14 @@ class MiniTransformer:
         p = params if params is not None else self.params
         return ad.add(ad.gather_rows(p["embed.tok"], ids), ad.narrow(p["embed.pos"], 0, 0, ids.shape[-1]))
 
-    def input_embeddings(self, token_ids, params: dict[str, Tensor] | None = None) -> Tensor:
+    def input_embeddings(self, token_ids) -> Tensor:
         """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch
         of sequences of one length once trailing pads are stripped (no pad mask)."""
         prepared = self._batch_ids(token_ids)
         if prepared.mask is not None:
             raise ValueError(f"input embeddings need one sequence length, "
                              f"got {np.unique(prepared.mask.lengths)}")
-        return self._embed(prepared.ids, params)
+        return self._embed(prepared.ids, None)
 
     def forward(self, token_ids, record: bool = False, params: dict[str, Tensor] | None = None):
         """Task output for one sequence or a batch; optionally also attention internals.
@@ -449,9 +446,9 @@ class MiniTransformer:
         recorded: no last-layer key bias, attention softmax, value
         projection, attention output or feed-forward, and no pooling, layer
         mix or head, whose parameters it never reads. So ``attention`` holds
-        every layer but the last, while queries, keys and scores hold every
-        layer. Each recorded tensor comes from the same ops on the same
-        inputs, so it matches the full forward's bit for bit.
+        every layer but the last, while ``scores`` holds every layer. Each
+        recorded tensor comes from the same ops on the same inputs, so it
+        matches the full forward's bit for bit.
         """
         prepared = self._batch_ids(token_ids)
         return self.forward_from_embeddings(
@@ -504,8 +501,6 @@ class MiniTransformer:
             q, k = heads(u, p[f"{prefix}.attn.wq"]), heads(u, p[f"{prefix}.attn.wk"])
             scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
             if internals is not None:
-                internals.queries.append(q)
-                internals.keys.append(k)
                 internals.scores.append(scores)
             if _scores_only and layer == c.num_layers - 1:
                 return internals

@@ -8,8 +8,8 @@ own prediction, and a saliency map over tokens. The student minimizes
 where L_sim follows the student's task: cross-entropy against the
 teacher's predicted label (or its output distribution, with
 ``soft_targets``) for classification, squared error against the
-teacher's score for regression. L_expl is a KL divergence between the
-student's and teacher's saliency maps.
+teacher's score for regression. L_expl is KL(E_T || E_S), the KL
+divergence of the student's saliency map E_S from the teacher's E_T.
 
 Three modes share this loop:
 
@@ -62,8 +62,6 @@ MODES = ("none", "static", "smat")
 
 HYPERGRAD_MODES = ("central", "exact")
 
-KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
-
 
 @dataclass
 class TrainConfig:
@@ -87,15 +85,12 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     normalize: str = "sparsemax"
-    kl_direction: str = "teacher_to_student"
     hypergrad: str = "central"
-    ig_steps: int = IG_STEPS_TRAINING
     soft_targets: bool = False
     eval_every: int = 100
 
     def __post_init__(self) -> None:
-        for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("ig_steps", 1),
-                          ("eval_every", 1)):
+        for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("eval_every", 1)):
             setattr(self, name, _count(name, getattr(self, name), low))
         if self.beta is not None:
             _number("beta", self.beta)
@@ -110,8 +105,6 @@ class TrainConfig:
             raise ValueError(f"unknown static explainer in mode {self.mode!r}")
         if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalize!r}")
-        if self.kl_direction not in KL_DIRECTIONS:
-            raise ValueError(f"unknown kl_direction {self.kl_direction!r}")
         if self.hypergrad not in HYPERGRAD_MODES:
             raise ValueError(f"unknown hypergrad mode {self.hypergrad!r}")
         if self.eta_inner <= 0 or self.eta_outer < 0:
@@ -151,9 +144,9 @@ class TeacherContext:
     saliency maps are fixed once it is frozen, so each is computed once per
     distinct sequence. A lookup takes one sequence or a list, and computes the
     unseen ones in one teacher call per PREDICT_CHUNK of them. One context
-    serves every run that shares its teacher, mode, normalization and
-    ``ig_steps`` (see :meth:`check_serves`); ``train`` fills it for its whole
-    batch schedule before its first step.
+    serves every run that shares its teacher, mode and normalization (see
+    :meth:`check_serves`); ``train`` fills it for its whole batch schedule
+    before its first step.
     """
 
     def __init__(self, teacher: MiniTransformer, config: TrainConfig) -> None:
@@ -170,7 +163,7 @@ class TeacherContext:
         are the ones a run of ``config`` against ``teacher`` would compute."""
         if teacher is not self.teacher:
             raise ValueError("teacher context was built for another teacher")
-        for name in ("mode", "normalize", "ig_steps"):
+        for name in ("mode", "normalize"):
             have, want = getattr(self.config, name), getattr(config, name)
             if have != want:
                 raise ValueError(f"teacher context was built for {name}={have!r}, "
@@ -224,12 +217,12 @@ class TeacherContext:
     def static_saliency(self, token_ids):
         def compute(batch):
             return [sal.scores for sal in compute_static_saliency(
-                self.teacher, batch, self.config.static_name(), ig_steps=self.config.ig_steps)]
+                self.teacher, batch, self.config.static_name(), ig_steps=IG_STEPS_TRAINING)]
         return self._lookup("static", token_ids, compute)
 
     def teacher_saliency(self, token_ids, phi_t: Tensor) -> Tensor:
-        """E_T for one sequence (L,) or a batch (B, L): learned combination or
-        static constant, exactly 0 at pad positions.
+        """E_T of a batch, (B, L): learned combination or static constant,
+        exactly 0 at pad positions. One sequence raises ValueError.
 
         The last result is kept: a call with the same sequences (without
         trailing pads), the same ``phi_t`` tensor, its ``data`` the same
@@ -245,22 +238,21 @@ class TeacherContext:
         if kind == "none":
             raise ValueError("mode 'none' has no teacher explainer")
         prepared = token_ids if isinstance(token_ids, PreparedIds) else PreparedIds(token_ids)
-        one = prepared.ids.ndim == 1
+        if prepared.ids.ndim != 2:
+            raise ValueError("teacher_saliency takes a batch of sequences, not one sequence")
         data = phi_t.data
-        key = (one, prepared.sequences(), ad.records_graph((phi_t,)))
+        key = (prepared.sequences(), ad.records_graph((phi_t,)))
         if self._last_saliency is not None:
             last_phi, last_data, last_key, last_bytes, e_t = self._last_saliency
             if (last_phi is phi_t and last_data is data and last_key == key
                     and last_bytes == data.tobytes()):
                 return e_t
         lookup = self.head_logits if kind == "smat" else self.static_saliency
-        rows = [lookup(prepared)] if one else lookup(prepared)
+        rows = lookup(prepared)
         width = prepared.ids.shape[-1]
         padded = np.zeros((len(rows),) + rows[0].shape[:-1] + (width,), dtype=rows[0].dtype)
         for out, r in zip(padded, rows):
             out[..., : r.shape[-1]] = r
-        if one:
-            padded = padded[0]
         if kind == "static":
             e_t = ad.constant(padded)
         else:
@@ -321,13 +313,6 @@ def _sim_sum(student: MiniTransformer, tctx: TeacherContext, ids: PreparedIds, c
     return ad.tsum(ad.mul(diff, diff))
 
 
-def _kl_sum(e_t: Tensor, e_s: Tensor, config: TrainConfig) -> Tensor:
-    """Explanation KL summed over a batch; pad positions add exactly 0."""
-    if config.kl_direction == "teacher_to_student":
-        return ad.kl_divergence(e_t, e_s)
-    return ad.kl_divergence(e_s, e_t)
-
-
 def _student_explainer(phi_s: Tensor, config: TrainConfig) -> ExplainerParams:
     return ExplainerParams(phi=phi_s, normalize=config.normalize, scope=config.explainer_scope())
 
@@ -349,7 +334,7 @@ def student_loss(
         return _scaled(_sim_sum(student, tctx, ids, config), 1.0 / len(ids))
     out, internals = student.forward(ids, record=True)
     e_s = saliency_from_internals(internals, _student_explainer(phi_s, config))
-    expl = _kl_sum(tctx.teacher_saliency(ids, phi_t), e_s, config)
+    expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_t), e_s)  # pads add exactly 0
     total = ad.add(_sim_sum(student, tctx, ids, config, output=out),
                    ad.mul(ad.scalar(beta, expl.dtype), expl))
     return _scaled(total, 1.0 / len(ids))
@@ -408,7 +393,7 @@ def _phi_t_gradient(
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
-    expl = _kl_sum(tctx.teacher_saliency(ids, state.phi_t), e_s, config)
+    expl = ad.kl_divergence(tctx.teacher_saliency(ids, state.phi_t), e_s)
     loss = _scaled(expl, config.effective_beta() / len(ids))
     return ad.backward(loss, [state.phi_t])[0].data
 
@@ -521,6 +506,25 @@ def _fill_teacher_cache(
         lookup(_token_ids(*inner))
 
 
+def check_run(config: TrainConfig, teacher: MiniTransformer, splits: Splits,
+              student_config: ModelConfig) -> None:
+    """Raise ValueError unless :func:`train` can run ``config`` for a
+    ``student_config`` student against ``teacher`` on ``splits``: non-empty
+    train and dev splits whose examples carry token ids, the teacher's task,
+    and ``soft_targets`` only for a classification student."""
+    for name, part in (("train", splits.train), ("dev", splits.dev)):
+        if not part:
+            raise ValueError(f"the {name} split is empty")
+        if any(ex.token_ids is None for ex in part):
+            raise ValueError(f"{name} split has examples without token ids")
+    if student_config.task != teacher.config.task:
+        raise ValueError(f"student task {student_config.task!r} does not match "
+                         f"teacher task {teacher.config.task!r}")
+    if config.soft_targets and student_config.task != "classification":
+        raise ValueError(f"soft_targets needs a classification student, "
+                         f"got a {student_config.task} student")
+
+
 def train(
     config: TrainConfig,
     teacher: MiniTransformer,
@@ -539,23 +543,11 @@ def train(
 
     The whole batch schedule is drawn first, and the teacher context
     ``tctx`` (a new one if None) is filled for exactly the sequences it
-    holds, so no step runs the teacher. Runs that share a teacher, mode,
-    normalization and ``ig_steps`` can share one context; any other raises
-    ValueError.
+    holds, so no step runs the teacher. Runs that share a teacher, mode and
+    normalization can share one context; any other raises ValueError, as
+    does a run :func:`check_run` rejects.
     """
-    if not splits.train or not splits.dev:
-        raise ValueError("train and dev splits must be non-empty")
-    for name, part in (("train", splits.train), ("dev", splits.dev)):
-        for ex in part:
-            if ex.token_ids is None:
-                raise ValueError(f"{name} split has examples without token ids")
-    if student_config.task != teacher.config.task:
-        raise ValueError(f"student task {student_config.task!r} does not match "
-                         f"teacher task {teacher.config.task!r}")
-    if config.soft_targets and student_config.task != "classification":
-        raise ValueError(f"soft_targets needs a classification student, "
-                         f"got a {student_config.task} student")
-
+    check_run(config, teacher, splits, student_config)
     if tctx is None:
         tctx = TeacherContext(teacher, config)
     else:

@@ -547,7 +547,7 @@ def _phi_t_probe_loss(rng):
     with ad.no_grad():
         e_s = saliency_from_internals(student.attention_internals(ids),
                                       training._student_explainer(phi_s, config))
-    expl = training._kl_sum(tctx.teacher_saliency(ids, phi_t), e_s, config)
+    expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_t), e_s)
     return training._scaled(expl, config.effective_beta() / len(ids)), [phi_t]
 
 
@@ -1123,6 +1123,18 @@ def test_scatter_rows_sums_each_sequence_then_sequences_in_order():
     for seq, rows in zip(ids, g):
         want = want + ad.scatter_rows(ad.constant(rows), seq, 4).data
     assert np.array_equal(got, want)
+
+
+def test_scatter_rows_of_1d_ids_is_each_rows_sum_in_order():
+    """1-D ids (a gather from one sequence) are one slice of the general path."""
+    rng = np.random.default_rng(15)
+    ids = rng.integers(0, 5, size=40)  # repeated rows; some rows never hit
+    g = rng.normal(size=(40, 3))
+    want = np.zeros((6, 3))
+    for row, grad in zip(ids, g):  # float64, in the order the ids come
+        want[row] = want[row] + grad
+    got = ad.scatter_rows(ad.constant(g), ids, 6)
+    assert got.dtype == np.float64 and np.array_equal(got.data, want)
 
 
 def test_batched_cross_entropy_gradients_and_rows():

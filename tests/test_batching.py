@@ -217,6 +217,12 @@ def oracle_sim_term(student, out, tctx, token_ids, config):
     return ad.cross_entropy(out, tctx.target(token_ids))
 
 
+def one_e_t(tctx, ids, phi_t):
+    """E_T of one sequence, (L,): the row of a batch of one."""
+    e_t = tctx.teacher_saliency([ids], phi_t)
+    return ad.reshape(e_t, e_t.shape[1:])
+
+
 def sequences(batch):
     """The token ids of a batch of Examples, or the sequences of the
     PreparedIds a step passes on."""
@@ -235,10 +241,8 @@ def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
             params = ExplainerParams(phi=phi_s, normalize=config.normalize,
                                      scope=config.explainer_scope())
             e_s = saliency_from_internals(internals, params)
-            e_t = tctx.teacher_saliency(ids, phi_t)
-            pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
             term = ad.add(term, ad.mul(ad.constant(np.asarray(beta, dtype=term.dtype)),
-                                       ad.kl_divergence(*pair)))
+                                       ad.kl_divergence(one_e_t(tctx, ids, phi_t), e_s)))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, ad.constant(np.asarray(1.0 / len(batch), dtype=total.dtype)))
 
@@ -260,9 +264,7 @@ def oracle_phi_t_gradient(state, batch, config, tctx, probe_params):
         with ad.no_grad():
             _, internals = state.student.forward(ids, record=True, params=probe_params)
             e_s = ad.constant(saliency_from_internals(internals, params).data)
-        e_t = tctx.teacher_saliency(ids, phi)
-        pair = (e_t, e_s) if config.kl_direction == "teacher_to_student" else (e_s, e_t)
-        term = ad.kl_divergence(*pair)
+        term = ad.kl_divergence(one_e_t(tctx, ids, phi), e_s)
         total = term if total is None else ad.add(total, term)
     scale = config.effective_beta() / len(batch)
     return ad.backward(ad.mul(total, ad.constant(np.asarray(scale, dtype=total.dtype))),
@@ -285,7 +287,7 @@ def student_state(config, seed=0, dtype=np.float64, max_len=MAX_LEN, teacher_sha
 
 @pytest.mark.parametrize("mode, options", [
     ("smat", {}),
-    ("smat", {"normalize": "softmax", "kl_direction": "student_to_teacher"}),
+    ("smat", {"normalize": "softmax"}),
     ("static:attn_last", {}),
     ("none", {}),
     ("smat", {"soft_targets": True}),
@@ -389,7 +391,7 @@ def test_float32_task_loss_gradients_are_bit_identical_to_per_example():
 
 @pytest.mark.parametrize("options", [
     {},
-    {"normalize": "softmax", "kl_direction": "student_to_teacher"},
+    {"normalize": "softmax"},
 ])
 def test_float32_student_loss_gradients_are_bit_identical_to_per_example(options):
     config = TrainConfig(mode="smat", steps=1, batch_size=6, **options)
@@ -892,13 +894,12 @@ STUDENT_SHAPE = dict(num_layers=1)  # tiny_config's 1 layer x 2 heads
 def assert_internals_equal(got, want, prefix=False):
     """``got`` holds ``want``'s tensors bit for bit. A ``prefix`` (what
     ``attention_internals`` returns) stops at the last layer's scores: it
-    holds every layer's queries, keys and scores, and every layer's
-    attention but the last."""
+    holds every layer's scores, and every layer's attention but the last."""
     assert (got.mask is None) == (want.mask is None)
     if want.mask is not None:
         assert np.array_equal(got.mask.valid, want.mask.valid)
     assert len(want.attention) == len(want.scores)
-    for kind in ("queries", "keys", "scores", "attention"):
+    for kind in ("scores", "attention"):
         a, b = getattr(got, kind), getattr(want, kind)
         assert len(a) == len(b) - (prefix and kind == "attention")
         for x, y in zip(a, b):
@@ -1054,7 +1055,7 @@ def test_no_graph_forwards_are_the_recorded_forward_bit_for_bit(dtype):
         cold, cold_internals = frozen.forward(ids, record=True)
         for out, got in ((quiet, quiet_internals), (cold, cold_internals)):
             assert not out.requires_grad and np.array_equal(out.data, want.data)
-            for kind in ("queries", "keys", "scores", "attention"):
+            for kind in ("scores", "attention"):
                 for x, y in zip(getattr(got, kind), getattr(internals, kind)):
                     assert x.dtype == dtype and np.array_equal(x.data, y.data)
 

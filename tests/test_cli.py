@@ -539,9 +539,15 @@ def test_soft_targets_for_a_regression_student_exit_2_before_any_output(pipeline
     assert not out.exists()
 
 
-def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [("sim_loss", "cross_entropy"),
+                                          ("kl_direction", "teacher_to_student"), ("ig_steps", 10)])
+def test_a_train_section_that_sets_a_removed_field_exits_2(pipeline, tmp_path, capsys, field, value):
+    """The student's task picks its simulation loss, the explanation term is
+    always KL(E_T || E_S), and a static teacher explanation always takes
+    IG_STEPS_TRAINING path points: none is a train field, even at the value
+    it used to default to."""
     cfg = json.loads(pipeline["config"].read_text())
-    cfg["train"]["sim_loss"] = "cross_entropy"
+    cfg["train"][field] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
@@ -549,7 +555,7 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
                  "--mode", "none", "--out", str(tmp_path / "students")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "sim_loss" in err
+    assert err.startswith("config error: ") and field in err
     assert not (tmp_path / "students").exists()
 
 
@@ -560,6 +566,19 @@ def test_a_train_section_that_sets_sim_loss_exits_2(pipeline, tmp_path, capsys):
     ("train-teacher", "data", "ratios", ["a", "b", "c"]),
     ("train-teacher", "data", "min_freq", [1]),
     ("train-student", "data", "student_train_size", "forty"),
+    # each of these used to be truncated or converted silently, and ran (exit 0)
+    ("make-data", "data", "n", 2.7),
+    ("train-teacher", "data", "min_freq", True),
+    ("train-teacher", "data", "split_seed", 2.5),
+    ("train-teacher", "data", "ratios", [True, 0, 0]),
+    ("train-teacher", "data", "ratios", ["0.7", "0.15", "0.15"]),
+    ("train-student", "data", "student_train_size", 40.5),
+    ("train-student", "data", "student_train_size", 0),
+    ("make-data", "data.synthetic", "vocab_size", 40.5),
+    ("make-data", "data.synthetic", "min_len", True),
+    ("make-data", "data.synthetic", "max_len", "8"),
+    ("make-data", "data.synthetic", "noise_ratio", "0.5"),
+    ("make-data", "data.synthetic", "seed", 2.5),
     ("train-teacher", "teacher_train", "lr", "fast"),
     ("train-teacher", "teacher_train", "momentum", None),
     ("train-teacher", "teacher_train", "steps", "many"),
@@ -591,7 +610,6 @@ def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
     ("steps", 2.5),
     ("batch_size", 4.5),
     ("seed", True),
-    ("ig_steps", 1.5),
     ("eval_every", False),
     ("beta", True),
     ("beta", "5"),
@@ -617,9 +635,13 @@ def test_a_model_field_of_the_wrong_type_exits_2_naming_it(
 
 def assert_exits_2_naming(pipeline, tmp_path, capsys, command, section, field, value):
     """``command`` on the pipeline's config with ``section.field`` set to
-    ``value`` exits 2 naming the field, before it writes its output."""
+    ``value`` exits 2 naming the field, before it writes its output. A
+    dotted ``section`` names a nested one."""
     cfg = json.loads(pipeline["config"].read_text())
-    cfg[section][field] = value
+    part = cfg
+    for name in section.split("."):
+        part = part[name]
+    part[field] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
@@ -641,8 +663,46 @@ def test_a_synthetic_seed_that_is_not_an_integer_exits_2_naming_it(pipeline, tmp
     out = tmp_path / "corpus.tsv"
     assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: bad synthetic section: ") and "seed" in err
+    assert err.startswith("config error: bad data.synthetic.seed 'x': must be an integer")
     assert not out.exists()
+
+
+def with_ratios(pipeline, tmp_path, ratios):
+    """A copy of the pipeline's config with ``data.ratios`` set, beside its corpus."""
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["data"]["ratios"] = ratios
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    return config
+
+
+@pytest.mark.parametrize("ratios, empty", [([1, 0, 0], "dev"), ([0.7, 0.3, 0], "test"),
+                                           ([0.7, 0, 0.3], "dev")])
+def test_train_student_on_an_empty_split_exits_2_before_any_output(
+        pipeline, tmp_path, capsys, ratios, empty):
+    """It used to exit 1, leaving an empty --out ([1, 0, 0]) or a seed_0
+    student with no run.json or summary.json ([0.7, 0.3, 0])."""
+    config = with_ratios(pipeline, tmp_path, ratios)
+    out = tmp_path / "students"
+    assert main(["train-student", "--config", str(config), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "smat", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.ratios ") and f" the {empty} split " in err
+    assert not out.exists()
+
+
+def test_train_teacher_on_an_empty_train_split_exits_2_and_allows_an_empty_test_split(
+        pipeline, tmp_path, capsys):
+    out = tmp_path / "teacher.smat"
+    config = with_ratios(pipeline, tmp_path, [0, 0.5, 0.5])
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.ratios ") and " the train split " in err
+    assert not out.exists()
+    config = with_ratios(pipeline, tmp_path, [0.7, 0.3, 0])
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 0
+    assert "test_acc=nan" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

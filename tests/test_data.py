@@ -28,6 +28,7 @@ from smat.data import (
     save_tsv,
     split_dataset,
 )
+from smat.model import FieldError
 from conftest import tiny_model
 
 
@@ -96,9 +97,19 @@ def test_synthetic_spec_validation():
 
 @pytest.mark.parametrize("seed", ["x", 1.5, None, True, [1, 2]])
 def test_synthetic_spec_rejects_a_seed_that_is_not_an_integer(seed):
-    with pytest.raises(DataError, match=r"seed must be an integer, got "):
+    with pytest.raises(FieldError, match=r"^seed .*: must be an integer$"):
         SyntheticSpec(seed=seed)
     assert SyntheticSpec(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("field, value", [("vocab_size", 40.5), ("min_len", True),
+                                          ("max_len", "8"), ("seed", -1), ("noise_ratio", "0.5"),
+                                          ("noise_ratio", False)])
+def test_synthetic_spec_checks_each_number_field_by_type(field, value):
+    with pytest.raises(FieldError, match=rf"^{field} "):
+        SyntheticSpec(**{field: value})
+    spec = SyntheticSpec(vocab_size=40.0, max_len=np.int64(8))
+    assert (spec.vocab_size, spec.max_len) == (40, 8) and type(spec.vocab_size) is int
 
 
 def test_example_validates_rationale_length():

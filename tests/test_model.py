@@ -20,12 +20,21 @@ from conftest import fd_gradients, rel_err, tiny_config, tiny_model
 
 
 def heads(internals):
-    """(layer, head, queries, keys, scores, attention) of each recorded head of
-    one sequence, layer-major, as numpy arrays."""
-    for layer, (q, k, s, a) in enumerate(zip(internals.queries, internals.keys,
-                                             internals.scores, internals.attention)):
+    """(layer, head, scores, attention) of each recorded head of one
+    sequence, layer-major, as numpy arrays."""
+    for layer, (s, a) in enumerate(zip(internals.scores, internals.attention)):
         for head in range(s.shape[-3]):
-            yield layer, head, q.data[head], k.data[head], s.data[head], a.data[head]
+            yield layer, head, s.data[head], a.data[head]
+
+
+def queries_and_keys(internals):
+    """(queries, keys) of each recorded head of one sequence, layer-major:
+    the post-projection operands of its scores, read off the recorded graph
+    (scores = (q @ transpose(k)) * scale)."""
+    for scores in internals.scores:
+        q, k_t = scores._parents[0]._parents
+        (k,) = k_t._parents
+        yield from zip(q.data, k.data)
 
 
 def test_every_name_the_package_exports_resolves():
@@ -154,7 +163,7 @@ def test_head_saliency_matches_brute_force():
     _, internals = model.forward([2, 3, 4, 5, 6], record=True)
     logits = head_saliency_logits(internals)
     assert len(logits.data) == 8
-    for (_, _, q, k, _, _), got in zip(heads(internals), logits.data):
+    for (q, k), got in zip(queries_and_keys(internals), logits.data, strict=True):
         want = brute_force_head_logits(q, k)
         assert rel_err(got, want) < 1e-5
 
@@ -163,7 +172,7 @@ def test_head_saliency_single_token():
     model = tiny_model(seed=1)
     _, internals = model.forward([4], record=True)
     logits = head_saliency_logits(internals)
-    for (_, _, q, k, _, _), got in zip(heads(internals), logits.data):
+    for (q, k), got in zip(queries_and_keys(internals), logits.data, strict=True):
         q, k = q[0], k[0]
         want = float(q @ k) / np.sqrt(q.size)
         assert got.shape == (1,)
@@ -181,8 +190,7 @@ def test_head_saliency_identical_queries():
                     ad.constant(np.asarray(1.0 / np.sqrt(dim))))
     att = ad.softmax(scores, axis=-1)
     one_head = lambda t: ad.reshape(t, (1,) + t.shape)  # noqa: E731
-    internals = AttentionInternals(queries=[one_head(q)], keys=[one_head(k)],
-                                   scores=[one_head(scores)], attention=[one_head(att)])
+    internals = AttentionInternals(scores=[one_head(scores)], attention=[one_head(att)])
     (got,) = head_saliency_logits(internals).data
     want = (np.tile(q_row, (length, 1)) @ k.data.T)[0] / np.sqrt(dim)
     assert np.allclose(got, want, atol=1e-12)

@@ -71,8 +71,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(normalize="entmax")
     with pytest.raises(ValueError):
-        TrainConfig(kl_direction="both")
-    with pytest.raises(ValueError):
         TrainConfig(hypergrad="forward")
     with pytest.raises(ValueError):
         TrainConfig(beta=-1.0)
@@ -163,18 +161,6 @@ def test_student_loss_rejects_empty_batch():
     state, tctx = make_state(teacher, splits, student_config, config)
     with pytest.raises(ValueError):
         student_loss(state.student, tctx, state.phi_s, state.phi_t, [], config)
-
-
-def test_kl_direction_changes_the_loss():
-    teacher, splits, student_config, _ = make_setup()
-    batch = splits.train[:3]
-    values = {}
-    for direction in ("teacher_to_student", "student_to_teacher"):
-        config = TrainConfig(mode="smat", steps=1, batch_size=4, kl_direction=direction)
-        state, tctx = make_state(teacher, splits, student_config, config)
-        values[direction] = student_loss(
-            state.student, tctx, state.phi_s, state.phi_t, batch, config).item()
-    assert values["teacher_to_student"] != values["student_to_teacher"]
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +548,9 @@ def test_initial_teacher_explanation_is_static_attention():
     teacher, splits, student_config, config = make_setup(mode="smat")
     state, tctx = make_state(teacher, splits, student_config, config)
     ex = splits.train[0]
-    learned = tctx.teacher_saliency(ex.token_ids, state.phi_t)
+    learned = tctx.teacher_saliency([ex.token_ids], state.phi_t)
     static = compute_static_saliency(teacher, ex.token_ids, "attn_all")
-    assert np.array_equal(learned.data, static.scores)
+    assert np.array_equal(learned.data, static.scores[None])
 
 
 def test_count_active_heads():
@@ -587,10 +573,10 @@ def test_static_mode_uses_cached_teacher_saliency():
     config = TrainConfig(mode="static:attn_all", steps=1, batch_size=4)
     tctx = TeacherContext(teacher, config)
     ex = splits.train[0]
-    sal = tctx.teacher_saliency(ex.token_ids, Tensor(np.zeros(1)))
+    sal = tctx.teacher_saliency([ex.token_ids], Tensor(np.zeros(1)))
     want = compute_static_saliency(teacher, ex.token_ids, "attn_all")
-    assert np.array_equal(sal.data, want.scores)
-    assert tctx.teacher_saliency(ex.token_ids, Tensor(np.zeros(1))).data is not None
+    assert np.array_equal(sal.data, want.scores[None])
+    assert tctx.teacher_saliency([ex.token_ids], Tensor(np.zeros(1))).data is not None
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +770,19 @@ def test_a_padded_sequence_reads_its_unpadded_cache_entry(mode, kind):
 
 
 @pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
+def test_teacher_saliency_of_one_sequence_raises(mode):
+    """E_T is a (B, L) batch; one sequence raises, even when E_T's memo holds
+    the batch of one with the same sequence."""
+    teacher, _, _, config = make_setup(mode, dtype=np.float32)
+    tctx = TeacherContext(teacher, config)
+    phi_t = Tensor(np.zeros(len(scope_head_indices(teacher, "all")), dtype=np.float32))
+    assert tctx.teacher_saliency([UNPADDED], phi_t).shape == (1, len(UNPADDED))
+    for one in (UNPADDED, PADDED, tuple(UNPADDED), np.array(UNPADDED), PreparedIds(UNPADDED)):
+        with pytest.raises(ValueError, match="a batch of sequences, not one sequence"):
+            tctx.teacher_saliency(one, phi_t)
+
+
+@pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
 def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
     teacher, _, _, config = make_setup(mode, dtype=np.float32)
     phi_t = Tensor(np.linspace(-1, 1, len(scope_head_indices(teacher, "all")), dtype=np.float32))
@@ -791,7 +790,7 @@ def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
     def e_t(ids):
         return TeacherContext(teacher, config).teacher_saliency(ids, phi_t).data
 
-    _assert_same(e_t(PADDED), e_t(UNPADDED))
+    _assert_same(e_t([PADDED]), e_t([UNPADDED]))
     beside = e_t([PADDED, LONGER])
     _assert_same(beside, e_t([UNPADDED, LONGER]))
     assert (beside[0, 2:] == 0).all()
@@ -883,7 +882,7 @@ def unshared_phi_t_gradient(state, batch, config, tctx, probe_params):
         e_s = training.saliency_from_internals(
             internals, ExplainerParams(phi=state.phi_s, normalize=config.normalize,
                                        scope=config.explainer_scope()))
-    expl = training._kl_sum(tctx.teacher_saliency(ids, phi_leaf), e_s, config)
+    expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_leaf), e_s)
     factor = ad.constant(np.asarray(config.effective_beta() / len(ids), dtype=expl.dtype))
     return ad.backward(ad.mul(expl, factor), [phi_leaf])[0].data
 
@@ -997,8 +996,7 @@ def test_train_rejects_a_context_for_another_run():
     other = MiniTransformer(teacher.config, seed=9, dtype=teacher.dtype)
     with pytest.raises(ValueError, match="another teacher"):
         train(config, teacher, splits, student_config, tctx=TeacherContext(other, config))
-    for field_, value in (("mode", "static:attn_all"), ("normalize", "sparsemax"),
-                          ("ig_steps", 3)):
+    for field_, value in (("mode", "static:attn_all"), ("normalize", "sparsemax")):
         tctx = TeacherContext(teacher, replace(config, **{field_: value}))
         with pytest.raises(ValueError, match=field_):
             train(config, teacher, splits, student_config, tctx=tctx)
