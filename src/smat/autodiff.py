@@ -236,7 +236,7 @@ def _from_op(
 
 
 def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Reduce a broadcast gradient back to the originating shape."""
+    """Reduce a gradient back to ``shape``, that of an operand numpy broadcast into it."""
     if g.shape == shape:
         return g
     out = g
@@ -247,8 +247,6 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     for ax, (have, want) in enumerate(zip(out.shape, shape)):
         if want == 1 and have != 1:
             out = tsum(out, axis=ax, keepdims=True)
-    if out.shape != shape:
-        out = reshape(out, shape)
     return out
 
 

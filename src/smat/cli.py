@@ -62,13 +62,16 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return part
 
 
-def _data_field(data_cfg: dict, name: str, read, default):
-    """``read(name, value)`` of ``data.<name>`` (``default`` when absent); the
-    FieldError it raises is a config error naming the field."""
+def _checked(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for the ``where`` config section: a
+    FieldError it raises is a config error naming ``where.<field>``, any
+    other TypeError or ValueError one naming the section."""
     try:
-        return read(name, data_cfg.get(name, default))
+        return build(*args, **kwargs)
     except FieldError as err:
-        raise ConfigurationError(f"bad data.{err}") from err
+        raise ConfigurationError(f"bad {where}.{err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"bad {where} section: {err}") from err
 
 
 def _ratios(name: str, value) -> list[float]:
@@ -85,12 +88,7 @@ def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
     body = dict(section)
     if body.get("vocab_size") is None:
         body["vocab_size"] = vocab_size
-    try:
-        config = ModelConfig(**body)
-    except FieldError as err:
-        raise ConfigurationError(f"bad {where}.{err}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"bad {where} section: {err}") from err
+    config = _checked(where, ModelConfig, **body)
     if config.vocab_size < vocab_size:
         raise ConfigurationError(
             f"{where}.vocab_size {config.vocab_size} is smaller than the data vocabulary {vocab_size}"
@@ -98,44 +96,27 @@ def _model_config(section: dict, vocab_size: int, where: str) -> ModelConfig:
     return config
 
 
-def _train_config(section: dict, **overrides) -> training.TrainConfig:
-    body = {**section, **overrides}
-    try:
-        return training.TrainConfig(**body)
-    except FieldError as err:
-        raise ConfigurationError(f"bad train.{err}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"bad train section: {err}") from err
-
-
 def _synthetic_dataset(data_cfg: dict) -> dio.Dataset:
     """``data.n`` examples of the ``data.synthetic`` corpus."""
-    try:
-        spec = dio.SyntheticSpec(**data_cfg["synthetic"])
-    except FieldError as err:
-        raise ConfigurationError(f"bad data.synthetic.{err}") from err
-    except (TypeError, dio.DataError) as err:
-        raise ConfigurationError(f"bad synthetic section: {err}") from err
-    return dio.generate_synthetic(spec, _data_field(data_cfg, "n", _count, 1000))
+    spec = _checked("data.synthetic", lambda: dio.SyntheticSpec(**data_cfg["synthetic"]))
+    return dio.generate_synthetic(spec, _checked("data", _count, "n", data_cfg.get("n", 1000)))
 
 
-def _resolve_dataset(cfg: dict, config_dir: str) -> dio.Dataset:
-    data_cfg = _section(cfg, "data")
+def _resolve_dataset(data_cfg: dict, config_path: str) -> dio.Dataset:
+    """``data.path`` (relative to the config file's directory) or ``data.synthetic``."""
     path = data_cfg.get("path")
     if path:
-        full = path if os.path.isabs(path) else os.path.join(config_dir, path)
-        return dio.load_tsv(full)
+        return dio.load_tsv(os.path.join(os.path.dirname(os.path.abspath(config_path)), path))
     if "synthetic" in data_cfg:
         return _synthetic_dataset(data_cfg)
     raise ConfigurationError("data section needs either 'path' or 'synthetic'")
 
 
-def _resolve_splits(cfg: dict, dataset: dio.Dataset, needed: Sequence[str]) -> dio.Splits:
+def _resolve_splits(data_cfg: dict, dataset: dio.Dataset, needed: Sequence[str]) -> dio.Splits:
     """The dataset split by ``data.ratios`` and ``data.split_seed``; a split
     named in ``needed`` that comes out empty is a config error."""
-    data_cfg = _section(cfg, "data")
-    ratios = _data_field(data_cfg, "ratios", _ratios, dio.SPLIT_RATIOS)
-    split_seed = _data_field(data_cfg, "split_seed", lambda name, v: _count(name, v, 0), 0)
+    ratios = _checked("data", _ratios, "ratios", data_cfg.get("ratios", dio.SPLIT_RATIOS))
+    split_seed = _checked("data", _count, "split_seed", data_cfg.get("split_seed", 0), 0)
     try:
         splits = dio.split_dataset(dataset, ratios=ratios, seed=split_seed)
     except dio.DataError as err:
@@ -169,12 +150,12 @@ def cmd_make_data(args: argparse.Namespace) -> int:
 
 def cmd_train_teacher(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    config_dir = os.path.dirname(os.path.abspath(args.config))
-    dataset = _resolve_dataset(cfg, config_dir)
     data_cfg = _section(cfg, "data")
-    vocab = dio.build_vocab(dataset.examples, min_freq=_data_field(data_cfg, "min_freq", _count, 1))
+    dataset = _resolve_dataset(data_cfg, args.config)
+    min_freq = _checked("data", _count, "min_freq", data_cfg.get("min_freq", 1))
+    vocab = dio.build_vocab(dataset.examples, min_freq=min_freq)
     dio.attach_token_ids(dataset, vocab)
-    splits = _resolve_splits(cfg, dataset, ("train",))  # an empty test split is reported as nan
+    splits = _resolve_splits(data_cfg, dataset, ("train",))  # an empty test split is reported as nan
 
     model_cfg = _model_config(_section(cfg, "model"), len(vocab), "model")
     if model_cfg.task != dataset.task:
@@ -231,18 +212,19 @@ def _load_phi(path: str, teacher: MiniTransformer) -> ExplainerParams:
 
 def cmd_train_student(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    config_dir = os.path.dirname(os.path.abspath(args.config))
     teacher, vocab = _load_teacher(args.teacher)
 
-    dataset = _resolve_dataset(cfg, config_dir)
+    data_cfg = _section(cfg, "data")
+    dataset = _resolve_dataset(data_cfg, args.config)
     dio.attach_token_ids(dataset, vocab)
-    splits = _resolve_splits(cfg, dataset, ("train", "dev", "test"))  # test: the reported simulability
-    limit = _data_field(_section(cfg, "data"), "student_train_size",
-                        lambda name, v: None if v is None else _count(name, v), None)
+    splits = _resolve_splits(data_cfg, dataset, ("train", "dev", "test"))  # test: reported simulability
+    size = data_cfg.get("student_train_size")  # null or absent: the whole split
+    limit = None if size is None else _checked("data", _count, "student_train_size", size)
     run_splits = dio.Splits(train=splits.train[:limit], dev=splits.dev, test=splits.test,
                             task=splits.task)
 
-    base = _train_config(_section(cfg, "train", required=False), mode=args.mode)
+    base = _checked("train", training.TrainConfig,
+                    **{**_section(cfg, "train", required=False), "mode": args.mode})
     student_cfg = _model_config(_section(cfg, "student_model"), len(vocab), "student_model")
     try:
         training.check_run(base, teacher, run_splits, student_cfg)
@@ -325,25 +307,44 @@ def cmd_train_student(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_summary(students_dir: str) -> dict:
+def _load_summary(students_dir: str, metric: str) -> tuple[training.TrainConfig, list[dict]]:
+    """The mode and runs of ``summary.json``, checked for what ``evaluate``
+    reads; a malformed file raises DataError naming it and the field."""
     path = os.path.join(students_dir, "summary.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no summary.json in {students_dir}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise dio.DataError(f"{path}: must hold a JSON object")
+    try:
+        config = training.TrainConfig(mode=summary.get("mode"))
+    except ValueError as err:
+        raise dio.DataError(f"{path}: {err}") from err
+    runs = summary.get("runs")
+    if not isinstance(runs, list) or not runs:
+        raise dio.DataError(f"{path}: runs must be a non-empty list")
+    fields = {"seed": int, "student": str}
+    if metric == "auc" and config.mode == "smat":
+        fields["phi_t"] = str  # the learned teacher explainer it scores
+    for i, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise dio.DataError(f"{path}: runs[{i}] must be an object")
+        for name, kind in fields.items():
+            value = run.get(name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise dio.DataError(f"{path}: runs[{i}].{name} {value!r} is not of type {kind.__name__}")
+    return config, runs
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     teacher, vocab = _load_teacher(args.teacher)
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
-    summary = _load_summary(args.students)
-    config = training.TrainConfig(mode=summary["mode"])
+    config, runs = _load_summary(args.students, args.metric)
 
     values = []
     if args.metric == "sim":
         tctx = training.TeacherContext(teacher, config)
-        for run in summary["runs"]:
+        for run in runs:
             student, _ = dio.load_model(os.path.join(args.students, run["student"]))
             sim = training.simulability(student, tctx, dataset.examples)
             values.append(sim)
@@ -362,7 +363,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             static = compute_static_saliency(teacher, ids, config.static_name())
         elif config.mode_kind() != "smat":
             raise ValueError(f"mode {config.mode!r} trains without a teacher explainer; nothing to score")
-        for run in summary["runs"]:
+        for run in runs:
             saliencies = static if static is not None else explain_parameterized(
                 teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))
             pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import json
+import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -18,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor, all_finite
-from .model import PAD_ID, MiniTransformer, ModelConfig, _count, _number
+from .model import PAD_ID, FieldError, MiniTransformer, ModelConfig, _count, _number
 
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
@@ -90,8 +91,9 @@ class SyntheticSpec:
     draws with zero net polarity are rejected, so the label (1 iff the
     summed cue polarity is positive) is always well defined.
     ``vocab_size``, ``min_len``, ``max_len`` (each >= 1) and ``seed`` (>= 0)
-    must be integers and ``noise_ratio`` a number, or a ``model.FieldError``
-    names the field; an integral float becomes its int.
+    must be integers, ``noise_ratio`` a number and each ``cue_lexicon``
+    polarity the integer 1 or -1 (not a bool or a float), or a
+    ``model.FieldError`` names the field; an integral float becomes its int.
     """
 
     vocab_size: int = 60
@@ -119,8 +121,8 @@ class SyntheticSpec:
         if not self.cue_lexicon:
             raise DataError("cue lexicon is empty")
         for word, pol in self.cue_lexicon.items():
-            if pol not in (-1, 1):
-                raise DataError(f"cue {word!r} must have polarity +1 or -1, got {pol}")
+            if isinstance(pol, bool) or not isinstance(pol, numbers.Integral) or pol not in (-1, 1):
+                raise FieldError("cue_lexicon", {word: pol}, "polarity must be the integer 1 or -1")
         if self.min_len > self.max_len:
             raise DataError(f"invalid length range [{self.min_len}, {self.max_len}]")
         if not 0.0 <= self.noise_ratio < 1.0:
@@ -404,11 +406,17 @@ def save_model(model: MiniTransformer, path: str, extra_echo: dict | None = None
 
 
 def load_model(path: str) -> tuple[MiniTransformer, dict]:
-    """Rebuild a model from a checkpoint and its config echo."""
+    """Rebuild a model from a checkpoint and its config echo; a ``model``
+    section ModelConfig rejects raises CheckpointError naming the path."""
     echo = load_config_echo(path)
     if echo.get("kind") != "model" or "model" not in echo:
         raise CheckpointError(f"{path}: sidecar does not describe a model")
-    config = ModelConfig(**echo["model"])
+    try:
+        config = ModelConfig(**echo["model"])
+    except FieldError as err:
+        raise CheckpointError(f"{path}: bad model.{err}") from err
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad model section: {err}") from err
     model = MiniTransformer(config, seed=0)
     model.load_param_data(load_checkpoint(path))
     return model, echo
@@ -450,7 +458,7 @@ def render_html_report(records: Sequence[dict], path: str, title: str = "Explana
                 f"{html.escape(tok)}</span>"
             )
         meta = []
-        for key in ("prediction", "teacher_prediction", "gold_mask"):
+        for key in ("prediction", "gold_mask"):
             if key in rec and rec[key] is not None:
                 meta.append(f"{key}={rec[key]}")
         body.append(

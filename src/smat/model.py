@@ -603,9 +603,9 @@ def head_saliency_logits(internals: AttentionInternals, first_layer: int = 0) ->
     return ad.reshape(mean, stacked.shape[:-2] + (length,))
 
 
-def task_loss(model: MiniTransformer, token_ids, target, params: dict[str, Tensor] | None = None) -> Tensor:
+def task_loss(model: MiniTransformer, token_ids, target) -> Tensor:
     """Supervised loss, averaged over a batch: cross-entropy or squared error."""
-    out = model.forward(token_ids, params=params)
+    out = model.forward(token_ids)
     if model.config.task == "classification":
         loss = ad.cross_entropy(out, target)
         return ad.tmean(loss) if loss.ndim else loss

@@ -58,8 +58,6 @@ from .model import (PREDICT_CHUNK, FieldError, MiniTransformer, ModelConfig, Pre
 
 logger = logging.getLogger(__name__)
 
-MODES = ("none", "static", "smat")
-
 HYPERGRAD_MODES = ("central", "exact")
 
 
@@ -67,8 +65,8 @@ HYPERGRAD_MODES = ("central", "exact")
 class TrainConfig:
     """Student training hyperparameters.
 
-    ``mode`` is ``none``, ``smat``, or ``static:<explainer>`` where the
-    explainer is one of the five static saliency methods. ``beta``
+    ``mode`` is exactly ``none``, ``smat``, or ``static:<explainer>`` where
+    the explainer is one of the five static saliency methods. ``beta``
     defaults by explainer family (attention 5.0, gradient 0.2) and is
     forced to zero in mode ``none``, with one warning when built. The
     simulation loss follows the student's task; ``soft_targets`` (match
@@ -98,11 +96,9 @@ class TrainConfig:
         _number("eta_outer", self.eta_outer)
         if not isinstance(self.soft_targets, bool):
             raise FieldError("soft_targets", self.soft_targets, "must be true or false")
-        kind = self.mode_kind()
-        if kind not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if kind == "static" and self.static_name() not in STATIC_EXPLAINERS:
-            raise ValueError(f"unknown static explainer in mode {self.mode!r}")
+        if not isinstance(self.mode, str) or (
+                self.mode not in ("none", "smat") and self.static_name() not in STATIC_EXPLAINERS):
+            raise ValueError(f"unknown mode {self.mode!r}: not none, smat or static:<explainer>")
         if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalize!r}")
         if self.hypergrad not in HYPERGRAD_MODES:
@@ -111,7 +107,7 @@ class TrainConfig:
             raise ValueError("eta_inner must be positive and eta_outer non-negative")
         if self.beta is not None and self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if kind == "none" and self.beta:
+        if self.mode == "none" and self.beta:
             logger.warning("mode 'none' forces beta to 0 (config had %s)", self.beta)
 
     def mode_kind(self) -> str:
@@ -329,9 +325,9 @@ def student_loss(
     if not batch:
         raise ValueError("empty batch")
     beta = config.effective_beta()
-    ids = _prepared(batch)
     if beta == 0.0:
-        return _scaled(_sim_sum(student, tctx, ids, config), 1.0 / len(ids))
+        return _sim_only_loss(student, tctx, batch, config)
+    ids = _prepared(batch)
     out, internals = student.forward(ids, record=True)
     e_s = saliency_from_internals(internals, _student_explainer(phi_s, config))
     expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_t), e_s)  # pads add exactly 0
@@ -368,7 +364,7 @@ def _sim_only_loss(
     tctx: TeacherContext,
     batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
-    params: dict[str, Tensor],
+    params: dict[str, Tensor] | None = None,
 ) -> Tensor:
     ids = _prepared(batch)
     return _scaled(_sim_sum(student, tctx, ids, config, params=params), 1.0 / len(ids))
@@ -398,6 +394,11 @@ def _phi_t_gradient(
     return ad.backward(loss, [state.phi_t])[0].data
 
 
+def _outer_runs(config: TrainConfig) -> bool:
+    """Whether an outer step moves phi_T: smat with non-zero beta and eta_outer."""
+    return config.mode_kind() == "smat" and config.effective_beta() != 0.0 and config.eta_outer != 0.0
+
+
 def outer_step(
     state: TrainState,
     train_batch: Sequence[Example] | PreparedIds,
@@ -416,10 +417,7 @@ def outer_step(
     (see :func:`_prepared`), and the train batch is not prepared again when
     it comes prepared from the inner step.
     """
-    if config.mode_kind() != "smat":
-        return state
-    beta = config.effective_beta()
-    if beta == 0.0 or config.eta_outer == 0.0:
+    if not _outer_runs(config):
         return state
     train_batch, outer_batch = _prepared(train_batch), _prepared(outer_batch)
 
@@ -471,6 +469,12 @@ def count_active_heads(phi_t: Tensor, normalize: str) -> int:
     with ad.no_grad():
         lam = normalize_coefficients(phi_t, normalize)
     return int(np.count_nonzero(lam.data))
+
+
+def _zero_mix(model: MiniTransformer, scope: str, name: str) -> Tensor:
+    """A trainable all-zero head mix over ``model``'s heads in ``scope``."""
+    return Tensor(np.zeros(len(scope_head_indices(model, scope)), dtype=model.dtype),
+                  requires_grad=True, name=name)
 
 
 def _sample_batch(rng: np.random.Generator, pool: Sequence[Example], size: int) -> list[Example]:
@@ -535,11 +539,11 @@ def train(
 ) -> TrainState:
     """Full student training run; deterministic given the config seed.
 
-    Inner steps draw batches from the train split; in smat mode each
-    inner step is followed by one outer step whose held-out batch comes
-    from the dev split. Logs train loss, dev simulability, and the
-    number of active teacher-head coefficients at every ``eval_every``
-    steps. Returns the run's final :class:`TrainState`, log included.
+    Inner steps draw batches from the train split; in smat mode with
+    non-zero beta and eta_outer each inner step is followed by one outer
+    step whose held-out batch comes from the dev split. Logs train loss,
+    dev simulability and the active teacher-head count every
+    ``eval_every`` steps. Returns the run's final :class:`TrainState`, log included.
 
     The whole batch schedule is drawn first, and the teacher context
     ``tctx`` (a new one if None) is filled for exactly the sequences it
@@ -554,32 +558,20 @@ def train(
         tctx.check_serves(teacher, config)
     student = MiniTransformer(student_config, seed=config.seed, dtype=teacher.dtype)
     scope = config.explainer_scope()
-    phi_s = Tensor(
-        np.zeros(len(scope_head_indices(student, scope)), dtype=student.dtype),
-        requires_grad=True,
-        name="phi_s",
-    )
-    teacher_scope_size = len(scope_head_indices(teacher, tctx.scope))
-    phi_t = Tensor(
-        np.zeros(teacher_scope_size, dtype=teacher.dtype),
-        requires_grad=True,
-        name="phi_t",
-    )
-    state = TrainState(student=student, phi_s=phi_s, phi_t=phi_t)
+    state = TrainState(student=student, phi_s=_zero_mix(student, scope, "phi_s"),
+                       phi_t=_zero_mix(teacher, scope, "phi_t"))
     rng_inner = np.random.default_rng([config.seed, 0])
     rng_outer = np.random.default_rng([config.seed, 1])
-    smat = config.mode_kind() == "smat"
     inner = [_sample_batch(rng_inner, splits.train, config.batch_size) for _ in range(config.steps)]
+    # rng_outer feeds only these batches, so a run with no outer step draws none
     outer = [_sample_batch(rng_outer, splits.dev, config.batch_size)
-             for _ in range(config.steps if smat else 0)]
-    outer_runs = smat and config.effective_beta() != 0.0 and config.eta_outer != 0.0
-    _fill_teacher_cache(tctx, config, inner, outer if outer_runs else [],
-                        splits.dev if config.steps else [])
+             for _ in range(config.steps if _outer_runs(config) else 0)]
+    _fill_teacher_cache(tctx, config, inner, outer, splits.dev if config.steps else [])
 
     for step, examples in enumerate(inner, start=1):
         batch = _prepared(examples)  # here, not up front: one batch's masks at a time
         inner_step(state, batch, config, tctx)
-        if smat:
+        if outer:
             outer_step(state, batch, outer[step - 1], config, tctx)
         if step % config.eval_every == 0 or step == config.steps:
             try:

@@ -456,6 +456,17 @@ def test_unknown_mode_exits_2(pipeline, tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["smat:x", "none:x", "static", "static:lime"])
+def test_a_mode_that_is_not_exact_exits_2_before_any_output(pipeline, tmp_path, capsys, mode):
+    """Only the part before ':' used to be checked: "smat:x" and "none:x"
+    trained (exit 0) and wrote their mode into summary.json."""
+    out = tmp_path / "students"
+    assert main(["train-student", "--config", str(pipeline["config"]),
+                 "--teacher", str(pipeline["teacher"]), "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: bad train section: unknown mode {mode!r}")
+    assert not out.exists()
+
+
 def test_bad_usage_exits_2(capsys):
     assert main(["evaluate", "--metric", "confidence"]) == 2
     capsys.readouterr()
@@ -469,6 +480,48 @@ def test_missing_summary_exits_1(pipeline, tmp_path, capsys):
     ])
     assert code == 1
     assert "summary.json" in capsys.readouterr().err
+
+
+# Each used to fail with a message that named neither the file nor the field
+# ("error: 'mode'", "error: cannot aggregate an empty value list", ...), or,
+# for a suffixed mode or a string seed, to exit 0.
+@pytest.mark.parametrize("metric, summary, named", [
+    ("sim", [], "must hold a JSON object"),
+    ("sim", {"runs": [{"seed": 0, "student": "s.smat"}]}, "unknown mode None"),
+    ("sim", {"mode": "smat:x", "runs": [{"seed": 0, "student": "s.smat"}]}, "unknown mode 'smat:x'"),
+    ("sim", {"mode": "smat"}, "runs must be a non-empty list"),
+    ("sim", {"mode": "smat", "runs": []}, "runs must be a non-empty list"),
+    ("sim", {"mode": "smat", "runs": ["seed_0"]}, "runs[0] must be an object"),
+    ("sim", {"mode": "none", "runs": [{"student": "s.smat"}]}, "runs[0].seed None"),
+    ("sim", {"mode": "none", "runs": [{"seed": "0", "student": "s.smat"}]}, "runs[0].seed '0'"),
+    ("sim", {"mode": "none", "runs": [{"seed": True, "student": "s.smat"}]}, "runs[0].seed True"),
+    ("auc", {"mode": "static:attn_all", "runs": [{"seed": 0}]}, "runs[0].student None"),
+    ("auc", {"mode": "smat", "runs": [{"seed": 0, "student": "s.smat", "phi_t": None}]},
+     "runs[0].phi_t None"),
+])
+def test_evaluate_a_malformed_summary_exits_1_naming_the_file_and_the_field(
+        pipeline, tmp_path, capsys, metric, summary, named):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    code = main(["evaluate", "--students", str(tmp_path), "--teacher", str(pipeline["teacher"]),
+                 "--data", str(pipeline["corpus"]), "--metric", metric])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
+
+
+def test_explain_names_a_checkpoint_whose_model_section_is_bad(pipeline, tmp_path, capsys):
+    model = tmp_path / "bad.smat"
+    model.write_bytes(pipeline["teacher"].read_bytes())
+    with open(str(pipeline["teacher"]) + ".json") as fh:
+        echo = json.load(fh)
+    echo["model"]["max_len"] = "x"
+    with open(str(model) + ".json", "w") as fh:
+        json.dump(echo, fh)
+    code = main(["explain", "--model", str(model), "--explainer", "attn_all",
+                 "--data", str(pipeline["corpus"]), "--format", "jsonl",
+                 "--out", str(tmp_path / "out.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: bad model.max_len 'x': ")
 
 
 def test_config_task_mismatch_exits_2(pipeline, tmp_path, capsys):
@@ -579,6 +632,9 @@ def test_a_train_section_that_sets_a_removed_field_exits_2(pipeline, tmp_path, c
     ("make-data", "data.synthetic", "max_len", "8"),
     ("make-data", "data.synthetic", "noise_ratio", "0.5"),
     ("make-data", "data.synthetic", "seed", 2.5),
+    # True == 1 and -1.0 == -1, so these used to generate labels
+    ("make-data", "data.synthetic", "cue_lexicon", {"good": True, "bad": -1}),
+    ("make-data", "data.synthetic", "cue_lexicon", {"good": 1, "bad": -1.0}),
     ("train-teacher", "teacher_train", "lr", "fast"),
     ("train-teacher", "teacher_train", "momentum", None),
     ("train-teacher", "teacher_train", "steps", "many"),
@@ -664,6 +720,20 @@ def test_a_synthetic_seed_that_is_not_an_integer_exits_2_naming_it(pipeline, tmp
     assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: bad data.synthetic.seed 'x': must be an integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("synthetic", [[0], {"seed": 0, "min_len": 9, "max_len": 8},
+                                       {"seed": 0, "cues": {"good": 1}}])
+def test_a_non_field_synthetic_error_exits_2_naming_the_section(pipeline, tmp_path, capsys,
+                                                                 synthetic):
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["data"]["synthetic"] = synthetic
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "corpus.tsv"
+    assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad data.synthetic section: ")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Synthetic corpus, TSV loading, checkpoint format, exports, splitting."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -110,6 +111,16 @@ def test_synthetic_spec_checks_each_number_field_by_type(field, value):
         SyntheticSpec(**{field: value})
     spec = SyntheticSpec(vocab_size=40.0, max_len=np.int64(8))
     assert (spec.vocab_size, spec.max_len) == (40, 8) and type(spec.vocab_size) is int
+
+
+@pytest.mark.parametrize("lexicon, word", [({"good": True, "bad": -1}, "good"),
+                                           ({"good": 1, "bad": -1.0}, "bad"),
+                                           ({"good": 1, "bad": "-1"}, "bad")])
+def test_a_cue_polarity_must_be_the_integer_1_or_minus_1(lexicon, word):
+    """True == 1 and -1.0 == -1, so both used to pass as polarities."""
+    with pytest.raises(FieldError, match="^" + re.escape(f"cue_lexicon {{{word!r}: ")):
+        SyntheticSpec(cue_lexicon=lexicon, vocab_size=20)
+    assert SyntheticSpec(cue_lexicon={"good": np.int64(1), "bad": -1}, vocab_size=20)
 
 
 def test_example_validates_rationale_length():
@@ -365,6 +376,23 @@ def test_model_save_load_round_trip(tmp_path):
     assert echo["vocab"] == {"<pad>": 0}
     for name in model.param_names():
         assert np.array_equal(back.params[name].data, model.params[name].data)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda echo: echo["model"].update(max_len="x"), "bad model.max_len 'x': must be an integer"),
+    (lambda echo: echo["model"].pop("ffn_dim"), "bad model section: "),
+    (lambda echo: echo["model"].update(task="ranking"), "bad model section: unknown task"),
+    (lambda echo: echo.update(model=[8]), "bad model section: "),
+], ids=["max_len", "no_ffn_dim", "task", "not_an_object"])
+def test_load_model_names_the_checkpoint_whose_model_section_is_bad(tmp_path, edit, named):
+    path = str(tmp_path / "enc.smat")
+    save_model(tiny_model(seed=11, dtype=np.float32), path)
+    echo = load_config_echo(path)
+    edit(echo)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(echo, fh)
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: {named}")):
+        load_model(path)
 
 
 def test_model_save_is_deterministic(tmp_path):

@@ -78,6 +78,13 @@ def test_config_validation():
         TrainConfig(eta_inner=0.0)
 
 
+@pytest.mark.parametrize("mode", ["smat:x", "none:x", "static", "static:", "smat:attn_all", None, 3])
+def test_a_mode_must_be_none_smat_or_a_static_explainer_exactly(mode):
+    """Only the part before ':' used to be checked, so "smat:x" trained as smat."""
+    with pytest.raises(ValueError, match=r"^unknown mode "):
+        TrainConfig(mode=mode)
+
+
 def test_mode_none_forces_beta_zero(caplog):
     import logging
     config = TrainConfig(mode="none", beta=5.0)
@@ -252,6 +259,22 @@ def test_outer_step_noop_when_beta_or_rate_is_zero():
         before = state.phi_t.data.copy()
         outer_step(state, splits.train[:4], splits.dev[:4], config, tctx)
         assert np.array_equal(state.phi_t.data, before)
+
+
+@pytest.mark.parametrize("overrides, calls", [({}, 3), ({"beta": 0.0}, 0), ({"eta_outer": 0.0}, 0)])
+def test_a_smat_run_calls_outer_step_only_when_it_moves_phi_t(monkeypatch, overrides, calls):
+    """A run with beta or eta_outer 0 used to draw an outer batch per step and
+    call an outer step that returned at once."""
+    teacher, splits, student_config, config = make_setup("smat", steps=3, **overrides)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return outer_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "outer_step", counting)
+    train(config, teacher, splits, student_config)
+    assert len(seen) == calls
 
 
 def test_outer_step_keeps_student_committed():
