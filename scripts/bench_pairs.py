@@ -121,6 +121,12 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     spec = {m["name"]: m for m in benchmark["end_to_end"]}
+    if args.claim:  # checked here, since its verdict is read only after every run
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        if claim_workload not in [entry.partition(":")[0] for entry in args.workload]:
+            parser.error(f"--claim workload {claim_workload!r} is not a --workload")
+        if claim_metric not in spec:
+            parser.error(f"--claim metric {claim_metric!r} is not an end-to-end metric of BENCHMARK.json")
     command = f"python3 perfbench/run.py --workload <w> --seed <i> --seconds {seconds:g} --trace 0"
     report: dict = {
         "what": args.what,
@@ -183,12 +189,12 @@ def main(argv: list[str] | None = None) -> int:
             for name, body in report["traced"].items()}
 
     if args.claim:
-        name, _, metric = args.claim.partition(":")
-        claim = verdict(name, metric, report["workloads"][name]["metrics"][metric])
+        claim = verdict(claim_workload, claim_metric,
+                        report["workloads"][claim_workload]["metrics"][claim_metric])
         if "heldout" in report:
             claim[f"heldout_seed_{args.heldout_seed}"] = {
-                side: run["result"]["metrics"][metric]["value"]
-                for side, run in report["heldout"][name].items()}
+                side: run["result"]["metrics"][claim_metric]["value"]
+                for side, run in report["heldout"][claim_workload].items()}
         report["claim"] = claim
 
     args.out.write_text(json.dumps(report, indent=1) + "\n")

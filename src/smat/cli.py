@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -42,13 +41,6 @@ class ConfigurationError(Exception):
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _load_config(path: str) -> dict:
-    try:
-        return dio.load_config(path)
-    except dio.DataError as err:
-        raise ConfigurationError(str(err)) from err
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
@@ -138,7 +130,7 @@ def _config_sha256(path: str) -> str:
 
 
 def cmd_make_data(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = dio.read_json(args.config, ConfigurationError)
     data_cfg = _section(cfg, "data")
     if "synthetic" not in data_cfg:
         raise ConfigurationError("make-data needs a data.synthetic section")
@@ -149,7 +141,7 @@ def cmd_make_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train_teacher(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = dio.read_json(args.config, ConfigurationError)
     data_cfg = _section(cfg, "data")
     dataset = _resolve_dataset(data_cfg, args.config)
     min_freq = _checked("data", _count, "min_freq", data_cfg.get("min_freq", 1))
@@ -162,12 +154,13 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"model task {model_cfg.task!r} does not match data task {dataset.task!r}"
         )
-    tt_cfg = _section(cfg, "teacher_train", required=False)
+    hyper = dict(_section(cfg, "teacher_train", required=False))
+    unknown = sorted(set(hyper) - {"lr", "momentum", "steps", "batch_size", "seed"})
+    if unknown:
+        raise ConfigurationError(f"bad teacher_train section: unknown fields {unknown}")
     # train_supervised checks the rest (and has their defaults) before its first step
-    hyper = {name: tt_cfg[name] for name in ("lr", "momentum", "steps", "batch_size")
-             if name in tt_cfg}
     try:
-        seed = _count("seed", tt_cfg.get("seed", 0), 0)  # the teacher's init reads it first
+        seed = _count("seed", hyper.pop("seed", 0), 0)  # the teacher's init reads it first
         teacher = MiniTransformer(model_cfg, seed=seed)
         training.train_supervised(teacher, splits.train, seed=seed, **hyper)
     except FieldError as err:
@@ -193,9 +186,7 @@ def _load_teacher(path: str) -> tuple[MiniTransformer, dict]:
 def _load_phi(path: str, teacher: MiniTransformer) -> ExplainerParams:
     """A learned phi_T with the normalization and scope from its sidecar, one
     entry per in-scope head of ``teacher``."""
-    echo = dio.load_config_echo(path)
-    if echo.get("kind") != "phi":
-        raise dio.CheckpointError(f"{path}: sidecar kind {echo.get('kind')!r} is not 'phi'")
+    echo = dio.load_config_echo(path, "phi")
     normalize, scope = echo.get("normalize", "sparsemax"), echo.get("scope", "all")
     for field, value, allowed in (("normalize", normalize, NORMALIZATIONS), ("scope", scope, SCOPES)):
         if value not in allowed:
@@ -211,7 +202,7 @@ def _load_phi(path: str, teacher: MiniTransformer) -> ExplainerParams:
 
 
 def cmd_train_student(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = dio.read_json(args.config, ConfigurationError)
     teacher, vocab = _load_teacher(args.teacher)
 
     data_cfg = _section(cfg, "data")
@@ -265,12 +256,8 @@ def cmd_train_student(args: argparse.Namespace) -> int:
             "dev_simulability": training.simulability(result.student, tctx, splits.dev),
             "active_heads": training.count_active_heads(result.phi_t, run_cfg.normalize),
         }
-        dio._atomic_write_text(
-            os.path.join(run_dir, "run.json"),
-            json.dumps({"seed": seed, "log": [asdict(rec) for rec in result.log], **stats},
-                       sort_keys=True)
-            + "\n",
-        )
+        dio.write_json(os.path.join(run_dir, "run.json"),
+                       {"seed": seed, "log": [asdict(rec) for rec in result.log], **stats})
         runs.append(
             {
                 "seed": seed,
@@ -297,9 +284,7 @@ def cmd_train_student(args: argparse.Namespace) -> int:
         "runs": runs,
         "test_simulability": agg.to_dict(),
     }
-    dio._atomic_write_text(
-        os.path.join(args.out, "summary.json"), json.dumps(summary, sort_keys=True) + "\n"
-    )
+    dio.write_json(os.path.join(args.out, "summary.json"), summary)
     print(
         f"mode={args.mode} median={agg.median:.4f} "
         f"iqr=[{agg.iqr_low:.4f}, {agg.iqr_high:.4f}] -> {args.out}"
@@ -311,10 +296,7 @@ def _load_summary(students_dir: str, metric: str) -> tuple[training.TrainConfig,
     """The mode and runs of ``summary.json``, checked for what ``evaluate``
     reads; a malformed file raises DataError naming it and the field."""
     path = os.path.join(students_dir, "summary.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    if not isinstance(summary, dict):
-        raise dio.DataError(f"{path}: must hold a JSON object")
+    summary = dio.read_json(path)
     try:
         config = training.TrainConfig(mode=summary.get("mode"))
     except ValueError as err:

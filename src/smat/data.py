@@ -91,8 +91,8 @@ class SyntheticSpec:
     draws with zero net polarity are rejected, so the label (1 iff the
     summed cue polarity is positive) is always well defined.
     ``vocab_size``, ``min_len``, ``max_len`` (each >= 1) and ``seed`` (>= 0)
-    must be integers, ``noise_ratio`` a number and each ``cue_lexicon``
-    polarity the integer 1 or -1 (not a bool or a float), or a
+    must be integers, ``noise_ratio`` a number, ``cue_lexicon`` a mapping
+    and each of its polarities the integer 1 or -1 (not a bool or a float), or a
     ``model.FieldError`` names the field; an integral float becomes its int.
     """
 
@@ -118,6 +118,8 @@ class SyntheticSpec:
         for name, low in (("vocab_size", 1), ("min_len", 1), ("max_len", 1), ("seed", 0)):
             setattr(self, name, _count(name, getattr(self, name), low))
         _number("noise_ratio", self.noise_ratio)
+        if not isinstance(self.cue_lexicon, Mapping):
+            raise FieldError("cue_lexicon", self.cue_lexicon, "must be an object of word polarities")
         if not self.cue_lexicon:
             raise DataError("cue lexicon is empty")
         for word, pol in self.cue_lexicon.items():
@@ -344,7 +346,7 @@ def save_checkpoint(
         blob += arr.tobytes(order="C")
     _atomic_write_bytes(path, bytes(blob))
     if config_echo is not None:
-        _atomic_write_text(path + ".json", json.dumps(config_echo, sort_keys=True) + "\n")
+        write_json(path + ".json", config_echo)
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
@@ -389,12 +391,13 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     return out
 
 
-def load_config_echo(path: str) -> dict:
-    sidecar = path + ".json"
-    if not os.path.exists(sidecar):
-        raise CheckpointError(f"missing config echo sidecar: {sidecar}")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_config_echo(path: str, kind: str) -> dict:
+    """The JSON sidecar of checkpoint ``path``, which must describe a ``kind``;
+    otherwise a CheckpointError names the sidecar or the checkpoint."""
+    echo = read_json(path + ".json", CheckpointError)
+    if echo.get("kind") != kind:
+        raise CheckpointError(f"{path}: sidecar kind {echo.get('kind')!r} is not {kind!r}")
+    return echo
 
 
 def save_model(model: MiniTransformer, path: str, extra_echo: dict | None = None) -> None:
@@ -408,11 +411,9 @@ def save_model(model: MiniTransformer, path: str, extra_echo: dict | None = None
 def load_model(path: str) -> tuple[MiniTransformer, dict]:
     """Rebuild a model from a checkpoint and its config echo; a ``model``
     section ModelConfig rejects raises CheckpointError naming the path."""
-    echo = load_config_echo(path)
-    if echo.get("kind") != "model" or "model" not in echo:
-        raise CheckpointError(f"{path}: sidecar does not describe a model")
+    echo = load_config_echo(path, "model")
     try:
-        config = ModelConfig(**echo["model"])
+        config = ModelConfig(**echo.get("model", {}))
     except FieldError as err:
         raise CheckpointError(f"{path}: bad model.{err}") from err
     except (TypeError, ValueError) as err:
@@ -480,21 +481,28 @@ def render_html_report(records: Sequence[dict], path: str, title: str = "Explana
 
 
 # ---------------------------------------------------------------------------
-# config files
+# JSON files
 
 
-def load_config(path: str) -> dict:
-    """Parse a JSON experiment config; errors carry the file path."""
+def read_json(path: str, error: type[Exception] = DataError) -> dict:
+    """The JSON object in ``path``; a file that cannot be read, is not valid
+    UTF-8 JSON or whose top level is not an object raises ``error`` naming
+    the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as err:
-        raise DataError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"config file {path} is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise DataError(f"config file {path} must contain a JSON object")
-    return cfg
+            value = json.load(fh)
+    except OSError as err:
+        raise error(f"{path}: {err.strerror or err}") from err
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path}: not valid JSON: {err}") from err
+    if not isinstance(value, dict):
+        raise error(f"{path}: must hold a JSON object")
+    return value
+
+
+def write_json(path: str, value) -> None:
+    """``value`` as JSON with sorted keys and a final newline, written atomically."""
+    _atomic_write_text(path, json.dumps(value, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

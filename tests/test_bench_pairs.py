@@ -78,3 +78,20 @@ def test_a_claim_is_not_met_when_the_gain_is_inside_the_parent_iqr():
     s = bench_pairs.compare(LOWER, PARENT * 2, change)
     assert s["pairs_won"] == 10 and not s["gain_beyond_parent_iqr"]
     assert bench_pairs.verdict("smat_student", "step_ms_p50", s)["met"] is False
+
+
+@pytest.mark.parametrize("claim, named", [("teacher_fit:step_ms_p5", "metric 'step_ms_p5'"),
+                                          ("smat_student:step_ms_p50", "workload 'smat_student'")])
+def test_a_claim_it_cannot_judge_exits_2_before_the_first_run(monkeypatch, tmp_path, capsys,
+                                                             claim, named):
+    """A misspelt metric used to raise KeyError after every run, writing no --out."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "perfbench", lambda *args, **kwargs: calls.append(args))
+    repo = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                          "--workload", "teacher_fit:3", "--claim", claim, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert calls == [] and not out.exists()
+    assert named in capsys.readouterr().err

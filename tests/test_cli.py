@@ -446,6 +446,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1]"])
+def test_a_config_that_is_not_a_json_object_exits_2_naming_it(tmp_path, capsys, text):
+    """The config's reader is the one for sidecars and summary.json, and puts the path first."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "x.tsv"
+    assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: ")
+    assert not out.exists()
+
+
 def test_unknown_mode_exits_2(pipeline, tmp_path, capsys):
     code = main([
         "train-student", "--config", str(pipeline["config"]),
@@ -484,9 +495,10 @@ def test_missing_summary_exits_1(pipeline, tmp_path, capsys):
 
 # Each used to fail with a message that named neither the file nor the field
 # ("error: 'mode'", "error: cannot aggregate an empty value list", ...), or,
-# for a suffixed mode or a string seed, to exit 0.
+# for a suffixed mode or a string seed, to exit 0. A string is the file's text.
 @pytest.mark.parametrize("metric, summary, named", [
     ("sim", [], "must hold a JSON object"),
+    ("sim", "{not json", "not valid JSON: "),
     ("sim", {"runs": [{"seed": 0, "student": "s.smat"}]}, "unknown mode None"),
     ("sim", {"mode": "smat:x", "runs": [{"seed": 0, "student": "s.smat"}]}, "unknown mode 'smat:x'"),
     ("sim", {"mode": "smat"}, "runs must be a non-empty list"),
@@ -502,7 +514,7 @@ def test_missing_summary_exits_1(pipeline, tmp_path, capsys):
 def test_evaluate_a_malformed_summary_exits_1_naming_the_file_and_the_field(
         pipeline, tmp_path, capsys, metric, summary, named):
     path = tmp_path / "summary.json"
-    path.write_text(json.dumps(summary))
+    path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
     code = main(["evaluate", "--students", str(tmp_path), "--teacher", str(pipeline["teacher"]),
                  "--data", str(pipeline["corpus"]), "--metric", metric])
     assert code == 1
@@ -522,6 +534,22 @@ def test_explain_names_a_checkpoint_whose_model_section_is_bad(pipeline, tmp_pat
                  "--out", str(tmp_path / "out.jsonl")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {model}: bad model.max_len 'x': ")
+
+
+@pytest.mark.parametrize("sidecar", ["[1]", "{bad", None])
+def test_explain_names_a_model_sidecar_that_is_not_a_json_object(pipeline, tmp_path, capsys, sidecar):
+    """[1] used to fail with "'list' object has no attribute 'get'", and
+    invalid JSON with json's message alone."""
+    model = tmp_path / "t.smat"
+    model.write_bytes(pipeline["teacher"].read_bytes())
+    if sidecar is not None:
+        (tmp_path / "t.smat.json").write_text(sidecar)
+    code = main(["explain", "--model", str(model), "--explainer", "attn_all",
+                 "--data", str(pipeline["corpus"]), "--format", "jsonl",
+                 "--out", str(tmp_path / "out.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}.json: ")
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_config_task_mismatch_exits_2(pipeline, tmp_path, capsys):
@@ -635,6 +663,8 @@ def test_a_train_section_that_sets_a_removed_field_exits_2(pipeline, tmp_path, c
     # True == 1 and -1.0 == -1, so these used to generate labels
     ("make-data", "data.synthetic", "cue_lexicon", {"good": True, "bad": -1}),
     ("make-data", "data.synthetic", "cue_lexicon", {"good": 1, "bad": -1.0}),
+    # used to exit 1 with "'list' object has no attribute 'items'"
+    ("make-data", "data.synthetic", "cue_lexicon", ["good", "bad"]),
     ("train-teacher", "teacher_train", "lr", "fast"),
     ("train-teacher", "teacher_train", "momentum", None),
     ("train-teacher", "teacher_train", "steps", "many"),
@@ -734,6 +764,41 @@ def test_a_non_field_synthetic_error_exits_2_naming_the_section(pipeline, tmp_pa
     out = tmp_path / "corpus.tsv"
     assert main(["make-data", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: bad data.synthetic section: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [("train-teacher", "teacher_train"),
+                                              ("train-teacher", "model"),
+                                              ("train-student", "train"),
+                                              ("train-student", "student_model")])
+def test_an_unknown_field_exits_2_naming_the_section(pipeline, tmp_path, capsys, command, section):
+    """teacher_train used to keep only the fields it knew, and trained (exit 0)."""
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg[section]["lr_typo"] = 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "train-student":
+        argv += ["--teacher", str(pipeline["teacher"]), "--mode", "none"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {section} section: ") and "lr_typo" in err
+    assert not out.exists()
+
+
+def test_a_label_out_of_the_models_range_is_a_runtime_error(pipeline, tmp_path, capsys):
+    """A label the model has no class for is in the data, not the config: exit 1."""
+    corpus = load_tsv(str(pipeline["corpus"]))
+    save_tsv(Dataset(examples=[replace(ex, label=2) for ex in corpus.examples]),
+             str(tmp_path / "corpus.tsv"))
+    config = tmp_path / "config.json"
+    config.write_bytes(pipeline["config"].read_bytes())
+    out = tmp_path / "teacher.smat"
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target [") and "out of range for 2 classes" in err
     assert not out.exists()
 
 

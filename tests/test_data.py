@@ -19,10 +19,10 @@ from smat.data import (
     export_explanations,
     generate_synthetic,
     load_checkpoint,
-    load_config,
     load_config_echo,
     load_model,
     load_tsv,
+    read_json,
     render_html_report,
     save_checkpoint,
     save_model,
@@ -121,6 +121,12 @@ def test_a_cue_polarity_must_be_the_integer_1_or_minus_1(lexicon, word):
     with pytest.raises(FieldError, match="^" + re.escape(f"cue_lexicon {{{word!r}: ")):
         SyntheticSpec(cue_lexicon=lexicon, vocab_size=20)
     assert SyntheticSpec(cue_lexicon={"good": np.int64(1), "bad": -1}, vocab_size=20)
+
+
+def test_a_cue_lexicon_that_is_not_a_mapping_is_a_field_error():
+    """A list used to fail in generation with "'list' object has no attribute 'items'"."""
+    with pytest.raises(FieldError, match="^" + re.escape("cue_lexicon ['good', 'bad']: ")):
+        SyntheticSpec(cue_lexicon=["good", "bad"])
 
 
 def test_example_validates_rationale_length():
@@ -361,7 +367,7 @@ def test_checkpoint_empty_is_valid(tmp_path):
 def test_checkpoint_sidecar_echo(tmp_path):
     path = str(tmp_path / "model.smat")
     save_checkpoint({"w": np.ones(1, dtype=np.float32)}, path, config_echo={"kind": "test", "z": 1})
-    echo = load_config_echo(path)
+    echo = load_config_echo(path, "test")
     assert echo == {"kind": "test", "z": 1}
     raw = open(path + ".json", "r", encoding="utf-8").read()
     assert raw == json.dumps({"kind": "test", "z": 1}, sort_keys=True) + "\n"
@@ -387,7 +393,7 @@ def test_model_save_load_round_trip(tmp_path):
 def test_load_model_names_the_checkpoint_whose_model_section_is_bad(tmp_path, edit, named):
     path = str(tmp_path / "enc.smat")
     save_model(tiny_model(seed=11, dtype=np.float32), path)
-    echo = load_config_echo(path)
+    echo = load_config_echo(path, "model")
     edit(echo)
     with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(echo, fh)
@@ -445,10 +451,19 @@ def test_html_report_max_score_at_full_intensity(tmp_path):
 def test_config_loading(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": {"num_layers": 2}}), encoding="utf-8")
-    assert load_config(str(cfg))["model"]["num_layers"] == 2
-    with pytest.raises(DataError):
-        load_config(str(tmp_path / "missing.json"))
+    assert read_json(str(cfg))["model"]["num_layers"] == 2
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(DataError, match="^" + re.escape(f"{missing}: No such file or directory")):
+        read_json(missing)
+    with pytest.raises(DataError, match="^" + re.escape(f"{tmp_path}: Is a directory")):
+        read_json(str(tmp_path))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_config(str(bad))
+    with pytest.raises(DataError, match="^" + re.escape(f"{bad}: not valid JSON: ")):
+        read_json(str(bad))
+    bad.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(DataError, match="^" + re.escape(f"{bad}: not valid JSON: ")):
+        read_json(str(bad))
+    bad.write_text("[1]", encoding="utf-8")
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{bad}: must hold a JSON object")):
+        read_json(str(bad), CheckpointError)

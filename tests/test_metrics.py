@@ -21,6 +21,7 @@ from smat.metrics import (
     simulability_pearson,
     trueskill_update,
 )
+from smat.metrics import SKILL_BETA, _update_pair, _v_draw, _v_win, _w_draw, _w_win
 
 
 def test_accuracy_cases():
@@ -205,6 +206,72 @@ def test_update_does_not_mutate_input():
 def test_draw_margin_positive():
     assert DRAW_PROBABILITY == pytest.approx(0.10)
     assert DRAW_MARGIN > 0
+
+
+# Quadrature oracles for the two-player update (Herbrich, Minka & Graepel 2006).
+# They check the v and w corrections and one pair update against integrals of
+# the exact densities. trueskill_update's adjacent-pair decomposition of a
+# multi-way ranking is a modelling choice, and has no such oracle.
+
+
+def _normal_cdf(x):
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-np.asarray(x) / math.sqrt(2.0)).astype(float)
+
+
+def _truncated_normal_moments(lo, hi):
+    """Mean and variance of a standard normal truncated to (lo, hi), by the
+    trapezoid rule on a 1e-4 grid."""
+    z = np.linspace(lo, hi, int(round((hi - lo) / 1e-4)) + 1)
+    density = np.exp(-0.5 * z * z)
+    mass = np.trapezoid(density, z)
+    mean = np.trapezoid(z * density, z) / mass
+    return mean, np.trapezoid((z - mean) ** 2 * density, z) / mass
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
+def test_v_and_w_are_the_moments_of_a_truncated_normal(eps):
+    """A win truncates the performance gap's standard normal to (eps - t, inf)
+    and a draw to (-eps - t, eps - t); v is the truncated mean, w one minus
+    the truncated variance."""
+    for t in np.linspace(-3.0, 3.0, 26):
+        mean, var = _truncated_normal_moments(eps - t, eps - t + 12.0)
+        assert abs(_v_win(t, eps) - mean) < 1e-7 and abs(_w_win(t, eps) - (1 - var)) < 1e-7, t
+        mean, var = _truncated_normal_moments(-eps - t, eps - t)
+        assert abs(_v_draw(t, eps) - mean) < 1e-7 and abs(_w_draw(t, eps) - (1 - var)) < 1e-7, t
+
+
+@pytest.mark.parametrize("draw", [False, True])
+@pytest.mark.parametrize("winner, loser", [
+    (SkillRating(), SkillRating()),
+    (SkillRating(0.3, 0.4), SkillRating(-0.2, 0.3)),
+    (SkillRating(-0.5, 0.2), SkillRating(0.5, 0.6)),  # an upset
+    (SkillRating(1.0, 0.1), SkillRating(0.0, 0.5)),
+])
+def test_a_pair_update_matches_the_moments_of_the_exact_posterior(winner, loser, draw):
+    """Prior N(mu_w, sigma_w^2) x N(mu_l, sigma_l^2) times the likelihood of
+    the outcome given d = s_w - s_l: Phi((d - eps) / (sqrt(2) beta)) for a win,
+    Phi((eps - d) / (sqrt(2) beta)) - Phi((-eps - d) / (sqrt(2) beta)) for a
+    draw. Its mean and standard deviation of each skill, on a 201 x 201 grid
+    at +-8 sigma, are what the update returns; no clamp binds here."""
+    grid = np.linspace(-8.0, 8.0, 201)
+    sw, sl = np.meshgrid(winner.mu + winner.sigma * grid, loser.mu + loser.sigma * grid,
+                         indexing="ij")
+    d, scale = sw - sl, math.sqrt(2.0) * SKILL_BETA
+    if draw:
+        likelihood = _normal_cdf((DRAW_MARGIN - d) / scale) - _normal_cdf((-DRAW_MARGIN - d) / scale)
+    else:
+        likelihood = _normal_cdf((d - DRAW_MARGIN) / scale)
+    posterior = np.exp(-0.5 * grid[:, None] ** 2 - 0.5 * grid[None, :] ** 2) * likelihood
+    weights = np.ones(201)
+    weights[[0, -1]] = 0.5  # the trapezoid rule on both axes
+    posterior *= weights[:, None] * weights[None, :]
+    posterior /= posterior.sum()
+    new_winner, new_loser = _update_pair(winner, loser, draw=draw)
+    for skill, rating in ((sw, new_winner), (sl, new_loser)):
+        mean = float((posterior * skill).sum())
+        sigma = math.sqrt(float((posterior * (skill - mean) ** 2).sum()))
+        assert rating.mu == pytest.approx(mean, abs=1e-10)
+        assert rating.sigma == pytest.approx(sigma, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

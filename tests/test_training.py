@@ -583,6 +583,21 @@ def test_count_active_heads():
     assert count_active_heads(Tensor(np.zeros(4)), "sparsemax") == 4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_count_active_heads_counts_a_small_positive_coefficient(dtype):
+    """By hand: sparsemax of [1, 5e-4, -5] has threshold tau = (1 + 5e-4 - 1) / 2
+    = 2.5e-4 over its two largest entries, so lambda = [0.99975, 2.5e-4, 0] and
+    two heads are active. A count that ignores coefficients under 1e-3 says one."""
+    phi = Tensor(np.array([1.0, 5e-4, -5.0], dtype=dtype))
+    with ad.no_grad():
+        lam = training.normalize_coefficients(phi, "sparsemax").data
+    # tau comes from a sum of order 1, so the small entry is good to a few ulps of 1
+    np.testing.assert_allclose(lam, [0.99975, 2.5e-4, 0.0], rtol=0, atol=4 * np.finfo(dtype).eps)
+    assert count_active_heads(phi, "sparsemax") == 2
+    assert count_active_heads(phi, "softmax") == 3
+    assert count_active_heads(phi, "none") == 3
+
+
 def test_simulability_of_identical_models_is_one():
     teacher, splits, student_config, config = make_setup()
     tctx = TeacherContext(teacher, config)
