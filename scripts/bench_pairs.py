@@ -1,9 +1,19 @@
 """Paired perfbench runs of two checkouts, summarized per metric.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+    git worktree add ../parent HEAD~1 && git worktree add ../change HEAD
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
         --workload smat_student:10 --workload teacher_fit --workload explain_eval \\
         --heldout-seed 1000 --traced-seed 3 --claim smat_student:step_ms_p50 \\
         --what "..." --out BENCH_N.json
+
+Both sides should be fresh copies of committed trees (``git worktree add``
+or ``git archive``). Run against the development tree (``--change .``), smat_student's
+``predict_examples_per_s`` read 12% low in two 5-pair runs, where fresh
+copies of the same files read within 1.1%. The cause is not known. Where
+a checkout lies matters too: identical copies of one tree whose directory
+names differed only in length read explain_eval's ``predict_examples_per_s``
+12% apart, so a gap in a metric that a change does not touch is worth
+checking from a second pair of directories.
 
 Each checkout runs its own ``perfbench/run.py`` for the ``run_seconds`` of
 the change's ``BENCHMARK.json``, one run at a time. A workload given no

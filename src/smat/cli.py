@@ -397,26 +397,27 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_trueskill(args: argparse.Namespace) -> int:
-    with open(args.rankings, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [(lineno, line.strip()) for lineno, line in
+             enumerate(dio.read_lines(args.rankings), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{args.rankings}: no rankings")
-    rankings: list[list[object]] = []
-    names: list[str] = []
-    for line in lines:
+    rankings: list[tuple[int, list[object]]] = []
+    names: dict[str, None] = {}  # in first-seen order
+    for lineno, line in lines:
         groups: list[object] = []
         for part in line.split(","):
             tied = [p.strip() for p in part.split("=") if p.strip()]
             if not tied:
-                raise ValueError(f"{args.rankings}: malformed ranking line {line!r}")
-            for name in tied:
-                if name not in names:
-                    names.append(name)
+                raise ValueError(f"{args.rankings}:{lineno}: malformed ranking line {line!r}")
+            names.update(dict.fromkeys(tied))
             groups.append(tied[0] if len(tied) == 1 else tied)
-        rankings.append(groups)
+        rankings.append((lineno, groups))
     ratings = metrics.fresh_ratings(names)
-    for ranking in rankings:
-        ratings = metrics.trueskill_update(ratings, ranking)
+    for lineno, ranking in rankings:
+        try:
+            ratings = metrics.trueskill_update(ratings, ranking)
+        except ValueError as err:  # a method repeated within one ranking
+            raise ValueError(f"{args.rankings}:{lineno}: {err}") from err
     ranks = metrics.rank_with_confidence(ratings)
     for name in sorted(ratings, key=lambda n: -ratings[n].mu):
         r = ratings[name]

@@ -14,7 +14,7 @@ import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -218,29 +218,28 @@ def load_tsv(path: str) -> Dataset:
     rationale column is space-separated 0/1 flags, one per token.
     """
     rows: list[tuple[list[str], str, list[int] | None]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise DataError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
-            tokens = normalize_text(parts[0])
-            if not tokens:
-                raise DataError(f"{path}:{lineno}: empty text field")
-            rationale = None
-            if len(parts) == 3 and parts[2].strip() != "":
-                bits = parts[2].split()
-                if any(b not in ("0", "1") for b in bits):
-                    raise DataError(f"{path}:{lineno}: rationale must be 0/1 flags")
-                if len(bits) != len(tokens):
-                    raise DataError(
-                        f"{path}:{lineno}: rationale has {len(bits)} flags "
-                        f"for {len(tokens)} tokens"
-                    )
-                rationale = [int(b) for b in bits]
-            rows.append((tokens, parts[1].strip(), rationale))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise DataError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+        tokens = normalize_text(parts[0])
+        if not tokens:
+            raise DataError(f"{path}:{lineno}: empty text field")
+        rationale = None
+        if len(parts) == 3 and parts[2].strip() != "":
+            bits = parts[2].split()
+            if any(b not in ("0", "1") for b in bits):
+                raise DataError(f"{path}:{lineno}: rationale must be 0/1 flags")
+            if len(bits) != len(tokens):
+                raise DataError(
+                    f"{path}:{lineno}: rationale has {len(bits)} flags "
+                    f"for {len(tokens)} tokens"
+                )
+            rationale = [int(b) for b in bits]
+        rows.append((tokens, parts[1].strip(), rationale))
     if not rows:
         raise DataError(f"{path}: no examples")
 
@@ -481,7 +480,16 @@ def render_html_report(records: Sequence[dict], path: str, title: str = "Explana
 
 
 # ---------------------------------------------------------------------------
-# JSON files
+# text and JSON files
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of ``path`` as UTF-8, one at a time; invalid UTF-8 raises DataError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not valid UTF-8: {err}") from err
 
 
 def read_json(path: str, error: type[Exception] = DataError) -> dict:

@@ -142,7 +142,7 @@ class TeacherContext:
     unseen ones in one teacher call per PREDICT_CHUNK of them. One context
     serves every run that shares its teacher, mode and normalization (see
     :meth:`check_serves`); ``train`` fills it for its whole batch schedule
-    before its first step.
+    before its first step. It holds no tensor, so no run's graph outlives it.
     """
 
     def __init__(self, teacher: MiniTransformer, config: TrainConfig) -> None:
@@ -151,8 +151,6 @@ class TeacherContext:
         self.config = config
         self.scope = config.explainer_scope()
         self._cache: dict[tuple[str, tuple[int, ...]], object] = {}
-        # (phi_t, phi_t.data, key, data bytes, E_T) of the last teacher_saliency call
-        self._last_saliency: tuple | None = None
 
     def check_serves(self, teacher: MiniTransformer, config: TrainConfig) -> None:
         """Raise ValueError, naming the field, unless this context's values
@@ -165,28 +163,23 @@ class TeacherContext:
                 raise ValueError(f"teacher context was built for {name}={have!r}, "
                                  f"the run has {name}={want!r}")
 
-    @staticmethod
-    def _keys(kind: str, token_ids) -> list[tuple[str, tuple[int, ...]]]:
-        """The cache key of each sequence of one sequence or a batch. Keys
-        drop trailing pads, as a forward does, so a value does not depend on
-        the batch it was computed in. Numpy integers hash and compare as
-        Python ints do, so a list, a tuple and an integer array of one
-        sequence share a key. A :class:`PreparedIds` gives the sequences it
-        keeps, so a step builds them once."""
-        if isinstance(token_ids, PreparedIds):
-            sequences = token_ids.sequences()
-        else:
-            sequences = [strip_pads(tuple(ids))
-                         for ids in (token_ids if is_batch(token_ids) else [token_ids])]
-        return [(kind, ids) for ids in sequences]
-
     def _lookup(self, kind: str, token_ids, compute):
         """Cached ``kind`` values: one for one sequence, a list for a list.
 
         ``compute`` maps unseen sequences, each once and in first-seen order,
         to the list of their values; it gets at most PREDICT_CHUNK at a time.
+        Keys drop trailing pads, as a forward does, so a value does not
+        depend on the batch it was computed in. Numpy integers hash and
+        compare as Python ints do, so a list, a tuple and an integer array of
+        one sequence share a key. A :class:`PreparedIds` gives the sequences
+        it keeps, so a step builds them once.
         """
-        keys = self._keys(kind, token_ids)
+        if isinstance(token_ids, PreparedIds):
+            sequences = token_ids.sequences()
+        else:
+            sequences = [strip_pads(tuple(ids))
+                         for ids in (token_ids if is_batch(token_ids) else [token_ids])]
+        keys = [(kind, ids) for ids in sequences]
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):
             chunk = unseen[start : start + PREDICT_CHUNK]
@@ -220,15 +213,10 @@ class TeacherContext:
         """E_T of a batch, (B, L): learned combination or static constant,
         exactly 0 at pad positions. One sequence raises ValueError.
 
-        The last result is kept: a call with the same sequences (without
-        trailing pads), the same ``phi_t`` tensor, its ``data`` the same
-        array with the same bytes, and graph recording as before returns the
-        same tensor. The pad mask comes from the batch's
-        :class:`PreparedIds` (raw ids are prepared on entry).
-        A smat step asks for E_T four times on one batch at one phi_T (the
-        inner step, the outer step's loss at the committed weights and both
-        hypergradient probes), so all four share one graph node, and a
-        backward pass through any of them reaches phi_T.
+        Each call builds a new E_T from the cached rows; the pad mask comes
+        from the batch's :class:`PreparedIds` (raw ids are prepared on
+        entry). A smat step builds it once, in :func:`inner_step`, and hands
+        it to :func:`outer_step`.
         """
         kind = self.config.mode_kind()
         if kind == "none":
@@ -236,13 +224,6 @@ class TeacherContext:
         prepared = token_ids if isinstance(token_ids, PreparedIds) else PreparedIds(token_ids)
         if prepared.ids.ndim != 2:
             raise ValueError("teacher_saliency takes a batch of sequences, not one sequence")
-        data = phi_t.data
-        key = (prepared.sequences(), ad.records_graph((phi_t,)))
-        if self._last_saliency is not None:
-            last_phi, last_data, last_key, last_bytes, e_t = self._last_saliency
-            if (last_phi is phi_t and last_data is data and last_key == key
-                    and last_bytes == data.tobytes()):
-                return e_t
         lookup = self.head_logits if kind == "smat" else self.static_saliency
         rows = lookup(prepared)
         width = prepared.ids.shape[-1]
@@ -250,12 +231,9 @@ class TeacherContext:
         for out, r in zip(padded, rows):
             out[..., : r.shape[-1]] = r
         if kind == "static":
-            e_t = ad.constant(padded)
-        else:
-            params = ExplainerParams(phi_t, self.config.normalize, self.scope)
-            e_t = params.mix(ad.constant(padded, dtype=phi_t.dtype), prepared.mask)
-        self._last_saliency = (phi_t, data, key, data.tobytes(), e_t)
-        return e_t
+            return ad.constant(padded)
+        params = ExplainerParams(phi_t, self.config.normalize, self.scope)
+        return params.mix(ad.constant(padded, dtype=phi_t.dtype), prepared.mask)
 
 
 @dataclass
@@ -320,8 +298,10 @@ def student_loss(
     phi_t: Tensor,
     batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
+    e_t: Tensor | None = None,
 ) -> Tensor:
-    """Mean per-example student loss over one batch (a graph scalar)."""
+    """Mean per-example student loss over one batch (a graph scalar);
+    ``e_t`` is the batch's E_T at ``phi_t``, built here if None."""
     if not batch:
         raise ValueError("empty batch")
     beta = config.effective_beta()
@@ -330,7 +310,9 @@ def student_loss(
     ids = _prepared(batch)
     out, internals = student.forward(ids, record=True)
     e_s = saliency_from_internals(internals, _student_explainer(phi_s, config))
-    expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_t), e_s)  # pads add exactly 0
+    if e_t is None:
+        e_t = tctx.teacher_saliency(ids, phi_t)
+    expl = ad.kl_divergence(e_t, e_s)  # pads add exactly 0
     total = ad.add(_sim_sum(student, tctx, ids, config, output=out),
                    ad.mul(ad.scalar(beta, expl.dtype), expl))
     return _scaled(total, 1.0 / len(ids))
@@ -341,22 +323,26 @@ def inner_step(
     batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     tctx: TeacherContext,
-) -> TrainState:
+) -> Tensor | None:
     """One SGD step on the student weights and phi_S from a shared loss.
 
     Both gradients come from the same loss evaluation on the same batch.
-    phi_T is never touched here.
+    phi_T is never touched here, so the batch's E_T, which it returns
+    (None without an explanation term), holds for the next outer step.
     """
+    ids = _prepared(batch)
     params = list(state.student.param_list())
+    e_t = None
     if config.effective_beta() != 0.0:
         # without the explanation term phi_S never reaches the loss
         params.append(state.phi_s)
-    loss = student_loss(state.student, tctx, state.phi_s, state.phi_t, batch, config)
+        e_t = tctx.teacher_saliency(ids, state.phi_t)
+    loss = student_loss(state.student, tctx, state.phi_s, state.phi_t, ids, config, e_t)
     grads = ad.backward(loss, params)
     for p, g in zip(params, grads):
         p.data = p.data - config.eta_inner * g.data
     state.last_loss = loss.item()
-    return state
+    return e_t
 
 
 def _sim_only_loss(
@@ -374,22 +360,21 @@ def _phi_t_gradient(
     state: TrainState,
     batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
-    tctx: TeacherContext,
+    e_t: Tensor,
     probe_params: dict[str, Tensor],
 ) -> np.ndarray:
     """Gradient of the student loss with respect to phi_T at probe weights.
 
     Only the explanation term depends on phi_T, so the simulation term
     is dropped; the student-side saliency is evaluated at the probe
-    weights and treated as a constant. E_T is the step's shared node (see
-    ``TeacherContext.teacher_saliency``), differentiated with respect to
-    ``state.phi_t`` itself.
+    weights and treated as a constant. ``e_t`` is the step's E_T node,
+    differentiated with respect to ``state.phi_t`` itself.
     """
     ids = _prepared(batch)
     with ad.no_grad():
         internals = state.student.attention_internals(ids, params=probe_params)
         e_s = saliency_from_internals(internals, _student_explainer(state.phi_s, config))
-    expl = ad.kl_divergence(tctx.teacher_saliency(ids, state.phi_t), e_s)
+    expl = ad.kl_divergence(e_t, e_s)
     loss = _scaled(expl, config.effective_beta() / len(ids))
     return ad.backward(loss, [state.phi_t])[0].data
 
@@ -405,6 +390,7 @@ def outer_step(
     outer_batch: Sequence[Example] | PreparedIds,
     config: TrainConfig,
     tctx: TeacherContext,
+    e_t: Tensor | None = None,
 ) -> TrainState:
     """One hypergradient step on phi_T; student weights stay committed.
 
@@ -415,17 +401,21 @@ def outer_step(
     weights by ``autodiff.central_difference``, whose docstring states the
     step rule (or exactly through the graph). Each batch is prepared once
     (see :func:`_prepared`), and the train batch is not prepared again when
-    it comes prepared from the inner step.
+    it comes prepared from the inner step. The loss at the committed
+    weights and both probes read ``e_t``, the E_T that :func:`inner_step`
+    returns (built here if None).
     """
     if not _outer_runs(config):
         return state
     train_batch, outer_batch = _prepared(train_batch), _prepared(outer_batch)
+    if e_t is None:
+        e_t = tctx.teacher_saliency(train_batch, state.phi_t)
 
     student = state.student
     names = student.param_names()
     theta = student.param_list()
     exact = config.hypergrad == "exact"
-    loss_train = student_loss(student, tctx, state.phi_s, state.phi_t, train_batch, config)
+    loss_train = student_loss(student, tctx, state.phi_s, state.phi_t, train_batch, config, e_t)
     g_theta = ad.backward(loss_train, theta, create_graph=exact)
 
     if exact:
@@ -444,7 +434,7 @@ def outer_step(
         sim = _sim_only_loss(student, tctx, outer_batch, config, pilot)
         v = [g.data for g in ad.backward(sim, list(pilot.values()))]
         (mv,) = ad.central_difference(
-            lambda probe: [_phi_t_gradient(state, train_batch, config, tctx, dict(zip(names, probe)))],
+            lambda probe: [_phi_t_gradient(state, train_batch, config, e_t, dict(zip(names, probe)))],
             theta, v)
         hyper = (-config.eta_inner * mv).astype(state.phi_t.dtype)
 
@@ -570,9 +560,9 @@ def train(
 
     for step, examples in enumerate(inner, start=1):
         batch = _prepared(examples)  # here, not up front: one batch's masks at a time
-        inner_step(state, batch, config, tctx)
+        e_t = inner_step(state, batch, config, tctx)
         if outer:
-            outer_step(state, batch, outer[step - 1], config, tctx)
+            outer_step(state, batch, outer[step - 1], config, tctx, e_t)
         if step % config.eval_every == 0 or step == config.steps:
             try:
                 dev_sim = simulability(student, tctx, splits.dev)

@@ -348,6 +348,12 @@ def test_kl_known_values():
     # identical distributions: exactly zero, including the p == 0 slot
     r = ad.Tensor(np.array([0.3, 0.7, 0.0]), dtype=np.float64)
     assert ad.kl_divergence(r, r).item() == 0.0
+    # tiny and zero p beside q below KL_EPS: only q is clamped, and p == 0 adds nothing
+    p = np.array([0.5, 0.3, 0.2 - 2e-7, 1e-7, 1e-7, 0.0, 0.0])
+    q = np.array([1e-9, 0.5, 0.3, 1e-10, 0.2, 1e-12, 0.0])
+    want = sum(a * (math.log(a) - math.log(max(b, ad.KL_EPS))) for a, b in zip(p, q) if a > 0)
+    got = ad.kl_divergence(ad.Tensor(p, dtype=np.float64), ad.Tensor(q, dtype=np.float64))
+    assert abs(got.item() - want) <= 1e-12
 
 
 def test_mse_gradients():

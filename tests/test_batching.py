@@ -231,7 +231,9 @@ def sequences(batch):
     return [ex.token_ids for ex in batch]
 
 
-def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config):
+def oracle_student_loss(student, tctx, phi_s, phi_t, batch, config, e_t=None):
+    """``student_loss`` one example at a time; each E_T comes from ``tctx``,
+    so a batch's ``e_t`` is not read."""
     beta = config.effective_beta()
     total = None
     for ids in sequences(batch):
@@ -255,20 +257,24 @@ def oracle_sim_only_loss(student, tctx, batch, config, params):
     return ad.mul(total, ad.constant(np.asarray(1.0 / len(batch), dtype=total.dtype)))
 
 
-def oracle_phi_t_gradient(state, batch, config, tctx, probe_params):
-    phi = Tensor(state.phi_t.data.copy(), requires_grad=True, dtype=state.phi_t.dtype)
-    params = ExplainerParams(phi=state.phi_s, normalize=config.normalize,
-                             scope=config.explainer_scope())
-    total = None
-    for ids in sequences(batch):
-        with ad.no_grad():
-            _, internals = state.student.forward(ids, record=True, params=probe_params)
-            e_s = ad.constant(saliency_from_internals(internals, params).data)
-        term = ad.kl_divergence(one_e_t(tctx, ids, phi), e_s)
-        total = term if total is None else ad.add(total, term)
-    scale = config.effective_beta() / len(batch)
-    return ad.backward(ad.mul(total, ad.constant(np.asarray(scale, dtype=total.dtype))),
-                       [phi])[0].data
+def oracle_phi_t_gradient(tctx):
+    """``_phi_t_gradient`` one example at a time, each E_T built from
+    ``tctx`` on a copy of phi_T, so the step's ``e_t`` is not read."""
+    def gradient(state, batch, config, e_t, probe_params):
+        phi = Tensor(state.phi_t.data.copy(), requires_grad=True, dtype=state.phi_t.dtype)
+        params = ExplainerParams(phi=state.phi_s, normalize=config.normalize,
+                                 scope=config.explainer_scope())
+        total = None
+        for ids in sequences(batch):
+            with ad.no_grad():
+                _, internals = state.student.forward(ids, record=True, params=probe_params)
+                e_s = ad.constant(saliency_from_internals(internals, params).data)
+            term = ad.kl_divergence(one_e_t(tctx, ids, phi), e_s)
+            total = term if total is None else ad.add(total, term)
+        scale = config.effective_beta() / len(batch)
+        return ad.backward(ad.mul(total, ad.constant(np.asarray(scale, dtype=total.dtype))),
+                           [phi])[0].data
+    return gradient
 
 
 def student_state(config, seed=0, dtype=np.float64, max_len=MAX_LEN, teacher_shape=None,
@@ -318,11 +324,11 @@ def test_phi_t_hypergradient_matches_per_example(hypergrad, monkeypatch):
     train_batch, outer_batch = examples(rng, 6), examples(rng, 6)
     updates = []
     for oracle in (False, True):
+        state, tctx = student_state(config, seed=3)
         if oracle:
             monkeypatch.setattr(training, "student_loss", oracle_student_loss)
             monkeypatch.setattr(training, "_sim_only_loss", oracle_sim_only_loss)
-            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient)
-        state, tctx = student_state(config, seed=3)
+            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient(tctx))
         inner_step(state, train_batch, config, tctx)
         before = state.phi_t.data.copy()
         outer_step(state, train_batch, outer_batch, config, tctx)
@@ -411,12 +417,12 @@ def test_float32_phi_t_hypergradient_is_bit_identical_to_per_example(monkeypatch
     train_batch, outer_batch = long_examples(rng), long_examples(rng)
     updates = []
     for oracle in (False, True):
+        state, tctx = student_state(config, seed=3, dtype=np.float32, max_len=LONG_LEN,
+                                    teacher_shape=EXPERIMENT_TEACHER)
         if oracle:
             monkeypatch.setattr(training, "student_loss", oracle_student_loss)
             monkeypatch.setattr(training, "_sim_only_loss", oracle_sim_only_loss)
-            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient)
-        state, tctx = student_state(config, seed=3, dtype=np.float32, max_len=LONG_LEN,
-                                    teacher_shape=EXPERIMENT_TEACHER)
+            monkeypatch.setattr(training, "_phi_t_gradient", oracle_phi_t_gradient(tctx))
         # near zero, sparsemax keeps several heads, so the update is nonzero
         state.phi_t.data = state.phi_t.data * np.float32(0.1)
         inner_step(state, train_batch, config, tctx)
@@ -443,7 +449,7 @@ def test_float32_central_hypergradient_follows_the_step_rule_bit_for_bit(monkeyp
     state, tctx = student_state(config, seed=3, dtype=np.float32, max_len=LONG_LEN,
                                 teacher_shape=EXPERIMENT_TEACHER)
     state.phi_t.data = state.phi_t.data * np.float32(0.1)
-    inner_step(state, train_batch, config, tctx)
+    e_t = inner_step(state, train_batch, config, tctx)
 
     student = state.student
     names, theta = student.param_names(), student.param_list()
@@ -460,7 +466,7 @@ def test_float32_central_hypergradient_follows_the_step_rule_bit_for_bit(monkeyp
         probe = {name: Tensor(t.data + (sign * eps * x).astype(np.float32), name=name)
                  for name, t, x in zip(names, theta, v)}
         probes.append(probe)
-        sides.append(training._phi_t_gradient(state, train_batch, config, tctx, probe)
+        sides.append(training._phi_t_gradient(state, train_batch, config, e_t, probe)
                      .astype(np.float64))
     mv = (sides[0] - sides[1]) / (2.0 * eps)
     hyper = (-config.eta_inner * mv).astype(np.float32)
@@ -470,12 +476,12 @@ def test_float32_central_hypergradient_follows_the_step_rule_bit_for_bit(monkeyp
     seen = []
     phi_t_gradient = training._phi_t_gradient
 
-    def recording(state_, batch, config_, tctx_, probe_params):
+    def recording(state_, batch, config_, e_t_, probe_params):
         seen.append({name: t.data.copy() for name, t in probe_params.items()})
-        return phi_t_gradient(state_, batch, config_, tctx_, probe_params)
+        return phi_t_gradient(state_, batch, config_, e_t_, probe_params)
 
     monkeypatch.setattr(training, "_phi_t_gradient", recording)
-    outer_step(state, train_batch, outer_batch, config, tctx)
+    outer_step(state, train_batch, outer_batch, config, tctx, e_t)
     assert len(seen) == 2
     for got, probe in zip(seen, probes):
         for name in names:

@@ -329,6 +329,18 @@ def test_explain_static_explainer_rejects_phi(pipeline, tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_explain_names_a_data_file_that_is_not_utf8(pipeline, tmp_path, capsys):
+    data = tmp_path / "latin.tsv"
+    data.write_bytes(b"good \xff movie\t1\n")
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "attn_all",
+        "--data", str(data), "--format", "jsonl", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}: not valid UTF-8: ")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_explain_jsonl(pipeline, tmp_path):
     out = tmp_path / "expl.jsonl"
     code = main([
@@ -437,6 +449,23 @@ def test_trueskill_empty_file_fails(tmp_path, capsys):
     empty.write_text("")
     assert main(["trueskill", "--rankings", str(empty)]) == 1
     assert "no rankings" in capsys.readouterr().err
+
+
+def test_trueskill_names_a_rankings_file_that_is_not_utf8(tmp_path, capsys):
+    rankings = tmp_path / "latin.txt"
+    rankings.write_bytes(b"alpha,b\xffta\n")
+    assert main(["trueskill", "--rankings", str(rankings)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {rankings}: not valid UTF-8: ")
+
+
+def test_trueskill_names_the_line_that_repeats_a_method(tmp_path, capsys):
+    rankings = tmp_path / "rankings.txt"
+    rankings.write_text("alpha,beta\n\nbeta,gamma=beta\n")
+    assert main(["trueskill", "--rankings", str(rankings)]) == 1
+    assert capsys.readouterr() == ("", f"error: {rankings}:3: ranking repeats a method\n")
+    rankings.write_text("alpha,beta\nalpha,,beta\n")
+    assert main(["trueskill", "--rankings", str(rankings)]) == 1
+    assert capsys.readouterr().err == f"error: {rankings}:2: malformed ranking line 'alpha,,beta'\n"
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

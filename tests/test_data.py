@@ -186,6 +186,21 @@ def test_tsv_malformed_line_reports_number(tmp_path):
         load_tsv(str(path))
 
 
+def test_tsv_that_is_not_utf8_names_its_file(tmp_path):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(b"good \xff movie\t1\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: not valid UTF-8: ")):
+        load_tsv(str(path))
+
+
+def test_tsv_crlf_and_cr_line_ends_read_as_newlines(tmp_path):
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(b"good movie\t1\r\nbad one\t0\rfine film\t1\r\n")
+    data = load_tsv(str(path))
+    assert [ex.tokens for ex in data.examples] == [["good", "movie"], ["bad", "one"], ["fine", "film"]]
+    assert [ex.label for ex in data.examples] == [1, 0, 1]
+
+
 def test_tsv_float_labels_mean_regression(tmp_path):
     path = tmp_path / "reg.tsv"
     path.write_text("good movie\t0.75\nbad one\t-0.2\n", encoding="utf-8")

@@ -809,8 +809,8 @@ def test_a_padded_sequence_reads_its_unpadded_cache_entry(mode, kind):
 
 @pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
 def test_teacher_saliency_of_one_sequence_raises(mode):
-    """E_T is a (B, L) batch; one sequence raises, even when E_T's memo holds
-    the batch of one with the same sequence."""
+    """E_T is a (B, L) batch; one sequence raises, even after the batch of
+    one with the same sequence was built."""
     teacher, _, _, config = make_setup(mode, dtype=np.float32)
     tctx = TeacherContext(teacher, config)
     phi_t = Tensor(np.zeros(len(scope_head_indices(teacher, "all")), dtype=np.float32))
@@ -839,9 +839,9 @@ def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
 
 
 def count_e_t_builds(monkeypatch):
-    """One entry per E_T that teacher_saliency builds (a memo miss): a head
-    mix of the teacher's cached logits, a constant leaf, where E_S mixes the
-    logits of a student forward."""
+    """One entry per E_T that teacher_saliency builds: a head mix of the
+    teacher's cached logits, a constant leaf, where E_S mixes the logits of
+    a student forward."""
     builds = []
     mix = ExplainerParams.mix
 
@@ -857,72 +857,100 @@ def count_e_t_builds(monkeypatch):
 def test_a_central_smat_step_builds_e_t_once_for_its_four_uses(monkeypatch):
     teacher, splits, student_config, config = fixture_shaped_setup("smat")
     state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
-    builds, requests = count_e_t_builds(monkeypatch), []
-    saliency = TeacherContext.teacher_saliency
+    builds, uses = count_e_t_builds(monkeypatch), []
+    kl_divergence = ad.kl_divergence
 
-    def recording(self, token_ids, phi_t):
-        requests.append(1)
-        return saliency(self, token_ids, phi_t)
+    def recording(p, q):
+        uses.append(p)
+        return kl_divergence(p, q)
 
-    monkeypatch.setattr(TeacherContext, "teacher_saliency", recording)
+    monkeypatch.setattr(ad, "kl_divergence", recording)
     for step, start in enumerate((0, 8), start=1):
         batch, outer = splits.train[start : start + 8], splits.dev[start : start + 8]
-        inner_step(state, batch, config, tctx)
+        e_t = inner_step(state, batch, config, tctx)
         before = state.phi_t.data.copy()
-        outer_step(state, batch, outer, config, tctx)
+        outer_step(state, batch, outer, config, tctx, e_t)
         assert not np.array_equal(state.phi_t.data, before)
-        # inner step, committed-weight loss and both probes; one build
-        assert (len(requests), len(builds)) == (4 * step, step)
+        # inner step, committed-weight loss and both probes read the one E_T
+        assert e_t.requires_grad and len(builds) == step
+        assert len(uses) == 4 * step and all(use is e_t for use in uses[-4:])
 
 
-def test_the_e_t_memo_misses_on_a_new_batch_a_phi_t_update_or_an_in_place_write(monkeypatch):
-    teacher, splits, student_config, config = fixture_shaped_setup("smat")
-    state, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+@pytest.mark.parametrize("hypergrad", training.HYPERGRAD_MODES)
+def test_train_builds_one_e_t_per_smat_step(monkeypatch, hypergrad):
+    teacher, splits, student_config, config = fixture_shaped_setup(
+        "smat", steps=3, hypergrad=hypergrad)
     builds = count_e_t_builds(monkeypatch)
+    state = train(config, teacher, splits, student_config)
+    assert len(builds) == config.steps and state.phi_t.data.any()
+
+
+@pytest.mark.parametrize("hypergrad", training.HYPERGRAD_MODES)
+def test_outer_step_given_the_inner_steps_e_t_builds_none(monkeypatch, hypergrad):
+    teacher, splits, student_config, config = fixture_shaped_setup("smat", hypergrad=hypergrad)
     batch, outer = splits.train[:8], splits.dev[:8]
-    ids = [ex.token_ids for ex in batch]
-
-    def fresh():  # E_T from a context with no memo, built after every check
-        return TeacherContext(teacher, config).teacher_saliency(ids, state.phi_t).data
-
-    inner_step(state, batch, config, tctx)
-    e_t = tctx.teacher_saliency([list(x) + [0] for x in ids], state.phi_t)  # same cache keys
-    assert e_t.requires_grad and len(builds) == 1
-    outer_step(state, batch, outer, config, tctx)  # every use hits, then phi_t.data is replaced
+    builds = count_e_t_builds(monkeypatch)
+    handed, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    e_t = inner_step(handed, batch, config, tctx)
     assert len(builds) == 1
-
-    updated = tctx.teacher_saliency(ids, state.phi_t)
-    assert len(builds) == 2 and not np.array_equal(updated.data, e_t.data)
-    assert np.array_equal(updated.data, fresh())
-    assert tctx.teacher_saliency(ids, state.phi_t) is updated and len(builds) == 3
-
-    state.phi_t.data[0] += 1.0  # same array, new bytes
-    written = tctx.teacher_saliency(ids, state.phi_t)
-    assert len(builds) == 4 and np.array_equal(written.data, fresh())
-
-    alias = Tensor(state.phi_t.data, requires_grad=True)  # another tensor on the same array
-    assert alias.data is state.phi_t.data
-    aliased = tctx.teacher_saliency(ids, alias)
-    assert len(builds) == 6 and ad.backward(ad.tsum(aliased), [alias])[0].data.any()
-    with ad.no_grad():  # a graph was recorded before; this call records none
-        assert not tctx.teacher_saliency(ids, alias).requires_grad
-    assert len(builds) == 7
-    other = tctx.teacher_saliency([ex.token_ids for ex in splits.train[8:16]], alias)
-    assert len(builds) == 8 and other.shape[0] == 8
+    outer_step(handed, batch, outer, config, tctx, e_t)
+    assert len(builds) == 1 and handed.phi_t.data.any()
+    # a caller that hands over no E_T gets one built, and the same update
+    built, tctx = make_state(teacher, splits, student_config, config, dtype=np.float32)
+    inner_step(built, batch, config, tctx)
+    outer_step(built, batch, outer, config, tctx)
+    assert len(builds) == 3 and np.array_equal(built.phi_t.data, handed.phi_t.data)
+    # a context's E_T follows phi_T as a fresh context's does: after the
+    # update, and after an in-place write to phi_T
+    ids, fresh = [ex.token_ids for ex in batch], TeacherContext(teacher, config)
+    updated = tctx.teacher_saliency(ids, handed.phi_t).data
+    assert not np.array_equal(updated, e_t.data)
+    assert np.array_equal(updated, fresh.teacher_saliency(ids, handed.phi_t).data)
+    handed.phi_t.data[0] += 1.0
+    written = tctx.teacher_saliency(ids, handed.phi_t).data
+    assert not np.array_equal(written, updated)
+    assert np.array_equal(written, fresh.teacher_saliency(ids, handed.phi_t).data)
 
 
-def unshared_phi_t_gradient(state, batch, config, tctx, probe_params):
-    """The probe gradient through an E_T of its own, on a copy of phi_T."""
-    ids = batch.sequences()
-    phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
-    with ad.no_grad():
-        internals = state.student.attention_internals(ids, params=probe_params)
-        e_s = training.saliency_from_internals(
-            internals, ExplainerParams(phi=state.phi_s, normalize=config.normalize,
-                                       scope=config.explainer_scope()))
-    expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_leaf), e_s)
-    factor = ad.constant(np.asarray(config.effective_beta() / len(ids), dtype=expl.dtype))
-    return ad.backward(ad.mul(expl, factor), [phi_leaf])[0].data
+def tensors_in(value) -> int:
+    """The number of Tensors inside ``value``'s dicts, lists and tuples."""
+    if isinstance(value, Tensor):
+        return 1
+    if isinstance(value, dict):
+        return tensors_in(list(value.items()))
+    if isinstance(value, (list, tuple)):
+        return sum(tensors_in(item) for item in value)
+    return 0
+
+
+def test_a_context_two_seeds_share_holds_no_tensor_of_either_run():
+    teacher, splits, student_config, config = fixture_shaped_setup("smat", steps=3)
+    tctx = TeacherContext(teacher, config)
+    runs = [train(replace(config, seed=seed), teacher, splits, student_config, tctx=tctx)
+            for seed in (0, 1)]
+    assert tensors_in([value for name, value in vars(tctx).items() if name != "teacher"]) == 0
+    # and the second run is the one a fresh context gives
+    alone = train(replace(config, seed=1), teacher, splits, student_config)
+    assert np.array_equal(runs[1].phi_t.data, alone.phi_t.data)
+    for name in alone.student.param_names():
+        assert np.array_equal(runs[1].student.params[name].data, alone.student.params[name].data)
+
+
+def unshared_phi_t_gradient(tctx):
+    """The probe gradient through an E_T of its own, built from ``tctx`` on
+    a copy of phi_T; the step's ``e_t`` is not read."""
+    def gradient(state, batch, config, e_t, probe_params):
+        ids = batch.sequences()
+        phi_leaf = Tensor(state.phi_t.data.copy(), requires_grad=True, name="phi_t_probe")
+        with ad.no_grad():
+            internals = state.student.attention_internals(ids, params=probe_params)
+            e_s = training.saliency_from_internals(
+                internals, ExplainerParams(phi=state.phi_s, normalize=config.normalize,
+                                           scope=config.explainer_scope()))
+        expl = ad.kl_divergence(tctx.teacher_saliency(ids, phi_leaf), e_s)
+        factor = ad.constant(np.asarray(config.effective_beta() / len(ids), dtype=expl.dtype))
+        return ad.backward(ad.mul(expl, factor), [phi_leaf])[0].data
+    return gradient
 
 
 @pytest.mark.parametrize("hypergrad", ["central", "exact"])
@@ -931,16 +959,17 @@ def test_float32_train_with_one_shared_e_t_is_bit_identical_to_unshared(monkeypa
         "smat", steps=10, batch_size=16, hypergrad=hypergrad)
     shared = train(config, teacher, splits, student_config)
     builds = count_e_t_builds(monkeypatch)
-    saliency = TeacherContext.teacher_saliency
 
-    def unshared(self, token_ids, phi_t):
-        self._last_saliency = None  # every request builds its own E_T
-        return saliency(self, token_ids, phi_t)
+    def unshared_loss(*args):  # drops the step's e_t, so the loss builds its own
+        return student_loss(*args[:6])
 
-    monkeypatch.setattr(TeacherContext, "teacher_saliency", unshared)
-    monkeypatch.setattr(training, "_phi_t_gradient", unshared_phi_t_gradient)
-    alone = train(config, teacher, splits, student_config)
-    assert len(builds) == (4 if hypergrad == "central" else 2) * config.steps
+    tctx = TeacherContext(teacher, config)
+    monkeypatch.setattr(training, "student_loss", unshared_loss)
+    monkeypatch.setattr(training, "_phi_t_gradient", unshared_phi_t_gradient(tctx))
+    alone = train(config, teacher, splits, student_config, tctx=tctx)
+    # inner_step's own E_T, then one each for the inner loss, the committed-weight
+    # loss and each central probe
+    assert len(builds) == (5 if hypergrad == "central" else 3) * config.steps
     for name in shared.student.param_names():
         got, want = shared.student.params[name].data, alone.student.params[name].data
         assert got.dtype == np.float32 and np.array_equal(got, want), name
