@@ -13,7 +13,9 @@ copies of the same files read within 1.1%. The cause is not known. Where
 a checkout lies matters too: identical copies of one tree whose directory
 names differed only in length read explain_eval's ``predict_examples_per_s``
 12% apart, so a gap in a metric that a change does not touch is worth
-checking from a second pair of directories.
+checking from a second pair of directories. The report records both
+resolved checkout paths, and a warning goes to stderr before the first run
+when their lengths differ.
 
 Each checkout runs its own ``perfbench/run.py`` for the ``run_seconds`` of
 the change's ``BENCHMARK.json``, one run at a time. A workload given no
@@ -137,11 +139,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--claim workload {claim_workload!r} is not a --workload")
         if claim_metric not in spec:
             parser.error(f"--claim metric {claim_metric!r} is not an end-to-end metric of BENCHMARK.json")
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        print(f"bench_pairs: warning: the checkout paths differ in length "
+              f"({sides['parent']} vs {sides['change']}); path length alone has moved "
+              f"explain_eval's examples_per_s metrics by 12%", file=sys.stderr)
     command = f"python3 perfbench/run.py --workload <w> --seed <i> --seconds {seconds:g} --trace 0"
     report: dict = {
         "what": args.what,
         "command": command + (" (pair i uses seed i; odd pairs run the parent "
                               "first, even pairs the change first)"),
+        "checkouts": {side: str(path) for side, path in sides.items()},
         "workloads": {},
         "failed_operations": {},
         "quality_bit_identical": {},

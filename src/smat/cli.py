@@ -375,7 +375,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     records = []
     for ex, (sal, prediction) in zip(dataset.examples, explained):
         record = {
-            "tokens": ex.tokens[: len(ex.token_ids)],
+            "tokens": ex.tokens,
             "scores": [float(s) for s in sal.scores],
             "prediction": prediction,
         }

@@ -187,7 +187,7 @@ def normalize_text(text: str) -> list[str]:
 
 
 def build_vocab(examples: Iterable[Example], min_freq: int = 1) -> dict[str, int]:
-    """Token -> id map: pad 0, unk 1, then frequency desc, ties lexicographic."""
+    """Token -> id map: pad 0, unk 1 (reserved), then frequency desc, ties lexicographic."""
     counts: dict[str, int] = {}
     for ex in examples:
         for tok in ex.tokens:
@@ -195,13 +195,14 @@ def build_vocab(examples: Iterable[Example], min_freq: int = 1) -> dict[str, int
     vocab = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for word, count in ordered:
-        if count >= min_freq:
+        if count >= min_freq and word not in vocab:
             vocab[word] = len(vocab)
     return vocab
 
 
 def encode_tokens(tokens: Sequence[str], vocab: Mapping[str, int]) -> list[int]:
-    return [vocab.get(tok, UNK_ID) for tok in tokens]
+    """Token ids, UNK_ID for a word not in ``vocab`` and for ``<pad>``: no data token is padding."""
+    return [UNK_ID if tok == PAD_TOKEN else vocab.get(tok, UNK_ID) for tok in tokens]
 
 
 def attach_token_ids(dataset: Dataset, vocab: Mapping[str, int]) -> Dataset:

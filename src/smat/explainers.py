@@ -1,10 +1,10 @@
 """Token saliency explainers for the mini transformer.
 
 Two families share one output contract, a simplex vector over the
-non-pad tokens of one input. Each takes one sequence (one ``Saliency``) or
-a list (a list of them), which it runs grouped by length with trailing pads
-stripped, so no group needs a mask; the differentiable attention form
-gives a batch one row per input, with pad positions exactly 0:
+tokens of one input. Each takes one sequence (one ``Saliency``) or a list
+(a list of them), which it runs grouped by length, so no group needs a
+mask; the differentiable attention form gives a padded batch one row per
+input, with pad positions exactly 0:
 
 * attention-based: per-head mean score rows, combined either uniformly
   (static attention mean) or through learned head coefficients that are
@@ -53,7 +53,6 @@ from .model import (
     PadMask,
     head_saliency_logits,
     is_batch,
-    strip_pads,
     task_predictions,
 )
 
@@ -80,7 +79,7 @@ IG_STEPS_EVAL = 50
 
 @dataclass
 class Saliency:
-    """Token-level explanation: a simplex vector over non-pad positions."""
+    """Token-level explanation: a simplex vector over the positions of one sequence."""
 
     scores: np.ndarray
     raw: np.ndarray | None = None
@@ -233,21 +232,20 @@ def head_logit_matrix(
 def _by_length(token_ids, explain, chunk: int | None = None):
     """``explain`` on a list grouped by length, at most ``chunk`` sequences a call.
 
-    One sequence is a list of one. Trailing pads are stripped first, so no
-    group needs a mask: a padded row's head mix (a 1 x heads by heads x L
-    BLAS product) can round one ulp away from the sequence's own, so this
-    keeps each one's bits. ``explain`` returns one result per sequence.
+    One sequence is a list of one. No group needs a mask: a padded row's
+    head mix (a 1 x heads by heads x L BLAS product) can round one ulp away
+    from the sequence's own, so this keeps each one's bits. ``explain``
+    returns one result per sequence.
     """
     if not is_batch(token_ids):
         return _by_length([token_ids], explain, chunk)[0]
-    stripped = [strip_pads(ids) for ids in token_ids]
-    lengths = [len(ids) for ids in stripped]
+    lengths = [len(ids) for ids in token_ids]
     out = [None] * len(token_ids)
     for length in dict.fromkeys(lengths):
         idx = [i for i, n in enumerate(lengths) if n == length]
         step = chunk or len(idx)
         for part in (idx[s : s + step] for s in range(0, len(idx), step)):
-            for i, sal in zip(part, explain([stripped[i] for i in part])):
+            for i, sal in zip(part, explain([token_ids[i] for i in part])):
                 out[i] = sal
     return out
 

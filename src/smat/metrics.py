@@ -165,9 +165,14 @@ class SkillRating:
         return self.mu - INTERVAL_Z * self.sigma, self.mu + INTERVAL_Z * self.sigma
 
 
+def _cdf(x: float) -> float:
+    """Standard normal CDF by erfc, exact deep in the lower tail where 0.5 * (1 + erf) cancels."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _v_win(t: float, eps: float) -> float:
     x = t - eps
-    denom = _NORMAL.cdf(x)
+    denom = _cdf(x)
     if denom < 1e-300:
         return -x
     return _NORMAL.pdf(x) / denom
@@ -182,7 +187,7 @@ def _v_draw(t: float, eps: float) -> float:
     sign = -1.0 if t < 0 else 1.0
     a = eps - abs(t)
     b = -eps - abs(t)
-    denom = _NORMAL.cdf(a) - _NORMAL.cdf(b)
+    denom = _cdf(a) - _cdf(b)
     if denom < 1e-300:
         return sign * (-abs(t))
     return sign * (_NORMAL.pdf(b) - _NORMAL.pdf(a)) / denom
@@ -191,7 +196,7 @@ def _v_draw(t: float, eps: float) -> float:
 def _w_draw(t: float, eps: float) -> float:
     a = eps - abs(t)
     b = -eps - abs(t)
-    denom = _NORMAL.cdf(a) - _NORMAL.cdf(b)
+    denom = _cdf(a) - _cdf(b)
     if denom < 1e-300:
         return 1.0
     v = _v_draw(abs(t), eps)

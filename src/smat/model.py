@@ -14,17 +14,15 @@ phi_T probes), while the training losses keep the full forward.
 A forward pass takes one sequence or a batch, and builds one graph over
 (B, L, model_dim) tensors with the heads split by reshape to
 (B, H, L, head_dim); one sequence runs the same ops without the batch
-axis. Sequences are right-padded with id 0, and a batch is padded to its
-longest sequence. Padding is masked, not stripped: pad keys get a large
-finite negative added to their scores, so they receive exactly zero
-attention, and pooling and the per-head saliency rows average over
-valid positions only. A valid position's outputs therefore match the
-unpadded sequence's; the attention softmax sums only the valid keys, so
-they round alike too (see ``autodiff.softmax``). Trailing pads shared by every
-sequence are dropped first, so one sequence runs with no mask at all.
-A pad id in the interior of a sequence is rejected as malformed input.
-Ids with no pad skip the rest of that validation: there is nothing to
-strip or reject.
+axis. A batch is a list of sequences of any lengths, or a 2-D array of
+one length. No sequence holds the pad id 0: only :class:`PreparedIds`
+writes pads, right-padding a batch to its longest sequence, and it
+rejects a pad id in the input. Pad keys get a large finite negative
+added to their scores, so they receive exactly zero attention, and
+pooling and the per-head saliency rows average over valid positions
+only. A valid position's outputs therefore match the unpadded
+sequence's; the attention softmax sums only the valid keys, so they
+round alike too (see ``autodiff.softmax``).
 
 Every forward prepares its ids once, as a :class:`PreparedIds`: the
 validated ids and their :class:`PadMask`, which builds each mask a forward
@@ -164,14 +162,6 @@ def is_batch(token_ids: object) -> bool:
     return len(token_ids) == 0 or hasattr(token_ids[0], "__len__")
 
 
-def strip_pads(ids: Sequence[int]) -> Sequence[int]:
-    """``ids`` without its trailing pads: the sequence a forward runs."""
-    n = len(ids)
-    while n and ids[n - 1] == PAD_ID:
-        n -= 1
-    return ids[:n]
-
-
 def pad_bias(valid: np.ndarray, dtype) -> np.ndarray:
     """0 at valid positions and MASK_BIAS at pads, to add before a softmax."""
     return np.where(valid, 0.0, MASK_BIAS).astype(dtype)
@@ -231,55 +221,43 @@ class PadMask:
 class PreparedIds:
     """Token ids prepared once, for every forward that reads them.
 
-    ``ids`` is (L,) for one sequence or (B, L) for a batch, without the
-    trailing pads every sequence shares, and ``mask`` is the batch's
-    :class:`PadMask`, or None when no position is padding. Preparing checks
-    what no model setting decides: the shape, empty sequences and pads in
-    the interior of a sequence; ``low`` and ``high`` are the smallest and
-    largest id, which a model checks against its vocabulary. Like the ids
-    it is built from, it is a sequence of id rows.
+    ``ids`` is (L,) for one sequence or (B, L) for a batch, right-padded
+    with PAD_ID to its longest sequence; ``mask`` is its :class:`PadMask`,
+    or None when the lengths are equal. Preparing checks what no model
+    setting decides: the shape, empty sequences and pad ids, which no
+    input holds; ``low`` and ``high`` are the smallest and largest id,
+    which a model checks against its vocabulary. Like the ids it is built
+    from, it is a sequence of id rows.
     """
 
     __slots__ = ("ids", "mask", "low", "high", "_sequences")
 
     def __init__(self, token_ids: Sequence[int] | Sequence[Sequence[int]] | np.ndarray) -> None:
+        self.mask = self._sequences = None
         if is_batch(token_ids) and not isinstance(token_ids, np.ndarray):
             if not token_ids:
                 raise ValueError("empty batch (no sequences)")
             sizes = np.fromiter(map(len, token_ids), dtype=np.int64, count=len(token_ids))
-            rows = np.full((len(token_ids), int(sizes.max())), PAD_ID, dtype=np.int64)
-            # every id in one pass; the length mask takes them in row-major order
-            rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.fromiter(
-                itertools.chain.from_iterable(token_ids), dtype=np.int64, count=int(sizes.sum()))
+            flat = np.fromiter(itertools.chain.from_iterable(token_ids), dtype=np.int64,
+                               count=int(sizes.sum()))
+            shortest, width = int(sizes.min()), int(sizes.max())
+            if shortest == width:
+                self.ids = flat.reshape(len(sizes), width)
+            else:
+                # every id in one pass; the length mask takes them in row-major order
+                self.ids = np.full((len(sizes), width), PAD_ID, dtype=np.int64)
+                self.ids[np.arange(width) < sizes[:, None]] = flat
+                self.mask = PadMask(sizes, width)
         else:
-            rows = np.asarray(token_ids, dtype=np.int64)
-        self.mask = None
-        self._sequences = None
-        # No pad (the lowest id): nothing to strip or check.
-        if rows.ndim in (1, 2) and rows.size:
-            low = int(rows.min())
-            if low > PAD_ID:
-                self.ids, self.low, self.high = rows, low, int(rows.max())
-                return
-        one = rows.ndim == 1
-        rows = rows.reshape(1, -1) if one else rows
-        if rows.ndim != 2:
-            raise ValueError(f"token ids must be one sequence or a batch, got shape {rows.shape}")
-        real = rows != PAD_ID
-        if rows.size == 0 or not real.any(axis=1).all():
-            raise ValueError("empty sequence (no non-pad tokens)")
-        lengths = rows.shape[1] - np.argmax(real[:, ::-1], axis=1)
-        width = int(lengths.max())
-        rows = rows[:, :width]
-        if (~real[:, :width] & (np.arange(width) < lengths[:, None])).any():
-            raise ValueError("pad id found in the interior of a sequence")
-        self.low, self.high = int(rows.min()), int(rows.max())
-        if one:
-            self.ids = rows[0]
-        else:
-            self.ids = rows
-            if not (lengths == width).all():
-                self.mask = PadMask(lengths, width)
+            flat = self.ids = np.asarray(token_ids, dtype=np.int64)
+            if flat.ndim not in (1, 2):
+                raise ValueError(f"token ids must be one sequence or a batch, got shape {flat.shape}")
+            shortest = flat.size  # an array's rows share one length: none if it holds no id
+        if shortest == 0:
+            raise ValueError("empty sequence (no tokens)")
+        self.low, self.high = int(flat.min()), int(flat.max())
+        if self.low <= PAD_ID and (flat == PAD_ID).any():
+            raise ValueError(f"pad id {PAD_ID} found in a token sequence")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -288,8 +266,8 @@ class PreparedIds:
         return self.ids[index]
 
     def sequences(self) -> list[tuple[int, ...]]:
-        """Each sequence as a tuple of ints without its trailing pads (one
-        sequence gives a list of one): what its forward runs, built once."""
+        """Each sequence as a tuple of ints, without the pads its row was
+        filled with (one sequence gives a list of one), built once."""
         if self._sequences is None:
             if self.ids.ndim == 1:
                 self._sequences = [tuple(self.ids.tolist())]
@@ -415,7 +393,7 @@ class MiniTransformer:
 
     def input_embeddings(self, token_ids) -> Tensor:
         """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch
-        of sequences of one length once trailing pads are stripped (no pad mask)."""
+        of sequences of one length (no pad mask)."""
         prepared = self._batch_ids(token_ids)
         if prepared.mask is not None:
             raise ValueError(f"input embeddings need one sequence length, "

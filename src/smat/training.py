@@ -54,7 +54,7 @@ from .explainers import (
 )
 from .metrics import simulability_accuracy, simulability_pearson
 from .model import (PREDICT_CHUNK, FieldError, MiniTransformer, ModelConfig, PreparedIds, _count,
-                    _number, is_batch, strip_pads, task_loss)
+                    _number, is_batch, task_loss)
 
 logger = logging.getLogger(__name__)
 
@@ -168,17 +168,16 @@ class TeacherContext:
 
         ``compute`` maps unseen sequences, each once and in first-seen order,
         to the list of their values; it gets at most PREDICT_CHUNK at a time.
-        Keys drop trailing pads, as a forward does, so a value does not
-        depend on the batch it was computed in. Numpy integers hash and
-        compare as Python ints do, so a list, a tuple and an integer array of
-        one sequence share a key. A :class:`PreparedIds` gives the sequences
-        it keeps, so a step builds them once.
+        A key is the sequence's ids, so a value does not depend on the batch
+        it was computed in. Numpy integers hash and compare as Python ints
+        do, so a list, a tuple and an integer array of one sequence share a
+        key. A :class:`PreparedIds` gives the sequences it keeps, so a step
+        builds them once.
         """
         if isinstance(token_ids, PreparedIds):
             sequences = token_ids.sequences()
         else:
-            sequences = [strip_pads(tuple(ids))
-                         for ids in (token_ids if is_batch(token_ids) else [token_ids])]
+            sequences = [tuple(ids) for ids in (token_ids if is_batch(token_ids) else [token_ids])]
         keys = [(kind, ids) for ids in sequences]
         unseen = list(dict.fromkeys(k for k in keys if k not in self._cache))
         for start in range(0, len(unseen), PREDICT_CHUNK):

@@ -36,7 +36,6 @@ from smat.model import (
     _layer_norm,
     head_saliency_logits,
     is_batch,
-    strip_pads,
 )
 from smat.training import (
     TeacherContext,
@@ -97,7 +96,6 @@ def test_batched_outputs_match_one_at_a_time(task):
         seqs = random_ids(rng, 7)
         single = np.stack([net.forward(s).data for s in seqs])
         assert rel_err(net.forward(seqs).data, single) < TOL
-        assert rel_err(net.forward(padded(seqs)).data, single) < TOL
 
 
 def test_batched_head_saliency_logits_match_one_at_a_time():
@@ -126,10 +124,7 @@ def test_appending_pad_columns_moves_no_valid_output():
     rng = np.random.default_rng(7)
     net = model(8, max_len=MAX_LEN + 2)
     seqs = random_ids(rng, 5, min_len=2)
-    # through ids: shared trailing pads are dropped before the forward pass
-    ids = padded(seqs, width=max(map(len, seqs)))
-    assert np.array_equal(net.forward(ids).data, net.forward(padded(seqs)).data)
-    # through embeddings: extra pad rows with arbitrary values stay masked
+    # extra pad rows of embeddings, with arbitrary values, stay masked
     lengths = np.array([len(s) for s in seqs])
     with ad.no_grad():
         x = Tensor(padded_embeddings(net, seqs))
@@ -139,7 +134,7 @@ def test_appending_pad_columns_moves_no_valid_output():
         got, long = net.forward_from_embeddings(Tensor(wide, dtype=np.float64), record=True,
                                                 mask=PadMask(lengths, wide.shape[1]))
     assert np.max(np.abs(got.data - want.data)) <= 1e-12
-    width = ids.shape[1]
+    width = max(map(len, seqs))
     for a, b in zip(short.attention, long.attention):
         assert np.max(np.abs(b.data[..., :width, :width] - a.data)) <= 1e-12
 
@@ -167,7 +162,6 @@ def test_batched_predict_matches_one_at_a_time():
     single = [net.predict(s) for s in seqs]
     assert all(isinstance(p, int) for p in single)
     assert net.predict(seqs) == single
-    assert net.predict(padded(seqs)) == single
     with ad.no_grad():
         net.params["head.weight"].data[:] = 0.0
         net.params["head.bias"].data[:] = 0.5
@@ -175,18 +169,22 @@ def test_batched_predict_matches_one_at_a_time():
 
 
 TOO_LONG = f"sequence length {MAX_LEN + 1} exceeds max_len {MAX_LEN}"
+PAD_FOUND = f"pad id {PAD_ID} found in a token sequence"
 
 
 @pytest.mark.parametrize("bad, message", [
-    ([[2, 3], [4, PAD_ID, 5]], "pad id found in the interior of a sequence"),
-    ([[2, 3], [PAD_ID, PAD_ID]], r"empty sequence \(no non-pad tokens\)"),
+    ([[2, 3], [4, PAD_ID, 5]], PAD_FOUND),
+    ([[2, 3], [4, 5, PAD_ID]], PAD_FOUND),
+    ([[2, 3], [PAD_ID, PAD_ID]], PAD_FOUND),
+    ([[2, 3], []], r"empty sequence \(no tokens\)"),
     ([[2, 3], [4, VOCAB]], f"token id {VOCAB} out of range for vocab size {VOCAB}"),
     ([[2, 3], [1] * (MAX_LEN + 1)], TOO_LONG),
 ])
 def test_batch_validation_rejects_each_bad_row(bad, message):
     with pytest.raises(ValueError, match=message):
         model(0).forward(bad)
-    with pytest.raises(ValueError, match=message):
+    # the batch as a right-padded 2-D array holds pad ids, which no input may
+    with pytest.raises(ValueError, match=PAD_FOUND):
         model(0).forward(padded(bad, width=MAX_LEN + 1))
 
 
@@ -840,19 +838,14 @@ def named_explainer(name, net):
 
 
 @pytest.mark.parametrize("name", EXPLAINERS)
-def test_padded_input_explains_as_the_unpadded_list(name):
-    """Trailing pads are stripped before grouping, so no explanation sees a pad."""
+def test_every_explainer_rejects_padded_input(name):
+    """No input sequence holds the pad id, so no explanation sees a pad."""
     net = model(79)
     explain = named_explainer(name, net)
     seqs = random_ids(np.random.default_rng(81), 9)
-    want = explain(seqs)
-    for got in (explain(padded(seqs)), explain([seq + [PAD_ID] * 2 for seq in seqs])):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a.scores, b.scores)
-            assert (a.raw is None and b.raw is None) or np.array_equal(a.raw, b.raw)
-    one = explain(seqs[0] + [PAD_ID])
-    assert np.array_equal(one.scores, want[0].scores)
+    for ids in (padded(seqs), [seq + [PAD_ID] * 2 for seq in seqs], seqs[0] + [PAD_ID]):
+        with pytest.raises(ValueError, match=PAD_FOUND):
+            explain(ids)
 
 
 @pytest.mark.parametrize("name", EXPLAINERS)
@@ -860,8 +853,8 @@ def test_padded_input_explains_as_the_unpadded_list(name):
 @pytest.mark.parametrize("shape", [EXPERIMENT_TEACHER, {}], ids=["experiment", "four_heads"])
 def test_float32_explain_and_predict_is_the_explainer_and_predict_bit_for_bit(name, task, shape):
     """One forward per length group gives each sequence the explainer's
-    Saliency and predict's value: for one sequence, an unpadded list (whose
-    predict runs padded) and a padded 2-D array."""
+    Saliency and predict's value: for one sequence and for a list of mixed
+    lengths (whose predict runs padded)."""
     net = model(85, np.float32, max_len=LONG_LEN, task=task,
                 num_classes=2 if task == "classification" else 1, **shape)
     params = ExplainerParams(Tensor(np.linspace(-0.3, 0.4, net.config.total_heads, dtype=np.float32)))
@@ -870,7 +863,7 @@ def test_float32_explain_and_predict_is_the_explainer_and_predict_bit_for_bit(na
     else:
         explain = lambda ids: compute_static_saliency(net, ids, name)
     pool = explainer_pool(87, count=24)
-    for ids in (pool[0], pool, padded(pool, LONG_LEN)):
+    for ids in (pool[0], pool):
         got = explainers.explain_and_predict(net, ids, name, params)
         want_sal, want_pred = explain(ids), net.predict(ids)
         if not is_batch(ids):
@@ -884,11 +877,9 @@ def test_float32_explain_and_predict_is_the_explainer_and_predict_bit_for_bit(na
 
 def test_input_embeddings_reject_a_batch_of_mixed_lengths():
     net = model(83)
-    assert net.input_embeddings(padded([[2, 3], [4, 5]])).shape == (2, 2, net.config.model_dim)
+    assert net.input_embeddings(np.array([[2, 3], [4, 5]])).shape == (2, 2, net.config.model_dim)
     with pytest.raises(ValueError, match="one sequence length"):
         net.input_embeddings([[2, 3, 4], [5, 6]])
-    with pytest.raises(ValueError, match="one sequence length"):
-        net.input_embeddings(padded([[2, 3, 4], [5, 6]]))
 
 
 # ---------------------------------------------------------------------------
@@ -957,27 +948,40 @@ def prepared_case(name, seed):
 
 def test_prepared_ids_are_the_sequences_they_were_built_from():
     seqs = [ex.token_ids for ex in prepared_case("padded", 111)]
-    prepared = PreparedIds([seq + [PAD_ID] * 2 for seq in seqs])
+    prepared = PreparedIds(seqs)
     assert is_batch(prepared) and len(prepared) == len(seqs)
-    assert prepared.ids.shape == (len(seqs), LONG_LEN)  # the shared trailing pads are dropped
+    assert prepared.ids.shape == (len(seqs), LONG_LEN)  # padded to the longest sequence
     assert prepared.sequences() == [tuple(seq) for seq in seqs]
     assert prepared.sequences() is prepared.sequences()  # built once
     assert np.array_equal(prepared.mask.lengths, [len(seq) for seq in seqs])
-    one = PreparedIds(seqs[1] + [PAD_ID])
+    one = PreparedIds(seqs[1])
     assert not is_batch(one) and one.mask is None
-    assert one.sequences() == [tuple(strip_pads(seqs[1]))]
+    assert one.sequences() == [tuple(seqs[1])]
+    # a pad id is never a token of a sequence: padding is PreparedIds' own
+    for ids in ([seq + [PAD_ID] * 2 for seq in seqs], seqs[1] + [PAD_ID]):
+        with pytest.raises(ValueError, match=PAD_FOUND):
+            PreparedIds(ids)
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array, lambda seq: [np.int64(i) for i in seq]],
+                         ids=["list", "tuple", "int_array", "np_int64_elements"])
+@pytest.mark.parametrize("where", ["end", "middle", "alone"])
+def test_prepared_ids_reject_a_pad_id_in_every_input_form(form, where):
+    seq = {"end": [2, 3, PAD_ID], "middle": [2, PAD_ID, 3], "alone": [PAD_ID]}[where]
+    for ids in (form(seq), [form([4]), form(seq)], np.array([seq, [4] * len(seq)])):
+        with pytest.raises(ValueError, match=PAD_FOUND):
+            PreparedIds(ids)
 
 
 @pytest.mark.parametrize("form", [list, tuple, np.array, lambda seq: [np.int64(i) for i in seq]],
                          ids=["lists", "tuples", "int_arrays", "np_int64_elements"])
 def test_prepared_ids_fill_ragged_input_as_the_row_loop_does(form):
     rng = np.random.default_rng(113)
-    seqs = random_ids(rng, 9) + [[2, 3, PAD_ID, PAD_ID]]  # a row with trailing pads
+    seqs = random_ids(rng, 9)
     want = padded(seqs, width=max(map(len, seqs)))  # filled one row at a time
     prepared = PreparedIds([form(seq) for seq in seqs])
-    width = max(len(strip_pads(seq)) for seq in seqs)
-    assert prepared.ids.dtype == np.int64 and np.array_equal(prepared.ids, want[:, :width])
-    assert np.array_equal(prepared.mask.lengths, [len(strip_pads(seq)) for seq in seqs])
+    assert prepared.ids.dtype == np.int64 and np.array_equal(prepared.ids, want)
+    assert np.array_equal(prepared.mask.lengths, [len(seq) for seq in seqs])
 
 
 @pytest.mark.parametrize("case", list(PREPARED_LENGTHS))
@@ -1053,7 +1057,7 @@ def test_no_graph_forwards_are_the_recorded_forward_bit_for_bit(dtype):
     frozen = model(83, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER).freeze()
     rng = np.random.default_rng(85)
     seqs = [rng.integers(1, VOCAB, size=n).tolist() for n in LONG_LENGTHS]
-    for ids in (seqs[0], seqs, padded(seqs, width=LONG_LEN)):  # one sequence, padded batches
+    for ids in (seqs[0], seqs):  # one sequence, a padded batch
         want, internals = net.forward(ids, record=True)  # records the op chain
         with ad.no_grad():
             quiet, quiet_internals = net.forward(ids, record=True)

@@ -5,6 +5,8 @@ Every speed claim in a ``BENCH_*.json`` is decided by ``compare`` and
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,29 @@ def test_a_claim_it_cannot_judge_exits_2_before_the_first_run(monkeypatch, tmp_p
     assert exit_.value.code == 2
     assert calls == [] and not out.exists()
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change_dir, warned", [("bb", True), ("b", False)])
+def test_the_report_names_both_checkouts_and_a_length_mismatch_is_warned_first(
+        monkeypatch, tmp_path, capsys, change_dir, warned):
+    repo = Path(__file__).resolve().parents[1]
+    sides = {"parent": tmp_path / "a", "change": tmp_path / change_dir}
+    for path in sides.values():
+        path.mkdir()
+        (path / "BENCHMARK.json").write_text((repo / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_perfbench(checkout, workload, seed, seconds, **kwargs):
+        print(f"ran {checkout}", file=sys.stderr)
+        return {"result": {"metrics": {m: {"value": 1.0} for m in names}, "failed": 0}, "env": {}}
+
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workload", "teacher_fit:1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["checkouts"] == {side: str(path.resolve()) for side, path in sides.items()}
+    err = capsys.readouterr().err
+    assert ("warning: the checkout paths differ in length" in err) is warned
+    if warned:
+        assert err.index("warning") < err.index("ran ")

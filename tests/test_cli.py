@@ -104,6 +104,19 @@ def test_teacher_training_is_reproducible(pipeline, tmp_path):
         assert a.read() == b.read()
 
 
+def test_a_teacher_on_in_memory_synthetic_data_is_the_teacher_on_its_tsv(pipeline, tmp_path):
+    """With no data.path, data.synthetic is generated in memory: the same
+    corpus make-data writes, so the same teacher, byte for byte."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "data": {
+        k: v for k, v in BASE_CONFIG["data"].items() if k != "path"}}))
+    teacher = tmp_path / "teacher.smat"
+    assert main(["train-teacher", "--config", str(config), "--out", str(teacher)]) == 0
+    for suffix in ("", ".json"):
+        with open(f"{teacher}{suffix}", "rb") as a, open(f"{pipeline['teacher']}{suffix}", "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_train_student_mode_none_warns_once_about_beta(pipeline, tmp_path, caplog):
     cfg = json.loads(pipeline["config"].read_text())
     cfg["train"]["beta"] = 5.0
@@ -341,6 +354,22 @@ def test_explain_names_a_data_file_that_is_not_utf8(pipeline, tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_explain_reads_the_word_pad_as_an_unknown_token(pipeline, tmp_path):
+    data = tmp_path / "reserved.tsv"
+    data.write_text("good <pad> movie\t1\nbad film <PAD>\t0\n<pad>\t1\n")
+    out = tmp_path / "x.jsonl"
+    code = main([
+        "explain", "--model", str(pipeline["teacher"]), "--explainer", "attn_all",
+        "--data", str(data), "--format", "jsonl", "--out", str(out),
+    ])
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["tokens"] for rec in records] == [
+        ["good", "<pad>", "movie"], ["bad", "film", "<pad>"], ["<pad>"]]
+    for rec in records:
+        assert len(rec["scores"]) == len(rec["tokens"])
+
+
 def test_explain_jsonl(pipeline, tmp_path):
     out = tmp_path / "expl.jsonl"
     code = main([
@@ -376,7 +405,7 @@ def test_explain_integrated_gradients_matches_unfrozen_library_run(pipeline, tmp
     for ex in dataset.examples:
         sal = compute_static_saliency(model, ex.token_ids, "integrated_gradients")
         records.append({
-            "tokens": ex.tokens[: len(ex.token_ids)],
+            "tokens": ex.tokens,
             "scores": [float(s) for s in sal.scores],
             "prediction": model.predict(ex.token_ids),
             "gold_label": ex.label,

@@ -151,6 +151,18 @@ def test_encode_maps_unseen_to_unk():
     assert encode_tokens(["good", "zebra"], vocab) == [2, 1]
 
 
+def test_reserved_words_in_the_data_keep_their_ids_and_never_encode_as_padding(tmp_path):
+    path = tmp_path / "reserved.tsv"
+    path.write_text("good <pad> film\t1\n<PAD> movie <unk>\t0\ngood movie <pad>\t1\n")
+    data = load_tsv(str(path))
+    vocab = build_vocab(data.examples)
+    assert vocab == {"<pad>": 0, "<unk>": 1, "good": 2, "movie": 3, "film": 4}
+    assert len(set(vocab.values())) == len(vocab)
+    attach_token_ids(data, vocab)
+    assert [ex.token_ids for ex in data.examples] == [[2, 1, 4], [1, 3, 1], [2, 3, 1]]
+    assert encode_tokens(["<pad>", "<unk>", "good"], vocab) == [1, 1, 2]
+
+
 def test_tsv_round_trip(tmp_path):
     data = generate_synthetic(default_spec(seed=5), 20)
     path = str(tmp_path / "data.tsv")

@@ -233,8 +233,8 @@ def test_v_and_w_are_the_moments_of_a_truncated_normal(eps):
     """A win truncates the performance gap's standard normal to (eps - t, inf)
     and a draw to (-eps - t, eps - t); v is the truncated mean, w one minus
     the truncated variance."""
-    for t in np.linspace(-3.0, 3.0, 26):
-        mean, var = _truncated_normal_moments(eps - t, eps - t + 12.0)
+    for t in np.linspace(-12.0, 12.0, 97):
+        mean, var = _truncated_normal_moments(eps - t, max(eps - t, 0.0) + 12.0)
         assert abs(_v_win(t, eps) - mean) < 1e-7 and abs(_w_win(t, eps) - (1 - var)) < 1e-7, t
         mean, var = _truncated_normal_moments(-eps - t, eps - t)
         assert abs(_v_draw(t, eps) - mean) < 1e-7 and abs(_w_draw(t, eps) - (1 - var)) < 1e-7, t

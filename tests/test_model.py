@@ -88,18 +88,17 @@ def test_record_flag_does_not_change_output():
     assert len(list(heads(internals))) == model.config.total_heads
 
 
-def test_trailing_padding_is_ignored():
-    model = tiny_model()
-    short = model.forward([2, 3, 4]).data
-    padded = model.forward([2, 3, 4, PAD_ID, PAD_ID]).data
-    assert np.array_equal(short, padded)
+def test_trailing_padding_is_rejected():
+    """A sequence is its ids: a pad id at its end is no more valid than inside it."""
+    with pytest.raises(ValueError, match=f"pad id {PAD_ID} found in a token sequence"):
+        tiny_model().forward([2, 3, 4, PAD_ID, PAD_ID])
 
 
 @pytest.mark.parametrize("ids, message", [
-    ([2, PAD_ID, 3], "pad id found in the interior of a sequence"),
-    ([PAD_ID, PAD_ID], r"empty sequence \(no non-pad tokens\)"),
+    ([2, PAD_ID, 3], f"pad id {PAD_ID} found in a token sequence"),
+    ([PAD_ID, PAD_ID], f"pad id {PAD_ID} found in a token sequence"),
+    (np.array([], dtype=np.int64), r"empty sequence \(no tokens\)"),
     ([], r"empty batch \(no sequences\)"),
-    # unpadded, so each first meets the no-pad early exit's range check
     ([2, 99], "token id 99 out of range for vocab size 12"),
     (np.array([2, 99]), "token id 99 out of range for vocab size 12"),
     (np.array([[2, 99]]), "token id 99 out of range for vocab size 12"),

@@ -780,6 +780,7 @@ def test_a_short_run_fills_only_the_sequences_its_schedule_touches(monkeypatch):
 
 
 PADDED, UNPADDED, LONGER = [5, 6, 0], [5, 6], [5, 6, 7, 8]
+PAD_FOUND = "pad id 0 found in a token sequence"
 
 
 def _assert_same(a, b):
@@ -788,22 +789,21 @@ def _assert_same(a, b):
 
 @pytest.mark.parametrize("mode,kind", [("smat", "target"), ("smat", "probs"),
                                        ("smat", "head_logits"), ("static:attn_all", "static_saliency")])
-def test_a_padded_sequence_reads_its_unpadded_cache_entry(mode, kind):
+def test_every_form_of_a_sequence_reads_one_cache_entry_and_a_padded_one_raises(mode, kind):
     teacher, _, _, config = make_setup(mode, dtype=np.float32)
-
-    def fresh(ids):
-        return getattr(TeacherContext(teacher, config), kind)(ids)
-
-    _assert_same(fresh(PADDED), fresh(UNPADDED))
-    _assert_same(fresh([PADDED, LONGER])[0], fresh([UNPADDED, LONGER])[0])
     tctx = TeacherContext(teacher, config)
     value = getattr(tctx, kind)(UNPADDED)
-    assert getattr(tctx, kind)([LONGER, PADDED])[1] is value
-    assert getattr(tctx, kind)(np.array(PADDED)) is value
+    assert getattr(tctx, kind)([LONGER, UNPADDED])[1] is value
+    assert getattr(tctx, kind)(np.array(UNPADDED)) is value
     for same in (tuple(UNPADDED), np.array(UNPADDED, dtype=np.int32),
-                 [np.int64(i) for i in PADDED]):
+                 [np.int64(i) for i in UNPADDED]):
         assert getattr(tctx, kind)(same) is value
         assert getattr(tctx, kind)([same, LONGER])[0] is value
+    assert len(tctx._cache) == 2
+    # a pad id is no token, so a padded sequence is no key for its unpadded value
+    for padded in (PADDED, [LONGER, PADDED], np.array(PADDED)):
+        with pytest.raises(ValueError, match=PAD_FOUND):
+            getattr(tctx, kind)(padded)
     assert len(tctx._cache) == 2
 
 
@@ -815,23 +815,26 @@ def test_teacher_saliency_of_one_sequence_raises(mode):
     tctx = TeacherContext(teacher, config)
     phi_t = Tensor(np.zeros(len(scope_head_indices(teacher, "all")), dtype=np.float32))
     assert tctx.teacher_saliency([UNPADDED], phi_t).shape == (1, len(UNPADDED))
-    for one in (UNPADDED, PADDED, tuple(UNPADDED), np.array(UNPADDED), PreparedIds(UNPADDED)):
+    for one in (UNPADDED, tuple(UNPADDED), np.array(UNPADDED), PreparedIds(UNPADDED)):
         with pytest.raises(ValueError, match="a batch of sequences, not one sequence"):
             tctx.teacher_saliency(one, phi_t)
+    with pytest.raises(ValueError, match=PAD_FOUND):
+        tctx.teacher_saliency(PADDED, phi_t)
 
 
 @pytest.mark.parametrize("mode", ["smat", "static:attn_all"])
-def test_teacher_saliency_of_a_padded_sequence_is_its_unpadded_one(mode):
+def test_teacher_saliency_is_zero_past_a_sequence_and_rejects_a_padded_one(mode):
     teacher, _, _, config = make_setup(mode, dtype=np.float32)
     phi_t = Tensor(np.linspace(-1, 1, len(scope_head_indices(teacher, "all")), dtype=np.float32))
 
     def e_t(ids):
         return TeacherContext(teacher, config).teacher_saliency(ids, phi_t).data
 
-    _assert_same(e_t([PADDED]), e_t([UNPADDED]))
-    beside = e_t([PADDED, LONGER])
-    _assert_same(beside, e_t([UNPADDED, LONGER]))
-    assert (beside[0, 2:] == 0).all()
+    beside = e_t([UNPADDED, LONGER])
+    assert beside.shape == (2, len(LONGER)) and (beside[0, 2:] == 0).all()
+    for padded in ([PADDED], [PADDED, LONGER]):
+        with pytest.raises(ValueError, match=PAD_FOUND):
+            e_t(padded)
 
 
 # ---------------------------------------------------------------------------
