@@ -106,7 +106,9 @@ def _resolve_dataset(data_cfg: dict, config_path: str) -> dio.Dataset:
 
 def _resolve_splits(data_cfg: dict, dataset: dio.Dataset, needed: Sequence[str]) -> dio.Splits:
     """The dataset split by ``data.ratios`` and ``data.split_seed``; a split
-    named in ``needed`` that comes out empty is a config error."""
+    named in ``needed`` that comes out empty is a config error, and so is a
+    regression dev or test split of one example, whose Pearson correlation
+    is undefined."""
     ratios = _checked("data", _ratios, "ratios", data_cfg.get("ratios", dio.SPLIT_RATIOS))
     split_seed = _checked("data", _count, "split_seed", data_cfg.get("split_seed", 0), 0)
     try:
@@ -114,10 +116,22 @@ def _resolve_splits(data_cfg: dict, dataset: dio.Dataset, needed: Sequence[str])
     except dio.DataError as err:
         raise ConfigurationError(str(err)) from err
     for name in needed:
-        if not getattr(splits, name):
-            raise ConfigurationError(f"data.ratios {ratios} leave the {name} split of "
-                                     f"{len(dataset)} examples empty")
+        least = 2 if name != "train" and dataset.task == "regression" else 1
+        size = len(getattr(splits, name))
+        if size < least:
+            raise ConfigurationError(f"data.ratios {ratios} leave the {name} split {size} of "
+                                     f"{len(dataset)} examples; it needs {least}")
     return splits
+
+
+def _check_fits(path: str, examples, model: MiniTransformer, name: str) -> None:
+    """Raise DataError naming the data file ``path``, its first example
+    longer than ``model``'s max_len, and ``name``, the model's checkpoint."""
+    limit = model.config.max_len
+    for i, ex in enumerate(examples, start=1):
+        if len(ex.token_ids) > limit:
+            raise dio.DataError(f"{path}: example {i} has {len(ex.token_ids)} tokens, "
+                                f"more than the max_len {limit} of {name}")
 
 
 def _config_sha256(path: str) -> str:
@@ -154,6 +168,10 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"model task {model_cfg.task!r} does not match data task {dataset.task!r}"
         )
+    longest = max(len(ex.token_ids) for ex in dataset.examples)
+    if longest > model_cfg.max_len:
+        raise ConfigurationError(f"model.max_len {model_cfg.max_len} is less than the "
+                                 f"longest sequence of the data, {longest} tokens")
     hyper = dict(_section(cfg, "teacher_train", required=False))
     unknown = sorted(set(hyper) - {"lr", "momentum", "steps", "batch_size", "seed"})
     if unknown:
@@ -321,13 +339,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     teacher, vocab = _load_teacher(args.teacher)
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
+    _check_fits(args.data, dataset.examples, teacher, f"the teacher {args.teacher}")
     config, runs = _load_summary(args.students, args.metric)
 
     values = []
     if args.metric == "sim":
         tctx = training.TeacherContext(teacher, config)
         for run in runs:
-            student, _ = dio.load_model(os.path.join(args.students, run["student"]))
+            student_path = os.path.join(args.students, run["student"])
+            student, _ = dio.load_model(student_path)
+            _check_fits(args.data, dataset.examples, student, f"the student {student_path}")
             sim = training.simulability(student, tctx, dataset.examples)
             values.append(sim)
             print(f"seed={run['seed']} sim={sim:.4f}")
@@ -361,6 +382,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     model, vocab = _load_teacher(args.model)
     dataset = dio.load_tsv(args.data)
     dio.attach_token_ids(dataset, vocab)
+    _check_fits(args.data, dataset.examples, model, f"the model {args.model}")
 
     params = None
     if args.explainer == "parameterized":

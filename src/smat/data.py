@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 import numbers
 import os
 import struct
@@ -281,8 +282,9 @@ def split_dataset(
     seed: int = 0,
 ) -> Splits:
     """Deterministic disjoint train/dev/test split by shuffled indices."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must be three non-negatives summing to 1, got {ratios}")
+    if (len(ratios) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise DataError(f"split ratios must be three finite non-negatives summing to 1, got {ratios}")
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
     n_dev = int(n * ratios[1])

@@ -129,14 +129,24 @@ class ExplainerParams:
         return ad.broadcast_to(row, lead + row.shape)
 
     def mix(self, logits: Tensor, mask: PadMask | None = None) -> Tensor:
-        """Saliency, (L,) or (B, L), of a (heads, L) or (B, heads, L) logit
-        stack mixed by the normalized phi; pad positions of ``mask`` get
-        exactly 0 (see :func:`combine_head_logits`)."""
-        if logits.shape[-2] != self.phi.shape[0]:
-            raise ValueError(
-                f"phi has {self.phi.shape[0]} entries but scope selects {logits.shape[-2]} heads"
-            )
-        return combine_head_logits(logits, self.coefficients(logits.shape[:-2]), mask)
+        """softmax(coefficients . logits): the saliency, (L,) or (B, L), of a
+        (heads, L) or (B, heads, L) logit stack mixed by the normalized phi.
+
+        ``mask`` is the batch's pad mask (None when no position is padding);
+        pads get exactly 0. Its pad bias and length groups are built once per
+        batch and kept, so the explanations of one batch share them.
+        """
+        if logits.ndim not in (2, 3):
+            raise ValueError("logit stack must be (heads, length) or (batch, heads, length)")
+        lead, (heads, length) = logits.shape[:-2], logits.shape[-2:]
+        if heads != self.phi.shape[0]:
+            raise ValueError(f"phi has {self.phi.shape[0]} entries but scope selects {heads} heads")
+        mixed = ad.matmul(ad.reshape(self.coefficients(lead), lead + (1, heads)), logits)
+        mixed = ad.reshape(mixed, lead + (length,))
+        if mask is None:
+            return ad.softmax(mixed, axis=-1)
+        mixed = ad.add(mixed, mask.saliency_bias(mixed.dtype))
+        return ad.softmax(mixed, axis=-1, lengths=mask.saliency_groups())
 
 
 @functools.lru_cache(maxsize=32)
@@ -182,31 +192,6 @@ def scope_head_indices(model: MiniTransformer, scope: str) -> list[int]:
     """Indices into layer-major head order covered by a scope."""
     c = model.config
     return list(range(_first_layer(scope, c.num_layers) * c.heads_per_layer, c.total_heads))
-
-
-def combine_head_logits(
-    logit_stack: Tensor, coefficients: Tensor, mask: PadMask | None = None
-) -> Tensor:
-    """softmax(coefficients . logit_stack) for a (heads, L) or (B, heads, L) stack.
-
-    ``coefficients`` is (heads,), or (B, heads) with one row per example.
-    ``mask`` is the batch's pad mask (None when no position is padding);
-    pads get exactly 0. Its pad bias and length groups are built once per
-    batch and kept, so the explanations of one batch share them.
-    """
-    if logit_stack.ndim not in (2, 3):
-        raise ValueError("logit stack must be (heads, length) or (batch, heads, length)")
-    heads, length = logit_stack.shape[-2:]
-    if coefficients.shape[-1:] != (heads,) or coefficients.ndim > logit_stack.ndim - 1:
-        raise ValueError(
-            f"coefficient length {coefficients.shape} does not match {heads} heads"
-        )
-    mixed = ad.matmul(ad.reshape(coefficients, coefficients.shape[:-1] + (1, heads)), logit_stack)
-    mixed = ad.reshape(mixed, logit_stack.shape[:-2] + (length,))
-    if mask is None:
-        return ad.softmax(mixed, axis=-1)
-    mixed = ad.add(mixed, mask.saliency_bias(mixed.dtype))
-    return ad.softmax(mixed, axis=-1, lengths=mask.saliency_groups())
 
 
 def saliency_from_internals(internals: AttentionInternals, params: ExplainerParams) -> Tensor:

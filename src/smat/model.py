@@ -89,9 +89,12 @@ def _count(name: str, value, low: int = 1) -> int:
 
 
 def _number(name: str, value) -> None:
-    """A FieldError naming ``name`` unless ``value`` is a real number, not a bool."""
+    """A FieldError naming ``name`` unless ``value`` is a finite real number,
+    not a bool (JSON's NaN and Infinity are not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise FieldError(name, value, "must be a number")
+    if not math.isfinite(value):
+        raise FieldError(name, value, "must be a finite number")
 
 
 @dataclass

@@ -503,13 +503,19 @@ def check_run(config: TrainConfig, teacher: MiniTransformer, splits: Splits,
               student_config: ModelConfig) -> None:
     """Raise ValueError unless :func:`train` can run ``config`` for a
     ``student_config`` student against ``teacher`` on ``splits``: non-empty
-    train and dev splits whose examples carry token ids, the teacher's task,
+    train and dev splits, every example of the three carrying token ids that
+    fit both the student's and the teacher's max_len, the teacher's task,
     and ``soft_targets`` only for a classification student."""
-    for name, part in (("train", splits.train), ("dev", splits.dev)):
-        if not part:
+    for name, part in (("train", splits.train), ("dev", splits.dev), ("test", splits.test)):
+        if not part and name != "test":
             raise ValueError(f"the {name} split is empty")
         if any(ex.token_ids is None for ex in part):
             raise ValueError(f"{name} split has examples without token ids")
+        longest = max((len(ex.token_ids) for ex in part), default=0)
+        for model, limit in (("student", student_config.max_len), ("teacher", teacher.config.max_len)):
+            if longest > limit:
+                raise ValueError(f"the {name} split holds a sequence of {longest} tokens, "
+                                 f"more than the {model}'s max_len {limit}")
     if student_config.task != teacher.config.task:
         raise ValueError(f"student task {student_config.task!r} does not match "
                          f"teacher task {teacher.config.task!r}")

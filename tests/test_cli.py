@@ -8,6 +8,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import struct
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from smat.data import (
     load_model,
     load_tsv,
     save_checkpoint,
+    save_model,
     save_tsv,
 )
 from smat.explainers import ATTENTION_EXPLAINERS, STATIC_EXPLAINERS, compute_static_saliency
@@ -739,6 +741,16 @@ def test_a_train_section_that_sets_a_removed_field_exits_2(pipeline, tmp_path, c
     ("train-teacher", "teacher_train", "momentum", False),
     ("train-teacher", "model", "vocab_size", "big"),
     ("train-student", "student_model", "vocab_size", [40]),
+    # json reads NaN and Infinity: these used to exit 1 naming an autodiff op
+    # ("non-finite values produced by 'gather_rows'"), or, for the ratios, train
+    ("train-teacher", "teacher_train", "lr", float("nan")),
+    ("train-teacher", "teacher_train", "momentum", float("inf")),
+    ("train-student", "train", "eta_inner", float("nan")),
+    ("train-student", "train", "eta_outer", float("-inf")),
+    ("train-student", "train", "beta", float("nan")),
+    ("train-student", "train", "beta", float("inf")),
+    ("train-teacher", "data", "ratios", [float("nan"), 0.15, 0.15]),
+    ("make-data", "data.synthetic", "noise_ratio", float("nan")),
 ])
 def test_a_malformed_number_in_a_config_section_exits_2_naming_it(
         pipeline, tmp_path, capsys, command, section, field, value):
@@ -896,6 +908,100 @@ def test_train_teacher_on_an_empty_train_split_exits_2_and_allows_an_empty_test_
     config = with_ratios(pipeline, tmp_path, [0.7, 0.3, 0])
     assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 0
     assert "test_acc=nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ratios, short", [([0.9, 0.09, 0.01], "test"), ([0.9, 0.01, 0.09], "dev")])
+def test_a_regression_train_student_with_one_dev_or_test_example_exits_2_before_any_output(
+        pipeline, tmp_path, capsys, ratios, short):
+    """Pearson correlation needs two examples: it used to train, write
+    seed_0/student.smat and exit 1 with "a side has zero variance"."""
+    config, teacher = regression_config(pipeline, tmp_path)
+    cfg = json.loads(config.read_text())
+    cfg["data"]["ratios"] = ratios
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    out = tmp_path / "students"
+    assert main(["train-student", "--config", str(config), "--teacher", str(teacher),
+                 "--mode", "none", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: data.ratios {ratios} leave the {short} split 1 of "
+                   "160 examples; it needs 2\n")
+    assert not out.exists()
+
+
+def with_a_long_line(pipeline, tmp_path, tokens, **student_model):
+    """A copy of the pipeline's config, ``student_model`` set in its
+    student_model section and the whole train split used, beside its corpus
+    with one more line of ``tokens`` tokens."""
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["data"]["student_train_size"] = None
+    cfg["student_model"].update(student_model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    corpus = pipeline["corpus"].read_text() + " ".join(["good"] * tokens) + "\t1\n"
+    (tmp_path / "corpus.tsv").write_text(corpus)
+    return config
+
+
+@pytest.mark.parametrize("student_max_len, model, limit", [(9, "student", 9), (12, "teacher", 8)])
+def test_train_student_on_a_sequence_longer_than_a_max_len_exits_2_naming_the_split_and_model(
+        pipeline, tmp_path, capsys, student_max_len, model, limit):
+    """It used to exit 1 with "sequence length 10 exceeds max_len", after
+    --out was made."""
+    config = with_a_long_line(pipeline, tmp_path, 10, max_len=student_max_len)
+    out = tmp_path / "students"
+    assert main(["train-student", "--config", str(config), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "smat", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"config error: the (train|dev|test) split holds a sequence of 10 tokens, "
+                    rf"more than the {model}'s max_len {limit}\n", err), err
+    assert not out.exists()
+
+
+def test_train_teacher_on_a_sequence_longer_than_max_len_exits_2_naming_it(
+        pipeline, tmp_path, capsys):
+    config = with_a_long_line(pipeline, tmp_path, 10)
+    out = tmp_path / "teacher.smat"
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: model.max_len 8 is less than the longest "
+                                       "sequence of the data, 10 tokens\n")
+    assert not out.exists()
+
+
+def test_explain_and_evaluate_name_the_data_file_and_the_first_example_too_long(
+        pipeline, tmp_path, capsys):
+    """They used to exit 1 with "sequence length 10 exceeds max_len 8",
+    naming neither the file nor the example."""
+    data = tmp_path / "long.tsv"
+    data.write_text("good movie\t1\t1 0\n" + " ".join(["bad"] * 10) + "\t0\t" +
+                    " ".join(["1"] * 10) + "\n")
+    teacher = pipeline["teacher"]
+    out = tmp_path / "x.jsonl"
+    assert main(["explain", "--model", str(teacher), "--explainer", "attn_all",
+                 "--data", str(data), "--format", "jsonl", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {data}: example 2 has 10 tokens, more than the "
+                                       f"max_len 8 of the model {teacher}\n")
+    assert not out.exists()
+    for metric in ("sim", "auc"):
+        assert main(["evaluate", "--students", str(pipeline["students"]["smat"]),
+                     "--teacher", str(teacher), "--data", str(data), "--metric", metric]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: example 2 has 10 tokens, more than "
+                                           f"the max_len 8 of the teacher {teacher}\n")
+
+
+def test_evaluate_sim_names_a_student_whose_max_len_a_sequence_exceeds(pipeline, tmp_path, capsys):
+    student = MiniTransformer(replace(
+        load_model(str(pipeline["students"]["none"] / "seed_0" / "student.smat"))[0].config,
+        max_len=6), seed=0)
+    save_model(student, str(tmp_path / "student.smat"))
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {"mode": "none", "runs": [{"seed": 0, "student": "student.smat"}]}))
+    data = tmp_path / "seven.tsv"
+    data.write_text(" ".join(["good"] * 7) + "\t1\n")
+    assert main(["evaluate", "--students", str(tmp_path), "--teacher", str(pipeline["teacher"]),
+                 "--data", str(data), "--metric", "sim"]) == 1
+    assert capsys.readouterr().err == (f"error: {data}: example 1 has 7 tokens, more than the "
+                                       f"max_len 6 of the student {tmp_path / 'student.smat'}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Synthetic corpus, TSV loading, checkpoint format, exports, splitting."""
 
 import json
+import math
 import re
 import struct
 
@@ -258,6 +259,16 @@ def test_split_custom_ratios():
     assert (len(splits.train), len(splits.dev), len(splits.test)) == (20, 10, 10)
     with pytest.raises(ValueError):
         split_dataset(data, seed=0, ratios=(0.9, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("ratios", [(math.nan, 0.15, 0.15), (0.7, math.nan, 0.15),
+                                    (math.inf, 0.15, 0.15)])
+def test_a_non_finite_split_ratio_is_refused(ratios):
+    """(nan, 0.15, 0.15) used to split 112/24/24: the sum check is false for
+    NaN, and the train share is never read."""
+    data = generate_synthetic(default_spec(seed=8), 40)
+    with pytest.raises(DataError, match="three finite non-negatives"):
+        split_dataset(data, seed=0, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from smat.explainers import (
     NORMALIZATIONS,
     STATIC_EXPLAINERS,
     ExplainerParams,
-    combine_head_logits,
     compute_static_saliency,
     default_beta,
     explain_parameterized,
@@ -70,22 +69,25 @@ def test_single_head_model_scopes_coincide():
     assert np.array_equal(a.scores, b.scores)
 
 
-def test_combine_head_logits_selects_sparse_head():
+def test_mix_selects_sparse_head():
     """Two heads with opposite logits; sparsemax picks exactly one."""
     stack = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]), dtype=np.float64)
     phi = ad.Tensor(np.array([1.0, -1.0]), dtype=np.float64)
     lam = normalize_coefficients(phi, "sparsemax")
     assert np.array_equal(lam.data, np.array([1.0, 0.0]))
-    e = combine_head_logits(stack, lam)
+    e = ExplainerParams(phi, "sparsemax").mix(stack)
     assert np.allclose(e.data, [0.7311, 0.2689], atol=5e-5)
 
 
-def test_combine_head_logits_validates_shapes():
-    stack = ad.constant(np.ones((2, 3)), dtype=np.float64)
-    with pytest.raises(ValueError):
-        combine_head_logits(stack, ad.constant(np.ones(3), dtype=np.float64))
-    with pytest.raises(ValueError):
-        combine_head_logits(ad.constant(np.ones(3)), ad.constant(np.ones(3)))
+def test_mix_validates_shapes():
+    params = ExplainerParams(ad.constant(np.ones(3), dtype=np.float64), "softmax")
+    with pytest.raises(ValueError, match="phi has 3 entries but scope selects 2 heads"):
+        params.mix(ad.constant(np.ones((2, 3)), dtype=np.float64))
+    with pytest.raises(ValueError, match="phi has 3 entries but scope selects 2 heads"):
+        params.mix(ad.constant(np.ones((4, 2, 3)), dtype=np.float64))
+    for stack in (np.ones(3), np.ones((1, 4, 3, 3))):
+        with pytest.raises(ValueError, match="logit stack must be"):
+            params.mix(ad.constant(stack, dtype=np.float64))
 
 
 def test_single_token_saliency_is_one():
@@ -135,7 +137,7 @@ def test_phi_gradient_matches_finite_differences():
         def loss_of(phi_arr):
             phi = ad.Tensor(phi_arr, requires_grad=True, dtype=np.float64)
             stack = ad.constant(stack_np, dtype=np.float64)
-            e = combine_head_logits(stack, normalize_coefficients(phi, kind))
+            e = ExplainerParams(phi, kind).mix(stack)
             return ad.kl_divergence(ad.constant(target, dtype=np.float64), e), phi
 
         loss, phi = loss_of(phi_val)

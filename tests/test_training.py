@@ -550,6 +550,24 @@ def test_student_task_unlike_the_teacher_task_is_rejected():
         train(config, teacher, splits, student_config)
 
 
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+@pytest.mark.parametrize("model", ["student", "teacher"])
+def test_a_sequence_longer_than_either_max_len_is_rejected_naming_the_split_and_model(split, model):
+    """An 11-token sequence against max_len 10 used to raise "sequence length
+    11 exceeds max_len 10" from a forward, or, in the test split, nothing."""
+    teacher, splits, student_config, config = make_setup(mode="none")
+    part = getattr(splits, split)
+    long = replace(part[0], token_ids=part[0].token_ids[:1] * 11)
+    splits = replace(splits, **{split: [long] + part[1:]})
+    if model == "student":  # the other model reads 12 tokens
+        teacher = MiniTransformer(replace(teacher.config, max_len=12), seed=1, dtype=np.float64)
+    else:
+        student_config = replace(student_config, max_len=12)
+    with pytest.raises(ValueError, match=f"^the {split} split holds a sequence of 11 tokens, "
+                                         f"more than the {model}'s max_len 10$"):
+        train(config, teacher, splits, student_config)
+
+
 def Example_without_ids(ex):
     from dataclasses import replace
     return replace(ex, token_ids=None)
