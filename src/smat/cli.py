@@ -94,11 +94,17 @@ def _synthetic_dataset(data_cfg: dict) -> dio.Dataset:
     return dio.generate_synthetic(spec, _checked("data", _count, "n", data_cfg.get("n", 1000)))
 
 
+def _data_path(data_cfg: dict, config_path: str) -> str | None:
+    """``data.path`` resolved against the config file's directory, or None."""
+    path = data_cfg.get("path")
+    return os.path.join(os.path.dirname(os.path.abspath(config_path)), path) if path else None
+
+
 def _resolve_dataset(data_cfg: dict, config_path: str) -> dio.Dataset:
     """``data.path`` (relative to the config file's directory) or ``data.synthetic``."""
-    path = data_cfg.get("path")
+    path = _data_path(data_cfg, config_path)
     if path:
-        return dio.load_tsv(os.path.join(os.path.dirname(os.path.abspath(config_path)), path))
+        return dio.load_tsv(path)
     if "synthetic" in data_cfg:
         return _synthetic_dataset(data_cfg)
     raise ConfigurationError("data section needs either 'path' or 'synthetic'")
@@ -172,6 +178,12 @@ def cmd_train_teacher(args: argparse.Namespace) -> int:
     if longest > model_cfg.max_len:
         raise ConfigurationError(f"model.max_len {model_cfg.max_len} is less than the "
                                  f"longest sequence of the data, {longest} tokens")
+    if dataset.task == "classification":  # a label past the head fails only once a batch draws it
+        source = _data_path(data_cfg, args.config) or "data.synthetic"
+        for i, ex in enumerate(dataset.examples, start=1):
+            if not 0 <= ex.label < model_cfg.num_classes:
+                raise dio.DataError(f"{source}: example {i} has label {ex.label}, outside the "
+                                    f"{model_cfg.num_classes} classes of model.num_classes")
     hyper = dict(_section(cfg, "teacher_train", required=False))
     unknown = sorted(set(hyper) - {"lr", "momentum", "steps", "batch_size", "seed"})
     if unknown:

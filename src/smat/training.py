@@ -504,8 +504,9 @@ def check_run(config: TrainConfig, teacher: MiniTransformer, splits: Splits,
     """Raise ValueError unless :func:`train` can run ``config`` for a
     ``student_config`` student against ``teacher`` on ``splits``: non-empty
     train and dev splits, every example of the three carrying token ids that
-    fit both the student's and the teacher's max_len, the teacher's task,
-    and ``soft_targets`` only for a classification student."""
+    fit both the student's and the teacher's max_len, the teacher's task
+    (and, for classification, its num_classes), and ``soft_targets`` only
+    for a classification student."""
     for name, part in (("train", splits.train), ("dev", splits.dev), ("test", splits.test)):
         if not part and name != "test":
             raise ValueError(f"the {name} split is empty")
@@ -519,6 +520,10 @@ def check_run(config: TrainConfig, teacher: MiniTransformer, splits: Splits,
     if student_config.task != teacher.config.task:
         raise ValueError(f"student task {student_config.task!r} does not match "
                          f"teacher task {teacher.config.task!r}")
+    if (student_config.task == "classification"
+            and student_config.num_classes != teacher.config.num_classes):
+        raise ValueError(f"student num_classes {student_config.num_classes} does not match "
+                         f"teacher num_classes {teacher.config.num_classes}")
     if config.soft_targets and student_config.task != "classification":
         raise ValueError(f"soft_targets needs a classification student, "
                          f"got a {student_config.task} student")

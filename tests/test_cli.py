@@ -640,6 +640,26 @@ def test_student_task_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "students").exists()
 
 
+@pytest.mark.parametrize("soft_targets", [False, True])
+def test_a_student_with_other_num_classes_than_the_teacher_exits_2_before_any_output(
+        pipeline, tmp_path, capsys, soft_targets):
+    """It used to train a 3-class student of the 2-class teacher (hard
+    targets), or exit 1 with "operands could not be broadcast together with
+    shapes (32,2) (32,3)" leaving an empty --out (soft targets)."""
+    cfg = json.loads(pipeline["config"].read_text())
+    cfg["student_model"]["num_classes"] = 3
+    cfg["train"]["soft_targets"] = soft_targets
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    (tmp_path / "corpus.tsv").write_bytes(pipeline["corpus"].read_bytes())
+    out = tmp_path / "students"
+    assert main(["train-student", "--config", str(config), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "none", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: student num_classes 3 does not match "
+                                       "teacher num_classes 2\n")
+    assert not out.exists()
+
+
 def regression_config(pipeline, tmp_path, **train):
     """A regression copy of the pipeline's config, with ``train`` set in its
     train section, beside a regression corpus and a teacher trained on it."""
@@ -867,8 +887,28 @@ def test_a_label_out_of_the_models_range_is_a_runtime_error(pipeline, tmp_path, 
     config.write_bytes(pipeline["config"].read_bytes())
     out = tmp_path / "teacher.smat"
     assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: target [") and "out of range for 2 classes" in err
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'corpus.tsv'}: example 1 has label 2, "
+                                       f"outside the 2 classes of model.num_classes\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_teacher_names_the_file_and_the_first_label_out_of_range_before_training(
+        pipeline, tmp_path, capsys, monkeypatch, label):
+    """It used to fail only once a batch drew such an example, with "target
+    [2, 2, 2, 0, ...] out of range for 2 classes", naming neither the file
+    nor the example."""
+    corpus = load_tsv(str(pipeline["corpus"]))
+    examples = list(corpus.examples)
+    examples[2] = replace(examples[2], label=label)
+    save_tsv(Dataset(examples=examples), str(tmp_path / "corpus.tsv"))
+    config = tmp_path / "config.json"
+    config.write_bytes(pipeline["config"].read_bytes())
+    monkeypatch.setattr(cli.training, "train_supervised", lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "teacher.smat"
+    assert main(["train-teacher", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'corpus.tsv'}: example 3 has label "
+                                       f"{label}, outside the 2 classes of model.num_classes\n")
     assert not out.exists()
 
 

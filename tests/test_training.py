@@ -550,6 +550,22 @@ def test_student_task_unlike_the_teacher_task_is_rejected():
         train(config, teacher, splits, student_config)
 
 
+@pytest.mark.parametrize("soft_targets", [False, True])
+@pytest.mark.parametrize("student_classes, teacher_classes", [(3, 2), (2, 3)])
+def test_a_student_with_other_num_classes_than_the_teacher_is_rejected(
+        soft_targets, student_classes, teacher_classes):
+    """A 3-class student of a 2-class teacher used to train (hard targets) or
+    fail to broadcast (32,2) against (32,3) (soft targets); a 2-class student
+    of a 3-class teacher failed once the teacher predicted class 2."""
+    _, splits, student_config, config = make_setup(mode="none", soft_targets=soft_targets)
+    teacher = MiniTransformer(tiny_config(vocab_size=student_config.vocab_size, max_len=10,
+                                          num_classes=teacher_classes), seed=1, dtype=np.float64)
+    student_config = replace(student_config, num_classes=student_classes)
+    with pytest.raises(ValueError, match=f"^student num_classes {student_classes} does not match "
+                                         f"teacher num_classes {teacher_classes}$"):
+        train(config, teacher, splits, student_config)
+
+
 @pytest.mark.parametrize("split", ["train", "dev", "test"])
 @pytest.mark.parametrize("model", ["student", "teacher"])
 def test_a_sequence_longer_than_either_max_len_is_rejected_naming_the_split_and_model(split, model):
