@@ -34,9 +34,14 @@ as above, each command a ``python -m smat.cli`` subprocess with
 working directory, since ``summary.json`` records the teacher's absolute
 path; after each run its outputs and each command's exit code, stdout and
 stderr are moved to ``pair_<i>/<side>`` beside it, and each pair's two
-trees are compared byte for byte. Each command's wall time and the total
-are summarized as above with the ``wall_s`` entry, and ``--claim
-pipeline:<command>`` or ``pipeline:total`` claims one. Standard library only.
+trees are compared byte for byte. After its pipeline, each side also runs
+``FIXTURE_COMMAND`` in its own checkout, once per pair, and records the
+acceptance suite's ``experiment`` fixture setup time that pytest's
+``--durations=0`` reports for criterion 04, its first user, as
+``fixture_setup_s``. Each command's wall time, the total and the fixture
+setup time are summarized as above with the ``wall_s`` entry, and
+``--claim pipeline:<command>``, ``pipeline:total`` or
+``pipeline:fixture_setup_s`` claims one. Standard library only.
 """
 
 from __future__ import annotations
@@ -81,7 +86,12 @@ COMMANDS = [
                                             "--format", "jsonl", "--out", "ig.jsonl"]),
     ("trueskill", ["trueskill", "--rankings", "rankings.txt"]),
 ]
-PIPELINE_METRICS = [*(name for name, _ in COMMANDS), "total"]
+PIPELINE_METRICS = [*(name for name, _ in COMMANDS), "total", "fixture_setup_s"]
+# run from a checkout with ``python``; pytest prints the fixture's setup as
+# "12.10s setup    tests/test_acceptance.py::test_criterion_04_..."
+FIXTURE_COMMAND = ["-m", "pytest", "tests/test_acceptance.py", "-k", "criterion_04",
+                   "--durations=0", "-p", "no:cacheprovider"]
+FIXTURE_SETUP = re.compile(r"^([0-9.]+)s setup\s+\S*::test_criterion_04", re.MULTILINE)
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0,
@@ -189,6 +199,20 @@ def run_side(checkout: Path, workdir: Path, keep: Path, config: str) -> dict:
     return timings
 
 
+def fixture_setup(checkout: Path) -> float:
+    """Seconds of the ``experiment`` fixture's setup when ``FIXTURE_COMMAND``
+    runs in ``checkout`` with its ``src`` first on ``PYTHONPATH``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, *FIXTURE_COMMAND], cwd=checkout, env=env,
+                          capture_output=True)
+    out = proc.stdout.decode(errors="replace")
+    found = FIXTURE_SETUP.search(out)
+    if proc.returncode != 0 or not found:
+        raise RuntimeError(f"{' '.join(FIXTURE_COMMAND)} in {checkout} exited {proc.returncode} "
+                           f"with no criterion 04 setup time:\n{out}{proc.stderr.decode(errors='replace')}")
+    return float(found.group(1))
+
+
 def compare_trees(parent: Path, change: Path) -> dict:
     """Every file under ``parent`` and ``change`` compared byte for byte, by
     relative path."""
@@ -205,8 +229,9 @@ def compare_trees(parent: Path, change: Path) -> dict:
 
 def pipeline(sides: dict[str, Path], pairs: int, config: str, wall: dict) -> dict:
     """The README pipeline of both checkouts run in ``pairs`` alternating
-    pairs, each pair's outputs compared and each command's wall time and the
-    total summarized by ``compare`` with ``wall``, the ``wall_s`` entry."""
+    pairs, each pair's outputs compared, and each command's wall time, the
+    total and each side's fixture setup time summarized by ``compare`` with
+    ``wall``, the ``wall_s`` entry."""
     kept = Path(tempfile.mkdtemp(prefix="bench_pairs_pipeline_"))
     workdir = kept / "work"
     workdir.mkdir()
@@ -217,17 +242,22 @@ def pipeline(sides: dict[str, Path], pairs: int, config: str, wall: dict) -> dic
         for side in ORDERS[i % 2]:
             print(f"bench_pairs: pipeline pair {i + 1}/{pairs} {side}", file=sys.stderr)
             commands = run_side(sides[side], workdir, pair / side, config)
-            runs[side].append({"pair": i + 1, "commands": commands})
+            print(f"bench_pairs: fixture setup pair {i + 1}/{pairs} {side}", file=sys.stderr)
+            runs[side].append({"pair": i + 1, "commands": commands,
+                               "fixture_setup_s": fixture_setup(sides[side])})
         compared.append({"pair": i + 1, **compare_trees(pair / "parent", pair / "change")})
     workdir.rmdir()
 
     def walls(side: str, name: str) -> list[float]:
+        if name == "fixture_setup_s":
+            return [run[name] for run in runs[side]]
         return [sum(t["wall_s"] for t in run["commands"].values()) if name == "total"
                 else run["commands"][name]["wall_s"] for run in runs[side]]
 
     return {
         "artifacts_identical": all(pair["artifacts_identical"] for pair in compared),
         "commands": {name: "smat " + " ".join(args) for name, args in COMMANDS},
+        "fixture_command": "python " + " ".join(FIXTURE_COMMAND),
         "compared": compared,
         "failed_commands": {side: sum(t["exit"] != 0 for run in runs[side]
                                       for t in run["commands"].values()) for side in runs},

@@ -21,6 +21,15 @@ vector-Jacobian product that goes non-finite but leaves every returned
 gradient finite (an overflowed denominator that only divides a gradient
 to zero, say) is no error there.
 
+A forward that records no graph need not pay a node per op.
+:class:`bare` holds each op's forward arithmetic on plain arrays, under
+the op's name, and each tape op computes its output with it.
+:func:`run_forward` runs one forward body over either: the tape (this
+module) when an op on its inputs records a graph, else bare arrays. The
+bare pass checks only where an op could turn a NaN or Inf into a finite
+value, and what it returns; a failed check replays the body on the tape,
+which raises naming the op, as a first-order backward replays its sweep.
+
 The check costs one BLAS dot product per tensor, the sum of its squares
 (see :func:`all_finite`): a finite result proves every element finite.
 Only a non-finite result, which finite values whose squares overflow can
@@ -53,16 +62,21 @@ supports via an explicit dtype.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
+import sys
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DTYPE = np.float32
+
+T = TypeVar("T")
 
 # Clamp floor inside KL divergences; keeps log() off exact zeros.
 KL_EPS = 1e-8
@@ -128,6 +142,20 @@ def all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
+def _as_array(data: object, dtype: np.dtype | type | None) -> np.ndarray:
+    """``data`` as the C-contiguous float array a tensor stores: ``dtype``
+    if given, else its own float32/float64 dtype, else DEFAULT_DTYPE."""
+    arr = np.asarray(data)
+    # astype rather than ascontiguousarray: the latter promotes 0-d to 1-d.
+    if dtype is not None:
+        arr = arr.astype(dtype, copy=False)
+    elif arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(DEFAULT_DTYPE)
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    return arr
+
+
 class Tensor:
     """Dense float array plus an optional handle into the recorded graph."""
 
@@ -140,14 +168,7 @@ class Tensor:
         name: str | None = None,
         dtype: np.dtype | type | None = None,
     ) -> None:
-        arr = np.asarray(data)
-        # astype rather than ascontiguousarray: the latter promotes 0-d to 1-d.
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
+        arr = _as_array(data, dtype)
         if not all_finite(arr):
             raise NonFiniteError(f"non-finite values produced by '{name or 'leaf'}'")
         self.data = arr
@@ -194,7 +215,7 @@ def scalar(value: float, dtype: np.dtype | type) -> Tensor:
     return out
 
 
-def records_graph(parents: Sequence[Tensor]) -> bool:
+def records_graph(parents: Iterable[Tensor]) -> bool:
     """True when an op on ``parents`` records a graph node: grad is enabled
     and some parent requires grad."""
     if _grad_enabled:
@@ -212,10 +233,10 @@ _ndarray = np.ndarray
 def _from_op(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
-    vjp: Callable[[Tensor], tuple[Tensor | None, ...]] | None,
+    vjp: Callable[[Tensor], tuple[Tensor | None, ...]],
     op: str,
 ) -> Tensor:
-    """An op's output node; ``vjp`` may be None only if it records no graph."""
+    """An op's output node."""
     # numpy reductions over every axis return a scalar, not an array
     arr = data if type(data) is _ndarray else np.asarray(data)
     if _check_ops and not all_finite(arr):
@@ -233,6 +254,181 @@ def _from_op(
     out._parents = ()
     out._vjp = None
     return out
+
+
+# ---------------------------------------------------------------------------
+# forwards that record no graph: bare arrays
+
+
+class _Unproved(Exception):
+    """A bare pass met a value that may hide a NaN or Inf downstream."""
+
+
+class bare:
+    """Each op's forward arithmetic on plain arrays, under the op's name.
+
+    Every tape op below computes its output with the function of its name
+    here and wraps it in a node, so a pass over these functions gives the
+    tape's bits with no node, closure or check per op. With ``constant``,
+    ``scalar``, ``checked`` and ``result`` they are the names a forward body
+    reads from its ``ops`` (see :func:`run_forward`); this module itself is
+    the tape form of each.
+    """
+
+    add = np.add
+    sub = np.subtract
+    mul = np.multiply
+    div = np.true_divide
+    neg = np.negative
+    exp = np.exp
+    log = np.log
+    sqrt = np.sqrt
+    matmul = np.matmul
+    reshape = np.ndarray.reshape
+
+    @staticmethod
+    def pow_const(x: np.ndarray, p: float) -> np.ndarray:
+        return x**p
+
+    @staticmethod
+    def relu(x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0)
+
+    @staticmethod
+    def clip(x: np.ndarray, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+        return np.clip(x, lo, hi)
+
+    @staticmethod
+    def transpose(x: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
+        return np.ascontiguousarray(x.transpose(_swap_last_two(x.ndim) if axes is None else axes))
+
+    @staticmethod
+    def narrow(x: np.ndarray, axis: int, start: int, length: int) -> np.ndarray:
+        return np.ascontiguousarray(x[_slice_along(x.ndim, axis, start, length)])
+
+    @staticmethod
+    def concat(xs: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+        return np.concatenate(xs, axis=axis)
+
+    @staticmethod
+    def tsum(x: np.ndarray, axis: int | None = None, keepdims: bool = False,
+             lengths: LengthGroups | None = None) -> np.ndarray:
+        if lengths is None:
+            return x.sum(axis=axis, keepdims=keepdims)
+        if axis is None or not keepdims:
+            raise ValueError("a prefix sum needs one axis and keepdims=True")
+        return _prefix_sum(x, axis, lengths)
+
+    @staticmethod
+    def tmean(x: np.ndarray, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
+        return _tmean(bare, x, axis, keepdims)
+
+    @staticmethod
+    def broadcast_to(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return x if x.shape == shape else np.ascontiguousarray(np.broadcast_to(x, shape))
+
+    @staticmethod
+    def gather_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return table[ids]
+
+    @staticmethod
+    def softmax(x: np.ndarray, axis: int = -1, lengths: LengthGroups | None = None) -> np.ndarray:
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        if lengths is None:
+            return e / e.sum(axis=axis, keepdims=True)
+        return e / _prefix_sum(e, axis, lengths)
+
+    @staticmethod
+    def sparsemax(z: np.ndarray) -> np.ndarray:
+        if z.ndim == 1:
+            return sparsemax_project(z)
+        # Rows are often copies of one vector (one per batch example).
+        rows = [r.tobytes() for r in z.reshape(-1, z.shape[-1])]
+        done = {key: sparsemax_project(np.frombuffer(key, dtype=z.dtype)) for key in set(rows)}
+        return np.stack([done[key] for key in rows]).reshape(z.shape)
+
+    @staticmethod
+    def constant(x: object, dtype: np.dtype | type | None = None) -> np.ndarray:
+        return _as_array(x, dtype)
+
+    @staticmethod
+    def scalar(value: float, dtype: np.dtype | type) -> np.ndarray:
+        return scalar(value, dtype).data
+
+    @staticmethod
+    def checked(x: np.ndarray) -> np.ndarray:
+        """``x``, proved finite; else the pass stops, to be replayed on the tape."""
+        if not all_finite(x):
+            raise _Unproved
+        return x
+
+    @staticmethod
+    def result(x: np.ndarray) -> Tensor:
+        """``x`` as it is, unchecked, in a tensor that records no graph, for
+        the pass to return."""
+        out = _new_tensor(Tensor)
+        out.data = x
+        out.name = None
+        out._op = "bare"
+        out.requires_grad = False
+        out._parents = ()
+        out._vjp = None
+        return out
+
+
+def checked(x: Tensor) -> Tensor:
+    """``x``: the tape checks each op's output as it builds it, so a forward
+    body's ``ops.checked`` proves something only in :class:`bare`."""
+    return x
+
+
+# a forward body's ``ops.result``: on the tape its value is already a tensor
+result = checked
+
+_tape = sys.modules[__name__]
+
+
+def _tensors(x: object) -> Iterable[Tensor]:
+    if isinstance(x, Tensor):
+        return (x,)
+    if isinstance(x, dict):
+        return x.values()
+    return x or ()
+
+
+def _arrays(x: object) -> object:
+    """An input of :func:`run_forward` with each tensor replaced by its array."""
+    if isinstance(x, Tensor):
+        return x.data
+    if isinstance(x, dict):
+        return {key: t.data for key, t in x.items()}
+    return None if x is None else [t.data for t in x]
+
+
+def run_forward(body: Callable[..., T], *inputs: object, **static: object) -> T:
+    """``body(ops, *inputs, **static)``, over the tape or over bare arrays.
+
+    ``inputs`` are tensors, lists or dicts of tensors, or None. If an op on
+    them records a graph, ``ops`` is this module and the body records one.
+    Otherwise ``ops`` is :class:`bare` and the body runs on their arrays,
+    with numpy's floating-point warnings off: no node, closure or check per
+    op. It checks only where an op could turn a NaN or Inf into a finite
+    value (``ops.checked``: a softmax or relu input, a variance that
+    divides) and what it returns, and wraps what it returns as tensors
+    (``ops.result``). A failed check replays the body on the tape under
+    :class:`no_grad`, which raises the :class:`NonFiniteError` and numpy's
+    warnings that checking each op gives, as :func:`backward` replays an
+    unchecked sweep; if the replay raises nothing, its value is returned.
+    """
+    if records_graph(itertools.chain.from_iterable(map(_tensors, inputs))):
+        return body(_tape, *inputs, **static)
+    try:
+        with np.errstate(all="ignore"):
+            return body(bare, *map(_arrays, inputs), **static)
+    except _Unproved:
+        pass
+    with no_grad():
+        return body(_tape, *inputs, **static)
 
 
 def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -261,7 +457,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _sum_to(g, b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(a.data + b.data, (a, b), vjp, "add")
+    return _from_op(bare.add(a.data, b.data), (a, b), vjp, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -271,7 +467,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             _sum_to(neg(g), b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(a.data - b.data, (a, b), vjp, "sub")
+    return _from_op(bare.sub(a.data, b.data), (a, b), vjp, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -281,7 +477,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _sum_to(mul(g, a), b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(a.data * b.data, (a, b), vjp, "mul")
+    return _from_op(bare.mul(a.data, b.data), (a, b), vjp, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -292,33 +488,33 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             db = _sum_to(neg(div(mul(g, a), mul(b, b))), b.shape)
         return da, db
 
-    return _from_op(a.data / b.data, (a, b), vjp, "div")
+    return _from_op(bare.div(a.data, b.data), (a, b), vjp, "div")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _from_op(-a.data, (a,), lambda g: (neg(g),), "neg")
+    return _from_op(bare.neg(a.data), (a,), lambda g: (neg(g),), "neg")
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     def vjp(g: Tensor) -> tuple[Tensor]:
         return (mul(g, mul(scalar(p, a.dtype), pow_const(a, p - 1.0))),)
 
-    return _from_op(a.data**p, (a,), vjp, "pow")
+    return _from_op(bare.pow_const(a.data, p), (a,), vjp, "pow")
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _from_op(np.exp(a.data), (a,), lambda g: (mul(g, ref()),), "exp")
+    out = _from_op(bare.exp(a.data), (a,), lambda g: (mul(g, ref()),), "exp")
     ref = weakref.ref(out)
     return out
 
 
 def log(a: Tensor) -> Tensor:
-    return _from_op(np.log(a.data), (a,), lambda g: (div(g, a),), "log")
+    return _from_op(bare.log(a.data), (a,), lambda g: (div(g, a),), "log")
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = _from_op(
-        np.sqrt(a.data),
+        bare.sqrt(a.data),
         (a,),
         lambda g: (div(g, mul(scalar(2.0, a.dtype), ref())),),
         "sqrt",
@@ -330,7 +526,7 @@ def sqrt(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(a, 0); the gradient's pass-through mask is built only when a gradient is taken."""
     x = a.data
-    return _from_op(np.maximum(x, 0), (a,), lambda g: (mul(g, constant((x > 0).astype(x.dtype.type))),),
+    return _from_op(bare.relu(x), (a,), lambda g: (mul(g, constant((x > 0).astype(x.dtype.type))),),
                     "relu")
 
 
@@ -340,7 +536,7 @@ def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
     The pass-through mask is built only when a gradient is taken.
     """
     x = a.data
-    out = np.clip(x, lo, hi)
+    out = bare.clip(x, lo, hi)
     return _from_op(out, (a,), lambda g: (mul(g, constant((out == x).astype(x.dtype.type))),), "clip")
 
 
@@ -359,7 +555,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _sum_to(matmul(transpose(a), g), b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
+    return _from_op(bare.matmul(a.data, b.data), (a, b), vjp, "matmul")
 
 
 @functools.cache
@@ -382,17 +578,12 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     else:
         axes = tuple(axes)
     inverse = _inverse_permutation(axes)
-    return _from_op(
-        np.ascontiguousarray(a.data.transpose(axes)),
-        (a,),
-        lambda g: (transpose(g, inverse),),
-        "transpose",
-    )
+    return _from_op(bare.transpose(a.data, axes), (a,), lambda g: (transpose(g, inverse),), "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.shape
-    return _from_op(a.data.reshape(shape), (a,), lambda g: (reshape(g, old),), "reshape")
+    return _from_op(bare.reshape(a.data, shape), (a,), lambda g: (reshape(g, old),), "reshape")
 
 
 def _slice_along(ndim: int, axis: int, start: int, length: int) -> tuple[slice, ...]:
@@ -403,12 +594,8 @@ def _slice_along(ndim: int, axis: int, start: int, length: int) -> tuple[slice, 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    return _from_op(
-        np.ascontiguousarray(a.data[_slice_along(a.ndim, axis, start, length)]),
-        (a,),
-        lambda g: (_embed(g, a.shape, axis, start),),
-        "narrow",
-    )
+    return _from_op(bare.narrow(a.data, axis, start, length), (a,),
+                    lambda g: (_embed(g, a.shape, axis, start),), "narrow")
 
 
 def _embed(g: Tensor, shape: tuple[int, ...], axis: int, start: int) -> Tensor:
@@ -421,7 +608,7 @@ def _embed(g: Tensor, shape: tuple[int, ...], axis: int, start: int) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = list(tensors)
-    data = np.concatenate([t.data for t in ts], axis=axis)
+    data = bare.concat([t.data for t in ts], axis=axis)
 
     def vjp(g: Tensor) -> tuple[Tensor, ...]:
         outs = []
@@ -492,12 +679,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
     valid prefix; entries past it must be zero, and are left out of the sum
     so they cannot change its rounding.
     """
-    if lengths is None:
-        data = a.data.sum(axis=axis, keepdims=keepdims)
-    elif axis is None or not keepdims:
-        raise ValueError("a prefix sum needs one axis and keepdims=True")
-    else:
-        data = _prefix_sum(a.data, axis, lengths)
+    data = bare.tsum(a.data, axis, keepdims, lengths)
 
     def vjp(g: Tensor) -> tuple[Tensor]:
         gg = g
@@ -513,15 +695,20 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False,
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    return _tmean(_tape, a, axis, keepdims)
+
+
+def _tmean(ops, a, axis: int | None, keepdims: bool):
+    """The mean as a sum times 1/n, over ``ops``: this module or :class:`bare`."""
     n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), scalar(1.0 / n, a.dtype))
+    return ops.mul(ops.tsum(a, axis=axis, keepdims=keepdims), ops.scalar(1.0 / n, a.dtype))
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if a.shape == shape:
         return a
-    data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
-    return _from_op(data, (a,), lambda g: (_sum_to(g, a.shape),), "broadcast")
+    return _from_op(bare.broadcast_to(a.data, shape), (a,), lambda g: (_sum_to(g, a.shape),),
+                    "broadcast")
 
 
 def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
@@ -529,7 +716,7 @@ def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     num_rows = table.shape[0]
     return _from_op(
-        table.data[idx],
+        bare.gather_rows(table.data, idx),
         (table,),
         lambda g: (scatter_rows(g, idx, num_rows),),
         "gather_rows",
@@ -570,20 +757,13 @@ def softmax(a: Tensor, axis: int = -1, lengths: LengthGroups | None = None) -> T
     here and in the gradient then skip them, so a padded row rounds exactly
     like the row alone.
     """
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    if lengths is None:
-        y = e / e.sum(axis=axis, keepdims=True)
-    else:
-        y = e / _prefix_sum(e, axis, lengths)
-
     def vjp(g: Tensor) -> tuple[Tensor]:
         out = ref()
         inner = tsum(mul(g, out), axis=axis if axis >= 0 else out.ndim + axis, keepdims=True,
                      lengths=lengths)
         return (mul(sub(g, inner), out),)
 
-    out = _from_op(y, (a,), vjp, "softmax")
+    out = _from_op(bare.softmax(a.data, axis, lengths), (a,), vjp, "softmax")
     ref = weakref.ref(out)
     return out
 
@@ -654,13 +834,7 @@ def sparsemax_project(z: np.ndarray) -> np.ndarray:
 
 def sparsemax(z: Tensor) -> Tensor:
     """Sparsemax of a vector, or of each row (last axis) of a stack."""
-    if z.ndim == 1:
-        p = sparsemax_project(z.data)
-    else:
-        # Rows are often copies of one vector (one per batch example).
-        rows = [r.tobytes() for r in z.data.reshape(-1, z.shape[-1])]
-        done = {key: sparsemax_project(np.frombuffer(key, dtype=z.dtype)) for key in set(rows)}
-        p = np.stack([done[key] for key in rows]).reshape(z.shape)
+    p = bare.sparsemax(z.data)
 
     def vjp(g: Tensor) -> tuple[Tensor]:
         # J = Diag(m) - m m^T / |S| on the support indicator m, per row.

@@ -26,8 +26,10 @@ the last layer's scores are recorded, the last thing a head mix reads.
 
 Every attention explanation, the student's E_S and the teacher's E_T in
 training among them, mixes its head logits through one path,
-:meth:`ExplainerParams.mix`. A mix that records no graph takes its
-normalized coefficients from a small cache keyed by phi's value (see
+:meth:`ExplainerParams.mix`, one body over ``ops`` like the model's
+forward. A mix that records no graph runs on bare arrays, checking the
+mixed logits and the saliency (see ``autodiff.run_forward``), and takes
+its normalized coefficients from a small cache keyed by phi's value (see
 :meth:`ExplainerParams.coefficients`), and ``attn_all`` and ``attn_last``
 use one uniform mix per (heads, dtype, scope), so repeated explanations
 normalize each phi once. Each cached value is the one recomputing gives,
@@ -125,8 +127,10 @@ class ExplainerParams:
         phi = self.phi
         if ad.records_graph((phi,)):
             return normalize_coefficients(ad.broadcast_to(phi, lead + phi.shape), self.normalize)
-        row = _normalized_row(self.normalize, phi.dtype, phi.data.tobytes())
-        return ad.broadcast_to(row, lead + row.shape)
+        return ad.broadcast_to(self._row(), lead + phi.shape)
+
+    def _row(self) -> Tensor:
+        return _normalized_row(self.normalize, self.phi.dtype, self.phi.data.tobytes())
 
     def mix(self, logits: Tensor, mask: PadMask | None = None) -> Tensor:
         """softmax(coefficients . logits): the saliency, (L,) or (B, L), of a
@@ -138,15 +142,26 @@ class ExplainerParams:
         """
         if logits.ndim not in (2, 3):
             raise ValueError("logit stack must be (heads, length) or (batch, heads, length)")
-        lead, (heads, length) = logits.shape[:-2], logits.shape[-2:]
+        lead, heads = logits.shape[:-2], logits.shape[-2]
         if heads != self.phi.shape[0]:
             raise ValueError(f"phi has {self.phi.shape[0]} entries but scope selects {heads} heads")
-        mixed = ad.matmul(ad.reshape(self.coefficients(lead), lead + (1, heads)), logits)
-        mixed = ad.reshape(mixed, lead + (length,))
-        if mask is None:
-            return ad.softmax(mixed, axis=-1)
-        mixed = ad.add(mixed, mask.saliency_bias(mixed.dtype))
-        return ad.softmax(mixed, axis=-1, lengths=mask.saliency_groups())
+        bias = None if mask is None else mask.saliency_bias(np.result_type(self.phi.dtype, logits.dtype))
+        # with no graph on phi, the body broadcasts the one normalized row
+        coefficients = self.coefficients(lead) if ad.records_graph((self.phi,)) else self._row()
+        return ad.run_forward(_mix, coefficients, logits, bias,
+                              lengths=None if mask is None else mask.saliency_groups())
+
+
+def _mix(ops, coefficients, logits, bias, *, lengths: ad.LengthGroups | None):
+    """:meth:`ExplainerParams.mix` over ``ops``; ``bias`` and ``lengths`` are
+    the mask's, or None. Over bare arrays the mixed logits are checked, as
+    is the saliency: a masked row whose valid entries all underflow is 0/0."""
+    lead, (heads, length) = logits.shape[:-2], logits.shape[-2:]
+    coefficients = ops.reshape(ops.broadcast_to(coefficients, lead + (heads,)), lead + (1, heads))
+    mixed = ops.reshape(ops.matmul(coefficients, logits), lead + (length,))
+    if bias is not None:
+        mixed = ops.add(mixed, bias)
+    return ops.result(ops.checked(ops.softmax(ops.checked(mixed), axis=-1, lengths=lengths)))
 
 
 @functools.lru_cache(maxsize=32)

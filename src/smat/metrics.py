@@ -66,13 +66,11 @@ def plausibility_auc(scores: Sequence[float], mask: Sequence[int]) -> float:
     The mask must contain both classes.
     """
     s = np.asarray(scores, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.int64)
+    m = _binary_mask(mask)
     if s.shape != m.shape or s.ndim != 1 or s.size == 0:
         raise ValueError("scores and mask must be equal-length non-empty vectors")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN: they have no rank")
-    if not set(np.unique(m)) <= {0, 1}:
-        raise ValueError("mask entries must be 0 or 1")
     n_pos = int(m.sum())
     n_neg = m.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -80,6 +78,14 @@ def plausibility_auc(scores: Sequence[float], mask: Sequence[int]) -> float:
     ranks = _average_ranks(s)
     rank_sum = float(ranks[m == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _binary_mask(mask: Sequence[int]) -> np.ndarray:
+    """``mask`` as integers, or a ValueError unless every entry is 0 or 1."""
+    m = np.asarray(mask)
+    if not set(np.unique(m).tolist()) <= {0, 1}:
+        raise ValueError("mask entries must be 0 or 1")
+    return m.astype(np.int64)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -97,13 +103,13 @@ def corpus_auc(
     """Mean per-example AUC over a corpus.
 
     Examples whose mask is all-positive or all-negative are skipped and
-    counted. Returns (mean AUC, used, skipped); raises if nothing is
-    usable.
+    counted; a mask entry other than 0 or 1 raises, skipped or not.
+    Returns (mean AUC, used, skipped); raises if nothing is usable.
     """
     values: list[float] = []
     skipped = 0
     for scores, mask in pairs:
-        m = np.asarray(mask)
+        m = _binary_mask(mask)
         if m.size == 0 or m.sum() == 0 or m.sum() == m.size:
             skipped += 1
             continue

@@ -34,11 +34,14 @@ forwards over one batch (a smat training step runs five) prepares it once
 and passes the PreparedIds to each. A PreparedIds is the one place a
 PadMask is built: ``forward_from_embeddings`` takes one as its ``mask``.
 
-A forward that records no graph (grad disabled, or no input requiring
-grad, as for a frozen teacher) runs each layer norm as one node: the op
-chain's numpy expressions in the chain's order, so its bits are the
-chain's. If the variance or the output comes out non-finite, the op chain
-runs instead and raises naming its op, as a recorded forward does.
+The embeddings, the encoder and head, and the head-logit mean are each
+one body over ``ops`` (see ``autodiff.run_forward``). A forward that
+records no graph (grad disabled, or no input requiring grad, as for a
+frozen teacher) runs them on bare arrays, with the recorded forward's
+bits. It checks each layer norm's variance, the attention and layer-mix
+softmax inputs, the relu input and what it returns; if a check fails,
+the body is replayed on the tape, which raises naming the op a recorded
+forward names.
 """
 
 from __future__ import annotations
@@ -291,12 +294,8 @@ def _mean_weights(mask: PadMask | None, lead: tuple[int, ...], length: int, dtyp
 
 @functools.cache
 def _head_swap(ndim: int) -> tuple[int, ...]:
+    """The axis order that swaps (..., L, H, d) and (..., H, L, d)."""
     return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
-
-
-def _swap_heads(x: Tensor) -> Tensor:
-    """(..., L, H, d) <-> (..., H, L, d)."""
-    return ad.transpose(x, _head_swap(x.ndim))
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -392,7 +391,7 @@ class MiniTransformer:
 
     def _embed(self, ids: np.ndarray, params: dict[str, Tensor] | None) -> Tensor:
         p = params if params is not None else self.params
-        return ad.add(ad.gather_rows(p["embed.tok"], ids), ad.narrow(p["embed.pos"], 0, 0, ids.shape[-1]))
+        return ad.run_forward(_embedding, p["embed.tok"], p["embed.pos"], ids=ids)
 
     def input_embeddings(self, token_ids) -> Tensor:
         """Token + position embeddings: (L, D) for one sequence, (B, L, D) for a batch
@@ -459,53 +458,66 @@ class MiniTransformer:
         lead, length = embeddings.shape[:-2], embeddings.shape[-2]
         if length < 1 or length > c.max_len:
             raise ValueError(f"embedding rows {length} outside [1, {c.max_len}]")
-        dt = embeddings.dtype
         if mask is not None and mask.valid.shape != lead + (length,):
             raise ValueError(f"pad mask of shape {mask.valid.shape} for embeddings {embeddings.shape}")
-        key_bias = None if mask is None else mask.key_bias(dt)
+        key_bias = None if mask is None else mask.key_bias(embeddings.dtype)
+        return ad.run_forward(self._encode, embeddings, p, key_bias, mask=mask, record=record,
+                              scores_only=_scores_only)
+
+    def _encode(self, ops, h, p, key_bias, *, mask: PadMask | None, record: bool, scores_only: bool):
+        """The encoder and head over ``ops``, ``autodiff`` or ``autodiff.bare``
+        (see ``autodiff.run_forward``); ``key_bias`` is the mask's, or None."""
+        c = self.config
+        lead, length = h.shape[:-2], h.shape[-2]
+        dt = h.dtype
         # one grouping of the (..., H, L) score rows by key length, shared by
         # every layer's attention softmax and its gradient
         key_lengths = None if mask is None else mask.score_groups(c.heads_per_layer)
-        internals = AttentionInternals(mask=mask) if record or _scores_only else None
-        scale = ad.scalar(1.0 / math.sqrt(c.head_dim), dt)
-        pool = None if _scores_only else ad.constant(_mean_weights(mask, lead, length, dt))
+        internals = AttentionInternals(mask=mask) if record or scores_only else None
+        scale = ops.scalar(1.0 / math.sqrt(c.head_dim), dt)
+        pool = None if scores_only else ops.constant(_mean_weights(mask, lead, length, dt))
         split = lead + (length, c.heads_per_layer, c.head_dim)
+        swap = _head_swap(len(split))
 
-        def heads(u: Tensor, weight: Tensor) -> Tensor:  # (..., L, D) -> (..., H, L, head_dim)
-            return _swap_heads(ad.reshape(ad.matmul(u, weight), split))
+        def heads(u, weight):  # (..., L, D) -> (..., H, L, head_dim)
+            return ops.transpose(ops.reshape(ops.matmul(u, weight), split), swap)
 
-        h = embeddings
-        layer_pools: list[Tensor] = []
+        layer_pools = []
         for layer in range(c.num_layers):
             prefix = f"layers.{layer}"
-            u = _layer_norm(h, p[f"{prefix}.attn.norm.gain"], p[f"{prefix}.attn.norm.bias"])
+            u = _layer_norm(ops, h, p[f"{prefix}.attn.norm.gain"], p[f"{prefix}.attn.norm.bias"])
             q, k = heads(u, p[f"{prefix}.attn.wq"]), heads(u, p[f"{prefix}.attn.wk"])
-            scores = ad.mul(ad.matmul(q, ad.transpose(k)), scale)
+            scores = ops.mul(ops.matmul(q, ops.transpose(k)), scale)
             if internals is not None:
-                internals.scores.append(scores)
-            if _scores_only and layer == c.num_layers - 1:
+                internals.scores.append(ops.result(ops.checked(scores)))
+            if scores_only and layer == c.num_layers - 1:
                 return internals
-            attn = ad.softmax(scores if key_bias is None else ad.add(scores, key_bias), axis=-1,
-                              lengths=key_lengths)
+            logits = scores if key_bias is None else ops.add(scores, key_bias)
+            attn = ops.softmax(ops.checked(logits), axis=-1, lengths=key_lengths)
             if internals is not None:
-                internals.attention.append(attn)
+                # unchecked: from a finite input the softmax gives finite
+                # weights, or NaN rows that reach the output or the next
+                # layer's variance, both checked
+                internals.attention.append(ops.result(attn))
             v = heads(u, p[f"{prefix}.attn.wv"])
-            ctx = ad.reshape(_swap_heads(ad.matmul(attn, v)), lead + (length, c.model_dim))
-            h = ad.add(h, ad.matmul(ctx, p[f"{prefix}.attn.wo"]))
-            u2 = _layer_norm(h, p[f"{prefix}.ffn.norm.gain"], p[f"{prefix}.ffn.norm.bias"])
-            f = ad.add(ad.matmul(u2, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"])
-            f = ad.add(ad.matmul(ad.relu(f), p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
-            h = ad.add(h, f)
+            ctx = ops.reshape(ops.transpose(ops.matmul(attn, v), swap), lead + (length, c.model_dim))
+            h = ops.add(h, ops.matmul(ctx, p[f"{prefix}.attn.wo"]))
+            u2 = _layer_norm(ops, h, p[f"{prefix}.ffn.norm.gain"], p[f"{prefix}.ffn.norm.bias"])
+            f = ops.add(ops.matmul(u2, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"])
+            f = ops.add(ops.matmul(ops.relu(ops.checked(f)), p[f"{prefix}.ffn.w2"]),
+                        p[f"{prefix}.ffn.b2"])
+            h = ops.add(h, f)
             if pool is not None:
-                layer_pools.append(ad.matmul(pool, h))  # (..., 1, D)
+                layer_pools.append(ops.matmul(pool, h))  # (..., 1, D)
 
         # One softmax per example, so the scalars' gradient sums per-example
         # terms in order, as for a sequence forwarded alone.
-        mix = ad.softmax(ad.broadcast_to(p["mix.scalars"], lead + (c.num_layers,)), axis=-1)
-        mix = ad.reshape(mix, lead + (1, c.num_layers))
-        pooled = ad.matmul(mix, ad.concat(layer_pools, axis=-2))  # (..., 1, D)
-        out = ad.add(ad.matmul(pooled, p["head.weight"]), p["head.bias"])
-        out = ad.reshape(out, lead + ((c.output_dim,) if c.task == "classification" else ()))
+        mix = ops.broadcast_to(p["mix.scalars"], lead + (c.num_layers,))
+        mix = ops.reshape(ops.softmax(ops.checked(mix), axis=-1), lead + (1, c.num_layers))
+        pooled = ops.matmul(mix, ops.concat(layer_pools, axis=-2))  # (..., 1, D)
+        out = ops.add(ops.matmul(pooled, p["head.weight"]), p["head.bias"])
+        out = ops.result(ops.checked(
+            ops.reshape(out, lead + ((c.output_dim,) if c.task == "classification" else ()))))
         if internals is not None:
             return out, internals
         return out
@@ -541,30 +553,21 @@ def task_predictions(task: str, outputs: np.ndarray):
     return outputs.tolist()
 
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over the last axis, scaled by ``gain`` and shifted by ``bias``.
+def _embedding(ops, tok, pos, *, ids: np.ndarray):
+    """Token plus position embeddings of ``ids`` over ``ops``."""
+    return ops.result(ops.checked(
+        ops.add(ops.gather_rows(tok, ids), ops.narrow(pos, 0, 0, ids.shape[-1]))))
 
-    A recorded forward runs the op chain below. One that records no graph
-    runs the chain's numpy expressions in the same order as one node, so
-    its bits are the chain's. From finite inputs only ``var`` or the output
-    can come out non-finite; then the chain runs, and raises naming its op.
-    """
-    if not ad.records_graph((x, gain, bias)):
-        inv_n = ad.scalar(1.0 / x.shape[-1], x.dtype).data
-        centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-        if ad.all_finite(var):
-            denom = np.sqrt(var + ad.scalar(LAYER_NORM_EPS, x.dtype).data)
-            try:
-                return ad._from_op(centered / denom * gain.data + bias.data, (x, gain, bias), None,
-                                   "layer_norm")
-            except ad.NonFiniteError:
-                pass  # the op chain raises, naming the op that went non-finite
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    denom = ad.sqrt(ad.add(var, ad.scalar(LAYER_NORM_EPS, x.dtype)))
-    return ad.add(ad.mul(ad.div(centered, denom), gain), bias)
+
+def _layer_norm(ops, x, gain, bias):
+    """Layer norm over the last axis, scaled by ``gain`` and shifted by ``bias``,
+    over ``ops``. Over bare arrays the variance is checked: an Inf there
+    would divide the row to a finite zero."""
+    mu = ops.tmean(x, axis=-1, keepdims=True)
+    centered = ops.sub(x, mu)
+    var = ops.checked(ops.tmean(ops.mul(centered, centered), axis=-1, keepdims=True))
+    denom = ops.sqrt(ops.add(var, ops.scalar(LAYER_NORM_EPS, x.dtype)))
+    return ops.add(ops.mul(ops.div(centered, denom), gain), bias)
 
 
 def head_saliency_logits(internals: AttentionInternals, first_layer: int = 0) -> Tensor:
@@ -577,11 +580,15 @@ def head_saliency_logits(internals: AttentionInternals, first_layer: int = 0) ->
     scores = internals.scores[first_layer:]
     if not scores:
         raise ValueError("internals contain no recorded heads")
-    stacked = scores[0] if len(scores) == 1 else ad.concat(scores, axis=-3)  # (..., heads, L, L)
-    lead, length = stacked.shape[:-3], stacked.shape[-1]
-    rows = _mean_weights(internals.mask, lead, length, stacked.dtype)[..., None, :, :]
-    mean = ad.matmul(ad.constant(rows), stacked)  # (..., heads, 1, L)
-    return ad.reshape(mean, stacked.shape[:-2] + (length,))
+    lead, length = scores[0].shape[:-3], scores[0].shape[-1]
+    rows = _mean_weights(internals.mask, lead, length, scores[0].dtype)[..., None, :, :]
+    return ad.run_forward(_head_logits, scores, rows=rows)
+
+
+def _head_logits(ops, scores, *, rows: np.ndarray):
+    stacked = scores[0] if len(scores) == 1 else ops.concat(scores, axis=-3)  # (..., heads, L, L)
+    mean = ops.matmul(ops.constant(rows), stacked)  # (..., heads, 1, L)
+    return ops.result(ops.checked(ops.reshape(mean, stacked.shape[:-2] + (stacked.shape[-1],))))
 
 
 def task_loss(model: MiniTransformer, token_ids, target) -> Tensor:

@@ -10,6 +10,7 @@ order: the batched path rounds as the per-example one did.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from smat.explainers import (
     ExplainerParams,
     compute_static_saliency,
     explain_parameterized,
+    head_logit_matrix,
     integrated_gradients_raw,
     saliency_from_internals,
     scope_head_indices,
@@ -30,6 +32,7 @@ from smat.explainers import (
 from smat.model import (
     PAD_ID,
     PREDICT_CHUNK,
+    AttentionInternals,
     MiniTransformer,
     PadMask,
     PreparedIds,
@@ -1036,38 +1039,131 @@ def test_float32_e_t_and_student_loss_over_a_step_batch_are_bit_identical_to_raw
 
 
 # ---------------------------------------------------------------------------
-# forwards that record no graph: layer norm as one node
+# forwards that record no graph: one body, run over bare arrays
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(9, 32), (6, 10, 32)], ids=["sequence", "batch"])
-def test_no_graph_layer_norm_node_is_the_op_chain_bit_for_bit(dtype, shape):
+def test_bare_layer_norm_is_the_op_chain_bit_for_bit(dtype, shape):
     rng = np.random.default_rng(81)
     arrays = (rng.normal(1.0, 3.0, size=shape), rng.normal(size=32), rng.normal(size=32))
-    with ad.no_grad():
-        node = _layer_norm(*(Tensor(a, requires_grad=True, dtype=dtype) for a in arrays))
-    chain = _layer_norm(*(Tensor(a, requires_grad=i == 0, dtype=dtype) for i, a in enumerate(arrays)))
-    assert node._op == "layer_norm" and not node.requires_grad and chain.requires_grad
-    assert node.dtype == dtype and np.array_equal(node.data, chain.data)
+    bare = _layer_norm(ad.bare, *(np.asarray(a, dtype=dtype) for a in arrays))
+    chain = _layer_norm(ad, *(Tensor(a, requires_grad=i == 0, dtype=dtype) for i, a in enumerate(arrays)))
+    assert type(bare) is np.ndarray and chain.requires_grad
+    assert bare.dtype == dtype and np.array_equal(bare, chain.data)
+
+
+def bits(value):
+    """(dtype, shape, bytes) of every array a read returns, in order."""
+    if isinstance(value, (list, tuple)):
+        return [b for item in value for b in bits(item)]
+    if isinstance(value, explainers.Saliency):
+        return bits(value.scores)
+    if isinstance(value, AttentionInternals):
+        return bits(value.scores) + bits(value.attention)
+    arr = np.asarray(value.data if isinstance(value, Tensor) else value)
+    return [(str(arr.dtype), arr.shape, arr.tobytes())]
+
+
+def on_the_tape(monkeypatch):
+    """Every forward body runs on the tape, as a forward that records a graph does."""
+    monkeypatch.setattr(ad, "run_forward", lambda body, *inputs, **static: body(ad, *inputs, **static))
+
+
+ORACLE_SHAPES = {"teacher": EXPERIMENT_TEACHER, "student": STUDENT_SHAPE,
+                 "regression": dict(EXPERIMENT_TEACHER, task="regression", num_classes=1)}
+
+
+def no_graph_reads(net, ids):
+    """Every read of ``net`` on ``ids`` that records no graph, by name."""
+    phi = {scope: Tensor(np.linspace(-0.3, 0.4, len(scope_head_indices(net, scope)), dtype=net.dtype))
+           for scope in explainers.SCOPES}
+    reads = {"predict": net.predict(ids)}
+    for scope in explainers.SCOPES:
+        reads[f"head_logit_matrix.{scope}"] = head_logit_matrix(net, ids, scope)
+        for kind in explainers.NORMALIZATIONS:
+            params = ExplainerParams(phi[scope], kind, scope)
+            reads[f"parameterized.{kind}.{scope}"] = explain_parameterized(net, ids, params)
+    for name in ("attn_all", "attn_last"):
+        reads[name] = compute_static_saliency(net, ids, name)
+        reads[f"explain_and_predict.{name}"] = explainers.explain_and_predict(net, ids, name)
+    reads["explain_and_predict.parameterized"] = explainers.explain_and_predict(
+        net, ids, "parameterized", ExplainerParams(phi["all"]))
+    return {name: bits(value) for name, value in reads.items()}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_no_graph_forwards_are_the_recorded_forward_bit_for_bit(dtype):
-    net = model(83, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
-    frozen = model(83, dtype, max_len=LONG_LEN, **EXPERIMENT_TEACHER).freeze()
+@pytest.mark.parametrize("shape", list(ORACLE_SHAPES))
+def test_no_graph_forwards_are_the_recorded_forward_bit_for_bit(dtype, shape, monkeypatch):
+    net = model(83, dtype, max_len=LONG_LEN, **ORACLE_SHAPES[shape])
+    frozen = model(83, dtype, max_len=LONG_LEN, **ORACLE_SHAPES[shape]).freeze()
     rng = np.random.default_rng(85)
     seqs = [rng.integers(1, VOCAB, size=n).tolist() for n in LONG_LENGTHS]
-    for ids in (seqs[0], seqs):  # one sequence, a padded batch
-        want, internals = net.forward(ids, record=True)  # records the op chain
+    inputs = {"sequence": seqs[0], "array": rng.integers(1, VOCAB, size=(4, 7)), "ragged": seqs}
+    probe = {name: Tensor(t.data + (1e-3 * rng.standard_normal(t.shape)).astype(dtype),
+                          requires_grad=True, name=name)
+             for name, t in net.params.items()}
+    for ids in inputs.values():
+        want = net.forward(ids, record=True)  # records the op chain
         with ad.no_grad():
-            quiet, quiet_internals = net.forward(ids, record=True)
+            quiet = net.forward(ids, record=True)
         # grad enabled, but no frozen parameter requires it: no graph either
-        cold, cold_internals = frozen.forward(ids, record=True)
-        for out, got in ((quiet, quiet_internals), (cold, cold_internals)):
-            assert not out.requires_grad and np.array_equal(out.data, want.data)
-            for kind in ("scores", "attention"):
-                for x, y in zip(getattr(got, kind), getattr(internals, kind)):
-                    assert x.dtype == dtype and np.array_equal(x.data, y.data)
+        cold = frozen.forward(ids, record=True)
+        assert want[0].requires_grad and not quiet[0].requires_grad and not cold[0].requires_grad
+        assert bits(quiet) == bits(cold) == bits(want)
+        # the phi_T probes read the attention internals at parameter overrides
+        recorded = net.attention_internals(ids, params=probe)
+        with ad.no_grad():
+            assert bits(net.attention_internals(ids, params=probe)) == bits(recorded)
+    # every no-graph read against the same call with each forward on the tape
+    got = {name: no_graph_reads(net, ids) for name, ids in inputs.items()}
+    on_the_tape(monkeypatch)
+    assert got == {name: no_graph_reads(net, ids) for name, ids in inputs.items()}
+
+
+def test_no_graph_reads_build_no_graph_node(monkeypatch):
+    """Guards the read path's cost: a change that runs no-graph forwards,
+    head logits or head mixes on the tape again adds nodes here."""
+    net = model(93, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
+    seq, other = explainer_pool(95, count=2)
+    params = ExplainerParams(Tensor(np.linspace(-0.3, 0.4, 8, dtype=np.float32)))
+    for name in ("attn_all", "attn_last"):  # normalize each phi once, on the tape
+        compute_static_saliency(net, seq, name)
+    explain_parameterized(net, seq, params)
+    ops = []
+    real = ad._from_op
+    monkeypatch.setattr(ad, "_from_op", lambda data, parents, vjp, op: ops.append(op) or real(
+        data, parents, vjp, op))
+    for ids in (seq, [seq, other], np.array([seq, seq])):
+        with ad.no_grad():
+            net.forward(ids, record=True)
+            net.attention_internals(ids)
+        net.predict(ids)
+        head_logit_matrix(net, ids)
+        explain_parameterized(net, ids, params)
+        for name in ("attn_all", "attn_last"):
+            compute_static_saliency(net, ids, name)
+            explainers.explain_and_predict(net, ids, name)
+    assert ops == []
+
+
+def outcome(run):
+    """What ``run()`` gives, ("raises", message) or ("returns", its bits), and
+    the numpy warnings it emits on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = ("returns", bits(run()))
+        except ad.NonFiniteError as err:
+            value = ("raises", str(err))
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def no_graph(run):
+    def quiet():
+        with ad.no_grad():
+            return run()
+    return quiet
 
 
 # The op of the chain that first gives a non-finite value, by case.
@@ -1102,9 +1198,13 @@ def non_finite_message(run, grad):
 
 
 @pytest.mark.parametrize("case", NON_FINITE_CASES)
-def test_no_grad_layer_norm_raises_naming_the_chains_op(case):
-    messages = [non_finite_message(lambda: _layer_norm(*non_finite_layer_norm(case, grad)), grad)
-                for grad in (True, False)]
+def test_bare_layer_norm_replays_raising_the_chains_op(case):
+    def bare():  # a body checks what it returns
+        return ad.run_forward(lambda ops, *t: ops.result(ops.checked(_layer_norm(ops, *t))),
+                              *non_finite_layer_norm(case, False))
+
+    messages = [non_finite_message(lambda: _layer_norm(ad, *non_finite_layer_norm(case, True)), True),
+                non_finite_message(bare, False)]
     assert messages == [f"non-finite values produced by '{NON_FINITE_CASES[case]}'"] * 2
 
 
@@ -1124,21 +1224,129 @@ def test_no_grad_forward_raises_naming_the_same_op_as_a_recorded_one(case):
         "non-finite values produced by 'mul'"
 
 
-# Guards the read path's cost: a change that brings back the ten-node layer
-# norm chain on no-grad forwards adds 27 nodes here and fails this test.
-def test_no_grad_attention_internals_records_a_pinned_number_of_nodes(monkeypatch):
-    net = model(93, np.float32, max_len=LONG_LEN, **EXPERIMENT_TEACHER)
-    ops = []
-    real = ad._from_op
-    monkeypatch.setattr(ad, "_from_op", lambda data, parents, vjp, op: ops.append(op) or real(
-        data, parents, vjp, op))
-    with ad.no_grad():
-        net.attention_internals(explainer_pool(95, count=1)[0])
-    # embeddings 3; layer 0: one layer_norm node, q/k/scores/softmax 10, value,
-    # attention output and residual 8, one layer_norm node, FFN and residual 6;
-    # layer 1 up to its scores: one layer_norm node and 9, no softmax
-    assert ops.count("layer_norm") == 3 and ops.count("softmax") == 1
-    assert len(ops) == 39
+# Each case puts one NaN or Inf where exactly one check of the bare pass
+# catches it, and names the op at which a recorded forward raises.
+CRAFTED_CASES = {
+    "score": "matmul",  # a last-layer score of -inf, which the softmax weighs 0
+    "relu": "matmul",  # a -inf that the relu turns into 0
+    "variance": "mul",  # an overflowing variance, which divides the row to 0
+    "nan_gain": "mul",  # a NaN parameter
+    "nan_embedding": "gather_rows",
+    "head": "matmul",  # an overflowing head output
+    "mix_scalar": "broadcast",  # a -inf layer-mix scalar, weighed 0
+}
+
+
+def crafted_model(case):
+    """A float32 model of two one-head layers of width 4 whose weights are
+    all 0 but the layer-norm gains and the embeddings of tokens 1 and 2, with
+    the case's NaN or Inf written in (no weight is checked when loaded)."""
+    net = MiniTransformer(tiny_config(vocab_size=3, max_len=3, heads_per_layer=1, model_dim=4,
+                                      head_dim=4, ffn_dim=4), dtype=np.float32)
+    values = {name: np.zeros(t.shape, np.float32) for name, t in net.params.items()}
+    for name, value in values.items():
+        if name.endswith("norm.gain"):
+            value[:] = 1
+    values["embed.tok"][1:] = [[1, -1, 0, 0], [0, 0, 1, -1]]
+    alternating = np.array([1, -1, 1, -1], dtype=np.float32)
+    big = np.float32(1e19)
+    if case == "score":  # every query . token 2's key in the last layer
+        values["layers.1.attn.wq"][:, 0] = big * alternating
+        values["layers.1.attn.wk"][2:, 0] = -big * alternating[2:]
+    elif case == "relu":  # the first hidden unit of layer 0's feed-forward
+        values["layers.0.ffn.w1"][:, 0] = np.float32(-2e38) * alternating
+    elif case == "variance":
+        values["embed.tok"][1] *= np.float32(1e20)
+    elif case == "nan_gain":
+        values["layers.0.attn.norm.gain"][1] = np.nan
+    elif case == "nan_embedding":
+        values["embed.tok"][2, 3] = np.nan
+    elif case == "head":
+        values["head.weight"][:, 0] = np.float32(3e38) * alternating
+    elif case == "mix_scalar":
+        values["mix.scalars"][0] = -np.inf
+    net.load_param_data(values)
+    return net
+
+
+CRAFTED_INPUTS = {"sequence": [1, 2, 1], "array": np.array([[1, 2, 1], [2, 1, 1]]),
+                  "ragged": [[1, 2, 1], [1, 2]]}
+
+
+def crafted_reads(net, ids):
+    """Each read of ``net`` on ``ids`` as (recorded, no-graph) runs: the
+    recorded one with grad on and every parameter requiring grad; the
+    no-graph one as predict, the explainers and the phi_T probes run it."""
+    phi = np.array([0.3, -0.2], dtype=np.float32)
+    recorded_params = ExplainerParams(Tensor(phi, requires_grad=True))
+    params = ExplainerParams(Tensor(phi))
+    sequences = ids if is_batch(ids) else [ids]
+
+    def recorded_explanations():  # each sequence alone, as the explainers' length groups give
+        return [saliency_from_internals(net.attention_internals(seq), recorded_params)
+                for seq in sequences]
+
+    def recorded_explain_and_predict():  # one forward per length group
+        def explain(group):
+            out, internals = net.forward(group, record=True)
+            return list(zip(saliency_from_internals(internals, recorded_params).data,
+                            np.argmax(out.data, axis=-1).tolist()))
+        return explainers._by_length(ids, explain)
+
+    return {
+        "forward": (lambda: net.forward(ids), no_graph(lambda: net.forward(ids))),
+        "record": (lambda: net.forward(ids, record=True),
+                   no_graph(lambda: net.forward(ids, record=True))),
+        "attention_internals": (lambda: net.attention_internals(ids),
+                                no_graph(lambda: net.attention_internals(ids))),
+        "explanation": (recorded_explanations,
+                        lambda: [explain_parameterized(net, seq, params) for seq in sequences]),
+        "explain_and_predict": (recorded_explain_and_predict, lambda: explainers.explain_and_predict(
+            net, ids, "parameterized", params)),
+    }
+
+
+@pytest.mark.parametrize("inputs", list(CRAFTED_INPUTS))
+@pytest.mark.parametrize("case", list(CRAFTED_CASES))
+def test_no_graph_reads_raise_what_the_recorded_ones_raise(case, inputs):
+    """Each read that records no graph raises the recorded read's message,
+    with its numpy warnings, or returns its bits: a check that the bare pass
+    skipped where a NaN or Inf could vanish would let one of these cases
+    return a finite value where the recorded read raises."""
+    net, ids = crafted_model(case), CRAFTED_INPUTS[inputs]
+    reads = crafted_reads(net, ids)
+    for name, (recorded, quiet) in reads.items():
+        want = outcome(recorded)
+        assert outcome(quiet) == want, name
+    if inputs == "array":
+        (kind, message), _ = outcome(reads["forward"][0])
+        assert (kind, message) == ("raises", f"non-finite values produced by '{CRAFTED_CASES[case]}'")
+
+
+@pytest.mark.parametrize("case", ["overflow", "masked_underflow", "mean_overflow"])
+def test_no_graph_head_logits_and_mix_raise_what_the_recorded_ones_raise(case):
+    """The head mix and the head-logit mean, on hand-made logits and scores:
+    a mixed logit of -inf, which the saliency softmax would weigh 0; a masked
+    row whose valid entries all underflow, 0/0 in the softmax; and a mean of
+    six float32 maxima, which rounds up to inf."""
+    phi = np.ones(2, dtype=np.float32)
+    logits = np.zeros((2, 2, 3), dtype=np.float32)
+    mask = PadMask(np.array([3, 2]), 3)
+    if case == "overflow":
+        logits[0, :, 1] = -3e38
+    elif case == "masked_underflow":
+        logits[1, :, 2] = 2e9  # a pad key's column
+    scores = np.full((1, 6, 6), np.finfo(np.float32).max, dtype=np.float32)
+
+    def run(grad):
+        if case == "mean_overflow":
+            return head_saliency_logits(AttentionInternals(scores=[Tensor(scores, requires_grad=grad)]))
+        params = ExplainerParams(Tensor(phi, requires_grad=grad), "none")
+        return params.mix(Tensor(logits, requires_grad=grad), mask)
+
+    want = outcome(lambda: run(True))
+    assert want[0][0] == "raises"
+    assert outcome(no_graph(lambda: run(False))) == want
 
 
 # ---------------------------------------------------------------------------

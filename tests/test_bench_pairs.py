@@ -5,7 +5,7 @@ Every speed claim in a ``BENCH_*.json`` is decided by ``compare`` and
 ``verdict``; these tests feed them hand-made run values. The tree compare
 runs on hand-made temporary trees, and the pipeline runner with
 ``subprocess.run`` replaced by a fake that records where and with which
-``PYTHONPATH`` each command would have run.
+``PYTHONPATH`` each command, and each fixture timing run, would have run.
 """
 
 import importlib.util
@@ -196,11 +196,22 @@ def test_a_file_on_one_side_only_is_named(tmp_path, side):
     assert report[f"only_{'change' if side == 'parent' else 'parent'}"] == []
 
 
-def fake_run(calls, output):
+def fake_run(calls, output, fixtures=None):
     """A ``subprocess.run`` that records each pipeline command, with the pair
-    it belongs to, and writes ``output(call)`` into its working directory."""
+    it belongs to, and writes ``output(call)`` into its working directory.
+    A fixture timing run is recorded in ``fixtures`` instead, and prints the
+    criterion 04 setup time 10 s plus its index there."""
+    fixtures = [] if fixtures is None else fixtures
+
     def run(argv, cwd, env, capture_output):
         assert capture_output
+        if argv[1:] == bench_pairs.FIXTURE_COMMAND:
+            seconds = 10.0 + len(fixtures)
+            fixtures.append({"argv": argv, "cwd": Path(cwd), "pythonpath": env["PYTHONPATH"],
+                             "seconds": seconds})
+            stdout = (f"{seconds:.2f}s setup    tests/test_acceptance.py::"
+                      f"test_criterion_04_scaffolded_simulability\n").encode()
+            return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=b"")
         call = {"argv": argv, "cwd": Path(cwd), "pythonpath": env["PYTHONPATH"],
                 "pair": len(calls) // (2 * N) + 1, "command": len(calls) % N}
         calls.append(call)
@@ -222,11 +233,11 @@ def checkouts(tmp_path, monkeypatch):
     return tmp_path / "parent", tmp_path / "change"
 
 
-def run_pipeline(checkouts, monkeypatch, output, pairs=1, argv=()):
+def run_pipeline(checkouts, monkeypatch, output, pairs=1, argv=(), fixtures=None):
     """``main`` with ``--pipeline pairs`` and one faked teacher_fit pair;
     returns the pipeline commands run and the report's pipeline section."""
     calls = []
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(calls, output))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(calls, output, fixtures))
     parent, change = checkouts
     out = parent.parent / "bench.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
@@ -256,7 +267,8 @@ def test_both_sides_run_in_one_directory_each_with_its_own_src(checkouts, monkey
     assert pipeline["artifacts_identical"]
     assert [pair["files_compared"] for pair in pipeline["compared"]] == [N + 2 + 3 * N]
     assert pipeline["failed_commands"] == {"parent": 0, "change": 0}
-    assert list(pipeline["metrics"]) == [name for name, _ in bench_pairs.COMMANDS] + ["total"]
+    assert list(pipeline["metrics"]) == [name for name, _ in bench_pairs.COMMANDS] + [
+        "total", "fixture_setup_s"]
     assert all(t["exit"] == 0 for side in pipeline["runs"].values() for run in side
                for t in run["commands"].values())
 
@@ -303,8 +315,9 @@ def test_each_commands_wall_times_and_their_total_reach_compare_as_per_side_list
         clock[0] += (1 if call["pythonpath"] == parent_src else 2) * call["pair"] + call["command"] / 100
         return ""
 
+    fixtures = []
     _, report = run_pipeline(checkouts, monkeypatch, output, pairs=3,
-                             argv=["--claim", "pipeline:total"])
+                             argv=["--claim", "pipeline:total"], fixtures=fixtures)
     wall = next(m for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
                 if m["name"] == "wall_s")
     piped = [(spec, p, c) for spec, p, c in seen if len(p) == 3]  # teacher_fit ran 1 pair
@@ -312,6 +325,8 @@ def test_each_commands_wall_times_and_their_total_reach_compare_as_per_side_list
                 for k in range(N)]
     expected.append(tuple([sum(walls[side][i] for walls in expected) for i in range(3)]
                           for side in (0, 1)))
+    expected.append(tuple([f["seconds"] for f in fixtures if f["cwd"] == path.resolve()]
+                          for path in checkouts))
     assert piped == [(wall, pytest.approx(p), pytest.approx(c)) for p, c in expected]
     metrics = report["pipeline"]["metrics"]
     assert metrics["make-data"]["parent"]["median"] == pytest.approx(2.0)
@@ -319,3 +334,28 @@ def test_each_commands_wall_times_and_their_total_reach_compare_as_per_side_list
     assert "pipeline.total" in report["regressions"]
     assert report["claim"] == bench_pairs.verdict("pipeline", "total", metrics["total"])
     assert report["claim"]["met"] is False
+
+
+def test_each_side_times_the_fixture_once_a_pair_in_its_own_checkout(checkouts, monkeypatch):
+    fixtures = []
+    run_pipeline(checkouts, monkeypatch, lambda call: "", pairs=3, fixtures=fixtures)
+    parent, change = (path.resolve() for path in checkouts)
+    assert [f["cwd"] for f in fixtures] == [parent, change, change, parent, parent, change]
+    assert all(f["pythonpath"] == str(f["cwd"] / "src") for f in fixtures)
+    assert all(f["argv"] == [sys.executable, *bench_pairs.FIXTURE_COMMAND] for f in fixtures)
+    pipeline = json.loads((checkouts[0].parent / "bench.json").read_text())["pipeline"]
+    assert [run["fixture_setup_s"] for run in pipeline["runs"]["parent"]] == [10.0, 13.0, 14.0]
+    assert [run["fixture_setup_s"] for run in pipeline["runs"]["change"]] == [11.0, 12.0, 15.0]
+    setup = pipeline["metrics"]["fixture_setup_s"]
+    assert (setup["parent"]["median"], setup["change"]["median"]) == (13.0, 12.0)
+    assert (setup["pairs_won"], setup["pairs_lost"]) == (1, 2)
+    assert pipeline["fixture_command"] == "python " + " ".join(bench_pairs.FIXTURE_COMMAND)
+
+
+@pytest.mark.parametrize("exit_code, stdout", [(1, b"1 failed\n"), (0, b"1 passed\n")])
+def test_a_fixture_run_without_a_setup_time_raises_naming_the_checkout(tmp_path, monkeypatch,
+                                                                      exit_code, stdout):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: (
+        subprocess.CompletedProcess(argv, exit_code, stdout=stdout, stderr=b"")))
+    with pytest.raises(RuntimeError, match=f"in {tmp_path} exited {exit_code}"):
+        bench_pairs.fixture_setup(tmp_path)

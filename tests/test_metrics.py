@@ -108,6 +108,14 @@ def test_corpus_auc_skips_degenerate_examples():
         corpus_auc([([0.5], [1])])  # nothing usable at all
 
 
+@pytest.mark.parametrize("bad", [[2, 0], [-1, 1], [0.5, 0.5], [1, 2]])
+def test_corpus_auc_rejects_a_mask_that_is_not_0_or_1_before_skipping(bad):
+    """Such a mask used to be skipped as one-class, or scored, by its sum."""
+    for pairs in ([([0.2, 0.8, 0.5], [0, 1, 0]), ([0.5, 0.5], bad)], [([0.5, 0.5], bad)]):
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            corpus_auc(pairs)
+
+
 def test_median_iqr_cases():
     agg = aggregate_median_iqr([1, 2, 3, 4, 5])
     assert (agg.median, agg.iqr_low, agg.iqr_high) == (3.0, 2.0, 4.0)
