@@ -8,6 +8,7 @@ import gc
 import itertools
 import logging
 import math
+import re
 import warnings
 import weakref
 
@@ -1120,27 +1121,127 @@ def test_broadcast_gradient_sums_each_example_then_examples_in_order():
     assert np.array_equal(got.data, want)
 
 
-def test_scatter_rows_sums_each_sequence_then_sequences_in_order():
+def numpy_max_softmax(x: np.ndarray, axis: int, lengths: ad.LengthGroups | None = None) -> np.ndarray:
+    """The softmax with its shift taken by ``x.max``, as numpy reduces it."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    if lengths is None:
+        return e / e.sum(axis=axis, keepdims=True)
+    return e / ad._prefix_sum(e, axis, lengths)
+
+
+def numpy_max_logsumexp(x: np.ndarray) -> np.ndarray:
+    shift = x.max(axis=-1, keepdims=True)
+    return np.asarray(np.log(np.exp(x - shift).sum(axis=-1)) + shift[..., 0])
+
+
+def shift_inputs(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """Random rows with some replaced: a maximum of +0.0 or -0.0, repeated
+    maxima, and entries of +-1e30."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=shape).astype(dtype)
+    rows = x.reshape(-1, shape[-1])
+    width = shape[-1]
+    special = [np.r_[-0.0, -rng.uniform(1, 2, width - 1)],
+               np.r_[-rng.uniform(1, 2, width - 1), 0.0],
+               np.r_[0.0, -0.0, -rng.uniform(1, 2, width - 2)],
+               np.r_[-0.0, 0.0, -rng.uniform(1, 2, width - 2)],
+               np.r_[np.full(width - 1, 3.0), 1.0],
+               np.r_[1e30, -1e30, rng.normal(size=width - 2)],
+               np.r_[-1e30, rng.normal(size=width - 1)]]
+    for i, row in zip(rng.permutation(len(rows))[:len(special)], special):
+        rows[i] = row
+    return x
+
+
+SHIFT_SHAPES = [(10,), (1, 10), (40, 10), (3, 7), (40, 33), (32, 4, 10, 10), (2, 4, 5, 5)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SHIFT_SHAPES, ids=str)
+def test_softmax_and_logsumexp_shift_gives_numpy_max_bits(shape, dtype):
+    x = shift_inputs(shape, dtype)
+    axes = [-1, 0] if x.ndim > 1 else [-1]
+    for axis in axes:  # the last axis, and a leading one
+        want = numpy_max_softmax(x, axis)
+        assert ad.bare.softmax(x, axis).tobytes() == want.tobytes()
+        assert ad.softmax(ad.constant(x), axis).data.tobytes() == want.tobytes()
+    lengths = np.random.default_rng(5).integers(1, shape[-1] + 1, size=shape[:-1])
+    masked = np.where(np.arange(shape[-1]) < lengths[..., None], x, dtype(-1e30))
+    groups = ad.LengthGroups(lengths, shape)
+    want = numpy_max_softmax(masked, -1, groups)
+    assert ad.bare.softmax(masked, -1, groups).tobytes() == want.tobytes()
+    assert ad.softmax(ad.constant(masked), -1, lengths=groups).data.tobytes() == want.tobytes()
+    lse = ad.logsumexp(ad.constant(x)).data
+    assert lse.dtype == dtype and lse.tobytes() == numpy_max_logsumexp(x).tobytes()
+    if x.ndim <= 2:
+        targets = np.arange(x.size // shape[-1]).reshape(shape[:-1]) % shape[-1]
+        picked = (np.eye(shape[-1], dtype=dtype)[targets] * x).sum(axis=-1)
+        want = np.asarray(numpy_max_logsumexp(x) - picked)
+        assert ad.cross_entropy(ad.constant(x), targets).data.tobytes() == want.tobytes()
+
+
+def test_row_max_is_numpy_max_up_to_the_sign_of_a_zero():
+    x = shift_inputs((64, 4, 6), np.float32)
+    x[0, 1, 2] = np.nan
+    x[5, 0] = [-0.0, -0.0, -1.0, np.nan, -2.0, -3.0]
+    got, want = ad._row_max(x, -1), x.max(axis=-1, keepdims=True)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    nonzero = want != 0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    assert np.isnan(got[0, 1, 0]) and np.isnan(got[5, 0, 0])
+
+
+def in_order_scatter(g: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """The embedding gradient by a plain loop: each sequence's positions are
+    added in order into a +0.0 table of its own, then the sequences' tables
+    in order into a +0.0 table."""
+    seqs = ids.reshape(-1, ids.shape[-1])
+    rows = g.reshape(seqs.shape + g.shape[ids.ndim:])
+    out = np.zeros((num_rows,) + g.shape[ids.ndim:], g.dtype)
+    for seq_ids, seq_rows in zip(seqs, rows):
+        part = np.zeros_like(out)
+        for i, row in zip(seq_ids, seq_rows):
+            part[i] = part[i] + row
+        out = out + part
+    return out
+
+
+SCATTER_CASES = {  # name: (ids shape, row width, number of table rows)
+    "teacher": ((32, 10), 32, 200),
+    "student": ((32, 10), 8, 200),
+    "1d_ids": ((40,), 3, 6),
+    "repeats_within_a_sequence": ((6, 9), 3, 4),
+    "all_negative_zero_rows": ((5, 7), 4, 5),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_scatter_rows_is_an_in_order_loop_bit_for_bit(case, dtype):
+    """Compared by bytes, so a -0.0 where the loop gives +0.0 fails too."""
+    shape, width, num_rows = SCATTER_CASES[case]
     rng = np.random.default_rng(14)
-    ids = rng.integers(0, 4, size=(6, 9))
-    g = rng.normal(size=(6, 9, 3)).astype(np.float32)
-    got = ad.scatter_rows(ad.constant(g), ids, 4).data
-    want = np.zeros((4, 3), np.float32)
-    for seq, rows in zip(ids, g):
-        want = want + ad.scatter_rows(ad.constant(rows), seq, 4).data
-    assert np.array_equal(got, want)
+    ids = rng.integers(0, num_rows, size=shape)
+    g = rng.normal(size=shape + (width,)).astype(dtype)
+    if case == "all_negative_zero_rows":
+        g[:, ::2] = -0.0  # every even position adds -0.0, and so does each hit of row 0
+        g[ids == 0] = -0.0
+        assert (ids == 0).any()
+    got = ad.scatter_rows(ad.constant(g), ids, num_rows).data
+    want = in_order_scatter(g, ids, num_rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if case == "all_negative_zero_rows":
+        assert not np.signbit(got[0]).any() and not got[0].any()
 
 
-def test_scatter_rows_of_1d_ids_is_each_rows_sum_in_order():
-    """1-D ids (a gather from one sequence) are one slice of the general path."""
-    rng = np.random.default_rng(15)
-    ids = rng.integers(0, 5, size=40)  # repeated rows; some rows never hit
-    g = rng.normal(size=(40, 3))
-    want = np.zeros((6, 3))
-    for row, grad in zip(ids, g):  # float64, in the order the ids come
-        want[row] = want[row] + grad
-    got = ad.scatter_rows(ad.constant(g), ids, 6)
-    assert got.dtype == np.float64 and np.array_equal(got.data, want)
+@pytest.mark.parametrize("ids", [np.int64(2), np.zeros((2, 0), np.int64), np.zeros((0, 5), np.int64),
+                                 np.zeros(0, np.int64)], ids=["0d", "empty_last_axis", "no_sequences",
+                                                              "empty_1d"])
+def test_gather_rows_rejects_an_index_scatter_rows_cannot_take_back(ids):
+    table = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {ids.shape}")):
+        ad.gather_rows(table, ids)
 
 
 def test_batched_cross_entropy_gradients_and_rows():
