@@ -724,13 +724,19 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def gather_rows(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     """Select rows of a 2-D table by an integer index array of any shape.
 
-    The index needs at least one axis and one element, the indices
-    :func:`scatter_rows` takes back; any other raises before a node is built.
+    The index needs at least one axis and one element, each in
+    [0, num_rows), the indices :func:`scatter_rows` takes back; any other
+    raises before a node is built. (A negative id would wrap, and
+    ``scatter_rows`` would key it into the previous sequence's rows.)
     """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim == 0 or idx.size == 0:
         raise ValueError(f"gather_rows needs a non-empty index of at least one axis, got shape {idx.shape}")
     num_rows = table.shape[0]
+    if idx.min() < 0 or idx.max() >= num_rows:
+        flat = idx.reshape(-1)
+        bad = flat[np.argmax((flat < 0) | (flat >= num_rows))]
+        raise ValueError(f"gather_rows id {bad} is outside [0, {num_rows})")
     return _from_op(
         bare.gather_rows(table.data, idx),
         (table,),

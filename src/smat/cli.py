@@ -373,14 +373,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         with_masks = [ex for ex in dataset.examples if ex.rationale is not None]
         ids = [ex.token_ids for ex in with_masks]
-        static = None  # a static teacher explanation is the same for every seed
+        # a static teacher explanation is the same for every seed; the smat
+        # seeds share one attention prefix per length group, each mixing its phi_T
         if config.mode_kind() == "static":
-            static = compute_static_saliency(teacher, ids, config.static_name())
-        elif config.mode_kind() != "smat":
+            per_run = [compute_static_saliency(teacher, ids, config.static_name())] * len(runs)
+        elif config.mode_kind() == "smat":
+            per_run = explain_parameterized(teacher, ids, [
+                _load_phi(os.path.join(args.students, run["phi_t"]), teacher) for run in runs])
+        else:
             raise ValueError(f"mode {config.mode!r} trains without a teacher explainer; nothing to score")
-        for run in runs:
-            saliencies = static if static is not None else explain_parameterized(
-                teacher, ids, _load_phi(os.path.join(args.students, run["phi_t"]), teacher))
+        for run, saliencies in zip(runs, per_run):
             pairs = [(sal.scores, ex.rationale) for sal, ex in zip(saliencies, with_masks)]
             auc, used, skipped = metrics.corpus_auc(pairs)
             values.append(auc)

@@ -253,22 +253,37 @@ def _by_length(token_ids, explain, chunk: int | None = None):
 def explain_parameterized(
     model: MiniTransformer,
     token_ids: Sequence[int],
-    params: ExplainerParams,
-) -> Saliency | list[Saliency]:
+    params: ExplainerParams | Sequence[ExplainerParams],
+) -> Saliency | list[Saliency] | list[list[Saliency]]:
     """Learned head-combination explanation (value form).
 
-    One sequence gives one Saliency, a list a list of them. Each runs only
-    the no-grad ``attention_internals`` prefix of the forward: one sequence
-    without a batch axis, a list one per sequence length. The differentiable
-    form is :func:`saliency_from_internals`.
+    One sequence gives one Saliency, a list a list of them, and a list with
+    a list of params (one per seed, say) one such list per params. Each runs
+    only the no-grad ``attention_internals`` prefix of the forward: one
+    sequence without a batch axis, a list one per sequence length, shared by
+    every params, with one head-logit stack per scope mixed by each params.
+    So each Saliency is the one its params alone gives, bit for bit. The
+    differentiable form is :func:`saliency_from_internals`.
     """
-    def explain(ids):
-        return saliency_from_internals(model.attention_internals(ids), params).data
-
     with ad.no_grad():
+        if isinstance(params, ExplainerParams):
+            if not is_batch(token_ids):
+                internals = model.attention_internals(token_ids)
+                return Saliency(scores=saliency_from_internals(internals, params).data)
+            return explain_parameterized(model, token_ids, [params])[0]
         if not is_batch(token_ids):
-            return Saliency(scores=explain(token_ids))
-        return _by_length(token_ids, lambda group: [Saliency(scores=row) for row in explain(group)])
+            raise ValueError("a list of params explains a list of sequences")
+        params = list(params)
+
+        def explain(group):
+            internals = model.attention_internals(group)
+            logits = {scope: head_saliency_logits(internals, _first_layer(scope, len(internals.scores)))
+                      for scope in dict.fromkeys(p.scope for p in params)}
+            mixed = [p.mix(logits[p.scope], internals.mask).data for p in params]
+            return [[Saliency(scores=rows[i]) for rows in mixed] for i in range(len(group))]
+
+        per_sequence = _by_length(token_ids, explain)
+        return [[sals[k] for sals in per_sequence] for k in range(len(params))]
 
 
 # ---------------------------------------------------------------------------

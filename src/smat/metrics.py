@@ -63,38 +63,13 @@ def plausibility_auc(scores: Sequence[float], mask: Sequence[int]) -> float:
     """ROC-AUC of saliency scores against a binary rationale mask.
 
     Computed by the rank-sum statistic; tied scores contribute 0.5.
-    The mask must contain both classes.
+    The mask must contain both classes. This is :func:`corpus_auc`'s
+    per-example value for a corpus of one pair.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    m = _binary_mask(mask)
-    if s.shape != m.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and mask must be equal-length non-empty vectors")
-    if np.isnan(s).any():
-        raise ValueError("scores must not be NaN: they have no rank")
-    n_pos = int(m.sum())
-    n_neg = m.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    values, used = _pair_aucs([(scores, mask)])
+    if not used[0]:
         raise ValueError("mask must contain both positive and negative positions")
-    ranks = _average_ranks(s)
-    rank_sum = float(ranks[m == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _binary_mask(mask: Sequence[int]) -> np.ndarray:
-    """``mask`` as integers, or a ValueError unless every entry is 0 or 1."""
-    m = np.asarray(mask)
-    if not set(np.unique(m).tolist()) <= {0, 1}:
-        raise ValueError("mask entries must be 0 or 1")
-    return m.astype(np.int64)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; a tie run at sorted positions left .. right - 1 shares
-    their mean rank (left + 1 + right) / 2."""
-    ordered = np.sort(values)
-    left = np.searchsorted(ordered, values, side="left")
-    right = np.searchsorted(ordered, values, side="right")
-    return (left + right + 1) / 2.0
+    return float(values[0])
 
 
 def corpus_auc(
@@ -102,21 +77,77 @@ def corpus_auc(
 ) -> tuple[float, int, int]:
     """Mean per-example AUC over a corpus.
 
-    Examples whose mask is all-positive or all-negative are skipped and
-    counted; a mask entry other than 0 or 1 raises, skipped or not.
-    Returns (mean AUC, used, skipped); raises if nothing is usable.
+    Examples whose mask is empty, all-positive or all-negative are skipped
+    and counted. Every pair is checked, skipped or not: a mask entry other
+    than 0 or 1, or scores and a mask of different lengths, raise naming
+    the pair's position. Returns (mean AUC, used, skipped); raises if
+    nothing is usable.
     """
-    values: list[float] = []
-    skipped = 0
-    for scores, mask in pairs:
-        m = _binary_mask(mask)
-        if m.size == 0 or m.sum() == 0 or m.sum() == m.size:
-            skipped += 1
-            continue
-        values.append(plausibility_auc(scores, mask))
-    if not values:
+    values, used = _pair_aucs(pairs)
+    if not values.size:
         raise ValueError("no examples with two-class rationale masks")
-    return float(np.mean(values)), len(values), skipped
+    return float(np.mean(values)), int(values.size), int(used.size - values.size)
+
+
+def _pair_aucs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The AUC of each pair with a two-class mask, in input order, and a
+    boolean per pair saying which those are.
+
+    One pass over the corpus: the used pairs' scores are NaN-padded into one
+    (pairs, longest) matrix and sorted row by row, pads last. A tie run at
+    sorted positions left .. right - 1 shares the mean 1-based rank
+    (left + 1 + right) / 2, so a rank sum is an exact sum of halves in any
+    order, and each value is (rank_sum - n_pos (n_pos + 1) / 2) / (n_pos n_neg).
+    Memory is that of the padded matrix, whatever the lengths.
+    """
+    scores = [np.asarray(s, dtype=np.float64) for s, _ in pairs]
+    masks = [np.asarray(m) for _, m in pairs]
+    for i, (s, m) in enumerate(zip(scores, masks)):
+        if m.dtype.kind not in "biuf":
+            raise ValueError(f"pair {i}: mask entries must be 0 or 1")
+        if s.ndim != 1 or s.shape != m.shape:
+            raise ValueError(f"pair {i}: scores and mask must be equal-length non-empty vectors")
+    lengths = np.array([m.size for m in masks], dtype=np.int64)
+    if not lengths.sum():
+        return np.zeros(0), lengths > 0
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    flat_mask = np.concatenate(masks)
+    binary = (flat_mask == 0) | (flat_mask == 1)
+    if not binary.all():
+        pair = np.searchsorted(ends, np.argmin(binary), side="right")
+        raise ValueError(f"pair {pair}: mask entries must be 0 or 1")
+    positives = np.concatenate([[0], np.cumsum(flat_mask, dtype=np.int64)])
+    n_pos = positives[ends] - positives[starts]
+    used = (n_pos > 0) & (n_pos < lengths)
+    if not used.any():
+        return np.zeros(0), used
+    pair_of = np.repeat(np.arange(lengths.size), lengths)
+    keep = used[pair_of]
+    flat_scores = np.concatenate(scores)[keep]
+    nan = np.isnan(flat_scores)
+    if nan.any():
+        raise ValueError(f"pair {pair_of[keep][np.argmax(nan)]}: scores must not be NaN: "
+                         "they have no rank")
+    row = (np.cumsum(used) - 1)[pair_of[keep]]
+    col = (np.arange(ends[-1]) - np.repeat(starts, lengths))[keep]
+    n_pos, n_neg = n_pos[used], lengths[used] - n_pos[used]
+    shape = (n_pos.size, int(lengths[used].max()))
+    padded = np.full(shape, np.nan)
+    padded[row, col] = flat_scores
+    positive = np.zeros(shape, dtype=np.int64)
+    positive[row, col] = flat_mask[keep]
+    order = np.argsort(padded, axis=1)
+    ordered = np.take_along_axis(padded, order, axis=1)
+    first = np.ones(shape, dtype=bool)  # a tie run starts here; NaN ties nothing
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    last = np.ones(shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    at = np.arange(shape[1])
+    left = np.maximum.accumulate(np.where(first, at, 0), axis=1)
+    right = np.minimum.accumulate(np.where(last, at + 1, shape[1])[:, ::-1], axis=1)[:, ::-1]
+    twice_rank_sum = ((left + right + 1) * np.take_along_axis(positive, order, axis=1)).sum(axis=1)
+    return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg), used
 
 
 # ---------------------------------------------------------------------------

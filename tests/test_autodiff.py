@@ -1244,6 +1244,32 @@ def test_gather_rows_rejects_an_index_scatter_rows_cannot_take_back(ids):
         ad.gather_rows(table, ids)
 
 
+@pytest.mark.parametrize("ids,first", [([[0, 1, 3], [2, -1, 0]], -1), ([[0, 4], [-1, 2]], 4),
+                                       ([3, -2, 4], -2), ([[1, 2], [3, 9]], 9)],
+                         ids=["minus_one", "num_rows_first", "1d", "past_num_rows"])
+def test_gather_rows_names_the_first_id_outside_the_table(ids, first):
+    """A negative id used to wrap, and scatter_rows then summed it into the
+    previous sequence's partial; an id past the table was numpy's IndexError."""
+    table = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=re.escape(f"id {first} is outside [0, 4)")):
+        ad.gather_rows(table, ids)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_of_in_range_ids_keeps_its_bits(dtype):
+    """The range check reads the ids only: the rows and their gradient are
+    the plain gather and the in-order scatter, ids 0 and num_rows - 1 included."""
+    rng = np.random.default_rng(15)
+    table = ad.Tensor(rng.normal(size=(6, 5)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, 6, size=(4, 7))
+    ids[0, :2] = [0, 5]
+    out = ad.gather_rows(table, ids)
+    assert out.data.tobytes() == table.data[ids].tobytes()
+    g = rng.normal(size=out.shape).astype(dtype)
+    grad = ad.backward(ad.tsum(ad.mul(out, ad.constant(g))), [table])[0].data
+    assert grad.tobytes() == in_order_scatter(g, ids, 6).tobytes()
+
+
 def test_batched_cross_entropy_gradients_and_rows():
     targets = np.array([2, 0, 1])
 

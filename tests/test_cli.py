@@ -28,7 +28,17 @@ from smat.data import (
     save_model,
     save_tsv,
 )
-from smat.explainers import ATTENTION_EXPLAINERS, STATIC_EXPLAINERS, compute_static_saliency
+from smat.autodiff import Tensor, no_grad
+from smat.explainers import (
+    ATTENTION_EXPLAINERS,
+    NORMALIZATIONS,
+    SCOPES,
+    STATIC_EXPLAINERS,
+    ExplainerParams,
+    compute_static_saliency,
+    explain_parameterized,
+    saliency_from_internals,
+)
 from smat.model import MiniTransformer
 
 
@@ -235,6 +245,100 @@ def test_evaluate_static_auc_explains_the_teacher_once(pipeline, capsys, monkeyp
     assert calls == [160]  # every example with a rationale mask, in one call
     aucs = [line.split()[1] for line in out.splitlines() if line.startswith("seed=")]
     assert len(aucs) == 2 and aucs[0] == aucs[1]
+
+
+def _smat_students(tmp_path, pipeline, phis):
+    """A smat students directory whose runs reuse the pipeline's students
+    (by absolute path), with one phi_t file per (normalize, scope, values)."""
+    runs = json.loads((pipeline["students"]["smat"] / "summary.json").read_text())["runs"]
+    students = tmp_path / "students"
+    students.mkdir()
+    out = []
+    for seed, (normalize, scope, values) in enumerate(phis):
+        phi = students / f"phi_{seed}.smat"
+        save_checkpoint({"phi_t": np.asarray(values, dtype=np.float32)}, str(phi),
+                        config_echo={"kind": "phi", "normalize": normalize, "scope": scope})
+        student = str(pipeline["students"]["smat"] / runs[seed % len(runs)]["student"])
+        out.append({"seed": seed, "student": student, "phi_t": phi.name})
+    (students / "summary.json").write_text(json.dumps({"mode": "smat", "runs": out}))
+    return students
+
+
+def _evaluate_auc(students, pipeline):
+    return main(["evaluate", "--students", str(students), "--teacher", str(pipeline["teacher"]),
+                 "--data", str(pipeline["corpus"]), "--metric", "auc"])
+
+
+@pytest.mark.parametrize("seeds", [1, 2, 5])
+def test_evaluate_smat_auc_runs_one_teacher_prefix_per_length(pipeline, tmp_path, capsys,
+                                                              monkeypatch, seeds):
+    """The head logits do not depend on phi_T: every seed mixes the same
+    prefix, one attention_internals call per length group."""
+    calls = []
+    internals = MiniTransformer.attention_internals
+
+    def counting(self, token_ids, *args, **kwargs):
+        calls.append(len(token_ids))
+        return internals(self, token_ids, *args, **kwargs)
+
+    monkeypatch.setattr(MiniTransformer, "attention_internals", counting)
+    rng = np.random.default_rng(seeds)
+    students = _smat_students(tmp_path, pipeline, [("sparsemax", "all", rng.normal(size=4))
+                                                   for _ in range(seeds)])
+    assert _evaluate_auc(students, pipeline) == 0
+    assert capsys.readouterr().out.count("seed=") == seeds
+    lengths = [len(ex.tokens) for ex in load_tsv(str(pipeline["corpus"])).examples]
+    assert sorted(calls) == sorted(lengths.count(n) for n in set(lengths))
+
+
+def test_evaluate_smat_auc_scores_each_seeds_own_explanation(pipeline, tmp_path, capsys, monkeypatch):
+    """Seeds of every normalization and both scopes in one call: each seed's
+    saliencies are the ones its phi_T alone gives, by bytes, from the list
+    form and from the attention prefix of each length group."""
+    rng = np.random.default_rng(5)
+    phis = [(normalize, scope, rng.normal(size=4 if scope == "all" else 2))
+            for normalize in NORMALIZATIONS for scope in SCOPES]
+    students = _smat_students(tmp_path, pipeline, phis)
+    scored = []
+    corpus_auc = cli.metrics.corpus_auc
+
+    def recording(pairs):
+        scored.append([np.asarray(scores) for scores, _ in pairs])
+        return corpus_auc(pairs)
+
+    monkeypatch.setattr(cli.metrics, "corpus_auc", recording)
+    assert _evaluate_auc(students, pipeline) == 0
+    printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("seed=")]
+    teacher, vocab = cli._load_teacher(str(pipeline["teacher"]))
+    dataset = load_tsv(str(pipeline["corpus"]))
+    attach_token_ids(dataset, vocab)
+    ids = [ex.token_ids for ex in dataset.examples]
+    assert len(scored) == len(phis) == len(printed)
+    for (normalize, scope, values), got, line in zip(phis, scored, printed):
+        params = ExplainerParams(Tensor(np.asarray(values, dtype=np.float32)), normalize, scope)
+        alone = explain_parameterized(teacher, ids, params)
+        assert [s.tobytes() for s in got] == [sal.scores.tobytes() for sal in alone]
+        for n in {len(seq) for seq in ids}:
+            group = [i for i, seq in enumerate(ids) if len(seq) == n]
+            with no_grad():
+                rows = saliency_from_internals(
+                    teacher.attention_internals([ids[i] for i in group]), params).data
+            assert [got[i].tobytes() for i in group] == [row.tobytes() for row in rows]
+        auc = corpus_auc([(s, ex.rationale) for s, ex in zip(got, dataset.examples)])[0]
+        assert line == f"auc={auc:.4f}"
+
+
+def test_evaluate_smat_auc_checks_every_phi_before_printing(pipeline, tmp_path, capsys):
+    """A bad phi_T in the last seed exits 1 before any seed's line is
+    printed (each seed used to print before the next phi_T was loaded)."""
+    phis = [("sparsemax", "all", np.zeros(4)), ("sparsemax", "all", np.zeros(4)),
+            ("sparsemax", "all", np.zeros(5))]
+    students = _smat_students(tmp_path, pipeline, phis)
+    assert _evaluate_auc(students, pipeline) == 1
+    captured = capsys.readouterr()
+    assert "seed=" not in captured.out
+    assert str(students / "phi_2.smat") in captured.err and "'phi_t'" in captured.err
 
 
 def test_explain_rejects_a_student_checkpoint_as_phi(pipeline, tmp_path, capsys):

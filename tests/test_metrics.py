@@ -1,6 +1,7 @@
 """Simulability, plausibility AUC, median/IQR aggregation, skill ratings."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from smat.metrics import (
     simulability_pearson,
     trueskill_update,
 )
-from smat.metrics import SKILL_BETA, _update_pair, _v_draw, _v_win, _w_draw, _w_win
+from smat.metrics import SKILL_BETA, _pair_aucs, _update_pair, _v_draw, _v_win, _w_draw, _w_win
 
 
 def test_accuracy_cases():
@@ -79,6 +80,14 @@ def test_auc_invariant_under_monotone_transforms():
         assert a == pytest.approx(b)
 
 
+def _pairwise_auc(scores: np.ndarray, mask: np.ndarray) -> Fraction:
+    """The AUC as wins plus half ties over every (positive, negative) pair."""
+    pos, neg = scores[mask == 1], scores[mask == 0]
+    wins = int((pos[:, None] > neg[None, :]).sum())
+    ties = int((pos[:, None] == neg[None, :]).sum())
+    return Fraction(2 * wins + ties, 2 * pos.size * neg.size)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_auc_is_the_pairwise_count_of_wins_and_half_ties(dtype):
     rng = np.random.default_rng(7)
@@ -88,11 +97,7 @@ def test_auc_is_the_pairwise_count_of_wins_and_half_ties(dtype):
         scores = levels[rng.integers(0, levels.size, size=n)]
         mask = rng.integers(0, 2, size=n)
         mask[:2] = [0, 1]
-        pos, neg = scores[mask == 1], scores[mask == 0]
-        wins = int((pos[:, None] > neg[None, :]).sum())
-        ties = int((pos[:, None] == neg[None, :]).sum())
-        oracle = Fraction(2 * wins + ties, 2 * pos.size * neg.size)
-        assert plausibility_auc(scores, mask) == float(oracle)
+        assert plausibility_auc(scores, mask) == float(_pairwise_auc(scores, mask))
 
 
 def test_corpus_auc_skips_degenerate_examples():
@@ -114,6 +119,68 @@ def test_corpus_auc_rejects_a_mask_that_is_not_0_or_1_before_skipping(bad):
     for pairs in ([([0.2, 0.8, 0.5], [0, 1, 0]), ([0.5, 0.5], bad)], [([0.5, 0.5], bad)]):
         with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
             corpus_auc(pairs)
+
+
+@pytest.mark.parametrize("pairs,pos,what", [
+    ([([0.2, 0.8], [0, 1]), ([0.5], [1, 1])], 1, "equal-length"),  # two-class mask, short scores
+    ([([0.2, 0.8], [0, 1]), ([0.5, 0.5], [1, 0]), ([], [0]), ([0.1], [])], 2, "equal-length"),
+    ([([0.2, 0.8], [0, 1]), ([0.5, 0.5, 0.5], [1, 1])], 1, "equal-length"),  # one-class: skipped
+    ([([0.2, 0.8], [0, 1]), ([0.5, 0.5], [[1, 0]])], 1, "equal-length"),
+    ([([0.2, 0.8], [0, 1]), ([], [0, 0]), ([0.5, 0.5], [1, 2])], 1, "equal-length"),
+    ([([0.2, 0.8], [0, 1]), ([0.5], [0]), ([0.5, 0.5], [1, 2])], 2, "mask entries must be 0 or 1"),
+    ([([0.2, 0.8], [0, 1]), ([0.5, 0.5], ["1", "0"])], 1, "mask entries must be 0 or 1"),
+    ([([0.2, 0.8], [0, 1]), ([float("nan")], [1]), ([0.5, float("nan")], [1, 0])], 2, "NaN"),
+])
+def test_corpus_auc_checks_every_pair_and_names_its_position(pairs, pos, what):
+    """Lengths used to be checked only on the pairs that were scored."""
+    with pytest.raises(ValueError, match=f"pair {pos}: .*{what}"):
+        corpus_auc(pairs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_corpus_auc_is_the_pairwise_count_of_each_example(dtype):
+    """Ragged corpora with tied levels, +-inf and +-0.0 scores, one-class and
+    empty masks: each used value is the exact pairwise count, and the mean
+    is np.mean of those values in input order."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        pairs, oracle = [], []
+        for _ in range(int(rng.integers(1, 12))):
+            n = int(rng.integers(0, 31)) if rng.random() < 0.1 else int(rng.integers(1, 31))
+            levels = np.concatenate([rng.normal(size=int(rng.integers(1, 6))),
+                                     [np.inf, -np.inf, 0.0, -0.0]]).astype(dtype)
+            scores = levels[rng.integers(0, levels.size, size=n)]
+            mask = rng.integers(0, 2, size=n)
+            if rng.random() < 0.2:
+                mask[:] = rng.integers(0, 2)  # one class
+            pairs.append((scores, mask.tolist()))
+            if 0 < mask.sum() < n:
+                oracle.append(float(_pairwise_auc(scores, mask)))
+        values, used = _pair_aucs(pairs)
+        assert values.tolist() == oracle and int(used.sum()) == len(oracle)
+        if not oracle:
+            with pytest.raises(ValueError, match="no examples with two-class rationale masks"):
+                corpus_auc(pairs)
+            continue
+        mean, n_used, skipped = corpus_auc(pairs)
+        assert mean == float(np.mean(oracle))
+        assert (n_used, skipped) == (len(oracle), len(pairs) - len(oracle))
+
+
+def test_corpus_auc_memory_is_linear_in_the_tokens():
+    """A pairwise comparison of every position would allocate N * L^2 entries
+    (8.4 MB of booleans here); one sort per row needs O(N * L)."""
+    rng = np.random.default_rng(12)
+    n, length = 32, 512
+    pairs = [(rng.integers(0, 40, size=length).astype(np.float32),
+              rng.integers(0, 2, size=length).tolist()) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        corpus_auc(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * length * length / 2
 
 
 def test_median_iqr_cases():
