@@ -109,7 +109,7 @@ def _pair_aucs(pairs) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"pair {i}: scores and mask must be equal-length non-empty vectors")
     lengths = np.array([m.size for m in masks], dtype=np.int64)
     if not lengths.sum():
-        return np.zeros(0), lengths > 0
+        return np.zeros(0), np.zeros(lengths.size, dtype=bool)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     flat_mask = np.concatenate(masks)
